@@ -24,8 +24,7 @@ from .errors import (AdjacentEdges, AlreadyColliding, CoincidentPoints,
                      LineSearchFailure, NewtonInnerFailure, NonConvergence,
                      SelfIntersection, SingularSystem, TooFewVertices)
 from .metric import (GramOperator, L2, MetricKind, W12, W22, W32_GEOMETRIC,
-                     W32_PURE, assemble_gram, assemble_gram_baselines,
-                     parse_metric)
+                     W32_PURE, assemble_gram, parse_metric)
 from .optimize import (OptimizeResult, OptimizerConfig, TraceRecord,
                        armijo_step, run, run_implicit_euler_l2, run_lbfgs,
                        run_ncg_pr_plus, run_nesterov, run_projected_gd,
@@ -45,13 +44,13 @@ __all__ = [
     "QuadratureRule", "SaddleFactorization", "SelfIntersection",
     "SingularSystem", "TooFewVertices", "TraceRecord", "W12", "W22",
     "W32_GEOMETRIC", "W32_PURE", "armijo_step", "assemble_gram",
-    "assemble_gram_baselines", "coiled_unknot", "d2_energy", "d_energy",
-    "d_phi", "energy", "energy_density", "factorize",
-    "first_collision_step", "geodesic_distance", "in_integrand",
-    "initial_step", "ks_energy", "local_contribution",
-    "min_nonadjacent_distance", "parse_metric", "perturbed_circle", "phi",
-    "project_tangent", "projected_gradient", "proximity_report",
-    "pseudoinverse_apply", "regular_ngon", "restore_feasibility", "run",
+    "coiled_unknot", "d2_energy", "d_energy", "d_phi", "energy",
+    "energy_density", "factorize", "first_collision_step",
+    "geodesic_distance", "in_integrand", "initial_step", "ks_energy",
+    "local_contribution", "min_nonadjacent_distance", "parse_metric",
+    "perturbed_circle", "phi", "project_tangent", "projected_gradient",
+    "proximity_report", "pseudoinverse_apply", "regular_ngon",
+    "restore_feasibility", "run",
     "run_implicit_euler_l2", "run_lbfgs", "run_ncg_pr_plus", "run_nesterov",
     "run_projected_gd", "run_trust_region", "segment_distance", "torus_knot",
 ]

@@ -9,8 +9,10 @@ accepted iteration.
 Subcommands: ``run`` (optimize one curve), ``generate`` (write a curve from
 one of the parametric families), ``bench`` (grid of methods x metrics x
 inputs under a wall-clock budget per cell), ``check`` (validate a curve
-file and report its invariants).  Exit codes: 0 ok, 1 numerical failure,
-2 usage or parse error.
+file and report its invariants).  Exit codes: 0 ok (status ``converged``,
+``max_iter`` or ``budget``), 1 numerical failure (status
+``linesearch_failure`` or ``numerical_failure``, or an error before the
+first iteration), 2 usage or parse error.
 """
 
 import argparse
@@ -134,36 +136,30 @@ class RunConfig:
     input: str = ""
     method: str = "projgd"
     metric: str = "w32"
-    mode: str = ""
     alpha: float = 1e3
     max_iter: int = 500
     grad_tol: float = 1e-4
     quad_k: int = 1
-    seed: int = 0
+    seed: int = 0           # accepted; no effect, methods are deterministic
     snapshot_every: int = 0
     out_dir: str = "."
     budget_s: float = 0.0
     single_thread: bool = False
 
     def optimizer_config(self) -> OptimizerConfig:
-        mode = self.mode
-        if not mode:
-            mode = "penalty" if self.method in optimize.PENALTY_METHODS else "feasible"
         return OptimizerConfig(
             method=self.method,
             metric=parse_metric(self.metric),
-            mode=mode,
             alpha=self.alpha,
             max_iter=self.max_iter,
             grad_tol=self.grad_tol,
             quad_k=self.quad_k,
             time_budget_s=self.budget_s if self.budget_s > 0 else None,
-            seed=self.seed,
         )
 
 
 _CONFIG_PARSERS = {
-    "input": str, "method": str, "metric": str, "mode": str,
+    "input": str, "method": str, "metric": str,
     "alpha": float, "max_iter": int, "grad_tol": float, "quad_k": int,
     "seed": int, "snapshot_every": int, "out_dir": str, "budget_s": float,
     "single_thread": lambda s: s.lower() in ("1", "true", "yes"),
@@ -203,13 +199,17 @@ def _build_run_config(args) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def _limit_threads():
+def _limit_threads() -> bool:
+    """Pin the BLAS pool to one thread; False (with a message) if impossible."""
     try:
         from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=1)
     except ImportError:
-        print("warning: threadpoolctl unavailable, cannot pin threads",
-              file=sys.stderr)
+        print("ERROR usage: --single-thread needs threadpoolctl; without it, "
+              "set OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 "
+              "in the environment instead", file=sys.stderr)
+        return False
+    threadpool_limits(limits=1)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,8 @@ def _snapshot_writer(out_dir: Path, every: int):
 
 def cmd_run(args) -> int:
     cfg = _build_run_config(args)
-    if cfg.single_thread:
-        _limit_threads()
+    if cfg.single_thread and not _limit_threads():
+        return 2
     if not cfg.input:
         print("ERROR usage: run requires an input curve file", file=sys.stderr)
         return 2
@@ -255,6 +255,9 @@ def cmd_run(args) -> int:
     write_trace(out_dir / "trace.csv", result.trace)
     write_curve(out_dir / "final.txt", result.polygon,
                 comment=f"status {result.status}")
+    if "error" in result.diagnostics:
+        print(f"ERROR {result.diagnostics['error']}: stopped after iteration "
+              f"{result.trace[-1].iteration}", file=sys.stderr)
     print(f"status {result.status} iterations {result.trace[-1].iteration} "
           f"energy {result.final_energy!r}")
     return 0 if result.status in ("converged", "max_iter", "budget") else 1
@@ -283,8 +286,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.single_thread:
-        _limit_threads()
+    if args.single_thread and not _limit_threads():
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -309,12 +312,9 @@ def cmd_bench(args) -> int:
                 cfg = OptimizerConfig(
                     method=method,
                     metric=parse_metric(metric_name),
-                    mode="penalty" if method in optimize.PENALTY_METHODS
-                    else "feasible",
                     max_iter=args.max_iter,
                     grad_tol=args.grad_tol,
                     time_budget_s=args.budget_s,
-                    seed=args.seed,
                 )
                 try:
                     result = optimize.run(polygon, cfg)
@@ -383,12 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--input")
     run_p.add_argument("--method", choices=METHODS)
     run_p.add_argument("--metric")
-    run_p.add_argument("--mode", choices=("feasible", "penalty"))
     run_p.add_argument("--alpha", type=float)
     run_p.add_argument("--max-iter", dest="max_iter", type=int)
     run_p.add_argument("--grad-tol", dest="grad_tol", type=float)
     run_p.add_argument("--quad-k", dest="quad_k", type=int)
-    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--seed", type=int, help="accepted; has no effect")
     run_p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
     run_p.add_argument("--out-dir", dest="out_dir")
     run_p.add_argument("--budget-s", dest="budget_s", type=float)
@@ -428,10 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--budget-s", dest="budget_s", type=float, required=True)
     bench_p.add_argument("--max-iter", dest="max_iter", type=int, default=100000)
     bench_p.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-8)
-    bench_p.add_argument("--seed", type=int, default=0)
+    bench_p.add_argument("--seed", type=int, default=0,
+                         help="accepted; has no effect")
     bench_p.add_argument("--out-dir", dest="out_dir", default=".")
     bench_p.add_argument("--single-thread", dest="single_thread",
-                         action="store_true", default=True)
+                         action="store_true")
     bench_p.set_defaults(func=cmd_bench)
 
     check_p = sub.add_parser("check", help="validate a curve file")

@@ -113,13 +113,6 @@ def min_nonadjacent_distance(vertices) -> float:
     return proximity_report(vertices).min_distance
 
 
-def has_self_intersection(vertices, tol: float | None = None) -> bool:
-    v = np.asarray(vertices, dtype=float)
-    if tol is None:
-        tol = 1e-12 * max(_polyline_length(v), np.finfo(float).tiny)
-    return min_nonadjacent_distance(v) <= tol
-
-
 def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> float:
     """Largest step certified free of self-contact along a linear motion.
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .curve import Polygon
 from .errors import NonConvergence
+from .saddle import pseudoinverse_apply
 
 FEASIBILITY_TOL = 1e-8
 RESTORE_MAX_ITER = 5
@@ -42,10 +43,6 @@ class ConstraintTargets:
     @classmethod
     def from_polygon(cls, polygon: Polygon) -> "ConstraintTargets":
         return cls(polygon.edge_lengths.copy())
-
-    @classmethod
-    def equilateral(cls, n: int, total: float) -> "ConstraintTargets":
-        return cls(np.full(n, total / n))
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,
         return v, 0
 
     for it in range(1, max_iter + 1):
-        correction = saddle.pseudoinverse_apply(state.stacked())
+        correction = pseudoinverse_apply(saddle, state.stacked())
         v = v - correction.reshape(shape)
         if not np.all(np.isfinite(v)):
             raise NonConvergence("restoration produced non-finite vertices")

@@ -38,15 +38,11 @@ class MetricKind:
     ``include_low_order`` adds the energy-weighted term (only meaningful
     for the w32 family; the geometric variant always carries it).
     ``include_barycenter`` adds the rank-m mean-value term.
-    ``intra_edge_low_order`` switches the low-order term to differences of
-    the field along a single edge instead of across the pair; note that
-    this alternative vanishes identically under the one-node midpoint rule.
     """
 
     family: str
     include_low_order: bool = False
     include_barycenter: bool = False
-    intra_edge_low_order: bool = False
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -76,13 +72,10 @@ BASELINE_KINDS = {"l2": L2, "w12": W12, "w22": W22, "w32pure": W32_PURE}
 class GramOperator:
     """Dense symmetric operator realizing a metric at a given polygon."""
 
-    def __init__(self, scalar: np.ndarray, dim: int, kind: MetricKind,
-                 polygon: Polygon):
+    def __init__(self, scalar: np.ndarray, dim: int):
         scalar = np.asarray(scalar, dtype=float)
         self.scalar = 0.5 * (scalar + scalar.T)
         self.matrix = np.kron(self.scalar, np.eye(dim))
-        self.kind = kind
-        self.polygon = polygon
         self.dim = dim
         self.scalar.setflags(write=False)
         self.matrix.setflags(write=False)
@@ -128,14 +121,6 @@ class GramOperator:
         return out
 
 
-def inner(gram: GramOperator, u, v) -> float:
-    return gram.inner(u, v)
-
-
-def apply(gram: GramOperator, u) -> np.ndarray:
-    return gram.apply(u)
-
-
 def _scatter_pair_blocks(scalar, idx, local):
     for bi in range(4):
         for bj in range(4):
@@ -168,10 +153,7 @@ def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):
                 rho = arc_distance(polygon, s_arc[pi, qi], s_arc[pj, qj])
                 dens = 1.0 / r2 - 1.0 / rho**2
                 coef = w * ll * dens / r2
-                if kind.intra_edge_low_order:
-                    c = np.array([t - s, s - t, 0.0, 0.0])
-                else:
-                    c = np.array([1.0 - s, s, -(1.0 - t), -t])
+                c = np.array([1.0 - s, s, -(1.0 - t), -t])
                 low += coef[:, None, None] * np.outer(c, c)[None, :, :]
 
     cvec = np.stack((-1.0 / li, 1.0 / li, 1.0 / lj, -1.0 / lj), axis=1)
@@ -244,15 +226,7 @@ def assemble_gram(polygon: Polygon, kind: MetricKind,
         scalar = _w32_scalar(polygon, kind, quad)
     if kind.include_barycenter:
         scalar = scalar + _barycenter_scalar(polygon)
-    return GramOperator(scalar, polygon.dim, kind, polygon)
-
-
-def assemble_gram_baselines(polygon: Polygon, kind: MetricKind,
-                            quad: QuadratureRule = MIDPOINT) -> GramOperator:
-    """Baseline metrics only (everything except the geometric variant)."""
-    if kind.family == "w32" and kind.include_low_order:
-        raise ValueError("use assemble_gram for the geometric w32 metric")
-    return assemble_gram(polygon, kind, quad)
+    return GramOperator(scalar, polygon.dim)
 
 
 def parse_metric(name: str) -> MetricKind:

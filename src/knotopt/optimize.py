@@ -13,12 +13,26 @@ with gradients computed in the metric augmented by the penalty's
 Gauss-Newton curvature, and a weak Wolfe line search truncated by collision
 detection.
 
-All methods are deterministic: identical configuration and input produce an
-identical iterate sequence and trace (wall-clock columns aside).
+Every method is a step function with its own memory.  One generator per
+family produces the accepted iterates by calling it, and one loop,
+``_drive``, records the trace, calls ``on_iterate`` and decides the status:
+
+  * ``converged``: the gradient norm reached the tolerance, or the method
+    found no direction left to move in;
+  * ``max_iter``: ``max_iter`` steps were taken;
+  * ``budget``: the wall-clock budget ran out;
+  * ``linesearch_failure``: no acceptable step was found;
+  * ``numerical_failure``: any other package error after the first trace
+    row.  The partial trace and the polygon of the last row are kept, and
+    the exception's class name is stored in ``diagnostics["error"]``.
+
+An error before the first trace row raises.  All methods are
+deterministic: identical configuration and input produce an identical
+iterate sequence and trace (wall-clock columns aside).
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +44,7 @@ from .energy import MIDPOINT, QuadratureRule, d2_energy, d_energy, energy
 from .errors import (KnotOptError, LineSearchFailure, NewtonInnerFailure,
                      SingularSystem)
 from .metric import MetricKind, W32_GEOMETRIC, assemble_gram
-from .saddle import factorize, projected_gradient
+from .saddle import factorize, project_tangent, projected_gradient
 
 FEASIBLE_METHODS = ("projgd", "implicit_euler_l2", "trust_region")
 PENALTY_METHODS = ("ncg", "lbfgs", "nesterov")
@@ -43,7 +57,6 @@ _TAU_UNDERFLOW = 1e-14
 class OptimizerConfig:
     method: str = "projgd"
     metric: MetricKind = W32_GEOMETRIC
-    mode: str = "feasible"
     alpha: float = 1e3
     max_iter: int = 500
     grad_tol: float = 1e-4          # relative to the initial gradient norm
@@ -65,7 +78,6 @@ class OptimizerConfig:
     tr_ratio_low: float = 0.25
     tr_newton_gate: float = 1e-2    # relative to the initial gradient norm
     time_budget_s: float | None = None
-    seed: int = 0
 
     def quad(self) -> QuadratureRule:
         return MIDPOINT if self.quad_k == 1 else QuadratureRule.gauss(self.quad_k)
@@ -73,8 +85,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.mode not in ("feasible", "penalty"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.backtrack_factor < 1.0:
@@ -134,53 +144,53 @@ def _penalty_metric(config: OptimizerConfig) -> MetricKind:
     return config.metric
 
 
-class _Run:
-    """Shared bookkeeping: trace rows, stopping, wall-clock budget."""
+def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
+           polygon_of=lambda point: point) -> OptimizeResult:
+    """The loop shared by every method.
 
-    def __init__(self, config: OptimizerConfig):
-        self.config = config
-        self.trace: list[TraceRecord] = []
-        self.t0 = time.perf_counter()
-        self.grad_norm0 = None
-        self.diagnostics = {
-            "max_tangent_defect": 0.0,
-            "newton_directions": 0,
-            "momentum_resets": 0,
-        }
+    ``points`` yields ``(point, row)`` for each accepted iterate, ``row``
+    holding the trace columns after ``time_s``; pulling the next pair takes
+    one step, and the generator ends when the method finds no direction
+    left.  ``polygon_of`` maps a point to its polygon.
+    """
+    t0 = time.perf_counter()
+    trace: list[TraceRecord] = []
+    point = None
+    status = "converged"
+    try:
+        for iteration, (point, row) in enumerate(points):
+            energy_value, grad_norm, step, phi_inf, backtracks, newton_iters = row
+            trace.append(TraceRecord(
+                iteration, time.perf_counter() - t0, float(energy_value),
+                float(grad_norm), float(step), float(phi_inf),
+                int(backtracks), int(newton_iters),
+            ))
+            if on_iterate is not None:
+                on_iterate(iteration, polygon_of(point))
+            if grad_norm <= max(config.grad_tol * trace[0].grad_norm,
+                                config.grad_abs_tol):
+                break
+            if iteration == config.max_iter:
+                status = "max_iter"
+                break
+            budget = config.time_budget_s
+            if budget is not None and time.perf_counter() - t0 > budget:
+                status = "budget"
+                break
+    except KnotOptError as exc:
+        if not trace:
+            raise
+        if isinstance(exc, LineSearchFailure):
+            status = "linesearch_failure"
+        else:
+            status = "numerical_failure"
+            diagnostics["error"] = type(exc).__name__
+    return OptimizeResult(polygon_of(point), trace, status, diagnostics)
 
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
 
-    def over_budget(self) -> bool:
-        budget = self.config.time_budget_s
-        return budget is not None and self.elapsed() > budget
-
-    def record(self, iteration, energy_value, grad_norm, step, phi_inf,
-               backtracks, newton_iters):
-        self.trace.append(TraceRecord(
-            iteration=int(iteration),
-            time_s=self.elapsed(),
-            energy=float(energy_value),
-            grad_norm=float(grad_norm),
-            step_size=float(step),
-            phi_inf=float(phi_inf),
-            backtracks=int(backtracks),
-            newton_iters=int(newton_iters),
-        ))
-
-    def note_tangent_defect(self, jac, u):
-        nu = np.linalg.norm(u)
-        if nu > 0.0:
-            defect = float(np.linalg.norm(jac @ u) / nu)
-            if defect > self.diagnostics["max_tangent_defect"]:
-                self.diagnostics["max_tangent_defect"] = defect
-
-    def should_stop(self, grad_norm) -> bool:
-        if self.grad_norm0 is None:
-            self.grad_norm0 = grad_norm
-        return grad_norm <= max(
-            self.config.grad_tol * self.grad_norm0, self.config.grad_abs_tol
-        )
+def _new_diagnostics() -> dict:
+    return {"max_tangent_defect": 0.0, "newton_directions": 0,
+            "momentum_resets": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +210,7 @@ class _FeasibleState:
 def _prepare_state(polygon: Polygon, metric_kind: MetricKind,
                    quad: QuadratureRule) -> _FeasibleState:
     gram = assemble_gram(polygon, metric_kind, quad)
-    fact = factorize(gram, d_phi(polygon), metric_kind)
+    fact = factorize(gram, d_phi(polygon))
     eta = d_energy(polygon, quad)
     grad, _ = projected_gradient(fact, eta)
     grad_norm = float(np.sqrt(max(eta @ grad, 0.0)))
@@ -216,20 +226,47 @@ def _restore_to_polygon(vertices, targets, fact, config):
     return Polygon(restored), iters
 
 
-def _ensure_feasible(polygon: Polygon, targets: ConstraintTargets,
-                     config: OptimizerConfig, metric_kind, quad) -> Polygon:
-    if phi(polygon, targets).is_feasible(targets.total, config.feas_tol):
-        return polygon
-    gram = assemble_gram(polygon, metric_kind, quad)
-    fact = factorize(gram, d_phi(polygon), metric_kind)
-    restored, _ = restore_feasibility(
-        polygon.vertices, targets, fact, tol=config.feas_tol, max_iter=20
-    )
-    return Polygon(restored)
+def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
+                     config: OptimizerConfig, metric_kind: MetricKind, step,
+                     diagnostics: dict):
+    """Accepted iterates of a constraint-preserving method.
+
+    An infeasible input is first restored onto the constraint set.  At
+    each iterate the metric, the saddle factorization and the projected
+    gradient are rebuilt, then ``step(state, energy, targets,
+    diagnostics)`` returns the next :class:`StepOutcome`, or ``None`` when
+    no direction is left.
+    """
+    quad = config.quad()
+    if not phi(polygon, targets).is_feasible(targets.total, config.feas_tol):
+        gram = assemble_gram(polygon, metric_kind, quad)
+        fact = factorize(gram, d_phi(polygon))
+        restored, _ = restore_feasibility(
+            polygon.vertices, targets, fact, tol=config.feas_tol, max_iter=20
+        )
+        polygon = Polygon(restored)
+    outcome = StepOutcome(polygon, 0.0, float(energy(polygon, quad)), 0, 0)
+    while outcome is not None:
+        polygon = outcome.polygon
+        state = _prepare_state(polygon, metric_kind, quad)
+        nu = np.linalg.norm(state.grad)
+        if nu > 0.0:
+            defect = float(np.linalg.norm(state.fact.jacobian @ state.grad) / nu)
+            diagnostics["max_tangent_defect"] = max(
+                diagnostics["max_tangent_defect"], defect)
+        yield polygon, (outcome.energy, state.grad_norm, outcome.tau,
+                        phi(polygon, targets).max_violation(targets.total),
+                        outcome.backtracks, outcome.newton_iters)
+        outcome = step(state, outcome.energy, targets, diagnostics)
 
 
-def _phi_inf(polygon: Polygon, targets: ConstraintTargets) -> float:
-    return phi(polygon, targets).max_violation(targets.total)
+def _run_feasible(polygon, config, targets, on_iterate, metric_kind, step):
+    if targets is None:
+        targets = ConstraintTargets.from_polygon(polygon)
+    diagnostics = _new_diagnostics()
+    points = _feasible_points(polygon, targets, config, metric_kind, step,
+                              diagnostics)
+    return _drive(points, config, diagnostics, on_iterate)
 
 
 def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
@@ -278,47 +315,15 @@ def run_projected_gd(polygon: Polygon, config: OptimizerConfig,
                      on_iterate=None) -> OptimizeResult:
     """Explicit projected gradient flow in the configured metric."""
     quad = config.quad()
-    metric_kind = _feasible_metric(config)
-    if targets is None:
-        targets = ConstraintTargets.from_polygon(polygon)
-    polygon = _ensure_feasible(polygon, targets, config, metric_kind, quad)
 
-    run = _Run(config)
-    status = "max_iter"
-    current_energy = float(energy(polygon, quad))
-    step = backtracks = newton_iters = 0
+    def step(state, energy_value, targets, diagnostics):
+        return armijo_step(
+            state.polygon, -state.grad, state.fact, targets, config,
+            quad=quad, energy_value=energy_value, slope=-state.grad_norm**2,
+        )
 
-    for iteration in range(config.max_iter + 1):
-        state = _prepare_state(polygon, metric_kind, quad)
-        run.note_tangent_defect(state.fact.jacobian, state.grad)
-        run.record(iteration, current_energy, state.grad_norm, step,
-                   _phi_inf(polygon, targets), backtracks, newton_iters)
-        if on_iterate is not None:
-            on_iterate(iteration, polygon)
-        if run.should_stop(state.grad_norm):
-            status = "converged"
-            break
-        if iteration == config.max_iter:
-            break
-        if run.over_budget():
-            status = "budget"
-            break
-        try:
-            outcome = armijo_step(
-                polygon, -state.grad, state.fact, targets, config,
-                quad=quad, energy_value=current_energy,
-                slope=-state.grad_norm**2,
-            )
-        except LineSearchFailure:
-            status = "linesearch_failure"
-            break
-        polygon = outcome.polygon
-        current_energy = outcome.energy
-        step = outcome.tau
-        backtracks = outcome.backtracks
-        newton_iters = outcome.newton_iters
-
-    return OptimizeResult(polygon, run.trace, status, run.diagnostics)
+    return _run_feasible(polygon, config, targets, on_iterate,
+                         _feasible_metric(config), step)
 
 
 # ---------------------------------------------------------------------------
@@ -382,65 +387,38 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
                           on_iterate=None) -> OptimizeResult:
     """Backward Euler steps of the lumped-mass flow with Armijo control."""
     quad = config.quad()
-    metric_kind = MetricKind("l2")
-    if targets is None:
-        targets = ConstraintTargets.from_polygon(polygon)
-    polygon = _ensure_feasible(polygon, targets, config, metric_kind, quad)
-
-    run = _Run(config)
-    status = "max_iter"
-    current_energy = float(energy(polygon, quad))
     dt = config.tau_max
-    step = backtracks = newton_iters = 0
 
-    for iteration in range(config.max_iter + 1):
-        state = _prepare_state(polygon, metric_kind, quad)
-        run.note_tangent_defect(state.fact.jacobian, state.grad)
-        run.record(iteration, current_energy, state.grad_norm, step,
-                   _phi_inf(polygon, targets), backtracks, newton_iters)
-        if on_iterate is not None:
-            on_iterate(iteration, polygon)
-        if run.should_stop(state.grad_norm):
-            status = "converged"
-            break
-        if iteration == config.max_iter:
-            break
-        if run.over_budget():
-            status = "budget"
-            break
-
-        accepted = False
+    def step(state, energy_value, targets, diagnostics):
+        nonlocal dt
+        vertices = state.polygon.vertices
         backtracks = 0
         while dt > _TAU_UNDERFLOW * config.tau_max:
             try:
                 v, newton_iters = implicit_step(
-                    polygon, dt, state.gram, state.fact, targets, quad
+                    state.polygon, dt, state.gram, state.fact, targets, quad
                 )
                 slope = float(state.eta @ v)
                 if not slope < 0.0:
                     raise NewtonInnerFailure("implicit step is not a descent step")
                 candidate, restore_iters = _restore_to_polygon(
-                    polygon.vertices + v.reshape(polygon.vertices.shape),
-                    targets, state.fact, config,
+                    vertices + v.reshape(vertices.shape), targets, state.fact,
+                    config,
                 )
                 trial_energy = float(energy(candidate, quad))
-                if trial_energy <= current_energy + config.armijo_c * slope:
-                    polygon = candidate
-                    current_energy = trial_energy
-                    step = dt
-                    newton_iters += restore_iters
-                    accepted = True
-                    break
-            except (NewtonInnerFailure, KnotOptError):
+                if trial_energy <= energy_value + config.armijo_c * slope:
+                    outcome = StepOutcome(candidate, dt, trial_energy, backtracks,
+                                          newton_iters + restore_iters)
+                    dt = min(config.tau_max, 2.0 * dt)
+                    return outcome
+            except KnotOptError:
                 pass
             dt *= 0.25
             backtracks += 1
-        if not accepted:
-            status = "linesearch_failure"
-            break
-        dt = min(config.tau_max, 2.0 * dt)
+        raise LineSearchFailure(f"time step underflow after {backtracks} cuts")
 
-    return OptimizeResult(polygon, run.trace, status, run.diagnostics)
+    return _run_feasible(polygon, config, targets, on_iterate,
+                         MetricKind("l2"), step)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +428,10 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
 class PenaltyProblem:
     """Penalized objective with metric-preconditioned gradients."""
 
-    def __init__(self, reference: Polygon, targets: ConstraintTargets,
+    def __init__(self, reference: Polygon, targets: ConstraintTargets | None,
                  config: OptimizerConfig):
+        if targets is None:
+            targets = ConstraintTargets.from_polygon(reference)
         self.shape = reference.vertices.shape
         self.targets = targets
         self.config = config
@@ -471,14 +451,6 @@ class PenaltyProblem:
         r = np.log(lengths / self.targets.lengths)
         weights = self.targets.lengths / self.targets.total
         return r, weights
-
-    def value(self, x) -> float:
-        try:
-            poly = self.polygon_at(x)
-        except KnotOptError:
-            return np.inf
-        r, w = self._penalty_terms(x)
-        return float(energy(poly, self.quad)) + self.config.alpha * float(w @ r**2)
 
     def value_and_dual(self, x):
         try:
@@ -504,7 +476,10 @@ class PenaltyProblem:
             jac_len = d_phi(poly)[:poly.num_vertices]
             _, w = self._penalty_terms(x)
             matrix = matrix + self.config.alpha * (jac_len.T * w) @ jac_len
-        factor = scipy.linalg.cho_factor(matrix)
+        try:
+            factor = scipy.linalg.cho_factor(matrix)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystem("penalty metric is not positive definite") from exc
         self._metric_cache = (key, factor)
         return factor
 
@@ -533,7 +508,7 @@ class PenaltyProblem:
 
     def trace_phi_inf(self, x) -> float:
         # Only the penalized block (edge lengths) is reported here; the
-        # barycenter is unconstrained in penalty mode.
+        # barycenter is unconstrained in the penalty methods.
         r, _ = self._penalty_terms(x)
         return float(np.abs(r).max())
 
@@ -573,41 +548,38 @@ def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap, config,
     raise LineSearchFailure("no sufficient-decrease step found")
 
 
-def _penalty_setup(polygon, config, targets):
-    if targets is None:
-        targets = ConstraintTargets.from_polygon(polygon)
-    problem = PenaltyProblem(polygon, targets, config)
-    return problem, targets, polygon.vertices.ravel().copy()
+def _penalty_points(problem, x0, step, diagnostics: dict):
+    """Accepted iterates of a penalty method, from an admissible start.
+
+    At each iterate the dual is preconditioned by the metric; then
+    ``step(x, f, dual, g, diagnostics)`` returns the next
+    ``(x, f, dual, step_size, trials)``.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    f, dual = problem.value_and_dual(x)
+    if dual is None:
+        raise KnotOptError("initial point is not admissible")
+    t = trials = 0
+    while True:
+        g = problem.metric_solve(x, dual)
+        grad_norm = float(np.sqrt(max(dual @ g, 0.0)))
+        yield x, (problem.trace_energy(x), grad_norm, t,
+                  problem.trace_phi_inf(x), trials, 0)
+        x, f, dual, t, trials = step(x, f, dual, g, diagnostics)
+
+
+def _run_penalty(problem, x0, config, on_iterate, step):
+    diagnostics = _new_diagnostics()
+    return _drive(_penalty_points(problem, x0, step, diagnostics), config,
+                  diagnostics, on_iterate, problem.final_polygon)
 
 
 def lbfgs_loop(problem, x0, config: OptimizerConfig,
                on_iterate=None) -> OptimizeResult:
     """Driver for the two-loop recursion; works on any problem object."""
-    run = _Run(config)
-    status = "max_iter"
-    x = np.asarray(x0, dtype=float).copy()
-    f, dual = problem.value_and_dual(x)
-    if dual is None:
-        raise KnotOptError("initial point is not admissible")
     memory: list[tuple[np.ndarray, np.ndarray, float]] = []
-    step = trials = 0
 
-    for iteration in range(config.max_iter + 1):
-        g = problem.metric_solve(x, dual)
-        grad_norm = float(np.sqrt(max(dual @ g, 0.0)))
-        run.record(iteration, problem.trace_energy(x), grad_norm, step,
-                   problem.trace_phi_inf(x), trials, 0)
-        if on_iterate is not None:
-            on_iterate(iteration, problem.final_polygon(x))
-        if run.should_stop(grad_norm):
-            status = "converged"
-            break
-        if iteration == config.max_iter:
-            break
-        if run.over_budget():
-            status = "budget"
-            break
-
+    def step(x, f, dual, g, diagnostics):
         q = dual.copy()
         alphas = []
         for s, y, rho in reversed(memory):
@@ -624,13 +596,9 @@ def lbfgs_loop(problem, x0, config: OptimizerConfig,
             memory.clear()
 
         tau_star, t_init = problem.step_bound(x, d)
-        try:
-            t, f_new, dual_new, trials = weak_wolfe(
-                problem, x, f, dual, d, t_init, tau_star, config
-            )
-        except LineSearchFailure:
-            status = "linesearch_failure"
-            break
+        t, f_new, dual_new, trials = weak_wolfe(
+            problem, x, f, dual, d, t_init, tau_star, config
+        )
         s_vec = t * d
         y_vec = dual_new - dual
         ys = float(y_vec @ s_vec)
@@ -638,12 +606,9 @@ def lbfgs_loop(problem, x0, config: OptimizerConfig,
             memory.append((s_vec, y_vec, 1.0 / ys))
             if len(memory) > config.lbfgs_history:
                 memory.pop(0)
-        x = x + s_vec
-        f, dual = f_new, dual_new
-        step = t
+        return x + s_vec, f_new, dual_new, t, trials
 
-    return OptimizeResult(problem.final_polygon(x), run.trace, status,
-                          run.diagnostics)
+    return _run_penalty(problem, x0, config, on_iterate, step)
 
 
 def run_lbfgs(polygon: Polygon, config: OptimizerConfig,
@@ -654,8 +619,8 @@ def run_lbfgs(polygon: Polygon, config: OptimizerConfig,
     The two-loop recursion is seeded with the inverse of the metric at the
     current iterate instead of a scalar initial Hessian guess.
     """
-    problem, _, x0 = _penalty_setup(polygon, config, targets)
-    return lbfgs_loop(problem, x0, config, on_iterate)
+    problem = PenaltyProblem(polygon, targets, config)
+    return lbfgs_loop(problem, polygon.vertices.ravel(), config, on_iterate)
 
 
 def pr_plus_direction(g, dual, g_prev, dual_prev, d_prev):
@@ -680,50 +645,21 @@ def run_ncg_pr_plus(polygon: Polygon, config: OptimizerConfig,
     A negative raw update coefficient resets the direction to the
     preconditioned steepest descent direction.
     """
-    problem, _, x = _penalty_setup(polygon, config, targets)
-    run = _Run(config)
-    status = "max_iter"
-    f, dual = problem.value_and_dual(x)
-    if dual is None:
-        raise KnotOptError("initial point is not admissible")
-    g_prev = dual_prev = d_prev = None
-    step = trials = 0
+    problem = PenaltyProblem(polygon, targets, config)
+    previous = None  # (g, dual, d) of the last step
 
-    for iteration in range(config.max_iter + 1):
-        g = problem.metric_solve(x, dual)
-        grad_norm = float(np.sqrt(max(dual @ g, 0.0)))
-        run.record(iteration, problem.trace_energy(x), grad_norm, step,
-                   problem.trace_phi_inf(x), trials, 0)
-        if on_iterate is not None:
-            on_iterate(iteration, problem.final_polygon(x))
-        if run.should_stop(grad_norm):
-            status = "converged"
-            break
-        if iteration == config.max_iter:
-            break
-        if run.over_budget():
-            status = "budget"
-            break
-
-        if d_prev is None:
-            d = -g
-        else:
-            d, _ = pr_plus_direction(g, dual, g_prev, dual_prev, d_prev)
+    def step(x, f, dual, g, diagnostics):
+        nonlocal previous
+        d = -g if previous is None else pr_plus_direction(g, dual, *previous)[0]
         tau_star, t_init = problem.step_bound(x, d)
-        try:
-            t, f_new, dual_new, trials = weak_wolfe(
-                problem, x, f, dual, d, t_init, tau_star, config
-            )
-        except LineSearchFailure:
-            status = "linesearch_failure"
-            break
-        x = x + t * d
-        g_prev, dual_prev, d_prev = g, dual, d
-        f, dual = f_new, dual_new
-        step = t
+        t, f_new, dual_new, trials = weak_wolfe(
+            problem, x, f, dual, d, t_init, tau_star, config
+        )
+        previous = (g, dual, d)
+        return x + t * d, f_new, dual_new, t, trials
 
-    return OptimizeResult(problem.final_polygon(x), run.trace, status,
-                          run.diagnostics)
+    return _run_penalty(problem, polygon.vertices.ravel(), config, on_iterate,
+                        step)
 
 
 def run_nesterov(polygon: Polygon, config: OptimizerConfig,
@@ -735,31 +671,12 @@ def run_nesterov(polygon: Polygon, config: OptimizerConfig,
     look-ahead move and the gradient step are bounded by collision
     detection.
     """
-    problem, _, x = _penalty_setup(polygon, config, targets)
-    run = _Run(config)
-    status = "max_iter"
-    f = problem.value(x)
-    x_prev = x.copy()
+    problem = PenaltyProblem(polygon, targets, config)
+    x_prev = polygon.vertices.ravel()
     t_seq = 1.0
-    step = trials = 0
 
-    for iteration in range(config.max_iter + 1):
-        _, dual_x = problem.value_and_dual(x)
-        g = problem.metric_solve(x, dual_x)
-        grad_norm = float(np.sqrt(max(dual_x @ g, 0.0)))
-        run.record(iteration, problem.trace_energy(x), grad_norm, step,
-                   problem.trace_phi_inf(x), trials, 0)
-        if on_iterate is not None:
-            on_iterate(iteration, problem.final_polygon(x))
-        if run.should_stop(grad_norm):
-            status = "converged"
-            break
-        if iteration == config.max_iter:
-            break
-        if run.over_budget():
-            status = "budget"
-            break
-
+    def step(x, f, dual, g, diagnostics):
+        nonlocal x_prev, t_seq
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_seq**2))
         mu = (t_seq - 1.0) / t_next
 
@@ -780,30 +697,23 @@ def run_nesterov(polygon: Polygon, config: OptimizerConfig,
             y = 0.5 * (x + y)
             f_y, dual_y = problem.value_and_dual(y)
         if dual_y is None:
-            status = "linesearch_failure"
-            break
+            raise LineSearchFailure("no admissible look-ahead point")
 
         d = -problem.metric_solve(y, dual_y)
         tau_star, t_init = problem.step_bound(y, d)
-        try:
-            t, f_new, _, trials = weak_wolfe(
-                problem, y, f_y, dual_y, d, t_init, tau_star, config
-            )
-        except LineSearchFailure:
-            status = "linesearch_failure"
-            break
+        t, f_new, dual_new, trials = weak_wolfe(
+            problem, y, f_y, dual_y, d, t_init, tau_star, config
+        )
         x_prev = x
-        x = y + t * d
-        step = t
         if f_new > f:
             t_seq = 1.0
-            run.diagnostics["momentum_resets"] += 1
+            diagnostics["momentum_resets"] += 1
         else:
             t_seq = t_next
-        f = f_new
+        return y + t * d, f_new, dual_new, t, trials
 
-    return OptimizeResult(problem.final_polygon(x), run.trace, status,
-                          run.diagnostics)
+    return _run_penalty(problem, polygon.vertices.ravel(), config, on_iterate,
+                        step)
 
 
 # ---------------------------------------------------------------------------
@@ -904,65 +814,42 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
     before the acceptance ratio is evaluated.
     """
     quad = config.quad()
-    metric_kind = _feasible_metric(config)
-    if targets is None:
-        targets = ConstraintTargets.from_polygon(polygon)
-    polygon = _ensure_feasible(polygon, targets, config, metric_kind, quad)
-
-    run = _Run(config)
-    status = "max_iter"
-    current_energy = float(energy(polygon, quad))
     radius = config.tr_radius0
-    prev_grad = None
-    step = backtracks = newton_iters = 0
+    prev_grad = newton_gate = None
 
-    for iteration in range(config.max_iter + 1):
-        state = _prepare_state(polygon, metric_kind, quad)
-        run.note_tangent_defect(state.fact.jacobian, state.grad)
-        run.record(iteration, current_energy, state.grad_norm, step,
-                   _phi_inf(polygon, targets), backtracks, newton_iters)
-        if on_iterate is not None:
-            on_iterate(iteration, polygon)
-        if run.should_stop(state.grad_norm):
-            status = "converged"
-            break
-        if iteration == config.max_iter:
-            break
-        if run.over_budget():
-            status = "budget"
-            break
-
-        hess = d2_energy(polygon, quad)
+    def step(state, energy_value, targets, diagnostics):
+        nonlocal radius, prev_grad, newton_gate
+        if newton_gate is None:
+            newton_gate = config.tr_newton_gate * state.grad_norm
+        hess = d2_energy(state.polygon, quad)
         candidates = [state.grad]
         if prev_grad is not None:
-            candidates.append(state.fact.project_tangent(prev_grad))
-        if state.grad_norm < config.tr_newton_gate * run.grad_norm0:
+            candidates.append(project_tangent(state.fact, prev_grad))
+        if state.grad_norm < newton_gate:
             try:
                 newton_fact = factorize(hess, state.fact.jacobian)
                 newton_dir, _ = projected_gradient(newton_fact, -state.eta)
                 candidates.append(newton_dir)
-                run.diagnostics["newton_directions"] += 1
+                diagnostics["newton_directions"] += 1
             except SingularSystem:
                 pass
         basis = _gram_orthonormalize(candidates, state.gram)
         prev_grad = state.grad
         if not basis:
-            status = "converged"
-            break
+            return None
         bmat = np.column_stack(basis)
         grad_sub = bmat.T @ state.eta
         hess_sub = bmat.T @ hess @ bmat
 
-        accepted = False
         backtracks = 0
-        shape = polygon.vertices.shape
+        vertices = state.polygon.vertices
         while radius > 1e-12 * config.tr_radius0:
             z = solve_trust_region_subproblem(hess_sub, grad_sub, radius)
             v = bmat @ z
             if np.linalg.norm(v) == 0.0:
                 break
             tau_star = collision.first_collision_step(
-                polygon.vertices, v.reshape(shape), 1.0
+                vertices, v.reshape(vertices.shape), 1.0
             )
             if tau_star < 1.0:
                 z = z * (collision.INITIAL_STEP_FACTOR * tau_star)
@@ -974,31 +861,27 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
                 continue
             try:
                 candidate, newton_iters = _restore_to_polygon(
-                    polygon.vertices + v.reshape(shape), targets,
-                    state.fact, config,
+                    vertices + v.reshape(vertices.shape), targets, state.fact,
+                    config,
                 )
                 trial_energy = float(energy(candidate, quad))
             except KnotOptError:
                 radius *= config.tr_shrink
                 backtracks += 1
                 continue
-            ratio = (current_energy - trial_energy) / predicted
+            ratio = (energy_value - trial_energy) / predicted
             if ratio >= config.tr_accept:
                 radius = update_trust_radius(
                     radius, ratio, np.linalg.norm(z) >= 0.99 * radius, config
                 )
-                polygon = candidate
-                current_energy = trial_energy
-                step = float(np.linalg.norm(z))
-                accepted = True
-                break
+                return StepOutcome(candidate, float(np.linalg.norm(z)),
+                                   trial_energy, backtracks, newton_iters)
             radius = update_trust_radius(radius, ratio, False, config)
             backtracks += 1
-        if not accepted:
-            status = "linesearch_failure"
-            break
+        raise LineSearchFailure(f"no acceptable step after {backtracks} trials")
 
-    return OptimizeResult(polygon, run.trace, status, run.diagnostics)
+    return _run_feasible(polygon, config, targets, on_iterate,
+                         _feasible_metric(config), step)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,9 +900,5 @@ _RUNNERS = {
 def run(polygon: Polygon, config: OptimizerConfig,
         targets: ConstraintTargets | None = None,
         on_iterate=None) -> OptimizeResult:
-    """Dispatch on ``config.method``; reconciles the method/mode pairing."""
-    if config.method in PENALTY_METHODS and config.mode != "penalty":
-        config = replace(config, mode="penalty")
-    elif config.method in FEASIBLE_METHODS and config.mode != "feasible":
-        config = replace(config, mode="feasible")
+    """Run the optimizer named by ``config.method``."""
     return _RUNNERS[config.method](polygon, config, targets, on_iterate)

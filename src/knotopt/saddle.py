@@ -26,7 +26,7 @@ _REFINE_MAX = 12
 class SaddleFactorization:
     """Reusable factorization of the KKT matrix at one base point."""
 
-    def __init__(self, gram, jacobian, metric_kind=None):
+    def __init__(self, gram, jacobian):
         g = np.asarray(getattr(gram, "matrix", gram), dtype=float)
         j = np.asarray(jacobian, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -48,7 +48,6 @@ class SaddleFactorization:
         self.jacobian = j
         self.n_primal = n
         self.n_dual = k
-        self.metric_kind = metric_kind
 
         try:
             self._lu, self._piv = scipy.linalg.lu_factor(a, check_finite=False)
@@ -83,20 +82,10 @@ class SaddleFactorization:
             return g.apply(u)
         return np.asarray(g) @ u
 
-    # Convenience methods mirroring the module-level operations.
-    def projected_gradient(self, eta):
-        return projected_gradient(self, eta)
 
-    def pseudoinverse_apply(self, xi):
-        return pseudoinverse_apply(self, xi)
-
-    def project_tangent(self, u_tilde):
-        return project_tangent(self, u_tilde)
-
-
-def factorize(gram, jacobian, metric_kind=None) -> SaddleFactorization:
+def factorize(gram, jacobian) -> SaddleFactorization:
     """Factorize ``[[G, J^T], [J, 0]]`` for repeated solves."""
-    return SaddleFactorization(gram, jacobian, metric_kind)
+    return SaddleFactorization(gram, jacobian)
 
 
 def projected_gradient(fact: SaddleFactorization, eta) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,19 @@ def random_embedded_polygon(n, dim=2, noise=0.25, seed=0):
     raise RuntimeError(f"could not sample an embedded polygon with n={n}")
 
 
+def fail_on_call(fn, k, exc):
+    """Wrap ``fn`` so that its k-th call raises ``exc`` instead."""
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == k:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def feasible_targets(polygon):
     return ko.ConstraintTargets.from_polygon(polygon)
 

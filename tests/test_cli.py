@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import knotopt as ko
-from knotopt import cli
+from knotopt import cli, optimize
+from conftest import fail_on_call
 
 
 class TestCurveFiles:
@@ -115,6 +118,20 @@ class TestRun:
         rows = (out_dir / "trace.csv").read_text().strip().splitlines()
         assert len(rows) - 1 <= 3  # override wins: at most iterations 0..2
 
+    def test_numerical_failure_keeps_trace_exit_one(self, tmp_path, monkeypatch,
+                                                    capsys):
+        curve_file = tmp_path / "coil.txt"
+        cli.write_curve(curve_file, ko.coiled_unknot(48, windings=2))
+        monkeypatch.setattr(optimize, "factorize", fail_on_call(
+            optimize.factorize, 3, ko.SingularSystem("injected")))
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--input", str(curve_file),
+                         "--out-dir", str(out_dir), "--max-iter", "10"])
+        assert code == 1
+        rows = (out_dir / "trace.csv").read_text().strip().splitlines()
+        assert len(rows) == 3  # header + iterations 0 and 1
+        assert "status numerical_failure" in capsys.readouterr().out
+
     def test_trace_energies_non_increasing(self, tmp_path):
         curve_file = tmp_path / "coil.txt"
         cli.write_curve(curve_file, ko.coiled_unknot(48, windings=2))
@@ -214,6 +231,29 @@ class TestBench:
             "--out-dir", str(tmp_path / "x"),
         ])
         assert code == 2
+
+
+class TestSingleThread:
+    # Without threadpoolctl the flag cannot be honoured, so it is refused.
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_refused_without_threadpoolctl(self, command, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+        args = {
+            "run": ["run", "--input", str(curve_file)],
+            "bench": ["bench", "--inputs", str(curve_file), "--methods",
+                      "projgd", "--metrics", "l2", "--budget-s", "1"],
+        }[command]
+        code = cli.main(args + ["--out-dir", str(tmp_path / "out"),
+                                "--single-thread"])
+        assert code == 2
+        err = capsys.readouterr().err
+        for var in ("OMP_NUM_THREADS=1", "OPENBLAS_NUM_THREADS=1",
+                    "MKL_NUM_THREADS=1"):
+            assert var in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 class TestCheck:

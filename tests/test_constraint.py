@@ -128,8 +128,8 @@ class TestRestoreFeasibility:
         violations = [ko.phi(vertices, targets).max_violation(targets.total)]
         for _ in range(4):
             state = ko.phi(vertices, targets)
-            vertices = vertices - fact.pseudoinverse_apply(
-                state.stacked()
+            vertices = vertices - ko.pseudoinverse_apply(
+                fact, state.stacked()
             ).reshape(-1, 2)
             violations.append(ko.phi(vertices, targets).max_violation(targets.total))
         assert all(b < a for a, b in zip(violations, violations[1:]))

@@ -74,28 +74,12 @@ class TestW32Geometric:
                 else:
                     assert np.all(block == 0.0)
 
-    def test_intra_edge_low_order_vanishes_at_midpoint(self):
-        # The alternative low-order reading differences the field along a
-        # single edge; with the one-node midpoint rule it contributes
-        # nothing, which is why the cross-edge reading is the default.
-        p = random_embedded_polygon(12, seed=6)
-        pure = MetricKind("w32")
-        intra = MetricKind("w32", include_low_order=True, intra_edge_low_order=True)
-        assert np.array_equal(
-            ko.assemble_gram(p, intra).matrix, ko.assemble_gram(p, pure).matrix
-        )
-        rule = ko.QuadratureRule.gauss(2)
-        assert not np.array_equal(
-            ko.assemble_gram(p, intra, rule).matrix,
-            ko.assemble_gram(p, pure, rule).matrix,
-        )
-
 
 class TestBaselines:
     def test_l2_lumped_mass_regular_ngon(self):
         n = 16
         p = ko.regular_ngon(n)
-        g = ko.assemble_gram_baselines(p, ko.L2)
+        g = ko.assemble_gram(p, ko.L2)
         expected = (p.total_length / n) * np.eye(n * 2)
         assert np.allclose(g.matrix, expected, rtol=1e-13)
 
@@ -103,8 +87,8 @@ class TestBaselines:
         # Hexagon hat: the first-difference form of a nodal hat function is
         # 1/l_left + 1/l_right; assembled by hand for N=6.
         p = random_embedded_polygon(6, seed=7)
-        stiff = ko.assemble_gram_baselines(p, ko.W12).matrix - \
-            ko.assemble_gram_baselines(p, ko.L2).matrix
+        stiff = ko.assemble_gram(p, ko.W12).matrix - \
+            ko.assemble_gram(p, ko.L2).matrix
         hat = np.zeros((6, 2))
         hat[0, 0] = 1.0
         expected = 1.0 / p.edge_lengths[0] + 1.0 / p.edge_lengths[5]
@@ -114,21 +98,16 @@ class TestBaselines:
         # Dense nullspace oracle on the second-difference form alone.
         for n in (5, 8):
             p = random_embedded_polygon(n, seed=8)
-            stiff = ko.assemble_gram_baselines(p, ko.W22).matrix - \
-                ko.assemble_gram_baselines(p, ko.L2).matrix
+            stiff = ko.assemble_gram(p, ko.W22).matrix - \
+                ko.assemble_gram(p, ko.L2).matrix
             w = np.linalg.eigvalsh(stiff)
             scale = np.abs(w).max()
             assert np.sum(np.abs(w) <= 1e-10 * scale) == p.dim
 
     def test_w32_pure_positive_definite(self):
         p = random_embedded_polygon(12, seed=9)
-        g = ko.assemble_gram_baselines(p, ko.W32_PURE)
+        g = ko.assemble_gram(p, ko.W32_PURE)
         assert np.linalg.eigvalsh(g.matrix).min() > 0.0
-
-    def test_geometric_kind_rejected(self):
-        p = random_embedded_polygon(8, seed=10)
-        with pytest.raises(ValueError):
-            ko.assemble_gram_baselines(p, ko.W32_GEOMETRIC)
 
 
 class TestOperatorInterface:

@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg
 
 import knotopt as ko
+from knotopt import optimize
 from knotopt.metric import MetricKind
-from knotopt.optimize import (OptimizerConfig, implicit_step, lbfgs_loop,
-                              pr_plus_direction, solve_trust_region_subproblem,
+from knotopt.optimize import (METHODS, OptimizerConfig, implicit_step,
+                              lbfgs_loop, pr_plus_direction,
+                              solve_trust_region_subproblem,
                               update_trust_radius, _prepare_state)
-from conftest import random_embedded_polygon
+from conftest import fail_on_call, random_embedded_polygon
 
 
 def audit_no_self_intersection(snapshots):
@@ -207,7 +209,7 @@ class TestPenaltyDrivers:
         metric = b @ b.T + dim * np.eye(dim)
         problem = QuadraticProblem(matrix, metric)
         x0 = rng.standard_normal(dim)
-        cfg = OptimizerConfig(method="lbfgs", mode="penalty", max_iter=200,
+        cfg = OptimizerConfig(method="lbfgs", max_iter=200,
                               grad_tol=1e-10, grad_abs_tol=0.0)
         result = lbfgs_loop(problem, x0, cfg)
         assert result.converged
@@ -217,7 +219,7 @@ class TestPenaltyDrivers:
     def test_lbfgs_descends_on_coil(self):
         p = ko.coiled_unknot(48, windings=2)
         result = ko.run_lbfgs(p, OptimizerConfig(
-            method="lbfgs", mode="penalty", max_iter=80))
+            method="lbfgs", max_iter=80))
         assert result.final_energy < result.trace[0].energy
         assert result.trace[-1].phi_inf <= 1e-2
 
@@ -227,7 +229,7 @@ class TestPenaltyDrivers:
         p = ko.coiled_unknot(96, windings=4)
         feasible = ko.run_projected_gd(p, OptimizerConfig(max_iter=200))
         penalized = ko.run_lbfgs(p, OptimizerConfig(
-            method="lbfgs", mode="penalty", alpha=1e3, max_iter=300))
+            method="lbfgs", alpha=1e3, max_iter=300))
         assert penalized.trace[-1].phi_inf <= 1e-2
         gap = abs(penalized.final_energy - feasible.final_energy)
         assert gap <= 0.02 * feasible.final_energy
@@ -235,13 +237,13 @@ class TestPenaltyDrivers:
     def test_ncg_descends(self):
         p = ko.perturbed_circle(48)
         result = ko.run_ncg_pr_plus(p, OptimizerConfig(
-            method="ncg", mode="penalty", max_iter=60))
+            method="ncg", max_iter=60))
         assert result.final_energy <= 4.01
 
     def test_nesterov_descends_and_can_reset(self):
         p = ko.perturbed_circle(48)
         result = ko.run_nesterov(p, OptimizerConfig(
-            method="nesterov", mode="penalty", max_iter=60))
+            method="nesterov", max_iter=60))
         assert result.final_energy <= 4.01
         assert result.diagnostics["momentum_resets"] >= 0
 
@@ -320,10 +322,12 @@ class TestTrustRegion:
 
 class TestDispatch:
     def test_mode_reconciliation(self):
+        # The method alone picks the family: lbfgs always runs penalized.
         p = ko.perturbed_circle(24)
-        result = ko.run(p, OptimizerConfig(method="lbfgs", mode="feasible",
-                                           max_iter=5))
-        assert result.trace  # ran as penalty without complaint
+        cfg = OptimizerConfig(method="lbfgs", max_iter=5)
+        via_run = ko.run(p, cfg)
+        direct = ko.run_lbfgs(p, cfg)
+        assert [r.energy for r in via_run.trace] == [r.energy for r in direct.trace]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -336,3 +340,55 @@ class TestDispatch:
             time_budget_s=1.5))
         assert result.status == "budget"
         assert result.trace[-1].time_s <= 1.5 + 3.0  # one-iteration overshoot
+
+
+class TestLoopContract:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_max_iter_gives_k_plus_one_rows(self, method):
+        k = 3
+        result = ko.run(ko.coiled_unknot(48, windings=2), OptimizerConfig(
+            method=method, max_iter=k, grad_tol=0.0, grad_abs_tol=0.0))
+        assert result.status == "max_iter"
+        assert [r.iteration for r in result.trace] == list(range(k + 1))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_budget_gives_one_row(self, method):
+        result = ko.run(ko.coiled_unknot(48, windings=2), OptimizerConfig(
+            method=method, time_budget_s=0.0))
+        assert result.status == "budget"
+        assert len(result.trace) == 1
+
+
+class TestNumericalFailure:
+    def test_feasible_run_keeps_partial_trace(self, monkeypatch):
+        # One factorization per iterate: the third call is iterate 2's.
+        monkeypatch.setattr(optimize, "factorize", fail_on_call(
+            optimize.factorize, 3, ko.SingularSystem("injected")))
+        snapshots = []
+        result = ko.run(ko.coiled_unknot(48, windings=2),
+                        OptimizerConfig(max_iter=10),
+                        on_iterate=lambda k, poly: snapshots.append(poly))
+        assert result.status == "numerical_failure"
+        assert result.diagnostics["error"] == "SingularSystem"
+        assert [r.iteration for r in result.trace] == [0, 1]
+        assert result.polygon is snapshots[-1]
+
+    def test_penalty_run_wraps_singular_metric(self, monkeypatch):
+        # One metric Cholesky factorization per iterate; scipy's error must
+        # surface as SingularSystem.
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_on_call(
+            scipy.linalg.cho_factor, 3, scipy.linalg.LinAlgError("injected")))
+        snapshots = []
+        result = ko.run(ko.coiled_unknot(48, windings=2),
+                        OptimizerConfig(method="lbfgs", max_iter=10),
+                        on_iterate=lambda k, poly: snapshots.append(poly))
+        assert result.status == "numerical_failure"
+        assert result.diagnostics["error"] == "SingularSystem"
+        assert [r.iteration for r in result.trace] == [0, 1]
+        assert np.array_equal(result.polygon.vertices, snapshots[-1].vertices)
+
+    def test_error_before_first_row_raises(self, monkeypatch):
+        monkeypatch.setattr(optimize, "factorize", fail_on_call(
+            optimize.factorize, 1, ko.SingularSystem("injected")))
+        with pytest.raises(ko.SingularSystem):
+            ko.run(ko.coiled_unknot(48, windings=2), OptimizerConfig(max_iter=10))
