@@ -22,6 +22,8 @@ CONTACT_SCALE = 1e-9
 # per-pair lower bound on time to contact so rounding can never tunnel.
 _ADVANCE_FACTOR = 0.9
 _MAX_ROUNDS = 128
+# Pairs with the smallest bounds, recomputed first in each advancement round.
+_PRUNE_BATCH = 64
 
 # Collision-limited line searches start at this fraction of the first
 # possible contact step.
@@ -150,10 +152,19 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
     if speed.max() == 0.0:
         return float(tau_max)
 
+    # Each round recomputes only the pairs that can still set the minimum
+    # of d / speed or touch.  For the others d holds a lower bound: a pair
+    # is no closer than its last computed distance minus the time since
+    # times its speed (padded for rounding).  The minimum is thus always
+    # attained by a computed pair, and every step equals the step of
+    # recomputing all pairs.
+    moving = speed > 0.0
+    safe_speed = np.where(moving, speed, 1.0)
+    d_at, tau_at = d.copy(), np.zeros(len(d))
+    slack = 1e-3 * eps_contact
+    bounds = np.where(moving, d / safe_speed, np.inf)
     tau = 0.0
     for _ in range(_MAX_ROUNDS):
-        with np.errstate(divide="ignore"):
-            bounds = np.where(speed > 0.0, d / np.where(speed > 0.0, speed, 1.0), np.inf)
         step = _ADVANCE_FACTOR * float(bounds.min())
         if not np.isfinite(step):
             return float(tau_max)
@@ -162,8 +173,19 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
         if step <= 1e-16 * max(tau, tau_max):
             return float(tau)
         tau += step
-        d = _pair_distances(v + tau * u, pi, pj)
-        if d.min() <= eps_contact:
+        w = v + tau * u
+        d = (1.0 - 1e-9) * d_at - (1.0 + 1e-9) * (tau - tau_at) * speed - slack
+        bounds = np.where(moving, d / safe_speed, np.inf)
+        stale = np.ones(len(d), dtype=bool)
+        todo = np.argpartition(bounds, _PRUNE_BATCH)[:_PRUNE_BATCH] \
+            if len(d) > _PRUNE_BATCH else np.arange(len(d))
+        while todo.size:
+            d[todo] = _pair_distances(w, pi[todo], pj[todo])
+            d_at[todo], tau_at[todo], stale[todo] = d[todo], tau, False
+            bounds[todo] = np.where(moving[todo], d[todo] / safe_speed[todo], np.inf)
+            best = bounds[~stale].min()
+            todo = np.flatnonzero(stale & ((bounds <= best) | (d <= eps_contact)))
+        if d[~stale].min() <= eps_contact:
             return float(tau)
     return float(tau)
 

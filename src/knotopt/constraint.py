@@ -100,21 +100,17 @@ def d_phi(polygon: Polygon) -> np.ndarray:
     jac = np.zeros((n + m, n, m))
     rows = np.arange(n)
     coef = tau / ell[:, None]
-    np.add.at(jac, (rows, rows), -coef)
-    np.add.at(jac, (rows, nxt_idx), coef)
+    jac[rows, rows] = -coef
+    jac[rows, nxt_idx] = coef
 
     # Barycenter block: d b / d P(v) = sum over incident edges of
     # (midpoint-sum outer tangent derivative) plus the direct term.
     edge_sum = v + v[nxt_idx]
-    bary = np.zeros((m, n, m))
-    for k in range(m):
-        contrib = 0.5 * edge_sum[:, k:k + 1] * tau
-        np.add.at(bary[k], nxt_idx, contrib)
-        np.add.at(bary[k], rows, -contrib)
     w = 0.5 * (ell + np.roll(ell, 1))
     for k in range(m):
-        bary[k, :, k] += w
-    jac[n:] = bary
+        contrib = 0.5 * edge_sum[:, k:k + 1] * tau
+        jac[n + k] = np.roll(contrib, 1, axis=0) - contrib
+        jac[n + k, :, k] += w
     return jac.reshape(n + m, n * m)
 
 

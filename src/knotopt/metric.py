@@ -1,9 +1,9 @@
 """Gram matrices of the candidate inner products on vertex displacement fields.
 
-Every metric here is assembled as an ``N x N`` scalar matrix acting
-identically on each of the ``m`` coordinates, then expanded to the full
-``(N*m) x (N*m)`` operator in vertex-major layout.  The main metric couples
-all edge pairs with disjoint closures:
+Every metric here is assembled as an ``N x N`` scalar matrix ``S`` acting
+identically on each of the ``m`` coordinates: the operator on vertex-major
+fields is ``S (x) I_m``, applied through ``S`` and never expanded.  The main
+metric couples all edge pairs with disjoint closures:
 
   * a principal term summing ``l_I l_J |u'_I - u'_J|^2`` against the
     quadrature average of ``1 / |x_I - x_J|^2`` over the pair, where
@@ -70,34 +70,43 @@ BASELINE_KINDS = {"l2": L2, "w12": W12, "w22": W22, "w32pure": W32_PURE}
 
 
 class GramOperator:
-    """Dense symmetric operator realizing a metric at a given polygon."""
+    """Symmetric operator ``scalar (x) I_dim`` realizing a metric at a polygon.
 
-    def __init__(self, scalar: np.ndarray, dim: int):
+    ``weights`` are the lumped-mass weights ``w`` of the barycenter term
+    (zeros when not given).  The saddle solver adds ``w w^T`` to ``scalar``
+    to make it definite on constant fields; the operator itself never
+    includes it unless the metric kind does.
+    """
+
+    def __init__(self, scalar: np.ndarray, dim: int, weights=None):
         scalar = np.asarray(scalar, dtype=float)
         self.scalar = 0.5 * (scalar + scalar.T)
-        self.matrix = np.kron(self.scalar, np.eye(dim))
+        self.weights = np.zeros(len(scalar)) if weights is None else \
+            np.asarray(weights, dtype=float)
         self.dim = dim
         self.scalar.setflags(write=False)
-        self.matrix.setflags(write=False)
+        self.weights.setflags(write=False)
         self._chol = None
 
     @property
     def shape(self):
-        return self.matrix.shape
+        size = self.scalar.shape[0] * self.dim
+        return (size, size)
 
     def _check(self, u):
         u = np.asarray(u, dtype=float).ravel()
-        if u.shape[0] != self.matrix.shape[0]:
+        if u.shape[0] != self.shape[0]:
             raise DimensionMismatch(
-                f"field of length {u.shape[0]}, operator of size {self.matrix.shape[0]}"
+                f"field of length {u.shape[0]}, operator of size {self.shape[0]}"
             )
         return u
 
     def apply(self, u) -> np.ndarray:
-        return self.matrix @ self._check(u)
+        u = self._check(u).reshape(-1, self.dim)
+        return (self.scalar @ u).ravel()
 
     def inner(self, u, v) -> float:
-        return float(self._check(u) @ self.matrix @ self._check(v))
+        return float(self._check(u) @ self.apply(v))
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
@@ -115,7 +124,7 @@ class GramOperator:
         out = scipy.linalg.cho_solve(self._chol, cols).ravel()
         # A PSD matrix with a nullspace can slip through the factorization
         # with tiny pivots; reject such solves by their residual.
-        defect = np.linalg.norm(self.matrix @ out - rhs)
+        defect = np.linalg.norm(self.apply(out) - rhs)
         if not np.isfinite(defect) or defect > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
             raise SingularSystem("metric solve residual too large; not definite")
         return out
@@ -177,11 +186,12 @@ def _w12_scalar(polygon: Polygon) -> np.ndarray:
     n = polygon.num_vertices
     scalar = _l2_scalar(polygon)
     inv = 1.0 / polygon.edge_lengths
-    nxt = np.roll(np.arange(n), -1)
-    np.add.at(scalar, (np.arange(n), np.arange(n)), inv)
-    np.add.at(scalar, (nxt, nxt), inv)
-    np.add.at(scalar, (np.arange(n), nxt), -inv)
-    np.add.at(scalar, (nxt, np.arange(n)), -inv)
+    ids = np.arange(n)
+    nxt = np.roll(ids, -1)
+    scalar[ids, ids] += inv
+    scalar[nxt, nxt] += inv
+    scalar[ids, nxt] -= inv
+    scalar[nxt, ids] -= inv
     return scalar
 
 
@@ -199,18 +209,8 @@ def _w22_scalar(polygon: Polygon) -> np.ndarray:
     support = np.stack((prv, ids, nxt), axis=1)
     for a in range(3):
         for b in range(3):
-            np.add.at(
-                scalar,
-                (support[:, a], support[:, b]),
-                stencil[:, a] * stencil[:, b] / dual,
-            )
+            scalar[support[:, a], support[:, b]] += stencil[:, a] * stencil[:, b] / dual
     return scalar
-
-
-def _barycenter_scalar(polygon: Polygon) -> np.ndarray:
-    ell = polygon.edge_lengths
-    w = 0.5 * (ell + np.roll(ell, 1))
-    return np.outer(w, w)
 
 
 def assemble_gram(polygon: Polygon, kind: MetricKind,
@@ -224,9 +224,10 @@ def assemble_gram(polygon: Polygon, kind: MetricKind,
         scalar = _w22_scalar(polygon)
     else:
         scalar = _w32_scalar(polygon, kind, quad)
+    weights = _lumped_mass_weights(polygon)
     if kind.include_barycenter:
-        scalar = scalar + _barycenter_scalar(polygon)
-    return GramOperator(scalar, polygon.dim)
+        scalar = scalar + np.outer(weights, weights)
+    return GramOperator(scalar, polygon.dim, weights)
 
 
 def parse_metric(name: str) -> MetricKind:

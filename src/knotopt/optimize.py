@@ -235,7 +235,9 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
     each iterate the metric, the saddle factorization and the projected
     gradient are rebuilt, then ``step(state, energy, targets,
     diagnostics)`` returns the next :class:`StepOutcome`, or ``None`` when
-    no direction is left.
+    no direction is left.  The largest refinement count and final relative
+    residual of the solves on these factorizations are kept in
+    ``diagnostics`` as ``saddle_refinements_max`` and ``saddle_residual_max``.
     """
     quad = config.quad()
     if not phi(polygon, targets).is_feasible(targets.total, config.feas_tol):
@@ -244,11 +246,13 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
         restored, _ = restore_feasibility(
             polygon.vertices, targets, fact, tol=config.feas_tol, max_iter=20
         )
+        _note_solves(diagnostics, fact)
         polygon = Polygon(restored)
     outcome = StepOutcome(polygon, 0.0, float(energy(polygon, quad)), 0, 0)
     while outcome is not None:
         polygon = outcome.polygon
         state = _prepare_state(polygon, metric_kind, quad)
+        _note_solves(diagnostics, state.fact)
         nu = np.linalg.norm(state.grad)
         if nu > 0.0:
             defect = float(np.linalg.norm(state.fact.jacobian @ state.grad) / nu)
@@ -257,13 +261,25 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
         yield polygon, (outcome.energy, state.grad_norm, outcome.tau,
                         phi(polygon, targets).max_violation(targets.total),
                         outcome.backtracks, outcome.newton_iters)
-        outcome = step(state, outcome.energy, targets, diagnostics)
+        try:
+            outcome = step(state, outcome.energy, targets, diagnostics)
+        finally:
+            _note_solves(diagnostics, state.fact)
+
+
+def _note_solves(diagnostics: dict, fact) -> None:
+    """Fold a projection factorization's solve statistics into diagnostics."""
+    diagnostics["saddle_refinements_max"] = max(
+        diagnostics["saddle_refinements_max"], fact.max_refinements)
+    diagnostics["saddle_residual_max"] = max(
+        diagnostics["saddle_residual_max"], fact.max_residual)
 
 
 def _run_feasible(polygon, config, targets, on_iterate, metric_kind, step):
     if targets is None:
         targets = ConstraintTargets.from_polygon(polygon)
     diagnostics = _new_diagnostics()
+    diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0)
     points = _feasible_points(polygon, targets, config, metric_kind, step,
                               diagnostics)
     return _drive(points, config, diagnostics, on_iterate)
@@ -358,10 +374,11 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
     except KnotOptError as exc:
         raise NewtonInnerFailure("warm start left the admissible set") from exc
     res_norm0 = max(np.linalg.norm(res), np.finfo(float).tiny)
+    metric = np.kron(gram.scalar, np.eye(gram.dim)) / dt
     stall = 0
     for it in range(1, max_newton + 1):
         hess = d2_energy(trial, quad)
-        core = np.asarray(getattr(gram, "matrix", gram)) / dt + hess
+        core = metric + hess
         try:
             kkt = factorize(core, jac)
             delta = kkt.solve(-res)
@@ -471,7 +488,7 @@ class PenaltyProblem:
             return self._metric_cache[1]
         poly = self.polygon_at(x)
         gram = assemble_gram(poly, self.metric_kind, self.quad)
-        matrix = gram.matrix
+        matrix = np.kron(gram.scalar, np.eye(gram.dim))
         if self.augment:
             jac_len = d_phi(poly)[:poly.num_vertices]
             _, w = self._penalty_terms(x)

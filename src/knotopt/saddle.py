@@ -1,86 +1,216 @@
 """Factorization and solves for the constrained-projection saddle system.
 
 The block matrix ``[[G, J^T], [J, 0]]`` is factorized once per accepted
-optimizer step (dense LU with partial pivoting) and then reused for all
-three solve types:
+optimizer step and then reused for all three solve types:
 
   * projected gradient: right-hand side ``(eta, 0)``;
   * metric pseudoinverse of the constraint Jacobian: ``(0, xi)``;
   * tangent-space projector: ``(G u, 0)``.
 
-Every solve is polished by iterative refinement until the residual drops
-below ``1e-10`` relative to the right-hand side; failure to reach that
-tolerance (or a structurally singular factor) raises
-:class:`SingularSystem`.
+When ``G`` is a :class:`GramOperator`, i.e. ``S (x) I_m``, the solve is
+structured and never forms an ``(N*m) x (N*m)`` matrix.  The N x N matrix
+``S + w w^T`` (``w`` the operator's lumped-mass weights), definite also on
+the constant fields where the seminorm metrics vanish, is inverted through
+its Cholesky factor; then the (N+m) x (N+m) Schur complement
+``J G~^-1 J^T`` is built from that inverse and the sparsity of the length
+rows (row I touches vertices I and I+1 only) and Cholesky-factorized.  A
+solve costs two products with the N x N inverse and one Schur solve.  The
+inverse is needed for the Schur complement anyway, and a product with it is
+faster than two triangular solves.  The rank-m shift
+``W W^T`` with ``W = w (x) I_m`` is undone exactly by the Woodbury identity,
+from m extra solves at factorization time.  For the constraint Jacobian of
+:func:`d_phi` the columns of ``W`` lie in the range of ``J^T``, so the
+shift leaves the primal part unchanged and only corrects the multipliers of
+a nonzero constraint right-hand side.
+
+Any other metric block (the indefinite Hessian systems of the implicit
+Euler and trust-region Newton steps) is factorized densely by LU with
+partial pivoting.
+
+Every solve is polished by iterative refinement against the original
+system until the residual drops below ``1e-10`` relative to the right-hand
+side; failure to reach that tolerance, an indefinite ``S + w w^T`` or a
+structurally singular factor raises :class:`SingularSystem`.  Each
+factorization records the largest refinement count and the largest final
+relative residual of its solves.
 """
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SingularSystem
+from .metric import GramOperator
 
 SOLVE_TOL = 1e-10
 _REFINE_MAX = 12
+_PIVOT_TOL = 1e-14
+
+
+def _cholesky(a, what):
+    """Lower Cholesky factor of a symmetric matrix; raises when not definite."""
+    try:
+        factor, _ = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True,
+                                            check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSystem(f"{what} is not positive definite") from exc
+    pivots = np.diag(factor) ** 2
+    if not np.all(np.isfinite(factor)) or pivots.min() <= _PIVOT_TOL * pivots.max():
+        raise SingularSystem(f"{what} is numerically singular")
+    return factor
 
 
 class SaddleFactorization:
     """Reusable factorization of the KKT matrix at one base point."""
 
     def __init__(self, gram, jacobian):
-        g = np.asarray(getattr(gram, "matrix", gram), dtype=float)
+        if not isinstance(gram, GramOperator):
+            gram = np.asarray(gram, dtype=float)
         j = np.asarray(jacobian, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        if len(gram.shape) != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("metric block must be square")
-        if j.ndim != 2 or j.shape[1] != g.shape[0]:
+        if j.ndim != 2 or j.shape[1] != gram.shape[0]:
             raise ValueError(
-                f"constraint Jacobian {j.shape} incompatible with metric {g.shape}"
+                f"constraint Jacobian {j.shape} incompatible with metric {gram.shape}"
             )
         if j.shape[0] == 0:
             raise ValueError("constraint block must be non-empty")
 
-        n, k = g.shape[0], j.shape[0]
-        a = np.zeros((n + k, n + k))
-        a[:n, :n] = g
-        a[:n, n:] = j.T
-        a[n:, :n] = j
-        self.matrix = a
         self.gram = gram
         self.jacobian = j
-        self.n_primal = n
-        self.n_dual = k
+        self.n_primal = gram.shape[0]
+        self.n_dual = j.shape[0]
+        self.max_refinements = 0
+        self.max_residual = 0.0
+        if isinstance(gram, GramOperator):
+            self._factor_structured(gram)
+        else:
+            self._factor_dense(gram)
 
+    def _factor_dense(self, g):
+        n = self.n_primal
+        a = np.zeros((n + self.n_dual,) * 2)
+        a[:n, :n] = g
+        a[:n, n:] = self.jacobian.T
+        a[n:, :n] = self.jacobian
         try:
-            self._lu, self._piv = scipy.linalg.lu_factor(a, check_finite=False)
+            self._lu, self._piv = scipy.linalg.lu_factor(a, overwrite_a=True,
+                                                         check_finite=False)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise SingularSystem("saddle matrix could not be factorized") from exc
         diag = np.abs(np.diag(self._lu))
-        if not np.all(np.isfinite(self._lu)) or diag.min() <= 1e-14 * max(diag.max(), 1.0):
+        if not np.all(np.isfinite(self._lu)) or diag.min() <= _PIVOT_TOL * max(diag.max(), 1.0):
             raise SingularSystem(
                 "saddle matrix is singular (rank-deficient constraints or "
                 "indefinite metric on the constraint kernel)"
             )
+
+    def _factor_structured(self, gram):
+        n, m = gram.scalar.shape[0], gram.dim
+        w = gram.weights
+        what = "metric plus barycenter term"
+        inv, info = scipy.linalg.lapack.dpotri(
+            _cholesky(gram.scalar + np.outer(w, w), what), lower=1, overwrite_c=1)
+        if info != 0:
+            raise SingularSystem(f"{what} could not be inverted")
+        # dpotri fills the lower triangle only.
+        self._inv = np.tril(inv)
+        self._inv += np.tril(inv, -1).T
+        self._schur = _cholesky(self._schur_complement(n, m), "constraint Schur complement")
+        # Woodbury identity for the shift U U^T, U = (w (x) I_m, 0):
+        # K^-1 = K~^-1 + Y (I - U^T Y)^-1 U^T K~^-1 with Y = K~^-1 U.
+        shift = np.zeros((self.n_primal + self.n_dual, m))
+        shift[:self.n_primal] = np.kron(w[:, None], np.eye(m))
+        self._wood_y = self._solve_shifted(shift)
+        capacitance = np.eye(m) - np.tensordot(
+            w, self._wood_y[:self.n_primal].reshape(n, m, m), 1)
+        if np.linalg.cond(capacitance) > 1.0 / _PIVOT_TOL:
+            raise SingularSystem("metric is singular on the constraint kernel")
+        self._wood_c = np.linalg.inv(capacitance)
+
+    def _schur_complement(self, n, m):
+        """``J G~^-1 J^T`` with ``G~^-1 = (S + w w^T)^-1 (x) I_m``, using sparse rows.
+
+        The first N rows are taken as banded when each row I is nonzero at
+        vertices I and I+1 only (the log-length rows); every other row is
+        handled densely.
+        """
+        j3 = self.jacobian.reshape(self.n_dual, n, m)
+        ids = np.arange(n)
+        nxt = np.roll(ids, -1)
+        nb = 0
+        if self.n_dual >= n:
+            a, b = j3[ids, ids], j3[ids, nxt]
+            if np.count_nonzero(j3[:n]) == np.count_nonzero(a) + np.count_nonzero(b):
+                nb = n
+        h = self._inv
+        dense = j3[nb:]
+        # t[v, r, k] = sum_u h[v, u] dense[r, u, k]
+        t = (h @ dense.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, m)
+        c = np.empty((self.n_dual, self.n_dual))
+        c[nb:, nb:] = np.einsum("ruk,usk->rs", dense, t)
+        if nb:
+            h_right = np.roll(h, -1, axis=1)  # h[I, J + 1]
+            c[:nb, :nb] = ((a @ a.T) * h + (a @ b.T) * h_right
+                           + (b @ a.T) * np.roll(h, -1, axis=0)
+                           + (b @ b.T) * np.roll(h_right, -1, axis=0))
+            c[:nb, nb:] = np.einsum("ik,irk->ir", a, t) + np.einsum("ik,irk->ir", b, t[nxt])
+            c[nb:, :nb] = c[:nb, nb:].T
+        return c
+
+    def _solve_shifted(self, rhs):
+        """Solve with the metric block shifted by ``W W^T``, unrefined.
+
+        ``rhs`` holds one right-hand side or one per column.
+        """
+        n, size = self._inv.shape[0], self.n_primal
+        cols = rhs.shape[1:]
+        y = self._inv @ rhs[:size].reshape(n, -1)
+        jy = self.jacobian @ y.reshape(size, *cols)
+        lam = scipy.linalg.cho_solve((self._schur, True), jy - rhs[size:],
+                                     check_finite=False)
+        u = y - self._inv @ (self.jacobian.T @ lam).reshape(n, -1)
+        return np.concatenate((u.reshape(size, *cols), lam))
+
+    def _solve_once(self, rhs):
+        if not isinstance(self.gram, GramOperator):
+            return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
+        x = self._solve_shifted(rhs)
+        m = self.gram.dim
+        wx = self.gram.weights @ x[:self.n_primal].reshape(-1, m)
+        return x + self._wood_y @ (self._wood_c @ wx)
+
+    def _apply(self, x):
+        """The unshifted saddle matrix times ``x``."""
+        u, lam = x[:self.n_primal], x[self.n_primal:]
+        return np.concatenate((self.gram_apply(u) + self.jacobian.T @ lam,
+                               self.jacobian @ u))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         norm = np.linalg.norm(rhs)
         if norm == 0.0:
             return np.zeros_like(rhs)
-        x = scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
-        for _ in range(_REFINE_MAX):
-            residual = rhs - self.matrix @ x
-            if np.linalg.norm(residual) <= SOLVE_TOL * norm:
-                return x
-            x = x + scipy.linalg.lu_solve((self._lu, self._piv), residual, check_finite=False)
-        raise SingularSystem(
-            f"iterative refinement stalled at relative residual "
-            f"{np.linalg.norm(rhs - self.matrix @ x) / norm:.3e}"
-        )
+        x = self._solve_once(rhs)
+        refinements = 0
+        while True:
+            residual = rhs - self._apply(x)
+            relative = float(np.linalg.norm(residual) / norm)
+            if relative <= SOLVE_TOL:
+                break
+            if refinements == _REFINE_MAX:
+                raise SingularSystem(
+                    f"iterative refinement stalled at relative residual {relative:.3e}"
+                )
+            x = x + self._solve_once(residual)
+            refinements += 1
+        self.max_refinements = max(self.max_refinements, refinements)
+        self.max_residual = max(self.max_residual, relative)
+        return x
 
     def gram_apply(self, u: np.ndarray) -> np.ndarray:
-        g = self.gram
-        if hasattr(g, "apply"):
-            return g.apply(u)
-        return np.asarray(g) @ u
+        if isinstance(self.gram, GramOperator):
+            return self.gram.apply(u)
+        return self.gram @ u
 
 
 def factorize(gram, jacobian) -> SaddleFactorization:

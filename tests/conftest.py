@@ -27,6 +27,17 @@ def random_embedded_polygon(n, dim=2, noise=0.25, seed=0):
     raise RuntimeError(f"could not sample an embedded polygon with n={n}")
 
 
+def dense(operator):
+    """Dense matrix of a Gram operator, ``scalar (x) I_dim``, or of the KKT
+    system ``[[G, J^T], [J, 0]]`` of a saddle factorization."""
+    if isinstance(operator, ko.SaddleFactorization):
+        g, j = operator.gram, operator.jacobian
+        if isinstance(g, ko.GramOperator):
+            g = dense(g)
+        return np.block([[g, j.T], [j, np.zeros((j.shape[0], j.shape[0]))]])
+    return np.kron(operator.scalar, np.eye(operator.dim))
+
+
 def fail_on_call(fn, k, exc):
     """Wrap ``fn`` so that its k-th call raises ``exc`` instead."""
     calls = [0]

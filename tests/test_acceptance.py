@@ -13,7 +13,7 @@ import knotopt as ko
 from knotopt import cli
 from knotopt.metric import MetricKind
 from knotopt.optimize import OptimizerConfig
-from conftest import random_embedded_polygon
+from conftest import dense, random_embedded_polygon
 
 
 def _report(number: int, description: str, ok: bool, detail: str = ""):
@@ -113,22 +113,22 @@ def test_criterion_04_metric_well_posedness():
     for seed in range(10):
         n = 12 + (seed * 3) % 21  # sizes 12..32
         p = random_embedded_polygon(n, dim=2 if seed % 2 else 3, seed=100 + seed)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
-        sym = np.abs(g.matrix - g.matrix.T).max()
-        if sym > 1e-13 * np.abs(g.matrix).max():
+        g = dense(ko.assemble_gram(p, ko.W32_GEOMETRIC))
+        sym = np.abs(g - g.T).max()
+        if sym > 1e-13 * np.abs(g).max():
             ok, detail = False, f"(symmetry defect {sym:.2e} at seed {seed})"
             break
         jac = ko.d_phi(p)
         _, _, vt = np.linalg.svd(jac)
         kernel = vt[jac.shape[0]:].T
-        min_eig = np.linalg.eigvalsh(kernel.T @ g.matrix @ kernel).min()
+        min_eig = np.linalg.eigvalsh(kernel.T @ g @ kernel).min()
         if min_eig <= 0.0:
             ok, detail = False, f"(projected eigenvalue {min_eig:.2e})"
             break
         principal = MetricKind("w32")
         g1 = ko.assemble_gram(p, principal)
         g2 = ko.assemble_gram(ko.Polygon(2.0 * p.vertices), principal)
-        if not np.array_equal(4.0 * g2.matrix, g1.matrix):
+        if not np.array_equal(4.0 * dense(g2), dense(g1)):
             ok, detail = False, "(principal scaling not exact)"
             break
     _report(4, "metric symmetry/definiteness/scaling", ok, detail)
@@ -149,7 +149,7 @@ def test_criterion_05_kkt_contracts():
     g6 = ko.assemble_gram(p6, ko.W32_GEOMETRIC.with_barycenter(True))
     j6 = ko.d_phi(p6)
     u6, _ = ko.projected_gradient(ko.factorize(g6, j6), ko.d_energy(p6))
-    ginv = np.linalg.inv(g6.matrix)
+    ginv = np.linalg.inv(dense(g6))
     schur = j6 @ ginv @ j6.T
     ref = ginv @ ko.d_energy(p6) - ginv @ j6.T @ np.linalg.solve(
         schur, j6 @ ginv @ ko.d_energy(p6)

@@ -4,9 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotopt as ko
+from knotopt import collision
 from conftest import random_embedded_polygon, rotation_matrix
 
 UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+def first_collision_step_all_pairs(v, u, tau_max):
+    """Conservative advancement recomputing every pair each round (oracle)."""
+    pi, pj = collision.nonadjacent_pairs(len(v))
+    head = np.roll(np.arange(len(v)), -1)
+    eps_contact = collision.CONTACT_SCALE * collision._polyline_length(v)
+    d = collision._pair_distances(v, pi, pj)
+    speed = np.max([np.linalg.norm(u[a] - u[b], axis=1)
+                    for a in (pi, head[pi]) for b in (pj, head[pj])], axis=0)
+    if speed.max() == 0.0:
+        return tau_max
+    tau = 0.0
+    for _ in range(collision._MAX_ROUNDS):
+        with np.errstate(divide="ignore"):
+            bounds = np.where(speed > 0.0, d / np.where(speed > 0.0, speed, 1.0), np.inf)
+        step = collision._ADVANCE_FACTOR * float(bounds.min())
+        if not np.isfinite(step) or tau + step >= tau_max:
+            return tau_max
+        if step <= 1e-16 * max(tau, tau_max):
+            return tau
+        tau += step
+        d = collision._pair_distances(v + tau * u, pi, pj)
+        if d.min() <= eps_contact:
+            return tau
+    return tau
 
 
 class TestSegmentDistance:
@@ -92,6 +119,23 @@ class TestFirstCollisionStep:
             for frac in (0.25, 0.6, 0.9, 0.999):
                 moved = p.vertices + frac * tau_star * u
                 assert ko.min_nonadjacent_distance(moved) > 0.0
+
+
+    @pytest.mark.parametrize("batch", (1, collision._PRUNE_BATCH))
+    def test_pruned_rounds_match_all_pairs_oracle(self, batch, rng, monkeypatch):
+        # Skipping pairs whose distance bound cannot reach the minimum must
+        # leave every step, and so the result, bit-identical.  A batch of
+        # one makes each round find the remaining candidates itself.
+        monkeypatch.setattr(collision, "_PRUNE_BATCH", batch)
+        cases = [(ko.coiled_unknot(96, windings=4), 1.5), (ko.torus_knot(2, 3, 60), 1.0)]
+        cases += [(random_embedded_polygon(n, dim=dim, seed=n), 5.0)
+                  for n, dim in ((7, 2), (30, 3), (80, 3))]
+        for p, tau_max in cases:
+            for scale in (0.2, 1.0, 20.0):
+                u = scale * p.edge_lengths.mean() * rng.standard_normal(p.vertices.shape)
+                u[: p.num_vertices // 3] = u[0]  # a rigid arc: pairs at zero speed
+                expected = first_collision_step_all_pairs(p.vertices, u, tau_max)
+                assert ko.first_collision_step(p.vertices, u, tau_max) == expected
 
 
 class TestInitialStep:

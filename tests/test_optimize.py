@@ -69,6 +69,7 @@ class TestProjectedGradientDescent:
         assert all(b < a for a, b in zip(energies, energies[1:]))
         assert all(r.phi_inf <= 1e-8 for r in result.trace)
         assert result.diagnostics["max_tangent_defect"] <= 1e-10
+        assert result.diagnostics["saddle_residual_max"] <= 1e-10
         audit_no_self_intersection(snapshots)
 
     def test_lumped_mass_flow_is_an_order_of_magnitude_slower(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import knotopt as ko
-from conftest import random_embedded_polygon
+from conftest import dense, random_embedded_polygon
 
 
 def make_system(n=16, seed=0, kind=ko.W32_GEOMETRIC, dim=2):
@@ -12,12 +12,38 @@ def make_system(n=16, seed=0, kind=ko.W32_GEOMETRIC, dim=2):
     return p, gram, jac, ko.factorize(gram, jac)
 
 
+METRICS = {"l2": ko.L2, "w12": ko.W12, "w22": ko.W22, "w32pure": ko.W32_PURE,
+           "w32": ko.W32_GEOMETRIC}
+
+
 class TestFactorize:
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_structured_solve_matches_dense_oracle(self, metric, dim, rng):
+        # Random right-hand side with a nonzero constraint block, so the
+        # multipliers carry the correction for the barycenter shift.
+        _, _, _, fact = make_system(14, seed=12, kind=METRICS[metric], dim=dim)
+        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+        x = fact.solve(rhs)
+        ref = np.linalg.solve(dense(fact), rhs)
+        n = fact.n_primal
+        for block in (slice(None, n), slice(n, None)):
+            assert np.linalg.norm(x[block] - ref[block]) <= 1e-9 * np.linalg.norm(ref[block])
+        assert fact.max_residual <= 1e-10
+
+    def test_indefinite_shifted_metric_is_singular(self):
+        # Without its barycenter weights the w32 seminorm stays singular on
+        # constant fields.
+        p, gram, jac, _ = make_system(12, seed=1)
+        with pytest.raises(ko.SingularSystem):
+            ko.factorize(ko.GramOperator(gram.scalar, p.dim), jac)
+
     def test_solve_residual_contract(self, rng):
         _, gram, jac, fact = make_system(16)
-        rhs = rng.standard_normal(fact.matrix.shape[0])
+        kkt = dense(fact)
+        rhs = rng.standard_normal(kkt.shape[0])
         x = fact.solve(rhs)
-        assert np.linalg.norm(fact.matrix @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(kkt @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_duplicate_constraint_row_is_singular(self):
         _, gram, jac, _ = make_system(12, seed=1)
@@ -62,7 +88,7 @@ class TestProjectedGradient:
         fact = ko.factorize(gram, jac)
         eta = ko.d_energy(p)
         u, _ = ko.projected_gradient(fact, eta)
-        ginv = np.linalg.inv(gram.matrix)
+        ginv = np.linalg.inv(dense(gram))
         schur = jac @ ginv @ jac.T
         u_ref = ginv @ eta - ginv @ jac.T @ np.linalg.solve(schur, jac @ ginv @ eta)
         assert np.linalg.norm(u - u_ref) <= 1e-9 * np.linalg.norm(u_ref)
