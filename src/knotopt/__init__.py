@@ -17,8 +17,7 @@ from .curve import (ArcTable, EdgeFrame, Polygon, QuadPoint, coiled_unknot,
                     geodesic_distance, perturbed_circle, regular_ngon,
                     torus_knot)
 from .energy import (EnergyValue, MIDPOINT, QuadratureRule, d2_energy,
-                     d_energy, energy, energy_density, in_integrand,
-                     ks_energy, local_contribution)
+                     d_energy, energy, energy_density, ks_energy)
 from .errors import (AdjacentEdges, AlreadyColliding, CoincidentPoints,
                      DegenerateEdge, DimensionMismatch, KnotOptError,
                      LineSearchFailure, NewtonInnerFailure, NonConvergence,
@@ -46,8 +45,8 @@ __all__ = [
     "W32_GEOMETRIC", "W32_PURE", "armijo_step", "assemble_gram",
     "coiled_unknot", "d2_energy", "d_energy", "d_phi", "energy",
     "energy_density", "factorize", "first_collision_step",
-    "geodesic_distance", "in_integrand", "initial_step", "ks_energy",
-    "local_contribution", "min_nonadjacent_distance", "parse_metric",
+    "geodesic_distance", "initial_step", "ks_energy",
+    "min_nonadjacent_distance", "parse_metric",
     "perturbed_circle", "phi", "project_tangent", "projected_gradient",
     "proximity_report", "pseudoinverse_apply", "regular_ngon",
     "restore_feasibility", "run",

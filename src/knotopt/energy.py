@@ -11,9 +11,12 @@ integrand is
 
 which already includes the ``|a||b|`` length factors of the pair.  Because
 ``w`` depends only on the four endpoints of the pair, its first and second
-derivatives are available in closed form; the gradient and Hessian
-assemblers below accumulate those local derivatives over the pair list in
-a fixed order, so results are reproducible bit-for-bit.
+derivatives are available in closed form.  The energy sums ``w`` over the
+list of disjoint pairs.  The gradient and the Hessian are assembled on
+ordered N x N edge-pair tables (row I, column J) whose diagonal and adjacent
+band are masked: sums over J are row sums and table-vector products, and
+the terms of the edge heads I+1 are the tables rolled by one row or column.
+The same input gives the same bits.
 
 Two classic single-node variants (evaluating the bare energy density at
 vertices or edge midpoints) are provided for comparison, along with the
@@ -26,7 +29,7 @@ import numpy as np
 
 from .collision import nonadjacent_pairs
 from .curve import Polygon, QuadPoint, arc_distance
-from .errors import AdjacentEdges, CoincidentPoints
+from .errors import CoincidentPoints
 
 _COINCIDENCE_SCALE = 1e-12
 
@@ -85,59 +88,6 @@ class EnergyValue:
         return self.value
 
 
-def in_integrand(p_lo_i, p_hi_i, p_lo_j, p_hi_j, s: float, t: float) -> float:
-    """Pointwise integrand for one edge pair at local parameters (s, t).
-
-    ``F = |t_I - t_J|^2 / (2 |dg|^2) + 2 <t_I, t_J> / |dg|^2
-    - 2 <dg, t_I> <dg, t_J> / |dg|^4`` with ``dg`` the difference of the
-    two evaluation points and ``t_I``, ``t_J`` the unit edge tangents.
-    """
-    p_lo_i = np.asarray(p_lo_i, dtype=float)
-    p_hi_i = np.asarray(p_hi_i, dtype=float)
-    p_lo_j = np.asarray(p_lo_j, dtype=float)
-    p_hi_j = np.asarray(p_hi_j, dtype=float)
-    a = p_hi_i - p_lo_i
-    b = p_hi_j - p_lo_j
-    tau_i = a / np.linalg.norm(a)
-    tau_j = b / np.linalg.norm(b)
-    dg = ((1.0 - s) * p_lo_i + s * p_hi_i) - ((1.0 - t) * p_lo_j + t * p_hi_j)
-    r2 = float(dg @ dg)
-    scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    if r2 <= (_COINCIDENCE_SCALE * scale) ** 2:
-        raise CoincidentPoints(f"evaluation points coincide, |dg|^2 = {r2:.3e}")
-    dtau = tau_i - tau_j
-    return float(
-        (dtau @ dtau) / (2.0 * r2)
-        + 2.0 * (tau_i @ tau_j) / r2
-        - 2.0 * (dg @ tau_i) * (dg @ tau_j) / r2**2
-    )
-
-
-def _edges_adjacent(n: int, i: int, j: int) -> bool:
-    return (i - j) % n in (0, 1, n - 1)
-
-
-def local_contribution(polygon: Polygon, i: int, j: int,
-                       quad: QuadratureRule = MIDPOINT) -> float:
-    """Quadrature-weighted contribution W_IJ of one disjoint edge pair."""
-    n = polygon.num_vertices
-    i, j = int(i) % n, int(j) % n
-    if _edges_adjacent(n, i, j):
-        raise AdjacentEdges(f"edges {i} and {j} share a vertex")
-    li = polygon.edge_lengths[i]
-    lj = polygon.edge_lengths[j]
-    total = 0.0
-    for s, wi in zip(quad.nodes, quad.weights):
-        for t, wj in zip(quad.nodes, quad.weights):
-            f = in_integrand(
-                polygon.vertices[i], polygon.vertices[(i + 1) % n],
-                polygon.vertices[j], polygon.vertices[(j + 1) % n],
-                s, t,
-            )
-            total += wi * wj * f
-    return float(li * lj * total)
-
-
 def _quad_positions(polygon: Polygon, quad: QuadratureRule) -> np.ndarray:
     """Positions of all quadrature nodes, shape (N, k, m)."""
     v = polygon.vertices
@@ -154,26 +104,58 @@ def _check_separation(polygon: Polygon, r2: np.ndarray):
         )
 
 
-def _pair_terms(polygon: Polygon, quad: QuadratureRule):
-    """Iterator over quadrature node combinations with pair geometry.
+def _pair_tables(polygon: Polygon, quad: QuadratureRule):
+    """Ordered edge-pair tables, one quadrature node pair (s, t) at a time.
 
-    Yields ``(weight, s, t, d, r2)`` with ``d`` the point differences for
-    every disjoint pair, for one (s, t) node combination at a time.
+    Yields ``(weight, s, t, d, q)`` with ``d[k, I, J]`` coordinate k of
+    ``x_I(s) - x_J(t)`` and ``q = 1 / |d|^2``.  On the diagonal and the
+    adjacent band ``q`` is exactly zero; every other entry is checked for
+    coincidence.  Each integrand derivative carries a factor ``q``, so the
+    masked entries drop out of every table sum.
     """
-    pi, pj = nonadjacent_pairs(polygon.num_vertices)
-    x = _quad_positions(polygon, quad)
+    n = polygon.num_vertices
+    i = np.arange(n)
+    band = np.concatenate((i, (i + 1) % n, (i - 1) % n)) + n * np.tile(i, 3)
+    x = np.ascontiguousarray(_quad_positions(polygon, quad).transpose(1, 2, 0))
     for qi in range(quad.order):
         for qj in range(quad.order):
-            d = x[pi, qi] - x[pj, qj]
-            r2 = np.einsum("pk,pk->p", d, d)
+            d = x[qi][:, :, None] - x[qj][:, None, :]
+            r2 = np.einsum("kij,kij->ij", d, d)
+            r2.flat[band] = np.inf
             _check_separation(polygon, r2)
-            yield (
-                float(quad.weights[qi] * quad.weights[qj]),
-                float(quad.nodes[qi]),
-                float(quad.nodes[qj]),
-                d,
-                r2,
-            )
+            yield (float(quad.weights[qi] * quad.weights[qj]),
+                   float(quad.nodes[qi]), float(quad.nodes[qj]), d, 1.0 / r2)
+
+
+def _combine(out, scratch, terms):
+    """``out = sum c * x`` over the (c, x) terms, without out-sized temporaries."""
+    np.multiply(*terms[0], out=out)
+    for c, x in terms[1:]:
+        out += np.multiply(c, x, out=scratch)
+
+
+def _row_dot(c, d):
+    """``sum_J c[I, J] d[:, I, J]`` as (N, m)."""
+    return np.einsum("ij,kij->ik", c, d)
+
+
+def _row_outer(c, d):
+    """``sum_J c[I, J] d[:, I, J] (x) d[:, I, J]`` as (N, m, m)."""
+    return np.matmul((c * d).transpose(1, 0, 2), d.transpose(1, 2, 0))
+
+
+def _col_outer(c, d, e):
+    """``sum_J c[I, J] e[J] (x) d[:, I, J]`` as (N, m, m)."""
+    return np.matmul(c * d, e).transpose(1, 2, 0)
+
+
+def _edge_outer(e, x):
+    """``e[I] (x) x[I]`` as (N, m, m)."""
+    return e[:, :, None] * x[:, None, :]
+
+
+def _sym(x):
+    return x + x.transpose(0, 2, 1)
 
 
 def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT,
@@ -185,11 +167,17 @@ def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT,
     ss = polygon.edge_lengths[pi] * polygon.edge_lengths[pj] + np.einsum(
         "pk,pk->p", a, b
     )
+    x = _quad_positions(polygon, quad)
     w = np.zeros(len(pi))
-    for weight, _, _, d, r2 in _pair_terms(polygon, quad):
-        u = np.einsum("pk,pk->p", d, a)
-        v = np.einsum("pk,pk->p", d, b)
-        w += weight * (ss / r2 - 2.0 * u * v / r2**2)
+    for qi in range(quad.order):
+        for qj in range(quad.order):
+            d = x[pi, qi] - x[pj, qj]
+            r2 = np.einsum("pk,pk->p", d, d)
+            _check_separation(polygon, r2)
+            u = np.einsum("pk,pk->p", d, a)
+            v = np.einsum("pk,pk->p", d, b)
+            weight = float(quad.weights[qi] * quad.weights[qj])
+            w += weight * (ss / r2 - 2.0 * u * v / r2**2)
     total = 4.0 + 2.0 * float(w.sum())
     if with_pairs:
         return EnergyValue(total, np.column_stack((pi, pj)), w)
@@ -197,111 +185,108 @@ def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT,
 
 
 def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
-    """Exact derivative of the energy, flat (N*m,) in vertex-major layout."""
-    n, m = polygon.num_vertices, polygon.dim
-    pi, pj = nonadjacent_pairs(n)
-    head = np.roll(np.arange(n), -1)
-    a = polygon.edge_vectors[pi]
-    b = polygon.edge_vectors[pj]
-    la = polygon.edge_lengths[pi]
-    lb = polygon.edge_lengths[pj]
-    ss = la * lb + np.einsum("pk,pk->p", a, b)
+    """Exact derivative of the energy, flat (N*m,) in vertex-major layout.
 
-    grad = np.zeros((n, m))
-    for weight, s, t, d, r2 in _pair_terms(polygon, quad):
-        q = 1.0 / r2
-        u = np.einsum("pk,pk->p", d, a)
-        v = np.einsum("pk,pk->p", d, b)
-        ga = ((lb / la)[:, None] * a + b) * q[:, None] - (2.0 * v * q**2)[:, None] * d
-        gb = ((la / lb)[:, None] * b + a) * q[:, None] - (2.0 * u * q**2)[:, None] * d
-        gd = (
-            (-2.0 * ss * q**2 + 8.0 * u * v * q**3)[:, None] * d
-            - (2.0 * q**2)[:, None] * (v[:, None] * a + u[:, None] * b)
-        )
-        np.add.at(grad, pi, weight * (-ga + (1.0 - s) * gd))
-        np.add.at(grad, head[pi], weight * (ga + s * gd))
-        np.add.at(grad, pj, weight * (-gb - (1.0 - t) * gd))
-        np.add.at(grad, head[pj], weight * (gb - t * gd))
-    return 2.0 * grad.ravel()
-
-
-def _outer(x, y):
-    return x[:, :, None] * y[:, None, :]
+    The ordered pair sum is symmetric in (I, J), so the derivative is twice
+    the sum of the derivatives through edge I alone: by ``a = a_I`` and by
+    ``d``, which moves with both endpoints of I.
+    """
+    e = polygon.edge_vectors
+    ell = polygon.edge_lengths
+    ss = np.outer(ell, ell) + e @ e.T
+    tail, head = np.zeros_like(e), np.zeros_like(e)
+    for weight, s, t, d, q in _pair_tables(polygon, quad):
+        u = np.einsum("kij,ki->ij", d, e.T)
+        v = np.einsum("kij,kj->ij", d, e.T)
+        q2 = q * q
+        vq2 = v * q2
+        ga = e * ((q @ ell) / ell)[:, None] + q @ e - 2.0 * _row_dot(vq2, d)
+        gd = (_row_dot(q2 * (8.0 * u * v * q - 2.0 * ss), d)
+              - 2.0 * e * vq2.sum(axis=1)[:, None] - 2.0 * (q2 * u) @ e)
+        tail += weight * ((1.0 - s) * gd - ga)
+        head += weight * (s * gd + ga)
+    return 2.0 * (tail + np.roll(head, 1, axis=0)).ravel()
 
 
 def d2_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
-    """Dense symmetric Hessian of the energy, (N*m, N*m), vertex-major."""
+    """Dense symmetric Hessian of the energy, (N*m, N*m), vertex-major.
+
+    By the (I, J) symmetry of the ordered pair sum, the Hessian is twice the
+    (I, I) blocks summed over J plus the (I, J) blocks and their transposes.
+    The local second derivatives are taken in the edge vectors ``a = a_I``,
+    ``b = a_J`` and the point difference ``d``; the chain to the (tail,
+    head) vertices has coefficients ``(-1, 1)`` on a and ``(1-s, s)`` on d
+    for edge I, ``(-1, 1)`` on b and ``(-(1-t), -t)`` on d for edge J.  Each
+    of the four tail/head (I, J) tables is ``a (x) W_a + b (x) W_b +
+    d (x) W_d`` plus a multiple of the identity, every W linear in (a, b, d).
+    """
     n, m = polygon.num_vertices, polygon.dim
-    pi, pj = nonadjacent_pairs(n)
-    head = np.roll(np.arange(n), -1)
-    a = polygon.edge_vectors[pi]
-    b = polygon.edge_vectors[pj]
-    la = polygon.edge_lengths[pi]
-    lb = polygon.edge_lengths[pj]
-    ahat = a / la[:, None]
-    bhat = b / lb[:, None]
-    ss = la * lb + np.einsum("pk,pk->p", a, b)
-    eye = np.eye(m)[None, :, :]
-
-    hess = np.zeros((n, n, m, m))
-    vertex_ids = (pi, head[pi], pj, head[pj])
-    for weight, s, t, d, r2 in _pair_terms(polygon, quad):
-        q = 1.0 / r2
-        u = np.einsum("pk,pk->p", d, a)
-        v = np.einsum("pk,pk->p", d, b)
+    e = polygon.edge_vectors
+    ell = polygon.edge_lengths
+    ll = np.outer(ell, ell)
+    ss = ll + e @ e.T
+    ratio = ell[None, :] / ell[:, None]
+    ehat = e / ell[:, None]
+    e_t = np.ascontiguousarray(e.T)
+    rows, cols = e_t[:, :, None], e_t[:, None, :]
+    eye = np.eye(m)
+    ids = np.arange(n)
+    sign = (-1.0, 1.0)
+    hess = np.zeros((m, m, n, n))
+    block = np.empty((m, m, n, n))
+    weights = np.empty((3, m, n, n))
+    scratch = np.empty((m, n, n))
+    for weight, s, t, d, q in _pair_tables(polygon, quad):
+        u = np.einsum("kij,ki->ij", d, e_t)
+        v = np.einsum("kij,kj->ij", d, e_t)
         q2 = q * q
-        q3 = q2 * q
+        m2q2 = -2.0 * q2
+        uq3 = 8.0 * u * q2 * q
+        vq3 = 8.0 * v * q2 * q
+        ss_q2 = ss * q2
+        uvq3 = u * vq3
+        dd_dd = q * (8.0 * ss_q2 - 6.0 * uvq3)
+        eye_dd = uvq3 - 2.0 * ss_q2
 
-        blocks = np.empty((len(pi), 3, 3, m, m))
-        blocks[:, 0, 0] = (q * lb / la)[:, None, None] * (eye - _outer(ahat, ahat))
-        blocks[:, 1, 1] = (q * la / lb)[:, None, None] * (eye - _outer(bhat, bhat))
-        blocks[:, 0, 1] = (
-            q[:, None, None] * (_outer(ahat, bhat) + eye)
-            - (2.0 * q2)[:, None, None] * _outer(d, d)
-        )
-        blocks[:, 1, 0] = blocks[:, 0, 1].transpose(0, 2, 1)
-        had = (
-            (-2.0 * q2)[:, None, None] * _outer(lb[:, None] * ahat + b, d)
-            - (2.0 * q2)[:, None, None] * _outer(d, b)
-            - (2.0 * v * q2)[:, None, None] * eye
-            + (8.0 * v * q3)[:, None, None] * _outer(d, d)
-        )
-        hbd = (
-            (-2.0 * q2)[:, None, None] * _outer(la[:, None] * bhat + a, d)
-            - (2.0 * q2)[:, None, None] * _outer(d, a)
-            - (2.0 * u * q2)[:, None, None] * eye
-            + (8.0 * u * q3)[:, None, None] * _outer(d, d)
-        )
-        blocks[:, 0, 2] = had
-        blocks[:, 2, 0] = had.transpose(0, 2, 1)
-        blocks[:, 1, 2] = hbd
-        blocks[:, 2, 1] = hbd.transpose(0, 2, 1)
-        mix = v[:, None] * a + u[:, None] * b
-        blocks[:, 2, 2] = (
-            (-2.0 * ss * q2 + 8.0 * u * v * q3)[:, None, None] * eye
-            + (8.0 * ss * q3 - 48.0 * u * v * q2 * q2)[:, None, None] * _outer(d, d)
-            + (8.0 * q3)[:, None, None] * (_outer(mix, d) + _outer(d, mix))
-            - (2.0 * q2)[:, None, None] * (_outer(a, b) + _outer(b, a))
-        )
+        # Blocks in (a, a), (a, d), (d, d) summed over J.
+        s_aa = ((q @ ell) / ell)[:, None, None] * (eye - _edge_outer(ehat, ehat))
+        s_ad = (_edge_outer(e, _row_dot(m2q2 * ratio, d))
+                + _sym(_col_outer(m2q2, d, e)) + _row_outer(vq3, d)
+                + (m2q2 * v).sum(axis=1)[:, None, None] * eye)
+        s_dd = (_row_outer(dd_dd, d)
+                + _sym(_edge_outer(e, _row_dot(vq3, d)) + _col_outer(uq3, d, e)
+                       + _edge_outer(e, m2q2 @ e))
+                + eye_dd.sum(axis=1)[:, None, None] * eye)
 
-        # Chain through the linear map from the four pair vertices to
-        # (a, b, d); the map is linear so no curvature terms appear.
-        cmat = np.array([
-            [-1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0, 1.0],
-            [1.0 - s, s, -(1.0 - t), -t],
-        ])
-        local = np.einsum("xi,yj,pxyuv->pijuv", cmat, cmat, blocks)
-        for bi in range(4):
-            for bj in range(4):
-                np.add.at(
-                    hess,
-                    (vertex_ids[bi], vertex_ids[bj]),
-                    weight * local[:, bi, bj],
-                )
+        vectors = np.stack(np.broadcast_arrays(rows, cols, d))
+        row_d = (1.0 - s, s)
+        col_d = (-(1.0 - t), -t)
+        for p, r in np.ndindex(2, 2):
+            # Weights of the (a, b), (a, d), (d, b) and (d, d) blocks.
+            ab, ad, db, dd = weight * np.outer(
+                (sign[p], row_d[p]), (sign[r], col_d[r])).ravel()
+            _combine(weights[0], scratch, (
+                (ab * q / ll + dd * m2q2, cols),
+                (dd * vq3 + m2q2 * (ad * ratio + db), d)))
+            _combine(weights[1], scratch, (
+                (dd * m2q2, rows), (dd * uq3 + ad * m2q2, d)))
+            _combine(weights[2], scratch, (
+                (dd * vq3 + db * m2q2, rows),
+                (dd * uq3 + m2q2 * (ad + db / ratio), cols),
+                (ab * m2q2 + ad * vq3 + db * uq3 + dd * dd_dd, d)))
+            np.einsum("xkij,xlij->klij", vectors, weights, out=block)
+            diag = ab * q + m2q2 * (ad * v + db * u) + dd * eye_dd
+            for k in range(m):
+                block[k, k] += diag
+            # The (I, I) blocks sit on the diagonal.
+            block[:, :, ids, ids] += weight * (
+                sign[p] * sign[r] * s_aa + sign[p] * row_d[r] * s_ad
+                + row_d[p] * sign[r] * s_ad.transpose(0, 2, 1)
+                + row_d[p] * row_d[r] * s_dd).transpose(1, 2, 0)
+            hess += np.roll(block, (p, r), axis=(2, 3))
 
-    full = 2.0 * hess.transpose(0, 2, 1, 3).reshape(n * m, n * m)
-    return 0.5 * (full + full.T)
+    half = hess.transpose(2, 0, 3, 1).reshape(n * m, n * m)
+    return half + half.T
 
 
 def energy_density(polygon: Polygon, a: QuadPoint, b: QuadPoint) -> float:

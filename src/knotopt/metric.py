@@ -14,6 +14,9 @@ metric couples all edge pairs with disjoint closures:
   * an optional rank-m barycenter term that restores definiteness on
     constant fields when no barycenter constraint is active.
 
+The two pair terms are kernel-weighted graph Laplacians built from ordered
+edge-pair tables (see ``_w32_scalar``).
+
 The low-order baselines (lumped mass, first and second difference
 stiffness) use standard one-dimensional finite-element forms.
 """
@@ -23,9 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .collision import nonadjacent_pairs
 from .curve import Polygon, arc_distance
-from .energy import MIDPOINT, QuadratureRule, _check_separation, _quad_positions
+from .energy import MIDPOINT, QuadratureRule, _pair_tables
 from .errors import DimensionMismatch, SingularSystem
 
 _FAMILIES = ("l2", "w12", "w22", "w32")
@@ -130,47 +132,38 @@ class GramOperator:
         return out
 
 
-def _scatter_pair_blocks(scalar, idx, local):
-    for bi in range(4):
-        for bj in range(4):
-            np.add.at(scalar, (idx[bi], idx[bj]), local[:, bi, bj])
-
-
 def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):
+    """Scalar matrix of the w32 family from ordered edge-pair tables.
+
+    Principal part ``2 D^T (diag(K 1) - K) D`` with ``K = l_I l_J sum w/|d|^2``
+    and ``(D u)_I = (u_{I+1} - u_I) / l_I``; low-order part
+    ``sum_st 2 (A_s^T diag(K_st 1) A_s - A_s^T K_st A_t)`` with the
+    density-weighted table K_st and ``(A_s u)_I = (1-s) u_I + s u_{I+1}``.
+    D and A weigh edge tails (0) and heads (1), so both parts are tables
+    ``[p, r]`` rolled p rows and r columns on.
+    """
     n = polygon.num_vertices
-    pi, pj = nonadjacent_pairs(n)
-    head = np.roll(np.arange(n), -1)
-    idx = (pi, head[pi], pj, head[pj])
-    li = polygon.edge_lengths[pi]
-    lj = polygon.edge_lengths[pj]
-    ll = li * lj
-    x = _quad_positions(polygon, quad)
-    s_arc = polygon.arc_prefix[:, None] + quad.nodes[None, :] * polygon.edge_lengths[:, None]
-
-    kernel = np.zeros(len(pi))
-    low = np.zeros((len(pi), 4, 4))
-    for qi in range(quad.order):
-        for qj in range(quad.order):
-            w = float(quad.weights[qi] * quad.weights[qj])
-            s = float(quad.nodes[qi])
-            t = float(quad.nodes[qj])
-            d = x[pi, qi] - x[pj, qj]
-            r2 = np.einsum("pk,pk->p", d, d)
-            _check_separation(polygon, r2)
-            kernel += w / r2
-            if kind.include_low_order:
-                rho = arc_distance(polygon, s_arc[pi, qi], s_arc[pj, qj])
-                dens = 1.0 / r2 - 1.0 / rho**2
-                coef = w * ll * dens / r2
-                c = np.array([1.0 - s, s, -(1.0 - t), -t])
-                low += coef[:, None, None] * np.outer(c, c)[None, :, :]
-
-    cvec = np.stack((-1.0 / li, 1.0 / li, 1.0 / lj, -1.0 / lj), axis=1)
-    principal = (ll * kernel)[:, None, None] * cvec[:, :, None] * cvec[:, None, :]
-
-    scalar = np.zeros((n, n))
-    _scatter_pair_blocks(scalar, idx, principal + low)
-    return 2.0 * scalar
+    ell = polygon.edge_lengths
+    tables = np.zeros((2, 2, n, n))
+    kernel = np.zeros((n, n))
+    for w, s, t, _, q in _pair_tables(polygon, quad):
+        kernel += w * q
+        if kind.include_low_order:
+            rho2 = arc_distance(polygon, (polygon.arc_prefix + s * ell)[:, None],
+                                (polygon.arc_prefix + t * ell)[None, :]) ** 2
+            # Masked entries (q = 0) include rho = 0 on the diagonal.
+            inv_rho2 = np.divide(1.0, rho2, out=np.zeros_like(q), where=q > 0.0)
+            low = w * np.outer(ell, ell) * (q - inv_rho2) * q
+            row_sums = low.sum(axis=1)
+            avg_s, avg_t = (1.0 - s, s), (1.0 - t, t)
+            for p, r in np.ndindex(2, 2):
+                tables[p, r] -= 2.0 * avg_s[p] * avg_t[r] * low
+                tables[p, r].flat[::n + 1] += 2.0 * avg_s[p] * avg_s[r] * row_sums
+    # D = (head - tail) / l: the 1/l factors fold into the table.
+    principal = -2.0 * kernel
+    principal.flat[::n + 1] += 2.0 * (kernel @ ell) / ell
+    return sum(np.roll(tables[p, r] + (-1.0) ** (p + r) * principal, (p, r), axis=(0, 1))
+               for p, r in np.ndindex(2, 2))
 
 
 def _lumped_mass_weights(polygon: Polygon) -> np.ndarray:

@@ -52,6 +52,8 @@ METHODS = FEASIBLE_METHODS + PENALTY_METHODS
 
 _TAU_UNDERFLOW = 1e-14
 
+STEP_LIMITS = ("collision", "restoration", "invalid", "armijo")
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -275,11 +277,13 @@ def _note_solves(diagnostics: dict, fact) -> None:
         diagnostics["saddle_residual_max"], fact.max_residual)
 
 
-def _run_feasible(polygon, config, targets, on_iterate, metric_kind, step):
+def _run_feasible(polygon, config, targets, on_iterate, metric_kind, step,
+                  **diagnostics_extra):
     if targets is None:
         targets = ConstraintTargets.from_polygon(polygon)
     diagnostics = _new_diagnostics()
-    diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0)
+    diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0,
+                       **diagnostics_extra)
     points = _feasible_points(polygon, targets, config, metric_kind, step,
                               diagnostics)
     return _drive(points, config, diagnostics, on_iterate)
@@ -288,13 +292,18 @@ def _run_feasible(polygon, config, targets, on_iterate, metric_kind, step):
 def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
                 config: OptimizerConfig, *, quad: QuadratureRule,
                 energy_value: float | None = None,
-                slope: float | None = None) -> StepOutcome:
+                slope: float | None = None,
+                limits: dict | None = None) -> StepOutcome:
     """Collision-bounded backtracking with feasibility restoration.
 
     Starts from two thirds of the first possible contact step, shrinks on
     restoration failure, self-intersection, or insufficient decrease, and
     returns the first trial satisfying
-    ``E(Q) <= E(P) + armijo_c * tau * slope``.
+    ``E(Q) <= E(P) + armijo_c * tau * slope``.  ``limits`` counts the
+    ``STEP_LIMITS``: ``collision`` if the contact bound cut the first trial
+    below ``tau_max``, then per cut trial ``restoration`` (it failed),
+    ``invalid`` (self-intersection, degenerate edge, coincident points) or
+    ``armijo`` (insufficient decrease).
     """
     u = np.asarray(direction, dtype=float).ravel()
     if energy_value is None:
@@ -303,22 +312,31 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
         slope = float(d_energy(polygon, quad) @ u)
     if not slope < 0.0:
         raise ValueError(f"direction is not a descent direction (slope {slope:.3e})")
+    limits = dict.fromkeys(STEP_LIMITS, 0) if limits is None else limits
 
     shape = polygon.vertices.shape
     tau0 = collision.initial_step(polygon.vertices, u.reshape(shape), config.tau_max)
+    limits["collision"] += int(tau0 < config.tau_max)
     tau = tau0
     backtracks = 0
     while tau > _TAU_UNDERFLOW * tau0:
         trial = polygon.vertices + tau * u.reshape(shape)
+        cause = "restoration"
         try:
-            candidate, newton_iters = _restore_to_polygon(trial, targets, fact, config)
+            restored, newton_iters = restore_feasibility(
+                trial, targets, fact, tol=config.feas_tol,
+                max_iter=config.restore_max_iter,
+            )
+            cause = "invalid"
+            candidate = Polygon(restored)
             trial_energy = float(energy(candidate, quad))
+            cause = "armijo"
         except KnotOptError:
-            tau *= config.backtrack_factor
-            backtracks += 1
-            continue
-        if trial_energy <= energy_value + config.armijo_c * tau * slope:
+            pass
+        if cause == "armijo" and \
+                trial_energy <= energy_value + config.armijo_c * tau * slope:
             return StepOutcome(candidate, tau, trial_energy, backtracks, newton_iters)
+        limits[cause] += 1
         tau *= config.backtrack_factor
         backtracks += 1
     raise LineSearchFailure(
@@ -329,17 +347,22 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
 def run_projected_gd(polygon: Polygon, config: OptimizerConfig,
                      targets: ConstraintTargets | None = None,
                      on_iterate=None) -> OptimizeResult:
-    """Explicit projected gradient flow in the configured metric."""
+    """Explicit projected gradient flow in the configured metric.
+
+    ``diagnostics["step_limits"]`` sums the ``armijo_step`` limits.
+    """
     quad = config.quad()
 
     def step(state, energy_value, targets, diagnostics):
         return armijo_step(
             state.polygon, -state.grad, state.fact, targets, config,
             quad=quad, energy_value=energy_value, slope=-state.grad_norm**2,
+            limits=diagnostics["step_limits"],
         )
 
     return _run_feasible(polygon, config, targets, on_iterate,
-                         _feasible_metric(config), step)
+                         _feasible_metric(config), step,
+                         step_limits=dict.fromkeys(STEP_LIMITS, 0))
 
 
 # ---------------------------------------------------------------------------

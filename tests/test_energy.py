@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 import knotopt as ko
 from knotopt.energy import MIDPOINT
+import pairlist_oracle as oracle
 from conftest import random_embedded_polygon, rotation_matrix
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -28,7 +29,7 @@ class TestIntegrand:
     def test_antipodal_circle_pair(self):
         # Two antipodal points on the unit circle with the circle tangents:
         # the integrand cancels exactly.
-        f = ko.in_integrand(
+        f = oracle.in_integrand(
             (1.0, -0.5), (1.0, 0.5),     # right edge, tangent (0, 1)
             (-1.0, 0.5), (-1.0, -0.5),   # left edge, tangent (0, -1)
             0.5, 0.5,
@@ -38,7 +39,7 @@ class TestIntegrand:
     def test_parallel_tangents_orthogonal_offset(self):
         # tau_i = tau_j and the chord orthogonal to them: only the middle
         # term survives, 2 / |dg|^2.
-        f = ko.in_integrand(
+        f = oracle.in_integrand(
             (0.0, 0.0), (1.0, 0.0),
             (0.0, 3.0), (1.0, 3.0),
             0.5, 0.5,
@@ -46,7 +47,7 @@ class TestIntegrand:
         assert f == pytest.approx(2.0 / 9.0, rel=1e-14)
 
     def test_unit_square_opposite_midpoints(self):
-        f = ko.in_integrand(
+        f = oracle.in_integrand(
             (0.0, 0.0), (1.0, 0.0),
             (1.0, 1.0), (0.0, 1.0),
             0.5, 0.5,
@@ -55,34 +56,34 @@ class TestIntegrand:
 
     def test_coincident_points(self):
         with pytest.raises(ko.CoincidentPoints):
-            ko.in_integrand((0, 0), (1, 0), (0.5, 0), (0.5, 1), 0.5, 0.0)
+            oracle.in_integrand((0, 0), (1, 0), (0.5, 0), (0.5, 1), 0.5, 0.0)
 
 
 class TestLocalContribution:
     def test_unit_square_pair_exact_zero(self):
         p = ko.Polygon(UNIT_SQUARE)
-        assert ko.local_contribution(p, 0, 2) == 0.0
+        assert oracle.local_contribution(p, 0, 2) == 0.0
 
     def test_adjacent_rejected(self):
         p = ko.Polygon(UNIT_SQUARE)
         with pytest.raises(ko.AdjacentEdges):
-            ko.local_contribution(p, 0, 1)
+            oracle.local_contribution(p, 0, 1)
 
     def test_scale_invariance(self):
         p = random_embedded_polygon(12, seed=1)
         q = ko.Polygon(1.7 * p.vertices)
         for pair in ((0, 4), (2, 9)):
-            w_p = ko.local_contribution(p, *pair)
-            w_q = ko.local_contribution(q, *pair)
+            w_p = oracle.local_contribution(p, *pair)
+            w_q = oracle.local_contribution(q, *pair)
             assert w_q == pytest.approx(w_p, rel=1e-13)
 
     def test_quadrature_refinement(self):
         # Richardson-style comparison: increasing node counts converge to
         # the k=16 reference; four matching digits are reached by k=8.
         p = ko.perturbed_circle(64)
-        reference = ko.local_contribution(p, 0, 32, ko.QuadratureRule.gauss(16))
+        reference = oracle.local_contribution(p, 0, 32, ko.QuadratureRule.gauss(16))
         errors = [
-            abs(ko.local_contribution(p, 0, 32, ko.QuadratureRule.gauss(k)) - reference)
+            abs(oracle.local_contribution(p, 0, 32, ko.QuadratureRule.gauss(k)) - reference)
             for k in (1, 2, 4, 8)
         ]
         assert errors[0] > 0
@@ -95,8 +96,8 @@ class TestLocalContribution:
         # vanishes identically while higher-order rules see a positive
         # value.
         p = ko.regular_ngon(64)
-        assert abs(ko.local_contribution(p, 0, 32)) < 1e-30
-        assert ko.local_contribution(p, 0, 32, ko.QuadratureRule.gauss(8)) > 0
+        assert abs(oracle.local_contribution(p, 0, 32)) < 1e-30
+        assert oracle.local_contribution(p, 0, 32, ko.QuadratureRule.gauss(8)) > 0
 
 
 class TestEnergy:
@@ -285,3 +286,59 @@ class TestQuadratureRule:
             assert rule.order == k
             assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
             assert rule.nodes.min() >= 0.0 and rule.nodes.max() <= 1.0
+
+
+def _table_curves():
+    return (
+        ("coil", ko.coiled_unknot(32)),
+        ("trefoil", ko.torus_knot(2, 3, 30)),
+        ("random2", random_embedded_polygon(18, dim=2, seed=21)),
+        ("random3", random_embedded_polygon(18, dim=3, seed=22)),
+    )
+
+
+def _relative_defect(new, reference):
+    return np.abs(new - reference).max() / np.abs(reference).max()
+
+
+class TestTableAssembly:
+    """The edge-pair table assembly against the pair-list scatter oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_derivatives_match_pair_list(self, k):
+        rule = ko.QuadratureRule.gauss(k)
+        for name, p in _table_curves():
+            assert _relative_defect(ko.d_energy(p, rule),
+                                    oracle.d_energy(p, rule)) <= 1e-11, name
+            assert _relative_defect(ko.d2_energy(p, rule),
+                                    oracle.d2_energy(p, rule)) <= 1e-11, name
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [ko.W32_PURE, ko.W32_GEOMETRIC],
+                             ids=["w32pure", "w32"])
+    def test_gram_matches_pair_list(self, k, kind):
+        rule = ko.QuadratureRule.gauss(k)
+        for name, p in _table_curves():
+            g = ko.assemble_gram(p, kind.with_barycenter(False), rule)
+            assert _relative_defect(g.scalar, oracle.w32_scalar(p, kind, rule)) <= 1e-13, name
+
+    def test_node_coincidence_in_masked_band_is_ignored(self):
+        # Nodes at both edge ends make every adjacent pair meet exactly at
+        # the shared vertex and every diagonal entry vanish; only disjoint
+        # pairs count, as in the pair list.
+        p = random_embedded_polygon(14, dim=3, seed=23)
+        for rule in (ko.QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+                     ko.QuadratureRule.vertex()):
+            assert _relative_defect(ko.d_energy(p, rule), oracle.d_energy(p, rule)) <= 1e-11
+            assert _relative_defect(ko.d2_energy(p, rule), oracle.d2_energy(p, rule)) <= 1e-11
+            g = ko.assemble_gram(p, ko.W32_GEOMETRIC, rule)
+            assert _relative_defect(g.scalar, oracle.w32_scalar(p, ko.W32_GEOMETRIC, rule)) <= 1e-13
+
+    def test_disjoint_coincidence_raises(self):
+        # Bow tie: the midpoints of the disjoint edges 0 and 2 coincide.
+        p = ko.Polygon([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], validate=False)
+        for assemble in (ko.d_energy, ko.d2_energy,
+                         lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC),
+                         lambda q: ko.assemble_gram(q, ko.W32_PURE)):
+            with pytest.raises(ko.CoincidentPoints):
+                assemble(p)

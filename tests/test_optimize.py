@@ -393,3 +393,17 @@ class TestNumericalFailure:
             optimize.factorize, 1, ko.SingularSystem("injected")))
         with pytest.raises(ko.SingularSystem):
             ko.run(ko.coiled_unknot(48, windings=2), OptimizerConfig(max_iter=10))
+
+
+class TestStepLimits:
+    def test_cut_trials_sum_to_trace_backtracks(self):
+        # The lumped-mass flow on the coil meets all but the invalid-polygon
+        # cause within 30 iterations.
+        result = ko.run_projected_gd(
+            ko.coiled_unknot(96), OptimizerConfig(metric=ko.L2, max_iter=30))
+        limits = result.diagnostics["step_limits"]
+        assert set(limits) == set(optimize.STEP_LIMITS)
+        total = sum(r.backtracks for r in result.trace)
+        assert limits["restoration"] + limits["invalid"] + limits["armijo"] == total
+        assert limits["restoration"] > 0 and limits["armijo"] > 0
+        assert 0 < limits["collision"] <= len(result.trace) - 1
