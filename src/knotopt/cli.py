@@ -234,6 +234,11 @@ def cmd_run(args) -> int:
     if not cfg.input:
         print("ERROR usage: run requires an input curve file", file=sys.stderr)
         return 2
+    try:
+        config = cfg.optimizer_config()
+    except ValueError as exc:
+        print(f"ERROR usage: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -246,7 +251,7 @@ def cmd_run(args) -> int:
         return 1
     try:
         result = optimize.run(
-            polygon, cfg.optimizer_config(),
+            polygon, config,
             on_iterate=_snapshot_writer(out_dir, cfg.snapshot_every),
         )
     except KnotOptError as exc:
@@ -288,15 +293,19 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     if args.single_thread and not _limit_threads():
         return 2
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     inputs = [p.strip() for p in args.inputs.split(",") if p.strip()]
-    for m in methods:
-        if m not in METHODS:
-            print(f"ERROR usage: unknown method {m!r}", file=sys.stderr)
-            return 2
+    try:
+        configs = {(method, name): OptimizerConfig(
+            method=method, metric=parse_metric(name), max_iter=args.max_iter,
+            grad_tol=args.grad_tol, time_budget_s=args.budget_s,
+        ) for method in methods for name in metrics}
+    except ValueError as exc:
+        print(f"ERROR usage: {exc}", file=sys.stderr)
+        return 2
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = ["cell,final_energy,iterations,seconds,status"]
     for input_path in inputs:
@@ -309,15 +318,8 @@ def cmd_bench(args) -> int:
         for method in methods:
             for metric_name in metrics:
                 cell = f"{stem}__{method}__{metric_name}"
-                cfg = OptimizerConfig(
-                    method=method,
-                    metric=parse_metric(metric_name),
-                    max_iter=args.max_iter,
-                    grad_tol=args.grad_tol,
-                    time_budget_s=args.budget_s,
-                )
                 try:
-                    result = optimize.run(polygon, cfg)
+                    result = optimize.run(polygon, configs[method, metric_name])
                     write_trace(out_dir / f"{cell}.csv", result.trace)
                     last = result.trace[-1]
                     summary.append(

@@ -24,11 +24,10 @@ stiffness) use standard one-dimensional finite-element forms.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .curve import Polygon, arc_distance
 from .energy import MIDPOINT, QuadratureRule, _pair_tables
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch
 
 _FAMILIES = ("l2", "w12", "w22", "w32")
 
@@ -88,7 +87,6 @@ class GramOperator:
         self.dim = dim
         self.scalar.setflags(write=False)
         self.weights.setflags(write=False)
-        self._chol = None
 
     @property
     def shape(self):
@@ -112,24 +110,6 @@ class GramOperator:
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
-
-    def solve(self, rhs) -> np.ndarray:
-        """Apply the inverse metric; requires positive definiteness."""
-        rhs = self._check(rhs)
-        if self._chol is None:
-            try:
-                self._chol = scipy.linalg.cho_factor(self.scalar)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularSystem("metric is not positive definite") from exc
-        n = self.scalar.shape[0]
-        cols = rhs.reshape(n, self.dim)
-        out = scipy.linalg.cho_solve(self._chol, cols).ravel()
-        # A PSD matrix with a nullspace can slip through the factorization
-        # with tiny pivots; reject such solves by their residual.
-        defect = np.linalg.norm(self.apply(out) - rhs)
-        if not np.isfinite(defect) or defect > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-            raise SingularSystem("metric solve residual too large; not definite")
-        return out
 
 
 def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):

@@ -10,7 +10,10 @@ penalized objective
     E_alpha = E + alpha * sum_I (l0_I / L0) * log(l_I / l0_I)^2
 
 with gradients computed in the metric augmented by the penalty's
-Gauss-Newton curvature, and a weak Wolfe line search truncated by collision
+Gauss-Newton term ``alpha J_len^T diag(w) J_len`` (not for the lumped-mass
+metric).  That term enters the saddle solver as the rows
+``sqrt(alpha w) J_len`` with compliance 1, so the augmented metric is never
+formed.  Steps use a weak Wolfe line search truncated by collision
 detection.
 
 Every method is a step function with its own memory.  One generator per
@@ -35,7 +38,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import collision
 from .constraint import ConstraintTargets, d_phi, phi, restore_feasibility
@@ -93,6 +95,12 @@ class OptimizerConfig:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
+        if self.quad_k < 1:
+            raise ValueError("quad_k must be at least 1")
+        if self.tau_max <= 0.0:
+            raise ValueError("tau_max must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -466,7 +474,14 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
 
 
 class PenaltyProblem:
-    """Penalized objective with metric-preconditioned gradients."""
+    """Penalized objective with metric-preconditioned gradients.
+
+    The preconditioner ``M = S (x) I_m + R^T R`` adds the penalty's
+    Gauss-Newton term, with ``R = sqrt(alpha w) J_len`` (``R = 0`` for the
+    lumped-mass metric), and is solved as the primal block of
+    ``[[S (x) I_m, R^T], [R, -I]]`` without being formed.  The last point
+    evaluated is cached as ``(key, polygon, energy, factorization)``.
+    """
 
     def __init__(self, reference: Polygon, targets: ConstraintTargets | None,
                  config: OptimizerConfig):
@@ -474,57 +489,57 @@ class PenaltyProblem:
             targets = ConstraintTargets.from_polygon(reference)
         self.shape = reference.vertices.shape
         self.targets = targets
+        self.weights = targets.lengths / targets.total
         self.config = config
         self.quad = config.quad()
         self.metric_kind = _penalty_metric(config)
         # The augmentation couples gradients to the penalty's Gauss-Newton
         # curvature; it hurt the plain lumped-mass metric, so skip it there.
         self.augment = config.metric.family != "l2"
-        self._metric_cache = None
+        self._point = None
+        self.solve_stats = {"saddle_refinements_max": 0, "saddle_residual_max": 0.0}
 
-    def polygon_at(self, x) -> Polygon:
-        return Polygon(np.asarray(x, dtype=float).reshape(self.shape))
+    def _evaluate(self, x):
+        """The cache entry of ``x``, replacing the cache for a new point."""
+        key = np.asarray(x).tobytes()
+        if self._point is None or self._point[0] != key:
+            poly = Polygon(np.asarray(x, dtype=float).reshape(self.shape))
+            self._point = (key, poly, float(energy(poly, self.quad)), None)
+        return self._point
 
-    def _penalty_terms(self, x):
+    def _log_lengths(self, x):
         v = np.asarray(x, dtype=float).reshape(self.shape)
         lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-        r = np.log(lengths / self.targets.lengths)
-        weights = self.targets.lengths / self.targets.total
-        return r, weights
+        return np.log(lengths / self.targets.lengths)
 
     def value_and_dual(self, x):
         try:
-            poly = self.polygon_at(x)
+            _, poly, energy_value, _ = self._evaluate(x)
         except KnotOptError:
             return np.inf, None
-        r, w = self._penalty_terms(x)
-        f = float(energy(poly, self.quad)) + self.config.alpha * float(w @ r**2)
+        r, w = self._log_lengths(x), self.weights
+        f = energy_value + self.config.alpha * float(w @ r**2)
         jac_len = d_phi(poly)[:poly.num_vertices]
         dual = d_energy(poly, self.quad) + 2.0 * self.config.alpha * (
             jac_len.T @ (w * r)
         )
         return f, dual
 
-    def _metric_factor(self, x):
-        key = np.asarray(x).tobytes()
-        if self._metric_cache is not None and self._metric_cache[0] == key:
-            return self._metric_cache[1]
-        poly = self.polygon_at(x)
-        gram = assemble_gram(poly, self.metric_kind, self.quad)
-        matrix = np.kron(gram.scalar, np.eye(gram.dim))
-        if self.augment:
-            jac_len = d_phi(poly)[:poly.num_vertices]
-            _, w = self._penalty_terms(x)
-            matrix = matrix + self.config.alpha * (jac_len.T * w) @ jac_len
-        try:
-            factor = scipy.linalg.cho_factor(matrix)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem("penalty metric is not positive definite") from exc
-        self._metric_cache = (key, factor)
-        return factor
-
     def metric_solve(self, x, dual) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._metric_factor(x), dual)
+        """Solve ``M g = dual`` with the preconditioning metric at ``x``."""
+        key, poly, energy_value, fact = self._evaluate(x)
+        if fact is None:
+            if self.augment:
+                scale = np.sqrt(self.config.alpha * self.weights)
+                rows = scale[:, None] * d_phi(poly)[:poly.num_vertices]
+            else:  # R = 0: a single zero row is enough.
+                rows = np.zeros((1, poly.vertices.size))
+            fact = factorize(assemble_gram(poly, self.metric_kind, self.quad),
+                             rows, compliance=1.0)
+            self._point = (key, poly, energy_value, fact)
+        g = fact.solve(np.concatenate((dual, np.zeros(fact.n_dual))))[:fact.n_primal]
+        _note_solves(self.solve_stats, fact)
+        return g
 
     def step_bound(self, x, d):
         """(step cap, initial trial step) along direction d.
@@ -544,16 +559,15 @@ class PenaltyProblem:
 
     # Trace hooks; driver loops stay agnostic of the geometry.
     def trace_energy(self, x) -> float:
-        return float(energy(self.polygon_at(x), self.quad))
+        return self._evaluate(x)[2]
 
     def trace_phi_inf(self, x) -> float:
         # Only the penalized block (edge lengths) is reported here; the
         # barycenter is unconstrained in the penalty methods.
-        r, _ = self._penalty_terms(x)
-        return float(np.abs(r).max())
+        return float(np.abs(self._log_lengths(x)).max())
 
     def final_polygon(self, x) -> Polygon:
-        return self.polygon_at(x)
+        return self._evaluate(x)[1]
 
 
 def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap, config,
@@ -609,9 +623,12 @@ def _penalty_points(problem, x0, step, diagnostics: dict):
 
 
 def _run_penalty(problem, x0, config, on_iterate, step):
+    """Drive a penalty method; the problem's ``solve_stats``, if any, join the diagnostics."""
     diagnostics = _new_diagnostics()
-    return _drive(_penalty_points(problem, x0, step, diagnostics), config,
-                  diagnostics, on_iterate, problem.final_polygon)
+    result = _drive(_penalty_points(problem, x0, step, diagnostics), config,
+                    diagnostics, on_iterate, problem.final_polygon)
+    result.diagnostics.update(getattr(problem, "solve_stats", {}))
+    return result
 
 
 def lbfgs_loop(problem, x0, config: OptimizerConfig,

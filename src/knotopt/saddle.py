@@ -1,38 +1,33 @@
-"""Factorization and solves for the constrained-projection saddle system.
+"""Factorization and solves for the saddle system ``[[G, J^T], [J, -c I]]``.
 
-The block matrix ``[[G, J^T], [J, 0]]`` is factorized once per accepted
-optimizer step and then reused for all three solve types:
+The system is factorized once per point and reused for every solve there.
+With ``c = 0`` (the default) it is the constrained projection, solved for
+projected gradients ``(eta, 0)``, pseudoinverse applications ``(0, xi)``
+and tangent projections ``(G u, 0)``.  With ``c = 1`` its primal block is
+the metric ``G + J^T J``, since ``lam = J u`` for a right-hand side
+``(eta, 0)``; the penalty methods solve their Gauss-Newton-augmented
+metric this way, with ``J`` the weighted edge-length rows.
 
-  * projected gradient: right-hand side ``(eta, 0)``;
-  * metric pseudoinverse of the constraint Jacobian: ``(0, xi)``;
-  * tangent-space projector: ``(G u, 0)``.
+When ``G`` is a :class:`GramOperator`, i.e. ``S (x) I_m``, no
+``(N*m) x (N*m)`` matrix is formed.  The N x N matrix ``S + w w^T`` (``w``
+the lumped-mass weights), definite also on the constant fields where the
+seminorm metrics vanish, is inverted through its Cholesky factor; the
+Schur complement ``J G~^-1 J^T + c I`` is built from that inverse and the
+sparsity of the length rows (row I touches vertices I and I+1 only) and
+Cholesky-factorized.  A solve costs two products with the N x N inverse
+(faster than two triangular solves) and one Schur solve.  The shift
+``W W^T``, ``W = w (x) I_m``, is undone exactly by the Woodbury identity
+from m solves at factorization time; the correction is generic in ``J``
+and ``c``.  Any other metric block (the indefinite Hessians of the
+implicit Euler and trust-region Newton steps) is factorized densely by LU.
 
-When ``G`` is a :class:`GramOperator`, i.e. ``S (x) I_m``, the solve is
-structured and never forms an ``(N*m) x (N*m)`` matrix.  The N x N matrix
-``S + w w^T`` (``w`` the operator's lumped-mass weights), definite also on
-the constant fields where the seminorm metrics vanish, is inverted through
-its Cholesky factor; then the (N+m) x (N+m) Schur complement
-``J G~^-1 J^T`` is built from that inverse and the sparsity of the length
-rows (row I touches vertices I and I+1 only) and Cholesky-factorized.  A
-solve costs two products with the N x N inverse and one Schur solve.  The
-inverse is needed for the Schur complement anyway, and a product with it is
-faster than two triangular solves.  The rank-m shift
-``W W^T`` with ``W = w (x) I_m`` is undone exactly by the Woodbury identity,
-from m extra solves at factorization time.  For the constraint Jacobian of
-:func:`d_phi` the columns of ``W`` lie in the range of ``J^T``, so the
-shift leaves the primal part unchanged and only corrects the multipliers of
-a nonzero constraint right-hand side.
-
-Any other metric block (the indefinite Hessian systems of the implicit
-Euler and trust-region Newton steps) is factorized densely by LU with
-partial pivoting.
-
-Every solve is polished by iterative refinement against the original
-system until the residual drops below ``1e-10`` relative to the right-hand
-side; failure to reach that tolerance, an indefinite ``S + w w^T`` or a
-structurally singular factor raises :class:`SingularSystem`.  Each
-factorization records the largest refinement count and the largest final
-relative residual of its solves.
+Every solve is refined against the original system until the residual
+drops below ``1e-10`` relative to the right-hand side.  Failure to get
+there, an indefinite ``S + w w^T``, a singular factor or a singular system
+(a metric ``G + J^T J`` vanishing on some field) raises
+:class:`SingularSystem`; this module is where scipy's ``LinAlgError``
+becomes one.  Each factorization records the largest refinement count and
+final relative residual of its solves.
 """
 
 import numpy as np
@@ -60,9 +55,9 @@ def _cholesky(a, what):
 
 
 class SaddleFactorization:
-    """Reusable factorization of the KKT matrix at one base point."""
+    """Reusable factorization of ``[[G, J^T], [J, -c I]]`` at one base point."""
 
-    def __init__(self, gram, jacobian):
+    def __init__(self, gram, jacobian, compliance: float = 0.0):
         if not isinstance(gram, GramOperator):
             gram = np.asarray(gram, dtype=float)
         j = np.asarray(jacobian, dtype=float)
@@ -77,6 +72,7 @@ class SaddleFactorization:
 
         self.gram = gram
         self.jacobian = j
+        self.compliance = float(compliance)
         self.n_primal = gram.shape[0]
         self.n_dual = j.shape[0]
         self.max_refinements = 0
@@ -92,6 +88,7 @@ class SaddleFactorization:
         a[:n, :n] = g
         a[:n, n:] = self.jacobian.T
         a[n:, :n] = self.jacobian
+        a[n:, n:] -= self.compliance * np.eye(self.n_dual)
         try:
             self._lu, self._piv = scipy.linalg.lu_factor(a, overwrite_a=True,
                                                          check_finite=False)
@@ -123,12 +120,14 @@ class SaddleFactorization:
         self._wood_y = self._solve_shifted(shift)
         capacitance = np.eye(m) - np.tensordot(
             w, self._wood_y[:self.n_primal].reshape(n, m, m), 1)
-        if np.linalg.cond(capacitance) > 1.0 / _PIVOT_TOL:
+        # Near I when the system is well posed, near 0 when it is singular.
+        sv = np.linalg.svd(capacitance, compute_uv=False)
+        if sv.min() <= _PIVOT_TOL * max(sv.max(), 1.0):
             raise SingularSystem("metric is singular on the constraint kernel")
         self._wood_c = np.linalg.inv(capacitance)
 
     def _schur_complement(self, n, m):
-        """``J G~^-1 J^T`` with ``G~^-1 = (S + w w^T)^-1 (x) I_m``, using sparse rows.
+        """``J G~^-1 J^T + c I``, ``G~^-1 = (S + w w^T)^-1 (x) I_m``, from sparse rows.
 
         The first N rows are taken as banded when each row I is nonzero at
         vertices I and I+1 only (the log-length rows); every other row is
@@ -155,6 +154,7 @@ class SaddleFactorization:
                            + (b @ b.T) * np.roll(h_right, -1, axis=0))
             c[:nb, nb:] = np.einsum("ik,irk->ir", a, t) + np.einsum("ik,irk->ir", b, t[nxt])
             c[nb:, :nb] = c[:nb, nb:].T
+        c.flat[::self.n_dual + 1] += self.compliance
         return c
 
     def _solve_shifted(self, rhs):
@@ -183,7 +183,7 @@ class SaddleFactorization:
         """The unshifted saddle matrix times ``x``."""
         u, lam = x[:self.n_primal], x[self.n_primal:]
         return np.concatenate((self.gram_apply(u) + self.jacobian.T @ lam,
-                               self.jacobian @ u))
+                               self.jacobian @ u - self.compliance * lam))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -213,9 +213,9 @@ class SaddleFactorization:
         return self.gram @ u
 
 
-def factorize(gram, jacobian) -> SaddleFactorization:
-    """Factorize ``[[G, J^T], [J, 0]]`` for repeated solves."""
-    return SaddleFactorization(gram, jacobian)
+def factorize(gram, jacobian, compliance: float = 0.0) -> SaddleFactorization:
+    """Factorize ``[[G, J^T], [J, -compliance I]]`` for repeated solves."""
+    return SaddleFactorization(gram, jacobian, compliance)
 
 
 def projected_gradient(fact: SaddleFactorization, eta) -> tuple[np.ndarray, np.ndarray]:

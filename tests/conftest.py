@@ -28,13 +28,14 @@ def random_embedded_polygon(n, dim=2, noise=0.25, seed=0):
 
 
 def dense(operator):
-    """Dense matrix of a Gram operator, ``scalar (x) I_dim``, or of the KKT
-    system ``[[G, J^T], [J, 0]]`` of a saddle factorization."""
+    """Dense matrix of a Gram operator, ``scalar (x) I_dim``, or of the
+    system ``[[G, J^T], [J, -c I]]`` of a saddle factorization with
+    compliance ``c``."""
     if isinstance(operator, ko.SaddleFactorization):
         g, j = operator.gram, operator.jacobian
         if isinstance(g, ko.GramOperator):
             g = dense(g)
-        return np.block([[g, j.T], [j, np.zeros((j.shape[0], j.shape[0]))]])
+        return np.block([[g, j.T], [j, -operator.compliance * np.eye(j.shape[0])]])
     return np.kron(operator.scalar, np.eye(operator.dim))
 
 

@@ -132,6 +132,32 @@ class TestRun:
         assert len(rows) == 3  # header + iterations 0 and 1
         assert "status numerical_failure" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--metric", "bogus"),
+                                            ("--alpha", "-1"),
+                                            ("--quad-k", "0")])
+    def test_bad_setting_exit_two(self, flag, value, tmp_path, capsys):
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--input", str(curve_file), "--out-dir",
+                         str(out_dir), flag, value])
+        assert code == 2
+        assert "ERROR usage:" in capsys.readouterr().err
+        assert not (out_dir / "trace.csv").exists()
+
+    @pytest.mark.parametrize("line", ["metric = bogus", "alpha = -1",
+                                      "quad_k = 0"])
+    def test_bad_config_value_exit_two(self, line, tmp_path, capsys):
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {curve_file}\n{line}\n")
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "ERROR usage:" in capsys.readouterr().err
+        assert not (out_dir / "trace.csv").exists()
+
     def test_trace_energies_non_increasing(self, tmp_path):
         curve_file = tmp_path / "coil.txt"
         cli.write_curve(curve_file, ko.coiled_unknot(48, windings=2))
@@ -231,6 +257,20 @@ class TestBench:
             "--out-dir", str(tmp_path / "x"),
         ])
         assert code == 2
+
+
+    def test_unknown_metric_exit_two_before_any_cell(self, tmp_path, capsys):
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+        out_dir = tmp_path / "x"
+        code = cli.main([
+            "bench", "--inputs", str(curve_file), "--methods", "projgd",
+            "--metrics", "w32,bogus", "--budget-s", "1",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert "ERROR usage:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestSingleThread:

@@ -3,6 +3,7 @@ import pytest
 
 import knotopt as ko
 from knotopt.metric import MetricKind
+from knotopt.optimize import OptimizerConfig, PenaltyProblem
 from conftest import dense, random_embedded_polygon, rotation_matrix
 
 
@@ -135,17 +136,27 @@ class TestOperatorInterface:
             g.apply(np.ones(7))
 
     def test_solve_round_trip(self, rng):
+        # Metric solves go through the penalty preconditioner
+        # M = S (x) I_m + alpha J_len^T diag(w) J_len.
         p = random_embedded_polygon(10, seed=14)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC.with_barycenter(True))
-        rhs = rng.standard_normal(g.shape[0])
-        x = g.solve(rhs)
-        assert np.allclose(g.apply(x), rhs, rtol=1e-9, atol=1e-9 * np.abs(rhs).max())
+        config = OptimizerConfig(method="lbfgs")
+        problem = PenaltyProblem(p, None, config)
+        x = p.vertices.ravel()
+        rhs = rng.standard_normal(x.size)
+        g = problem.metric_solve(x, rhs)
+        gram = ko.assemble_gram(p, problem.metric_kind)
+        jac_len = ko.d_phi(p)[:p.num_vertices]
+        w = problem.targets.lengths / problem.targets.total
+        applied = gram.apply(g) + config.alpha * jac_len.T @ (w * (jac_len @ g))
+        assert np.allclose(applied, rhs, rtol=1e-9, atol=1e-9 * np.abs(rhs).max())
 
-    def test_solve_requires_definiteness(self, rng):
+    def test_solve_requires_definiteness(self):
+        # The w32 seminorm without its barycenter term vanishes on constant
+        # fields, and length rows cannot restore definiteness there.
         p = random_embedded_polygon(10, seed=15)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)  # constants in the kernel
+        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         with pytest.raises(ko.SingularSystem):
-            g.solve(rng.standard_normal(g.shape[0]))
+            ko.factorize(g, ko.d_phi(p)[:p.num_vertices], compliance=1.0)
 
 
 class TestMetricKind:

@@ -5,8 +5,8 @@ import scipy.linalg
 import knotopt as ko
 from knotopt import optimize
 from knotopt.metric import MetricKind
-from knotopt.optimize import (METHODS, OptimizerConfig, implicit_step,
-                              lbfgs_loop, pr_plus_direction,
+from knotopt.optimize import (METHODS, OptimizerConfig, PenaltyProblem,
+                              implicit_step, lbfgs_loop, pr_plus_direction,
                               solve_trust_region_subproblem,
                               update_trust_radius, _prepare_state)
 from conftest import fail_on_call, random_embedded_polygon
@@ -217,6 +217,34 @@ class TestPenaltyDrivers:
         assert result.trace[-1].grad_norm <= 1e-10 * result.trace[0].grad_norm
         assert result.trace[-1].iteration <= dim * 12
 
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("metric", ("l2", "w12", "w22", "w32pure", "w32"))
+    def test_metric_solve_matches_dense_cholesky(self, metric, dim, rng):
+        # Oracle: the penalty metric expanded to (N*m)^2 and factorized,
+        # kron(S, I_m) + alpha J_len^T diag(w) J_len (no augmentation for l2).
+        p = random_embedded_polygon(16, dim=dim, seed=21)
+        config = OptimizerConfig(method="lbfgs", metric=ko.parse_metric(metric))
+        problem = PenaltyProblem(p, None, config)
+        x = 1.02 * p.vertices.ravel()
+        _, dual = problem.value_and_dual(x)
+        poly = ko.Polygon(x.reshape(p.vertices.shape))
+        gram = ko.assemble_gram(poly, problem.metric_kind)
+        matrix = np.kron(gram.scalar, np.eye(dim))
+        if metric != "l2":
+            jac_len = ko.d_phi(poly)[:poly.num_vertices]
+            w = problem.targets.lengths / problem.targets.total
+            matrix += config.alpha * (jac_len.T * w) @ jac_len
+        for rhs in (dual, rng.standard_normal(x.size)):
+            ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(matrix), rhs)
+            g = problem.metric_solve(x, rhs)
+            assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_penalty_run_reports_saddle_residual(self):
+        result = ko.run_lbfgs(ko.coiled_unknot(96), OptimizerConfig(
+            method="lbfgs", max_iter=20))
+        assert result.diagnostics["saddle_residual_max"] <= 1e-10
+        assert result.diagnostics["saddle_refinements_max"] >= 0
+
     def test_lbfgs_descends_on_coil(self):
         p = ko.coiled_unknot(48, windings=2)
         result = ko.run_lbfgs(p, OptimizerConfig(
@@ -334,6 +362,12 @@ class TestDispatch:
         with pytest.raises(ValueError):
             OptimizerConfig(method="adam")
 
+    @pytest.mark.parametrize("field", ("quad_k", "tau_max", "max_iter"))
+    def test_out_of_range_setting_rejected(self, field):
+        bad = {"quad_k": 0, "tau_max": 0.0, "max_iter": -1}[field]
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: bad})
+
     def test_budget_stops_run(self):
         p = ko.coiled_unknot(96, windings=4)
         result = ko.run_projected_gd(p, OptimizerConfig(
@@ -375,10 +409,11 @@ class TestNumericalFailure:
         assert result.polygon is snapshots[-1]
 
     def test_penalty_run_wraps_singular_metric(self, monkeypatch):
-        # One metric Cholesky factorization per iterate; scipy's error must
-        # surface as SingularSystem.
+        # One structured metric factorization per iterate, with two Cholesky
+        # factorizations each: the fifth call is iterate 2's.  scipy's error
+        # must surface as SingularSystem.
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail_on_call(
-            scipy.linalg.cho_factor, 3, scipy.linalg.LinAlgError("injected")))
+            scipy.linalg.cho_factor, 5, scipy.linalg.LinAlgError("injected")))
         snapshots = []
         result = ko.run(ko.coiled_unknot(48, windings=2),
                         OptimizerConfig(method="lbfgs", max_iter=10),

@@ -31,6 +31,36 @@ class TestFactorize:
             assert np.linalg.norm(x[block] - ref[block]) <= 1e-9 * np.linalg.norm(ref[block])
         assert fact.max_residual <= 1e-10
 
+    @pytest.mark.parametrize("compliance", (0.25, 1.0))
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_compliance_block_matches_dense_oracle(self, metric, dim, compliance, rng):
+        # The penalty preconditioner's system: weighted length rows, which
+        # vanish on translations, so the w32 seminorm carries its barycenter
+        # term here.
+        kind = METRICS[metric]
+        if kind.family == "w32":
+            kind = kind.with_barycenter(True)
+        p = random_embedded_polygon(14, dim=dim, seed=13)
+        rows = 3.0 * ko.d_phi(p)[:p.num_vertices]
+        fact = ko.factorize(ko.assemble_gram(p, kind), rows, compliance)
+        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+        x = fact.solve(rhs)
+        ref = np.linalg.solve(dense(fact), rhs)
+        n = fact.n_primal
+        for block in (slice(None, n), slice(n, None)):
+            assert np.linalg.norm(x[block] - ref[block]) <= 1e-9 * np.linalg.norm(ref[block])
+        assert fact.max_residual <= 1e-10
+
+    def test_compliance_block_on_dense_metric(self, rng):
+        p = random_embedded_polygon(10, seed=14)
+        gram = dense(ko.assemble_gram(p, ko.W12))
+        rows = ko.d_phi(p)[:p.num_vertices]
+        fact = ko.factorize(gram, rows, compliance=1.0)
+        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+        ref = np.linalg.solve(dense(fact), rhs)
+        assert np.linalg.norm(fact.solve(rhs) - ref) <= 1e-9 * np.linalg.norm(ref)
+
     def test_indefinite_shifted_metric_is_singular(self):
         # Without its barycenter weights the w32 seminorm stays singular on
         # constant fields.
