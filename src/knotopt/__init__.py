@@ -11,8 +11,8 @@ iteration.
 from .collision import (ProximityReport, first_collision_step, initial_step,
                         min_nonadjacent_distance, proximity_report,
                         segment_distance)
-from .constraint import (ConstraintState, ConstraintTargets, d_phi, phi,
-                         restore_feasibility)
+from .constraint import (ConstraintRows, ConstraintState, ConstraintTargets,
+                         d_phi, phi, restore_feasibility)
 from .curve import (ArcTable, EdgeFrame, Polygon, QuadPoint, coiled_unknot,
                     geodesic_distance, perturbed_circle, regular_ngon,
                     torus_knot)
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcTable", "AdjacentEdges", "AlreadyColliding", "CoincidentPoints",
-    "ConstraintState", "ConstraintTargets", "DegenerateEdge",
+    "ConstraintRows", "ConstraintState", "ConstraintTargets", "DegenerateEdge",
     "DimensionMismatch", "EdgeFrame", "EnergyValue", "GramOperator",
     "KnotOptError", "L2", "LineSearchFailure", "MIDPOINT", "MetricKind",
     "NewtonInnerFailure", "NonConvergence", "OptimizeResult",

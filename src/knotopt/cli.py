@@ -16,6 +16,7 @@ first iteration), 2 usage or parse error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -73,6 +74,10 @@ def parse_curve(text: str) -> np.ndarray:
                 raise CurveParseError(
                     f"parse error at line {lineno}: malformed header counts"
                 ) from None
+            if expected[0] < 1 or expected[1] < 2:
+                raise CurveParseError(
+                    f"parse error at line {lineno}: header needs N >= 1 and m >= 2"
+                )
             header = lineno
             continue
         if len(parts) != expected[1]:
@@ -86,6 +91,10 @@ def parse_curve(text: str) -> np.ndarray:
             raise CurveParseError(
                 f"parse error at line {lineno}: non-numeric coordinate"
             ) from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise CurveParseError(
+                f"parse error at line {lineno}: non-finite coordinate"
+            )
     if header is None:
         raise CurveParseError("parse error at line 1: missing 'polyline' header")
     if len(rows) != expected[0]:

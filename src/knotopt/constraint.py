@@ -5,8 +5,11 @@ target edge lengths together with the length-weighted barycenter
 
     b = sum_I (l_I / 2) (P(head of I) + P(tail of I)),
 
-which vanishes exactly when the curve is centered at the origin.  A trial
-point produced by a line search is pulled back onto the constraint set by a
+which vanishes exactly when the curve is centered at the origin.  The
+Jacobian is kept as :class:`ConstraintRows`, never as a dense (N + m) x (N m)
+array: each length row touches the two vertices of its edge, and the
+barycenter rows combine the length rows with the lumped mass.  A trial point
+produced by a line search is pulled back onto the constraint set by a
 modified Newton iteration that reuses the saddle factorization of the step's
 base point to apply the metric pseudoinverse of the Jacobian.
 """
@@ -17,6 +20,7 @@ import numpy as np
 
 from .curve import Polygon
 from .errors import NonConvergence
+from .metric import _lumped_mass_weights
 from .saddle import pseudoinverse_apply
 
 FEASIBILITY_TOL = 1e-8
@@ -65,6 +69,48 @@ class ConstraintState:
         return self.max_violation(total_target) <= tol
 
 
+@dataclass(frozen=True)
+class ConstraintRows:
+    """Constraint Jacobian rows kept as their structure; columns vertex-major.
+
+    Length row I is ``coef_I . (e_{I+1} - e_I)``.  Given ``moments`` (N, m)
+    and ``mass`` (N,), m barycenter rows follow: ``moments^T L + W^T``, with
+    ``L`` the length rows and ``W = mass (x) I_m``.
+    """
+
+    coef: np.ndarray
+    moments: np.ndarray | None = None
+    mass: np.ndarray | None = None
+
+    @property
+    def shape(self):
+        n, m = self.coef.shape
+        return (n + (0 if self.moments is None else m), n * m)
+
+    def apply(self, u) -> np.ndarray:
+        """``J u`` for a vertex-major field ``u``."""
+        u = np.asarray(u, dtype=float).reshape(self.coef.shape)
+        lengths = np.einsum("ik,ik->i", self.coef, np.roll(u, -1, axis=0) - u)
+        if self.moments is None:
+            return lengths
+        return np.concatenate((lengths, self.moments.T @ lengths + self.mass @ u))
+
+    def apply_T(self, lam) -> np.ndarray:
+        """``J^T lam`` as a vertex-major field."""
+        lam = np.asarray(lam, dtype=float)
+        n = len(self.coef)
+        nu = lam[:n] if self.moments is None else lam[:n] + self.moments @ lam[n:]
+        f = nu[:, None] * self.coef
+        out = np.roll(f, 1, axis=0) - f
+        if self.moments is not None:
+            out += np.outer(self.mass, lam[n:])
+        return out.ravel()
+
+    def dense(self) -> np.ndarray:
+        """The rows as a dense (rows, N * m) matrix."""
+        return np.array([self.apply_T(e) for e in np.eye(self.shape[0])])
+
+
 def _lengths_and_barycenter(vertices: np.ndarray):
     nxt = np.roll(vertices, -1, axis=0)
     lengths = np.linalg.norm(nxt - vertices, axis=1)
@@ -84,34 +130,18 @@ def phi(polygon_or_vertices, targets: ConstraintTargets) -> ConstraintState:
     )
 
 
-def d_phi(polygon: Polygon) -> np.ndarray:
-    """Jacobian of the constraint map, shape (N + m, N * m), vertex-major.
+def d_phi(polygon: Polygon) -> ConstraintRows:
+    """Jacobian of the constraint map as :class:`ConstraintRows`.
 
-    Log-length row I carries +-tangent/length on the two endpoints of edge
-    I; the m barycenter rows combine length variations with the direct
-    vertex dependence.
+    ``d log l_I = tau_I . (dP_{I+1} - dP_I) / l_I`` gives the length rows.
+    The barycenter ``b = sum_I l_I mid_I`` varies as
+    ``db = sum_I l_I mid_I d log l_I + sum_v w_v dP_v``, which gives its
+    moments ``l_I mid_I`` and the lumped mass ``w``.
     """
-    n, m = polygon.num_vertices, polygon.dim
-    v = polygon.vertices
-    nxt_idx = np.roll(np.arange(n), -1)
-    tau = polygon.tangents
-    ell = polygon.edge_lengths
-
-    jac = np.zeros((n + m, n, m))
-    rows = np.arange(n)
-    coef = tau / ell[:, None]
-    jac[rows, rows] = -coef
-    jac[rows, nxt_idx] = coef
-
-    # Barycenter block: d b / d P(v) = sum over incident edges of
-    # (midpoint-sum outer tangent derivative) plus the direct term.
-    edge_sum = v + v[nxt_idx]
-    w = 0.5 * (ell + np.roll(ell, 1))
-    for k in range(m):
-        contrib = 0.5 * edge_sum[:, k:k + 1] * tau
-        jac[n + k] = np.roll(contrib, 1, axis=0) - contrib
-        jac[n + k, :, k] += w
-    return jac.reshape(n + m, n * m)
+    v, ell = polygon.vertices, polygon.edge_lengths
+    moments = 0.5 * (v + np.roll(v, -1, axis=0)) * ell[:, None]
+    return ConstraintRows(polygon.tangents / ell[:, None], moments,
+                          _lumped_mass_weights(polygon))
 
 
 def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,

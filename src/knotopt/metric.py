@@ -71,22 +71,13 @@ BASELINE_KINDS = {"l2": L2, "w12": W12, "w22": W22, "w32pure": W32_PURE}
 
 
 class GramOperator:
-    """Symmetric operator ``scalar (x) I_dim`` realizing a metric at a polygon.
+    """Symmetric operator ``scalar (x) I_dim`` realizing a metric at a polygon."""
 
-    ``weights`` are the lumped-mass weights ``w`` of the barycenter term
-    (zeros when not given).  The saddle solver adds ``w w^T`` to ``scalar``
-    to make it definite on constant fields; the operator itself never
-    includes it unless the metric kind does.
-    """
-
-    def __init__(self, scalar: np.ndarray, dim: int, weights=None):
+    def __init__(self, scalar: np.ndarray, dim: int):
         scalar = np.asarray(scalar, dtype=float)
         self.scalar = 0.5 * (scalar + scalar.T)
-        self.weights = np.zeros(len(scalar)) if weights is None else \
-            np.asarray(weights, dtype=float)
         self.dim = dim
         self.scalar.setflags(write=False)
-        self.weights.setflags(write=False)
 
     @property
     def shape(self):
@@ -197,10 +188,10 @@ def assemble_gram(polygon: Polygon, kind: MetricKind,
         scalar = _w22_scalar(polygon)
     else:
         scalar = _w32_scalar(polygon, kind, quad)
-    weights = _lumped_mass_weights(polygon)
     if kind.include_barycenter:
+        weights = _lumped_mass_weights(polygon)
         scalar = scalar + np.outer(weights, weights)
-    return GramOperator(scalar, polygon.dim, weights)
+    return GramOperator(scalar, polygon.dim)
 
 
 def parse_metric(name: str) -> MetricKind:

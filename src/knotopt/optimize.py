@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import collision
-from .constraint import ConstraintTargets, d_phi, phi, restore_feasibility
+from .constraint import (ConstraintRows, ConstraintTargets, d_phi, phi,
+                         restore_feasibility)
 from .curve import Polygon
 from .energy import MIDPOINT, QuadratureRule, d2_energy, d_energy, energy
 from .errors import (KnotOptError, LineSearchFailure, NewtonInnerFailure,
@@ -151,6 +152,8 @@ def _penalty_metric(config: OptimizerConfig) -> MetricKind:
     # barycenter term restores definiteness.
     if config.metric.family == "w32":
         return config.metric.with_barycenter(True)
+    if config.metric.family == "l2":  # definite already; solved by division
+        return config.metric.with_barycenter(False)
     return config.metric
 
 
@@ -265,7 +268,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
         _note_solves(diagnostics, state.fact)
         nu = np.linalg.norm(state.grad)
         if nu > 0.0:
-            defect = float(np.linalg.norm(state.fact.jacobian @ state.grad) / nu)
+            defect = float(np.linalg.norm(state.fact.jacobian.apply(state.grad)) / nu)
             diagnostics["max_tangent_defect"] = max(
                 diagnostics["max_tangent_defect"], defect)
         yield polygon, (outcome.energy, state.grad_norm, outcome.tau,
@@ -397,8 +400,8 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
 
     def residual(v, lam):
         trial = Polygon(polygon.vertices + v.reshape(shape), validate=False)
-        r1 = fact.gram_apply(v) / dt + d_energy(trial, quad) + jac.T @ lam
-        return np.concatenate((r1, jac @ v)), trial
+        r1 = fact.gram_apply(v) / dt + d_energy(trial, quad) + jac.apply_T(lam)
+        return np.concatenate((r1, jac.apply(v))), trial
 
     try:
         res, trial = residual(v, lam)
@@ -477,10 +480,12 @@ class PenaltyProblem:
     """Penalized objective with metric-preconditioned gradients.
 
     The preconditioner ``M = S (x) I_m + R^T R`` adds the penalty's
-    Gauss-Newton term, with ``R = sqrt(alpha w) J_len`` (``R = 0`` for the
-    lumped-mass metric), and is solved as the primal block of
-    ``[[S (x) I_m, R^T], [R, -I]]`` without being formed.  The last point
-    evaluated is cached as ``(key, polygon, energy, factorization)``.
+    Gauss-Newton term, with ``R = sqrt(alpha w) J_len``, and is solved as
+    the primal block of ``[[S (x) I_m, R^T], [R, -I]]`` without being
+    formed.  The lumped-mass metric takes no term, so ``M`` is the diagonal
+    ``diag(mass) (x) I_m`` and is solved by division.  The last point
+    evaluated is cached as ``(key, polygon, energy, d_phi rows,
+    factorization)``; the dual and the rows of ``R`` share the rows.
     """
 
     def __init__(self, reference: Polygon, targets: ConstraintTargets | None,
@@ -504,7 +509,7 @@ class PenaltyProblem:
         key = np.asarray(x).tobytes()
         if self._point is None or self._point[0] != key:
             poly = Polygon(np.asarray(x, dtype=float).reshape(self.shape))
-            self._point = (key, poly, float(energy(poly, self.quad)), None)
+            self._point = (key, poly, float(energy(poly, self.quad)), d_phi(poly), None)
         return self._point
 
     def _log_lengths(self, x):
@@ -514,29 +519,26 @@ class PenaltyProblem:
 
     def value_and_dual(self, x):
         try:
-            _, poly, energy_value, _ = self._evaluate(x)
+            _, poly, energy_value, rows, _ = self._evaluate(x)
         except KnotOptError:
             return np.inf, None
         r, w = self._log_lengths(x), self.weights
         f = energy_value + self.config.alpha * float(w @ r**2)
-        jac_len = d_phi(poly)[:poly.num_vertices]
         dual = d_energy(poly, self.quad) + 2.0 * self.config.alpha * (
-            jac_len.T @ (w * r)
+            ConstraintRows(rows.coef).apply_T(w * r)
         )
         return f, dual
 
     def metric_solve(self, x, dual) -> np.ndarray:
         """Solve ``M g = dual`` with the preconditioning metric at ``x``."""
-        key, poly, energy_value, fact = self._evaluate(x)
+        key, poly, energy_value, rows, fact = self._evaluate(x)
+        if not self.augment:
+            return (dual.reshape(self.shape) / rows.mass[:, None]).ravel()
         if fact is None:
-            if self.augment:
-                scale = np.sqrt(self.config.alpha * self.weights)
-                rows = scale[:, None] * d_phi(poly)[:poly.num_vertices]
-            else:  # R = 0: a single zero row is enough.
-                rows = np.zeros((1, poly.vertices.size))
+            scale = np.sqrt(self.config.alpha * self.weights)
             fact = factorize(assemble_gram(poly, self.metric_kind, self.quad),
-                             rows, compliance=1.0)
-            self._point = (key, poly, energy_value, fact)
+                             ConstraintRows(scale[:, None] * rows.coef), compliance=1.0)
+            self._point = (key, poly, energy_value, rows, fact)
         g = fact.solve(np.concatenate((dual, np.zeros(fact.n_dual))))[:fact.n_primal]
         _note_solves(self.solve_stats, fact)
         return g

@@ -1,33 +1,37 @@
 """Factorization and solves for the saddle system ``[[G, J^T], [J, -c I]]``.
 
 The system is factorized once per point and reused for every solve there.
-With ``c = 0`` (the default) it is the constrained projection, solved for
-projected gradients ``(eta, 0)``, pseudoinverse applications ``(0, xi)``
-and tangent projections ``(G u, 0)``.  With ``c = 1`` its primal block is
-the metric ``G + J^T J``, since ``lam = J u`` for a right-hand side
-``(eta, 0)``; the penalty methods solve their Gauss-Newton-augmented
-metric this way, with ``J`` the weighted edge-length rows.
+``J`` is a :class:`~knotopt.constraint.ConstraintRows`: N length rows, plus
+m barycenter rows for the constraint Jacobian.  With ``c = 0`` (the
+default) the system is the constrained projection, solved for projected
+gradients ``(eta, 0)``, pseudoinverse applications ``(0, xi)`` and tangent
+projections ``(G u, 0)``.  With ``c = 1`` and length rows only, its primal
+block is the metric ``G + J^T J``, since ``lam = J u`` for a right-hand side
+``(eta, 0)``; the penalty methods solve their Gauss-Newton-augmented metric
+this way, with ``J`` the weighted edge-length rows.  A compliance with
+barycenter rows is rejected.
 
 When ``G`` is a :class:`GramOperator`, i.e. ``S (x) I_m``, no
-``(N*m) x (N*m)`` matrix is formed.  The N x N matrix ``S + w w^T`` (``w``
-the lumped-mass weights), definite also on the constant fields where the
-seminorm metrics vanish, is inverted through its Cholesky factor; the
-Schur complement ``J G~^-1 J^T + c I`` is built from that inverse and the
-sparsity of the length rows (row I touches vertices I and I+1 only) and
-Cholesky-factorized.  A solve costs two products with the N x N inverse
-(faster than two triangular solves) and one Schur solve.  The shift
-``W W^T``, ``W = w (x) I_m``, is undone exactly by the Woodbury identity
-from m solves at factorization time; the correction is generic in ``J``
-and ``c``.  Any other metric block (the indefinite Hessians of the
-implicit Euler and trust-region Newton steps) is factorized densely by LU.
+``(N*m) x (N*m)`` matrix is formed.  With barycenter rows and ``c = 0``,
+``J u = xi`` fixes ``W^T u = xi_b - moments^T xi_len`` (``W = w (x) I_m``,
+``w`` the rows' lumped mass), so the shift ``W W^T`` that makes
+``S + w w^T`` definite on constant fields moves exactly to the right-hand
+side, as ``eta + W (xi_b - moments^T xi_len)``.  Without barycenter rows
+(the penalty metrics, all definite) ``S`` is not shifted.  The N x N
+inverse ``H`` comes from a Cholesky factor; the Schur complement
+``J (H (x) I_m) J^T + c I`` is built from the rows, its length block being
+``(coef coef^T) o`` the second difference of ``H``, and Cholesky-factorized.
+A solve costs two products with ``H`` and one Schur solve.  Any other
+metric block (the indefinite Hessians of the implicit Euler and
+trust-region Newton steps) is factorized densely by LU.
 
 Every solve is refined against the original system until the residual
 drops below ``1e-10`` relative to the right-hand side.  Failure to get
-there, an indefinite ``S + w w^T``, a singular factor or a singular system
-(a metric ``G + J^T J`` vanishing on some field) raises
-:class:`SingularSystem`; this module is where scipy's ``LinAlgError``
-becomes one.  Each factorization records the largest refinement count and
-final relative residual of its solves.
+there, an indefinite metric block, a singular factor or a singular system
+(rank-deficient rows, or a metric ``G + J^T J`` vanishing on some field)
+raises :class:`SingularSystem`; this module is where scipy's
+``LinAlgError`` becomes one.  Each factorization records the largest
+refinement count and final relative residual of its solves.
 """
 
 import numpy as np
@@ -60,21 +64,20 @@ class SaddleFactorization:
     def __init__(self, gram, jacobian, compliance: float = 0.0):
         if not isinstance(gram, GramOperator):
             gram = np.asarray(gram, dtype=float)
-        j = np.asarray(jacobian, dtype=float)
         if len(gram.shape) != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("metric block must be square")
-        if j.ndim != 2 or j.shape[1] != gram.shape[0]:
+        if jacobian.shape[1] != gram.shape[0]:
             raise ValueError(
-                f"constraint Jacobian {j.shape} incompatible with metric {gram.shape}"
+                f"constraint rows {jacobian.shape} incompatible with metric {gram.shape}"
             )
-        if j.shape[0] == 0:
-            raise ValueError("constraint block must be non-empty")
+        if compliance and jacobian.moments is not None:
+            raise ValueError("a compliance needs rows without the barycenter block")
 
         self.gram = gram
-        self.jacobian = j
+        self.jacobian = jacobian
         self.compliance = float(compliance)
         self.n_primal = gram.shape[0]
-        self.n_dual = j.shape[0]
+        self.n_dual = jacobian.shape[0]
         self.max_refinements = 0
         self.max_residual = 0.0
         if isinstance(gram, GramOperator):
@@ -83,12 +86,8 @@ class SaddleFactorization:
             self._factor_dense(gram)
 
     def _factor_dense(self, g):
-        n = self.n_primal
-        a = np.zeros((n + self.n_dual,) * 2)
-        a[:n, :n] = g
-        a[:n, n:] = self.jacobian.T
-        a[n:, :n] = self.jacobian
-        a[n:, n:] -= self.compliance * np.eye(self.n_dual)
+        j = self.jacobian.dense()
+        a = np.block([[g, j.T], [j, -self.compliance * np.eye(self.n_dual)]])
         try:
             self._lu, self._piv = scipy.linalg.lu_factor(a, overwrite_a=True,
                                                          check_finite=False)
@@ -102,88 +101,53 @@ class SaddleFactorization:
             )
 
     def _factor_structured(self, gram):
-        n, m = gram.scalar.shape[0], gram.dim
-        w = gram.weights
-        what = "metric plus barycenter term"
-        inv, info = scipy.linalg.lapack.dpotri(
-            _cholesky(gram.scalar + np.outer(w, w), what), lower=1, overwrite_c=1)
+        rows = self.jacobian
+        scalar, what = gram.scalar, "metric"
+        if rows.moments is not None:
+            scalar, what = scalar + np.outer(rows.mass, rows.mass), "metric plus barycenter term"
+        inv, info = scipy.linalg.lapack.dpotri(_cholesky(scalar, what),
+                                               lower=1, overwrite_c=1)
         if info != 0:
             raise SingularSystem(f"{what} could not be inverted")
         # dpotri fills the lower triangle only.
         self._inv = np.tril(inv)
         self._inv += np.tril(inv, -1).T
-        self._schur = _cholesky(self._schur_complement(n, m), "constraint Schur complement")
-        # Woodbury identity for the shift U U^T, U = (w (x) I_m, 0):
-        # K^-1 = K~^-1 + Y (I - U^T Y)^-1 U^T K~^-1 with Y = K~^-1 U.
-        shift = np.zeros((self.n_primal + self.n_dual, m))
-        shift[:self.n_primal] = np.kron(w[:, None], np.eye(m))
-        self._wood_y = self._solve_shifted(shift)
-        capacitance = np.eye(m) - np.tensordot(
-            w, self._wood_y[:self.n_primal].reshape(n, m, m), 1)
-        # Near I when the system is well posed, near 0 when it is singular.
-        sv = np.linalg.svd(capacitance, compute_uv=False)
-        if sv.min() <= _PIVOT_TOL * max(sv.max(), 1.0):
-            raise SingularSystem("metric is singular on the constraint kernel")
-        self._wood_c = np.linalg.inv(capacitance)
+        self._schur = _cholesky(self._schur_complement(), "constraint Schur complement")
 
-    def _schur_complement(self, n, m):
-        """``J G~^-1 J^T + c I``, ``G~^-1 = (S + w w^T)^-1 (x) I_m``, from sparse rows.
-
-        The first N rows are taken as banded when each row I is nonzero at
-        vertices I and I+1 only (the log-length rows); every other row is
-        handled densely.
-        """
-        j3 = self.jacobian.reshape(self.n_dual, n, m)
-        ids = np.arange(n)
-        nxt = np.roll(ids, -1)
-        nb = 0
-        if self.n_dual >= n:
-            a, b = j3[ids, ids], j3[ids, nxt]
-            if np.count_nonzero(j3[:n]) == np.count_nonzero(a) + np.count_nonzero(b):
-                nb = n
-        h = self._inv
-        dense = j3[nb:]
-        # t[v, r, k] = sum_u h[v, u] dense[r, u, k]
-        t = (h @ dense.transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, m)
-        c = np.empty((self.n_dual, self.n_dual))
-        c[nb:, nb:] = np.einsum("ruk,usk->rs", dense, t)
-        if nb:
-            h_right = np.roll(h, -1, axis=1)  # h[I, J + 1]
-            c[:nb, :nb] = ((a @ a.T) * h + (a @ b.T) * h_right
-                           + (b @ a.T) * np.roll(h, -1, axis=0)
-                           + (b @ b.T) * np.roll(h_right, -1, axis=0))
-            c[:nb, nb:] = np.einsum("ik,irk->ir", a, t) + np.einsum("ik,irk->ir", b, t[nxt])
-            c[nb:, :nb] = c[:nb, nb:].T
-        c.flat[::self.n_dual + 1] += self.compliance
-        return c
-
-    def _solve_shifted(self, rhs):
-        """Solve with the metric block shifted by ``W W^T``, unrefined.
-
-        ``rhs`` holds one right-hand side or one per column.
-        """
-        n, size = self._inv.shape[0], self.n_primal
-        cols = rhs.shape[1:]
-        y = self._inv @ rhs[:size].reshape(n, -1)
-        jy = self.jacobian @ y.reshape(size, *cols)
-        lam = scipy.linalg.cho_solve((self._schur, True), jy - rhs[size:],
-                                     check_finite=False)
-        u = y - self._inv @ (self.jacobian.T @ lam).reshape(n, -1)
-        return np.concatenate((u.reshape(size, *cols), lam))
+    def _schur_complement(self):
+        """``J (H (x) I_m) J^T + c I`` from the row structure."""
+        rows, h = self.jacobian, self._inv
+        dh = np.roll(h, -1, axis=0) - h  # H[I + 1, J] - H[I, J]
+        c = (rows.coef @ rows.coef.T) * (np.roll(dh, -1, axis=1) - dh)
+        if rows.moments is None:
+            c.flat[::len(c) + 1] += self.compliance
+            return c
+        # Barycenter rows moments^T L + W^T; q = L (H w (x) I_m).
+        hw = h @ rows.mass
+        q = rows.coef * (np.roll(hw, -1) - hw)[:, None]
+        cross = c @ rows.moments + q
+        corner = rows.moments.T @ cross + q.T @ rows.moments
+        corner.flat[::len(corner) + 1] += rows.mass @ hw
+        return np.block([[c, cross], [cross.T, corner]])
 
     def _solve_once(self, rhs):
         if not isinstance(self.gram, GramOperator):
             return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
-        x = self._solve_shifted(rhs)
-        m = self.gram.dim
-        wx = self.gram.weights @ x[:self.n_primal].reshape(-1, m)
-        return x + self._wood_y @ (self._wood_c @ wx)
+        rows, n = self.jacobian, len(self.jacobian.coef)
+        eta, xi = rhs[:self.n_primal].reshape(n, -1), rhs[self.n_primal:]
+        if rows.moments is not None:  # J u = xi fixes W^T u: the shift's exact term
+            eta = eta + np.outer(rows.mass, xi[n:] - rows.moments.T @ xi[:n])
+        y = self._inv @ eta
+        lam = scipy.linalg.cho_solve((self._schur, True), rows.apply(y) - xi,
+                                     check_finite=False)
+        u = y - self._inv @ rows.apply_T(lam).reshape(n, -1)
+        return np.concatenate((u.ravel(), lam))
 
     def _apply(self, x):
-        """The unshifted saddle matrix times ``x``."""
+        """The saddle matrix times ``x``."""
         u, lam = x[:self.n_primal], x[self.n_primal:]
-        return np.concatenate((self.gram_apply(u) + self.jacobian.T @ lam,
-                               self.jacobian @ u - self.compliance * lam))
+        return np.concatenate((self.gram_apply(u) + self.jacobian.apply_T(lam),
+                               self.jacobian.apply(u) - self.compliance * lam))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

@@ -32,7 +32,7 @@ def dense(operator):
     system ``[[G, J^T], [J, -c I]]`` of a saddle factorization with
     compliance ``c``."""
     if isinstance(operator, ko.SaddleFactorization):
-        g, j = operator.gram, operator.jacobian
+        g, j = operator.gram, operator.jacobian.dense()
         if isinstance(g, ko.GramOperator):
             g = dense(g)
         return np.block([[g, j.T], [j, -operator.compliance * np.eye(j.shape[0])]])

@@ -118,7 +118,7 @@ def test_criterion_04_metric_well_posedness():
         if sym > 1e-13 * np.abs(g).max():
             ok, detail = False, f"(symmetry defect {sym:.2e} at seed {seed})"
             break
-        jac = ko.d_phi(p)
+        jac = ko.d_phi(p).dense()
         _, _, vt = np.linalg.svd(jac)
         kernel = vt[jac.shape[0]:].T
         min_eig = np.linalg.eigvalsh(kernel.T @ g @ kernel).min()
@@ -139,16 +139,16 @@ def test_criterion_05_kkt_contracts():
     rng = np.random.default_rng(0)
     p = random_embedded_polygon(16, dim=3, seed=200)
     gram = ko.assemble_gram(p, ko.W32_GEOMETRIC)
-    jac = ko.d_phi(p)
-    fact = ko.factorize(gram, jac)
+    fact = ko.factorize(gram, ko.d_phi(p))
+    jac = ko.d_phi(p).dense()
     eta = ko.d_energy(p)
     u, _ = ko.projected_gradient(fact, eta)
     ok_tangent = np.linalg.norm(jac @ u) <= 1e-10 * np.linalg.norm(u)
 
     p6 = random_embedded_polygon(6, seed=201)
     g6 = ko.assemble_gram(p6, ko.W32_GEOMETRIC.with_barycenter(True))
-    j6 = ko.d_phi(p6)
-    u6, _ = ko.projected_gradient(ko.factorize(g6, j6), ko.d_energy(p6))
+    j6 = ko.d_phi(p6).dense()
+    u6, _ = ko.projected_gradient(ko.factorize(g6, ko.d_phi(p6)), ko.d_energy(p6))
     ginv = np.linalg.inv(dense(g6))
     schur = j6 @ ginv @ j6.T
     ref = ginv @ ko.d_energy(p6) - ginv @ j6.T @ np.linalg.solve(

@@ -104,6 +104,19 @@ class TestRun:
         assert code == 2
         assert "parse error at line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,line", [
+        ("polyline 4 2\n0 0\n1 nan\n1 1\n0 1\n", 3),
+        ("polyline 0 0\n", 1),
+    ])
+    def test_bad_header_or_non_finite_exit_two(self, text, line, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--input", str(bad), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert f"parse error at line {line}" in capsys.readouterr().err
+        assert not (out_dir / "trace.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         curve_file = tmp_path / "pc.txt"
         cli.write_curve(curve_file, ko.perturbed_circle(24))
@@ -309,3 +322,14 @@ class TestCheck:
         bad.write_text("polyline 4 2\n0 0\n2 2\n0 2\n2 0\n")
         assert cli.main(["check", "--input", str(bad)]) == 1
         assert "SelfIntersection" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,line", [
+        ("polyline 4 2\n0 0\n1 0\ninf 1\n0 1\n", 4),
+        ("polyline 0 0\n", 1),
+        ("polyline 4 1\n0\n1\n2\n3\n", 1),
+    ])
+    def test_bad_header_or_non_finite_exit_two(self, text, line, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert cli.main(["check", "--input", str(bad)]) == 2
+        assert f"parse error at line {line}" in capsys.readouterr().err

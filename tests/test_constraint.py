@@ -10,6 +10,36 @@ def build_saddle(polygon, kind=ko.W32_GEOMETRIC):
     return ko.factorize(gram, ko.d_phi(polygon))
 
 
+def dense_d_phi(polygon):
+    """Dense Jacobian oracle, shape (N + m, N * m), vertex-major.
+
+    Log-length row I carries +-tangent/length on the two endpoints of edge
+    I; the m barycenter rows combine length variations with the direct
+    vertex dependence.
+    """
+    n, m = polygon.num_vertices, polygon.dim
+    v = polygon.vertices
+    nxt_idx = np.roll(np.arange(n), -1)
+    tau = polygon.tangents
+    ell = polygon.edge_lengths
+
+    jac = np.zeros((n + m, n, m))
+    rows = np.arange(n)
+    coef = tau / ell[:, None]
+    jac[rows, rows] = -coef
+    jac[rows, nxt_idx] = coef
+
+    # Barycenter block: d b / d P(v) = sum over incident edges of
+    # (midpoint-sum outer tangent derivative) plus the direct term.
+    edge_sum = v + v[nxt_idx]
+    w = 0.5 * (ell + np.roll(ell, 1))
+    for k in range(m):
+        contrib = 0.5 * edge_sum[:, k:k + 1] * tau
+        jac[n + k] = np.roll(contrib, 1, axis=0) - contrib
+        jac[n + k, :, k] += w
+    return jac.reshape(n + m, n * m)
+
+
 class TestConstraintMap:
     def test_regular_ngon_feasible(self):
         p = ko.regular_ngon(24)
@@ -52,7 +82,7 @@ class TestJacobian:
     def test_matches_finite_differences(self, rng):
         p = random_embedded_polygon(12, dim=3, seed=2)
         targets = ko.ConstraintTargets.from_polygon(p)
-        jac = ko.d_phi(p)
+        jac = ko.d_phi(p).dense()
         u = rng.standard_normal(p.num_vertices * 3)
         eps = 1e-7
         up = ko.phi(p.vertices + eps * u.reshape(-1, 3), targets).stacked()
@@ -62,7 +92,7 @@ class TestJacobian:
 
     def test_translation_field_action(self):
         p = random_embedded_polygon(12, seed=3)
-        jac = ko.d_phi(p)
+        jac = ko.d_phi(p).dense()
         shift = np.array([1.0, 2.0])
         field = np.tile(shift, p.num_vertices)
         out = jac @ field
@@ -74,16 +104,45 @@ class TestJacobian:
         center = p.vertices.mean(axis=0)
         rel = p.vertices - center
         field = np.column_stack((-rel[:, 1], rel[:, 0])).ravel()
-        out = ko.d_phi(p) @ field
-        scale = np.abs(ko.d_phi(p)).max() * np.abs(field).max()
+        out = ko.d_phi(p).dense() @ field
+        scale = np.abs(ko.d_phi(p).dense()).max() * np.abs(field).max()
         assert np.abs(out[:p.num_vertices]).max() <= 1e-13 * scale
 
     def test_full_row_rank(self):
         for seed in range(3):
             p = random_embedded_polygon(14, dim=3, seed=seed)
-            jac = ko.d_phi(p)
+            jac = ko.d_phi(p).dense()
             sv = np.linalg.svd(jac, compute_uv=False)
             assert sv.min() > 1e-10 * sv.max()
+
+
+class TestConstraintRows:
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_matches_dense_oracle(self, dim, rng):
+        # The barycenter rows moments^T L + W^T against their direct form.
+        p = random_embedded_polygon(11, dim=dim, seed=30)
+        rows, ref = ko.d_phi(p), dense_d_phi(p)
+        assert rows.shape == ref.shape
+        scale = np.abs(ref).max()
+        assert np.abs(rows.dense() - ref).max() <= 1e-13 * scale
+        u = rng.standard_normal(ref.shape[1])
+        lam = rng.standard_normal(ref.shape[0])
+        assert np.allclose(rows.apply(u), ref @ u, rtol=0.0,
+                           atol=1e-13 * scale * np.abs(u).sum())
+        assert np.allclose(rows.apply_T(lam), ref.T @ lam, rtol=0.0,
+                           atol=1e-13 * scale * np.abs(lam).sum())
+
+    def test_penalty_rows_match_dense_oracle(self, rng):
+        p = random_embedded_polygon(11, dim=3, seed=31)
+        scale = rng.uniform(0.5, 2.0, p.num_vertices)
+        rows = ko.ConstraintRows(scale[:, None] * ko.d_phi(p).coef)
+        ref = scale[:, None] * dense_d_phi(p)[:p.num_vertices]
+        assert rows.shape == ref.shape
+        assert np.abs(rows.dense() - ref).max() <= 1e-13 * np.abs(ref).max()
+        u = rng.standard_normal(ref.shape[1])
+        lam = rng.standard_normal(ref.shape[0])
+        assert np.allclose(rows.apply(u), ref @ u, rtol=1e-13, atol=1e-13)
+        assert np.allclose(rows.apply_T(lam), ref.T @ lam, rtol=1e-13, atol=1e-13)
 
 
 class TestRestoreFeasibility:

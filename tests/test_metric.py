@@ -32,7 +32,7 @@ class TestW32Geometric:
             g = dense(ko.assemble_gram(p, ko.W32_GEOMETRIC))
             sym = np.abs(g - g.T).max()
             assert sym <= 1e-14 * np.abs(g).max()
-            z = kernel_basis(ko.d_phi(p))
+            z = kernel_basis(ko.d_phi(p).dense())
             eigs = np.linalg.eigvalsh(z.T @ g @ z)
             assert eigs.min() > 0.0
 
@@ -145,7 +145,7 @@ class TestOperatorInterface:
         rhs = rng.standard_normal(x.size)
         g = problem.metric_solve(x, rhs)
         gram = ko.assemble_gram(p, problem.metric_kind)
-        jac_len = ko.d_phi(p)[:p.num_vertices]
+        jac_len = ko.d_phi(p).dense()[:p.num_vertices]
         w = problem.targets.lengths / problem.targets.total
         applied = gram.apply(g) + config.alpha * jac_len.T @ (w * (jac_len @ g))
         assert np.allclose(applied, rhs, rtol=1e-9, atol=1e-9 * np.abs(rhs).max())
@@ -156,7 +156,7 @@ class TestOperatorInterface:
         p = random_embedded_polygon(10, seed=15)
         g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         with pytest.raises(ko.SingularSystem):
-            ko.factorize(g, ko.d_phi(p)[:p.num_vertices], compliance=1.0)
+            ko.factorize(g, ko.ConstraintRows(ko.d_phi(p).coef), compliance=1.0)
 
 
 class TestMetricKind:

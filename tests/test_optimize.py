@@ -231,7 +231,7 @@ class TestPenaltyDrivers:
         gram = ko.assemble_gram(poly, problem.metric_kind)
         matrix = np.kron(gram.scalar, np.eye(dim))
         if metric != "l2":
-            jac_len = ko.d_phi(poly)[:poly.num_vertices]
+            jac_len = ko.d_phi(poly).dense()[:poly.num_vertices]
             w = problem.targets.lengths / problem.targets.total
             matrix += config.alpha * (jac_len.T * w) @ jac_len
         for rhs in (dual, rng.standard_normal(x.size)):

@@ -8,8 +8,8 @@ from conftest import dense, random_embedded_polygon
 def make_system(n=16, seed=0, kind=ko.W32_GEOMETRIC, dim=2):
     p = random_embedded_polygon(n, dim=dim, seed=seed)
     gram = ko.assemble_gram(p, kind)
-    jac = ko.d_phi(p)
-    return p, gram, jac, ko.factorize(gram, jac)
+    rows = ko.d_phi(p)
+    return p, gram, rows.dense(), ko.factorize(gram, rows)
 
 
 METRICS = {"l2": ko.L2, "w12": ko.W12, "w22": ko.W22, "w32pure": ko.W32_PURE,
@@ -42,7 +42,7 @@ class TestFactorize:
         if kind.family == "w32":
             kind = kind.with_barycenter(True)
         p = random_embedded_polygon(14, dim=dim, seed=13)
-        rows = 3.0 * ko.d_phi(p)[:p.num_vertices]
+        rows = ko.ConstraintRows(3.0 * ko.d_phi(p).coef)
         fact = ko.factorize(ko.assemble_gram(p, kind), rows, compliance)
         rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
         x = fact.solve(rhs)
@@ -55,18 +55,11 @@ class TestFactorize:
     def test_compliance_block_on_dense_metric(self, rng):
         p = random_embedded_polygon(10, seed=14)
         gram = dense(ko.assemble_gram(p, ko.W12))
-        rows = ko.d_phi(p)[:p.num_vertices]
+        rows = ko.ConstraintRows(ko.d_phi(p).coef)
         fact = ko.factorize(gram, rows, compliance=1.0)
         rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
         ref = np.linalg.solve(dense(fact), rhs)
         assert np.linalg.norm(fact.solve(rhs) - ref) <= 1e-9 * np.linalg.norm(ref)
-
-    def test_indefinite_shifted_metric_is_singular(self):
-        # Without its barycenter weights the w32 seminorm stays singular on
-        # constant fields.
-        p, gram, jac, _ = make_system(12, seed=1)
-        with pytest.raises(ko.SingularSystem):
-            ko.factorize(ko.GramOperator(gram.scalar, p.dim), jac)
 
     def test_solve_residual_contract(self, rng):
         _, gram, jac, fact = make_system(16)
@@ -76,18 +69,23 @@ class TestFactorize:
         assert np.linalg.norm(kkt @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_duplicate_constraint_row_is_singular(self):
-        _, gram, jac, _ = make_system(12, seed=1)
-        bad = np.vstack((jac, jac[0]))
+        # Rank-deficient rows: a zero length row makes the Schur complement
+        # singular.
+        p, gram, _, _ = make_system(12, seed=1)
+        rows = ko.d_phi(p)
+        coef = rows.coef.copy()
+        coef[0] = 0.0
         with pytest.raises(ko.SingularSystem):
-            ko.factorize(gram, bad)
+            ko.factorize(gram, ko.ConstraintRows(coef, rows.moments, rows.mass))
 
-    def test_empty_constraint_block_rejected(self):
+    def test_compliance_with_barycenter_rows_rejected(self):
+        p, gram, _, _ = make_system(12, seed=1)
         with pytest.raises(ValueError):
-            ko.factorize(np.eye(6), np.zeros((0, 6)))
+            ko.factorize(gram, ko.d_phi(p), compliance=1.0)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            ko.factorize(np.eye(6), np.ones((2, 5)))
+            ko.factorize(np.eye(6), ko.d_phi(ko.regular_ngon(8)))
 
 
 class TestProjectedGradient:
@@ -114,8 +112,8 @@ class TestProjectedGradient:
         # metric.
         p = random_embedded_polygon(6, seed=4)
         gram = ko.assemble_gram(p, ko.W32_GEOMETRIC.with_barycenter(True))
-        jac = ko.d_phi(p)
-        fact = ko.factorize(gram, jac)
+        fact = ko.factorize(gram, ko.d_phi(p))
+        jac = ko.d_phi(p).dense()
         eta = ko.d_energy(p)
         u, _ = ko.projected_gradient(fact, eta)
         ginv = np.linalg.inv(dense(gram))
