@@ -5,6 +5,14 @@ validate polygons on construction and to bound line-search steps.  Edge i
 of a closed polyline with vertices ``V`` runs from ``V[i]`` to
 ``V[(i+1) % N]``.  "Non-adjacent" edge pairs are those whose closures are
 disjoint, i.e. pairs that share no vertex.
+
+Every query prunes with two balls per edge before any exact segment
+distance: the ball around the edge's midpoint of radius half its length
+(a lower bound on pair distances), and the ball around the mean velocity
+of its endpoints of radius half their difference (an upper bound on pair
+speeds).  Both bound tables come from one matrix product over the N edges.
+Only pairs whose bounds cannot rule them out are computed exactly, so every
+query returns what computing all N(N-3)/2 pairs would.
 """
 
 from dataclasses import dataclass
@@ -22,8 +30,10 @@ CONTACT_SCALE = 1e-9
 # per-pair lower bound on time to contact so rounding can never tunnel.
 _ADVANCE_FACTOR = 0.9
 _MAX_ROUNDS = 128
-# Pairs with the smallest bounds, recomputed first in each advancement round.
+# Pairs with the smallest bounds, computed first in each proximity query.
 _PRUNE_BATCH = 64
+# Relative rounding pad of the midpoint-ball bounds.
+_BOUND_PAD = 1e-12
 
 # Collision-limited line searches start at this fraction of the first
 # possible contact step.
@@ -82,8 +92,54 @@ def segment_distance(a0, a1, b0, b1) -> float:
 
 
 def _pair_distances(v, pi, pj):
-    head = np.roll(np.arange(len(v)), -1)
-    return _segment_distance_batch(v[pi], v[head[pi]], v[pj], v[head[pj]])
+    n = len(v)
+    return _segment_distance_batch(v[pi], v[(pi + 1) % n], v[pj], v[(pj + 1) % n])
+
+
+def _pair_speeds(u, pi, pj):
+    """Largest relative endpoint speed of each edge pair.
+
+    Relative speeds are constant along linear trajectories; the maximum
+    over the four endpoint combinations bounds every point pair on the two
+    segments.
+    """
+    n = len(u)
+    ends_i = np.stack((pi, (pi + 1) % n))[:, None]
+    ends_j = np.stack((pj, (pj + 1) % n))[None, :]
+    return np.linalg.norm(u[ends_i] - u[ends_j], axis=-1).max(axis=(0, 1))
+
+
+def _ball_bound(x, pi, pj, sign):
+    """Padded bound on ``|p - q|`` for p on edge I and q on edge J of ``x``.
+
+    Edge I of the closed polyline ``x`` lies in the ball of radius r_I, half
+    its length, around its midpoint c_I.  With ``sign = -1`` this is a lower
+    bound on the pair's distance, ``|c_I - c_J| - r_I - r_J``; with
+    ``sign = +1`` an upper bound on the largest endpoint difference,
+    ``|c_I - c_J| + r_I + r_J``.  The N x N table of ``|c_I - c_J|^2`` is
+    one matrix product, ``|c_I|^2 + |c_J|^2 - 2 c_I.c_J``, of the centred
+    midpoints; it is padded, in the square and linearly, far beyond the
+    rounding of the midpoints, the product and the exact pair routines.
+    """
+    nxt = np.roll(x, -1, axis=0)
+    c = 0.5 * (x + nxt)
+    r = 0.5 * np.linalg.norm(nxt - x, axis=1)
+    pad = _BOUND_PAD * (np.abs(x).max() + r.max())
+    c -= c.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    d2 = sq[pi] + sq[pj]
+    d2 -= 2.0 * (c @ c.T)[pi, pj]
+    d2 += sign * _BOUND_PAD * sq.max()
+    reach = r[pi] + r[pj]
+    reach += pad
+    return np.sqrt(np.maximum(d2, 0.0)) + sign * reach
+
+
+def _smallest(values):
+    """Indices of the ``_PRUNE_BATCH`` smallest values (all if fewer)."""
+    if len(values) > _PRUNE_BATCH:
+        return np.argpartition(values, _PRUNE_BATCH)[:_PRUNE_BATCH]
+    return np.arange(len(values))
 
 
 def _polyline_length(v) -> float:
@@ -96,18 +152,26 @@ class ProximityReport:
 
     min_distance: float
     pair: tuple[int, int]
-    distances: np.ndarray | None = None
 
 
-def proximity_report(vertices, with_table: bool = False) -> ProximityReport:
+def proximity_report(vertices) -> ProximityReport:
+    """Closest non-adjacent edge pair; ties go to the first pair in order.
+
+    The exact distances of the pairs with the smallest ball bounds give a
+    running minimum; only the pairs whose bound is at or below it can
+    attain the minimum, and only they are computed exactly.
+    """
     v = np.asarray(vertices, dtype=float)
     pi, pj = nonadjacent_pairs(len(v))
-    d = _pair_distances(v, pi, pj)
+    lower = _ball_bound(v, pi, pj, -1.0)
+    seed = _smallest(lower)
+    best = _pair_distances(v, pi[seed], pj[seed]).min()
+    candidates = np.flatnonzero(lower <= best)
+    d = _pair_distances(v, pi[candidates], pj[candidates])
     k = int(np.argmin(d))
     return ProximityReport(
         min_distance=float(d[k]),
-        pair=(int(pi[k]), int(pj[k])),
-        distances=d if with_table else None,
+        pair=(int(pi[candidates[k]]), int(pj[candidates[k]])),
     )
 
 
@@ -123,48 +187,68 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
     ``tau < tau_star``.  Uses conservative advancement: each round advances
     by a fraction of min over pairs of (distance / max relative endpoint
     speed), which lower-bounds every pair's time to contact.
+
+    A pair's distance and speed are computed exactly only when the pair can
+    set that minimum or touch.  Until then two balls stand in for them: the
+    midpoint balls of the edges of ``V`` give a lower bound on the distance
+    at tau = 0, and the balls around the edges' mean velocities, of radius
+    half the velocity difference, give an upper bound on the speed.  A
+    lower bound on time to contact never exceeds the exact one, so the
+    minimum is always attained by an exactly computed pair and every step,
+    hence the result, equals that of computing all pairs exactly.
     """
     v = np.asarray(getattr(polygon_or_vertices, "vertices", polygon_or_vertices), dtype=float)
     u = np.asarray(displacement, dtype=float).reshape(v.shape)
     if tau_max <= 0.0:
         raise ValueError("tau_max must be positive")
 
-    n = len(v)
-    pi, pj = nonadjacent_pairs(n)
-    head = np.roll(np.arange(n), -1)
+    pi, pj = nonadjacent_pairs(len(v))
     eps_contact = CONTACT_SCALE * max(_polyline_length(v), np.finfo(float).tiny)
 
-    d = _pair_distances(v, pi, pj)
-    if d.min() <= eps_contact:
-        raise AlreadyColliding(
-            f"minimum non-adjacent pair distance {d.min():.3e} at start"
-        )
-
-    # Relative speeds are constant along linear trajectories; the maximum
-    # over the four endpoint combinations bounds every point pair on the
-    # two segments.
-    rel = np.empty((4, len(pi)))
-    rel[0] = np.linalg.norm(u[pi] - u[pj], axis=1)
-    rel[1] = np.linalg.norm(u[pi] - u[head[pj]], axis=1)
-    rel[2] = np.linalg.norm(u[head[pi]] - u[pj], axis=1)
-    rel[3] = np.linalg.norm(u[head[pi]] - u[head[pj]], axis=1)
-    speed = rel.max(axis=0)
-    if speed.max() == 0.0:
+    d = _ball_bound(v, pi, pj, -1.0)
+    near = np.flatnonzero(d <= eps_contact)
+    if near.size:
+        closest = _pair_distances(v, pi[near], pj[near]).min()
+        if closest <= eps_contact:
+            raise AlreadyColliding(
+                f"minimum non-adjacent pair distance {closest:.3e} at start"
+            )
+    # For N >= 4 every vertex pair bounds some non-adjacent edge pair, so
+    # all pair speeds are zero exactly when the motion is a translation.
+    if np.all(u == u[0]):
         return float(tau_max)
 
-    # Each round recomputes only the pairs that can still set the minimum
-    # of d / speed or touch.  For the others d holds a lower bound: a pair
-    # is no closer than its last computed distance minus the time since
-    # times its speed (padded for rounding).  The minimum is thus always
-    # attained by a computed pair, and every step equals the step of
-    # recomputing all pairs.
+    # For a pair not computed at the current tau, d holds a lower bound: its
+    # last computed distance (or ball bound) minus the time since times its
+    # speed (padded for rounding).  speed is exact once the pair has been
+    # computed and the ball upper bound before.
+    speed = _ball_bound(u, pi, pj, 1.0)
+    known = np.zeros(len(d), dtype=bool)
     moving = speed > 0.0
     safe_speed = np.where(moving, speed, 1.0)
     d_at, tau_at = d.copy(), np.zeros(len(d))
     slack = 1e-3 * eps_contact
-    bounds = np.where(moving, d / safe_speed, np.inf)
-    tau = 0.0
-    for _ in range(_MAX_ROUNDS):
+    tau, w = 0.0, v
+    for rounds in range(_MAX_ROUNDS + 1):
+        # Recompute only the pairs that can still set the minimum of
+        # d / speed or touch.
+        bounds = np.where(moving, d / safe_speed, np.inf)
+        stale = np.ones(len(d), dtype=bool)
+        todo = _smallest(bounds)
+        while todo.size:
+            fresh = todo[~known[todo]]
+            if fresh.size:
+                speed[fresh] = _pair_speeds(u, pi[fresh], pj[fresh])
+                known[fresh] = True
+                moving[fresh] = speed[fresh] > 0.0
+                safe_speed[fresh] = np.where(moving[fresh], speed[fresh], 1.0)
+            d[todo] = _pair_distances(w, pi[todo], pj[todo])
+            d_at[todo], tau_at[todo], stale[todo] = d[todo], tau, False
+            bounds[todo] = np.where(moving[todo], d[todo] / safe_speed[todo], np.inf)
+            best = bounds[~stale].min()
+            todo = np.flatnonzero(stale & ((bounds <= best) | (d <= eps_contact)))
+        if d[~stale].min() <= eps_contact or rounds == _MAX_ROUNDS:
+            return float(tau)
         step = _ADVANCE_FACTOR * float(bounds.min())
         if not np.isfinite(step):
             return float(tau_max)
@@ -175,19 +259,6 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
         tau += step
         w = v + tau * u
         d = (1.0 - 1e-9) * d_at - (1.0 + 1e-9) * (tau - tau_at) * speed - slack
-        bounds = np.where(moving, d / safe_speed, np.inf)
-        stale = np.ones(len(d), dtype=bool)
-        todo = np.argpartition(bounds, _PRUNE_BATCH)[:_PRUNE_BATCH] \
-            if len(d) > _PRUNE_BATCH else np.arange(len(d))
-        while todo.size:
-            d[todo] = _pair_distances(w, pi[todo], pj[todo])
-            d_at[todo], tau_at[todo], stale[todo] = d[todo], tau, False
-            bounds[todo] = np.where(moving[todo], d[todo] / safe_speed[todo], np.inf)
-            best = bounds[~stale].min()
-            todo = np.flatnonzero(stale & ((bounds <= best) | (d <= eps_contact)))
-        if d[~stale].min() <= eps_contact:
-            return float(tau)
-    return float(tau)
 
 
 def initial_step(polygon_or_vertices, displacement, tau_max: float) -> float:

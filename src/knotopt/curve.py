@@ -82,13 +82,12 @@ class Polygon:
         self.total_length = float(lengths.sum())
         self.arc_prefix = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
 
-        if validate and collision.min_nonadjacent_distance(v) <= (
-            _DEGENERACY_SCALE * self.total_length
-        ):
+        if validate:
             report = collision.proximity_report(v)
-            raise SelfIntersection(
-                f"edges {report.pair} at distance {report.min_distance:.3e}"
-            )
+            if report.min_distance <= _DEGENERACY_SCALE * self.total_length:
+                raise SelfIntersection(
+                    f"edges {report.pair} at distance {report.min_distance:.3e}"
+                )
 
         for arr in (self.vertices, self.edge_vectors, self.edge_lengths,
                     self.tangents, self.arc_prefix):

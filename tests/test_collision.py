@@ -10,14 +10,33 @@ from conftest import random_embedded_polygon, rotation_matrix
 UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
+def endpoint_speeds(u, pi, pj):
+    """Largest relative endpoint speed of each edge pair (oracle)."""
+    head = np.roll(np.arange(len(u)), -1)
+    return np.max([np.linalg.norm(u[a] - u[b], axis=1)
+                   for a in (pi, head[pi]) for b in (pj, head[pj])], axis=0)
+
+
+def proximity_all_pairs(v):
+    """Minimum distance and first closest pair over every pair (oracle)."""
+    pi, pj = collision.nonadjacent_pairs(len(v))
+    d = collision._pair_distances(v, pi, pj)
+    k = int(np.argmin(d))
+    return float(d[k]), (int(pi[k]), int(pj[k]))
+
+
+def near_contact_polygon():
+    """Vertex 4 hangs 1e-7 above edge 0: pairs (0, 3) and (0, 4) nearly tie."""
+    return np.array([(0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (2.0, 2.0),
+                     (1.5, 1e-7), (1.0, 2.0), (0.0, 2.0)])
+
+
 def first_collision_step_all_pairs(v, u, tau_max):
     """Conservative advancement recomputing every pair each round (oracle)."""
     pi, pj = collision.nonadjacent_pairs(len(v))
-    head = np.roll(np.arange(len(v)), -1)
     eps_contact = collision.CONTACT_SCALE * collision._polyline_length(v)
     d = collision._pair_distances(v, pi, pj)
-    speed = np.max([np.linalg.norm(u[a] - u[b], axis=1)
-                    for a in (pi, head[pi]) for b in (pj, head[pj])], axis=0)
+    speed = endpoint_speeds(u, pi, pj)
     if speed.max() == 0.0:
         return tau_max
     tau = 0.0
@@ -34,6 +53,20 @@ def first_collision_step_all_pairs(v, u, tau_max):
         if d.min() <= eps_contact:
             return tau
     return tau
+
+
+@pytest.fixture
+def pair_distance_counts(monkeypatch):
+    """Number of pairs each ``_pair_distances`` call computes, in order."""
+    counts = []
+    pair_distances = collision._pair_distances
+
+    def counting(v, pi, pj):
+        counts.append(len(pi))
+        return pair_distances(v, pi, pj)
+
+    monkeypatch.setattr(collision, "_pair_distances", counting)
+    return counts
 
 
 class TestSegmentDistance:
@@ -81,10 +114,44 @@ class TestProximityReport:
         assert report.min_distance == pytest.approx(1.0)
         assert report.pair in ((0, 2), (1, 3))
 
-    def test_distance_table_on_demand(self):
-        report = ko.proximity_report(UNIT_SQUARE, with_table=True)
-        assert report.distances.shape == (2,)
-        assert report.distances.min() == report.min_distance
+    @pytest.mark.parametrize("make", (
+        lambda: ko.coiled_unknot(96, windings=4).vertices,
+        lambda: ko.coiled_unknot(192, windings=4).vertices + 1e3,
+        lambda: ko.torus_knot(2, 3, 60).vertices,
+        lambda: random_embedded_polygon(7, dim=2, seed=7).vertices,
+        lambda: random_embedded_polygon(30, dim=3, seed=30).vertices,
+        lambda: random_embedded_polygon(80, dim=3, seed=80).vertices,
+        near_contact_polygon,
+        lambda: ko.regular_ngon(12).vertices,
+    ), ids=("coil", "coil-shifted", "trefoil", "random7", "random30", "random80",
+            "near-contact", "ngon12"))
+    def test_matches_all_pairs_oracle(self, make):
+        # Same value and same pair: ties go to the first pair in order.
+        v = make()
+        report = ko.proximity_report(v)
+        assert (report.min_distance, report.pair) == proximity_all_pairs(v)
+
+    def test_exact_distances_only_for_candidates(self, pair_distance_counts):
+        v = ko.coiled_unknot(384, windings=4).vertices
+        ko.proximity_report(v)
+        computed = sum(pair_distance_counts)
+        assert 0 < computed < len(collision.nonadjacent_pairs(len(v))[0]) // 100
+
+
+class TestBallBound:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), dim=st.sampled_from((2, 3)),
+           scale=st.sampled_from((1e-6, 1.0, 1e6)), shift=st.sampled_from((0.0, 1e6)))
+    def test_bounds_bracket_exact_values(self, seed, dim, scale, shift):
+        # The rounding pad must hold for tiny, huge and off-centre curves.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 40))
+        v = scale * random_embedded_polygon(n, dim=dim, seed=seed).vertices + shift
+        u = scale * rng.standard_normal(v.shape) + shift
+        pi, pj = collision.nonadjacent_pairs(n)
+        assert np.all(collision._ball_bound(v, pi, pj, -1.0)
+                      <= collision._pair_distances(v, pi, pj))
+        assert np.all(collision._ball_bound(u, pi, pj, 1.0) >= endpoint_speeds(u, pi, pj))
 
 
 class TestFirstCollisionStep:
@@ -122,7 +189,8 @@ class TestFirstCollisionStep:
 
 
     @pytest.mark.parametrize("batch", (1, collision._PRUNE_BATCH))
-    def test_pruned_rounds_match_all_pairs_oracle(self, batch, rng, monkeypatch):
+    def test_pruned_rounds_match_all_pairs_oracle(self, batch, rng, monkeypatch,
+                                                  pair_distance_counts):
         # Skipping pairs whose distance bound cannot reach the minimum must
         # leave every step, and so the result, bit-identical.  A batch of
         # one makes each round find the remaining candidates itself.
@@ -130,12 +198,22 @@ class TestFirstCollisionStep:
         cases = [(ko.coiled_unknot(96, windings=4), 1.5), (ko.torus_knot(2, 3, 60), 1.0)]
         cases += [(random_embedded_polygon(n, dim=dim, seed=n), 5.0)
                   for n, dim in ((7, 2), (30, 3), (80, 3))]
+        cases += [(ko.Polygon(ko.torus_knot(2, 3, 60).vertices + 1e4), 1.0)]
         for p, tau_max in cases:
             for scale in (0.2, 1.0, 20.0):
                 u = scale * p.edge_lengths.mean() * rng.standard_normal(p.vertices.shape)
                 u[: p.num_vertices // 3] = u[0]  # a rigid arc: pairs at zero speed
                 expected = first_collision_step_all_pairs(p.vertices, u, tau_max)
                 assert ko.first_collision_step(p.vertices, u, tau_max) == expected
+
+        # A rigid translation moves no pair: the ball bounds alone clear the
+        # start, and no pair distance is computed.
+        p = ko.coiled_unknot(384)
+        u = np.tile(rng.standard_normal(p.dim), (p.num_vertices, 1))
+        assert first_collision_step_all_pairs(p.vertices, u, 1.5) == 1.5
+        pair_distance_counts.clear()
+        assert ko.first_collision_step(p.vertices, u, 1.5) == 1.5
+        assert pair_distance_counts == []
 
 
 class TestInitialStep:
