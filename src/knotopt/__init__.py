@@ -16,8 +16,8 @@ from .constraint import (ConstraintRows, ConstraintState, ConstraintTargets,
 from .curve import (ArcTable, EdgeFrame, Polygon, QuadPoint, coiled_unknot,
                     geodesic_distance, perturbed_circle, regular_ngon,
                     torus_knot)
-from .energy import (EnergyValue, MIDPOINT, QuadratureRule, d2_energy,
-                     d_energy, energy, energy_density, ks_energy)
+from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
+                     energy_density, ks_energy)
 from .errors import (AdjacentEdges, AlreadyColliding, CoincidentPoints,
                      DegenerateEdge, DimensionMismatch, KnotOptError,
                      LineSearchFailure, NewtonInnerFailure, NonConvergence,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcTable", "AdjacentEdges", "AlreadyColliding", "CoincidentPoints",
     "ConstraintRows", "ConstraintState", "ConstraintTargets", "DegenerateEdge",
-    "DimensionMismatch", "EdgeFrame", "EnergyValue", "GramOperator",
+    "DimensionMismatch", "EdgeFrame", "GramOperator",
     "KnotOptError", "L2", "LineSearchFailure", "MIDPOINT", "MetricKind",
     "NewtonInnerFailure", "NonConvergence", "OptimizeResult",
     "OptimizerConfig", "Polygon", "ProximityReport", "QuadPoint",

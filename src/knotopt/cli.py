@@ -143,12 +143,12 @@ def write_trace(path, trace):
 @dataclass(frozen=True)
 class RunConfig:
     input: str = ""
-    method: str = "projgd"
-    metric: str = "w32"
-    alpha: float = 1e3
-    max_iter: int = 500
-    grad_tol: float = 1e-4
-    quad_k: int = 1
+    method: str = OptimizerConfig.method
+    metric: str = OptimizerConfig.metric.name
+    alpha: float = OptimizerConfig.alpha
+    max_iter: int = OptimizerConfig.max_iter
+    grad_tol: float = OptimizerConfig.grad_tol
+    quad_k: int = OptimizerConfig.quad_k
     seed: int = 0           # accepted; no effect, methods are deterministic
     snapshot_every: int = 0
     out_dir: str = "."
@@ -167,12 +167,12 @@ class RunConfig:
         )
 
 
-_CONFIG_PARSERS = {
-    "input": str, "method": str, "metric": str,
-    "alpha": float, "max_iter": int, "grad_tol": float, "quad_k": int,
-    "seed": int, "snapshot_every": int, "out_dir": str, "budget_s": float,
-    "single_thread": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+_CONFIG_PARSERS = {f.name: _parse_bool if f.type is bool else f.type
+                   for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:

@@ -125,9 +125,6 @@ class Polygon:
         s = float(self.arc_prefix[edge] + t * self.edge_lengths[edge])
         return QuadPoint(edge=edge, t=float(t), position=pos, arc_coord=s)
 
-    def with_vertices(self, vertices, *, validate: bool = True) -> "Polygon":
-        return Polygon(vertices, validate=validate)
-
     def __repr__(self) -> str:
         return (
             f"Polygon(N={self.num_vertices}, m={self.dim}, "

@@ -76,18 +76,6 @@ class QuadratureRule:
 MIDPOINT = QuadratureRule.midpoint()
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    """Scalar energy, optionally with the table of pair contributions."""
-
-    value: float
-    pair_edges: np.ndarray | None = None
-    pair_contributions: np.ndarray | None = None
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _quad_positions(polygon: Polygon, quad: QuadratureRule) -> np.ndarray:
     """Positions of all quadrature nodes, shape (N, k, m)."""
     v = polygon.vertices
@@ -158,8 +146,7 @@ def _sym(x):
     return x + x.transpose(0, 2, 1)
 
 
-def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT,
-           with_pairs: bool = False) -> EnergyValue:
+def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> float:
     """Total energy ``4 + sum of all ordered disjoint-pair contributions``."""
     pi, pj = nonadjacent_pairs(polygon.num_vertices)
     a = polygon.edge_vectors[pi]
@@ -178,10 +165,7 @@ def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT,
             v = np.einsum("pk,pk->p", d, b)
             weight = float(quad.weights[qi] * quad.weights[qj])
             w += weight * (ss / r2 - 2.0 * u * v / r2**2)
-    total = 4.0 + 2.0 * float(w.sum())
-    if with_pairs:
-        return EnergyValue(total, np.column_stack((pi, pj)), w)
-    return EnergyValue(total)
+    return 4.0 + 2.0 * float(w.sum())
 
 
 def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:

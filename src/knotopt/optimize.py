@@ -32,6 +32,14 @@ family produces the accepted iterates by calling it, and one loop,
 An error before the first trace row raises.  All methods are
 deterministic: identical configuration and input produce an identical
 iterate sequence and trace (wall-clock columns aside).
+
+``OptimizerConfig`` holds only what a caller chooses.  The step control is
+fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
+``TAU_MAX`` for the Armijo search and implicit Euler, ``WOLFE_C1``,
+``WOLFE_C2`` and ``LBFGS_HISTORY`` for the penalty methods, the ``TR_*``
+radius rule and Newton gate of the trust region, and ``GRAD_ABS_TOL``, the
+absolute floor of the gradient stop test.  Restoration runs with the
+defaults of :func:`restore_feasibility`.
 """
 
 import time
@@ -54,6 +62,20 @@ PENALTY_METHODS = ("ncg", "lbfgs", "nesterov")
 METHODS = FEASIBLE_METHODS + PENALTY_METHODS
 
 _TAU_UNDERFLOW = 1e-14
+GRAD_ABS_TOL = 1e-9      # absolute gradient floor for near-stationary input
+TAU_MAX = 1.0            # largest trial step, and implicit Euler's largest dt
+ARMIJO_C = 0.5
+BACKTRACK_FACTOR = 0.5
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+LBFGS_HISTORY = 30
+TR_RADIUS0 = 0.1
+TR_EXPAND = 2.0
+TR_SHRINK = 0.25
+TR_ACCEPT = 0.01
+TR_RATIO_HIGH = 0.75
+TR_RATIO_LOW = 0.25
+TR_NEWTON_GATE = 1e-2    # relative to the initial gradient norm
 
 STEP_LIMITS = ("collision", "restoration", "invalid", "armijo")
 
@@ -65,23 +87,7 @@ class OptimizerConfig:
     alpha: float = 1e3
     max_iter: int = 500
     grad_tol: float = 1e-4          # relative to the initial gradient norm
-    grad_abs_tol: float = 1e-9      # absolute floor for near-stationary input
-    armijo_c: float = 0.5
-    backtrack_factor: float = 0.5
-    tau_max: float = 1.0
-    feas_tol: float = 1e-8
-    restore_max_iter: int = 5
     quad_k: int = 1
-    lbfgs_history: int = 30
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    tr_radius0: float = 0.1
-    tr_expand: float = 2.0
-    tr_shrink: float = 0.25
-    tr_accept: float = 0.01
-    tr_ratio_high: float = 0.75
-    tr_ratio_low: float = 0.25
-    tr_newton_gate: float = 1e-2    # relative to the initial gradient norm
     time_budget_s: float | None = None
 
     def quad(self) -> QuadratureRule:
@@ -90,16 +96,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.quad_k < 1:
             raise ValueError("quad_k must be at least 1")
-        if self.tau_max <= 0.0:
-            raise ValueError("tau_max must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
 
@@ -181,7 +181,7 @@ def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
             if on_iterate is not None:
                 on_iterate(iteration, polygon_of(point))
             if grad_norm <= max(config.grad_tol * trace[0].grad_norm,
-                                config.grad_abs_tol):
+                                GRAD_ABS_TOL):
                 break
             if iteration == config.max_iter:
                 status = "max_iter"
@@ -230,12 +230,9 @@ def _prepare_state(polygon: Polygon, metric_kind: MetricKind,
     return _FeasibleState(polygon, gram, fact, eta, grad, grad_norm)
 
 
-def _restore_to_polygon(vertices, targets, fact, config):
+def _restore_to_polygon(vertices, targets, fact):
     """Restoration plus embeddedness validation; raises on failure."""
-    restored, iters = restore_feasibility(
-        vertices, targets, fact, tol=config.feas_tol,
-        max_iter=config.restore_max_iter,
-    )
+    restored, iters = restore_feasibility(vertices, targets, fact)
     return Polygon(restored), iters
 
 
@@ -253,12 +250,11 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
     ``diagnostics`` as ``saddle_refinements_max`` and ``saddle_residual_max``.
     """
     quad = config.quad()
-    if not phi(polygon, targets).is_feasible(targets.total, config.feas_tol):
+    if not phi(polygon, targets).is_feasible(targets.total):
         gram = assemble_gram(polygon, metric_kind, quad)
         fact = factorize(gram, d_phi(polygon))
-        restored, _ = restore_feasibility(
-            polygon.vertices, targets, fact, tol=config.feas_tol, max_iter=20
-        )
+        restored, _ = restore_feasibility(polygon.vertices, targets, fact,
+                                          max_iter=20)
         _note_solves(diagnostics, fact)
         polygon = Polygon(restored)
     outcome = StepOutcome(polygon, 0.0, float(energy(polygon, quad)), 0, 0)
@@ -300,8 +296,8 @@ def _run_feasible(polygon, config, targets, on_iterate, metric_kind, step,
     return _drive(points, config, diagnostics, on_iterate)
 
 
-def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
-                config: OptimizerConfig, *, quad: QuadratureRule,
+def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets, *,
+                quad: QuadratureRule,
                 energy_value: float | None = None,
                 slope: float | None = None,
                 limits: dict | None = None) -> StepOutcome:
@@ -310,9 +306,10 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
     Starts from two thirds of the first possible contact step, shrinks on
     restoration failure, self-intersection, or insufficient decrease, and
     returns the first trial satisfying
-    ``E(Q) <= E(P) + armijo_c * tau * slope``.  ``limits`` counts the
+    ``E(Q) <= E(P) + ARMIJO_C * tau * slope``, cutting ``tau`` by
+    ``BACKTRACK_FACTOR`` per trial.  ``limits`` counts the
     ``STEP_LIMITS``: ``collision`` if the contact bound cut the first trial
-    below ``tau_max``, then per cut trial ``restoration`` (it failed),
+    below ``TAU_MAX``, then per cut trial ``restoration`` (it failed),
     ``invalid`` (self-intersection, degenerate edge, coincident points) or
     ``armijo`` (insufficient decrease).
     """
@@ -326,18 +323,15 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
     limits = dict.fromkeys(STEP_LIMITS, 0) if limits is None else limits
 
     shape = polygon.vertices.shape
-    tau0 = collision.initial_step(polygon.vertices, u.reshape(shape), config.tau_max)
-    limits["collision"] += int(tau0 < config.tau_max)
+    tau0 = collision.initial_step(polygon.vertices, u.reshape(shape), TAU_MAX)
+    limits["collision"] += int(tau0 < TAU_MAX)
     tau = tau0
     backtracks = 0
     while tau > _TAU_UNDERFLOW * tau0:
         trial = polygon.vertices + tau * u.reshape(shape)
         cause = "restoration"
         try:
-            restored, newton_iters = restore_feasibility(
-                trial, targets, fact, tol=config.feas_tol,
-                max_iter=config.restore_max_iter,
-            )
+            restored, newton_iters = restore_feasibility(trial, targets, fact)
             cause = "invalid"
             candidate = Polygon(restored)
             trial_energy = float(energy(candidate, quad))
@@ -345,10 +339,10 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets,
         except KnotOptError:
             pass
         if cause == "armijo" and \
-                trial_energy <= energy_value + config.armijo_c * tau * slope:
+                trial_energy <= energy_value + ARMIJO_C * tau * slope:
             return StepOutcome(candidate, tau, trial_energy, backtracks, newton_iters)
         limits[cause] += 1
-        tau *= config.backtrack_factor
+        tau *= BACKTRACK_FACTOR
         backtracks += 1
     raise LineSearchFailure(
         f"step underflow below {_TAU_UNDERFLOW:.0e} * {tau0:.3e}"
@@ -366,8 +360,8 @@ def run_projected_gd(polygon: Polygon, config: OptimizerConfig,
 
     def step(state, energy_value, targets, diagnostics):
         return armijo_step(
-            state.polygon, -state.grad, state.fact, targets, config,
-            quad=quad, energy_value=energy_value, slope=-state.grad_norm**2,
+            state.polygon, -state.grad, state.fact, targets, quad=quad,
+            energy_value=energy_value, slope=-state.grad_norm**2,
             limits=diagnostics["step_limits"],
         )
 
@@ -438,13 +432,13 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
                           on_iterate=None) -> OptimizeResult:
     """Backward Euler steps of the lumped-mass flow with Armijo control."""
     quad = config.quad()
-    dt = config.tau_max
+    dt = TAU_MAX
 
     def step(state, energy_value, targets, diagnostics):
         nonlocal dt
         vertices = state.polygon.vertices
         backtracks = 0
-        while dt > _TAU_UNDERFLOW * config.tau_max:
+        while dt > _TAU_UNDERFLOW * TAU_MAX:
             try:
                 v, newton_iters = implicit_step(
                     state.polygon, dt, state.gram, state.fact, targets, quad
@@ -453,14 +447,13 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
                 if not slope < 0.0:
                     raise NewtonInnerFailure("implicit step is not a descent step")
                 candidate, restore_iters = _restore_to_polygon(
-                    vertices + v.reshape(vertices.shape), targets, state.fact,
-                    config,
+                    vertices + v.reshape(vertices.shape), targets, state.fact
                 )
                 trial_energy = float(energy(candidate, quad))
-                if trial_energy <= energy_value + config.armijo_c * slope:
+                if trial_energy <= energy_value + ARMIJO_C * slope:
                     outcome = StepOutcome(candidate, dt, trial_energy, backtracks,
                                           newton_iters + restore_iters)
-                    dt = min(config.tau_max, 2.0 * dt)
+                    dt = min(TAU_MAX, 2.0 * dt)
                     return outcome
             except KnotOptError:
                 pass
@@ -546,17 +539,17 @@ class PenaltyProblem:
     def step_bound(self, x, d):
         """(step cap, initial trial step) along direction d.
 
-        The contact search extends past tau_max so that an unobstructed
+        The contact search extends past ``TAU_MAX`` so that an unobstructed
         direction starts at the full cap; both values stay below the
         certified contact-free horizon.
         """
         tau_star = collision.first_collision_step(
             np.asarray(x).reshape(self.shape),
             np.asarray(d).reshape(self.shape),
-            1.5 * self.config.tau_max,
+            1.5 * TAU_MAX,
         )
-        cap = min(self.config.tau_max, tau_star)
-        return cap, min(self.config.tau_max,
+        cap = min(TAU_MAX, tau_star)
+        return cap, min(TAU_MAX,
                         collision.INITIAL_STEP_FACTOR * tau_star)
 
     # Trace hooks; driver loops stay agnostic of the geometry.
@@ -572,9 +565,11 @@ class PenaltyProblem:
         return self._evaluate(x)[1]
 
 
-def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap, config,
-               max_trials: int = 40):
+def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap, max_trials: int = 40):
     """Bisection search for a weak Wolfe step, capped by the contact bound.
+
+    Sufficient decrease uses ``WOLFE_C1`` and the curvature condition
+    ``WOLFE_C2``.
 
     Falls back on the best sufficient-decrease point when the curvature
     condition cannot be met within the trial budget.
@@ -589,9 +584,9 @@ def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap, config,
     for _ in range(max_trials):
         trials += 1
         f_t, dual_t = problem.value_and_dual(x + t * d)
-        if not np.isfinite(f_t) or f_t > f0 + config.wolfe_c1 * t * slope0:
+        if not np.isfinite(f_t) or f_t > f0 + WOLFE_C1 * t * slope0:
             hi = t
-        elif float(dual_t @ d) < config.wolfe_c2 * slope0:
+        elif float(dual_t @ d) < WOLFE_C2 * slope0:
             lo = t
             best = (t, f_t, dual_t)
         else:
@@ -656,14 +651,14 @@ def lbfgs_loop(problem, x0, config: OptimizerConfig,
 
         tau_star, t_init = problem.step_bound(x, d)
         t, f_new, dual_new, trials = weak_wolfe(
-            problem, x, f, dual, d, t_init, tau_star, config
+            problem, x, f, dual, d, t_init, tau_star
         )
         s_vec = t * d
         y_vec = dual_new - dual
         ys = float(y_vec @ s_vec)
         if ys > 1e-12 * np.linalg.norm(y_vec) * np.linalg.norm(s_vec):
             memory.append((s_vec, y_vec, 1.0 / ys))
-            if len(memory) > config.lbfgs_history:
+            if len(memory) > LBFGS_HISTORY:
                 memory.pop(0)
         return x + s_vec, f_new, dual_new, t, trials
 
@@ -712,7 +707,7 @@ def run_ncg_pr_plus(polygon: Polygon, config: OptimizerConfig,
         d = -g if previous is None else pr_plus_direction(g, dual, *previous)[0]
         tau_star, t_init = problem.step_bound(x, d)
         t, f_new, dual_new, trials = weak_wolfe(
-            problem, x, f, dual, d, t_init, tau_star, config
+            problem, x, f, dual, d, t_init, tau_star
         )
         previous = (g, dual, d)
         return x + t * d, f_new, dual_new, t, trials
@@ -761,7 +756,7 @@ def run_nesterov(polygon: Polygon, config: OptimizerConfig,
         d = -problem.metric_solve(y, dual_y)
         tau_star, t_init = problem.step_bound(y, d)
         t, f_new, dual_new, trials = weak_wolfe(
-            problem, y, f_y, dual_y, d, t_init, tau_star, config
+            problem, y, f_y, dual_y, d, t_init, tau_star
         )
         x_prev = x
         if f_new > f:
@@ -832,13 +827,12 @@ def solve_trust_region_subproblem(hess: np.ndarray, grad: np.ndarray,
     return q @ z
 
 
-def update_trust_radius(radius: float, ratio: float, hit_boundary: bool,
-                        config: OptimizerConfig) -> float:
+def update_trust_radius(radius: float, ratio: float, hit_boundary: bool) -> float:
     """Radius rule: expand on convincing boundary steps, shrink on poor ones."""
-    if ratio > config.tr_ratio_high and hit_boundary:
-        return radius * config.tr_expand
-    if ratio < config.tr_ratio_low:
-        return radius * config.tr_shrink
+    if ratio > TR_RATIO_HIGH and hit_boundary:
+        return radius * TR_EXPAND
+    if ratio < TR_RATIO_LOW:
+        return radius * TR_SHRINK
     return radius
 
 
@@ -873,13 +867,13 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
     before the acceptance ratio is evaluated.
     """
     quad = config.quad()
-    radius = config.tr_radius0
+    radius = TR_RADIUS0
     prev_grad = newton_gate = None
 
     def step(state, energy_value, targets, diagnostics):
         nonlocal radius, prev_grad, newton_gate
         if newton_gate is None:
-            newton_gate = config.tr_newton_gate * state.grad_norm
+            newton_gate = TR_NEWTON_GATE * state.grad_norm
         hess = d2_energy(state.polygon, quad)
         candidates = [state.grad]
         if prev_grad is not None:
@@ -902,7 +896,7 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
 
         backtracks = 0
         vertices = state.polygon.vertices
-        while radius > 1e-12 * config.tr_radius0:
+        while radius > 1e-12 * TR_RADIUS0:
             z = solve_trust_region_subproblem(hess_sub, grad_sub, radius)
             v = bmat @ z
             if np.linalg.norm(v) == 0.0:
@@ -915,27 +909,26 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
                 v = bmat @ z
             predicted = -(float(grad_sub @ z) + 0.5 * float(z @ hess_sub @ z))
             if predicted <= 0.0:
-                radius *= config.tr_shrink
+                radius *= TR_SHRINK
                 backtracks += 1
                 continue
             try:
                 candidate, newton_iters = _restore_to_polygon(
-                    vertices + v.reshape(vertices.shape), targets, state.fact,
-                    config,
+                    vertices + v.reshape(vertices.shape), targets, state.fact
                 )
                 trial_energy = float(energy(candidate, quad))
             except KnotOptError:
-                radius *= config.tr_shrink
+                radius *= TR_SHRINK
                 backtracks += 1
                 continue
             ratio = (energy_value - trial_energy) / predicted
-            if ratio >= config.tr_accept:
+            if ratio >= TR_ACCEPT:
                 radius = update_trust_radius(
-                    radius, ratio, np.linalg.norm(z) >= 0.99 * radius, config
+                    radius, ratio, np.linalg.norm(z) >= 0.99 * radius
                 )
                 return StepOutcome(candidate, float(np.linalg.norm(z)),
                                    trial_energy, backtracks, newton_iters)
-            radius = update_trust_radius(radius, ratio, False, config)
+            radius = update_trust_radius(radius, ratio, False)
             backtracks += 1
         raise LineSearchFailure(f"no acceptable step after {backtracks} trials")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -46,6 +47,15 @@ class TestConfigFile:
         bad.write_text("stepsize = 3\n")
         with pytest.raises(cli.CurveParseError, match="unknown key"):
             cli.parse_config_file(bad)
+
+    def test_every_optimizer_setting_reachable(self):
+        # A field of OptimizerConfig that no run key changes is a dead knob.
+        cfg = cli.RunConfig(method="lbfgs", metric="l2", alpha=7.0, max_iter=3,
+                            grad_tol=1e-6, quad_k=2, budget_s=5.0)
+        built = cfg.optimizer_config()
+        default = optimize.OptimizerConfig()
+        for f in dataclasses.fields(optimize.OptimizerConfig):
+            assert getattr(built, f.name) != getattr(default, f.name), f.name
 
 
 class TestGenerate:

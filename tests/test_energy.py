@@ -104,14 +104,6 @@ class TestEnergy:
     def test_unit_square_exactly_four(self):
         assert float(ko.energy(ko.Polygon(UNIT_SQUARE))) == 4.0
 
-    def test_pair_table_consistency(self):
-        p = random_embedded_polygon(10, seed=2)
-        detail = ko.energy(p, with_pairs=True)
-        assert detail.value == pytest.approx(
-            4.0 + 2.0 * detail.pair_contributions.sum(), rel=1e-14
-        )
-        assert np.all(np.isfinite(detail.pair_contributions))
-
     def test_regular_ngon_machine_exact(self):
         # One-node quadrature reproduces exact circle geometry on regular
         # polygons; the defect is pure floating-point accumulation.

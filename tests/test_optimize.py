@@ -20,12 +20,11 @@ def audit_no_self_intersection(snapshots):
 class TestArmijoStep:
     def test_near_stationary_accepts_with_negligible_change(self):
         p = ko.regular_ngon(64)
-        cfg = OptimizerConfig()
         state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
         targets = ko.ConstraintTargets.from_polygon(p)
         e0 = float(ko.energy(p))
         outcome = ko.armijo_step(
-            p, -state.grad, state.fact, targets, cfg, quad=ko.MIDPOINT,
+            p, -state.grad, state.fact, targets, quad=ko.MIDPOINT,
             energy_value=e0, slope=-state.grad_norm**2,
         )
         assert outcome.tau > 0.0
@@ -33,12 +32,11 @@ class TestArmijoStep:
 
     def test_coil_descent_direction_accepted(self):
         p = ko.coiled_unknot(96, windings=4)
-        cfg = OptimizerConfig()
         state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
         targets = ko.ConstraintTargets.from_polygon(p)
         e0 = float(ko.energy(p))
         outcome = ko.armijo_step(
-            p, -state.grad, state.fact, targets, cfg, quad=ko.MIDPOINT,
+            p, -state.grad, state.fact, targets, quad=ko.MIDPOINT,
             energy_value=e0, slope=-state.grad_norm**2,
         )
         assert outcome.tau > 0.0
@@ -46,12 +44,11 @@ class TestArmijoStep:
 
     def test_ascent_direction_rejected(self):
         p = random_embedded_polygon(16, seed=0)
-        cfg = OptimizerConfig()
         state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
         targets = ko.ConstraintTargets.from_polygon(p)
         with pytest.raises(ValueError):
             ko.armijo_step(
-                p, +state.grad, state.fact, targets, cfg, quad=ko.MIDPOINT,
+                p, +state.grad, state.fact, targets, quad=ko.MIDPOINT,
                 slope=+state.grad_norm**2,
             )
 
@@ -72,7 +69,7 @@ class TestProjectedGradientDescent:
         assert result.diagnostics["saddle_residual_max"] <= 1e-10
         audit_no_self_intersection(snapshots)
 
-    def test_lumped_mass_flow_is_an_order_of_magnitude_slower(self):
+    def test_lumped_mass_flow_is_an_order_of_magnitude_slower(self, monkeypatch):
         # Iterations to the converged energy level of the preconditioned
         # flow; the lumped-mass flow must not get there in ten times as
         # many iterations (its stable steps scale like a third power of
@@ -81,9 +78,9 @@ class TestProjectedGradientDescent:
         result_w = ko.run_projected_gd(p, OptimizerConfig(max_iter=60))
         target = 4.00002
         it_w = next(r.iteration for r in result_w.trace if r.energy <= target)
+        monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 1e-16)
         result_l = ko.run_projected_gd(
-            p, OptimizerConfig(metric=ko.L2, max_iter=10 * it_w,
-                               grad_tol=1e-14, grad_abs_tol=1e-16),
+            p, OptimizerConfig(metric=ko.L2, max_iter=10 * it_w, grad_tol=1e-14),
         )
         assert min(r.energy for r in result_l.trace) > target
 
@@ -140,10 +137,11 @@ class TestImplicitEuler:
         assert energies[-1] < energies[0]
         assert all(r.phi_inf <= 1e-8 for r in result.trace)
 
-    def test_oversized_step_is_handled_by_shrinking(self):
+    def test_oversized_step_is_handled_by_shrinking(self, monkeypatch):
         p = ko.perturbed_circle(16)
+        monkeypatch.setattr(optimize, "TAU_MAX", 50.0)
         result = ko.run_implicit_euler_l2(p, OptimizerConfig(
-            method="implicit_euler_l2", max_iter=4, tau_max=50.0))
+            method="implicit_euler_l2", max_iter=4))
         assert result.status in ("converged", "max_iter")
         energies = [r.energy for r in result.trace]
         assert energies[-1] <= energies[0]
@@ -202,7 +200,7 @@ class TestPenaltyDrivers:
         assert beta == pytest.approx(expected_beta)
         assert np.allclose(d, -g + beta * d_prev)
 
-    def test_lbfgs_solves_quadratic(self, rng):
+    def test_lbfgs_solves_quadratic(self, rng, monkeypatch):
         dim = 12
         a = rng.standard_normal((dim, dim))
         matrix = a @ a.T + dim * np.eye(dim)
@@ -210,8 +208,8 @@ class TestPenaltyDrivers:
         metric = b @ b.T + dim * np.eye(dim)
         problem = QuadraticProblem(matrix, metric)
         x0 = rng.standard_normal(dim)
-        cfg = OptimizerConfig(method="lbfgs", max_iter=200,
-                              grad_tol=1e-10, grad_abs_tol=0.0)
+        monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 0.0)
+        cfg = OptimizerConfig(method="lbfgs", max_iter=200, grad_tol=1e-10)
         result = lbfgs_loop(problem, x0, cfg)
         assert result.converged
         assert result.trace[-1].grad_norm <= 1e-10 * result.trace[0].grad_norm
@@ -313,23 +311,22 @@ class TestTrustRegionSubproblem:
 
 class TestTrustRegion:
     def test_radius_update_rule(self):
-        cfg = OptimizerConfig(method="trust_region")
         # Rejected or poor step shrinks.
-        assert update_trust_radius(0.1, -2.0, False, cfg) == 0.1 * cfg.tr_shrink
-        assert update_trust_radius(0.1, 0.1, False, cfg) == 0.1 * cfg.tr_shrink
+        assert update_trust_radius(0.1, -2.0, False) == 0.1 * optimize.TR_SHRINK
+        assert update_trust_radius(0.1, 0.1, False) == 0.1 * optimize.TR_SHRINK
         # Convincing boundary step expands.
-        assert update_trust_radius(0.1, 0.9, True, cfg) == 0.1 * cfg.tr_expand
+        assert update_trust_radius(0.1, 0.9, True) == 0.1 * optimize.TR_EXPAND
         # Convincing interior step keeps the radius.
-        assert update_trust_radius(0.1, 0.9, False, cfg) == 0.1
+        assert update_trust_radius(0.1, 0.9, False) == 0.1
         # Middling ratio keeps the radius.
-        assert update_trust_radius(0.1, 0.5, True, cfg) == 0.1
+        assert update_trust_radius(0.1, 0.5, True) == 0.1
 
-    def test_newton_phase_near_minimizer(self):
+    def test_newton_phase_near_minimizer(self, monkeypatch):
         p = ko.perturbed_circle(32)
         warm = ko.run_projected_gd(p, OptimizerConfig(max_iter=10))
+        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 0.5)
         result = ko.run_trust_region(warm.polygon, OptimizerConfig(
-            method="trust_region", max_iter=20, grad_tol=1e-4,
-            tr_newton_gate=0.5))
+            method="trust_region", max_iter=20, grad_tol=1e-4))
         assert result.diagnostics["newton_directions"] >= 1
         assert result.converged
         assert result.trace[-1].iteration <= 15
@@ -340,10 +337,11 @@ class TestTrustRegion:
         assert gnorms[-1] <= 1e-4 * gnorms[0]
         assert min(b / a for a, b in zip(gnorms, gnorms[1:])) <= 0.1
 
-    def test_closed_gate_uses_gradient_and_momentum_only(self):
+    def test_closed_gate_uses_gradient_and_momentum_only(self, monkeypatch):
         p = ko.coiled_unknot(48, windings=2)
+        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e-12)
         result = ko.run_trust_region(p, OptimizerConfig(
-            method="trust_region", max_iter=8, tr_newton_gate=1e-12))
+            method="trust_region", max_iter=8))
         assert result.diagnostics["newton_directions"] == 0
         energies = [r.energy for r in result.trace]
         assert energies[-1] < energies[0]
@@ -362,27 +360,28 @@ class TestDispatch:
         with pytest.raises(ValueError):
             OptimizerConfig(method="adam")
 
-    @pytest.mark.parametrize("field", ("quad_k", "tau_max", "max_iter"))
+    @pytest.mark.parametrize("field", ("quad_k", "max_iter"))
     def test_out_of_range_setting_rejected(self, field):
-        bad = {"quad_k": 0, "tau_max": 0.0, "max_iter": -1}[field]
+        bad = {"quad_k": 0, "max_iter": -1}[field]
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: bad})
 
-    def test_budget_stops_run(self):
+    def test_budget_stops_run(self, monkeypatch):
         p = ko.coiled_unknot(96, windings=4)
+        monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 1e-16)
         result = ko.run_projected_gd(p, OptimizerConfig(
-            max_iter=10000, grad_tol=1e-14, grad_abs_tol=1e-16,
-            time_budget_s=1.5))
+            max_iter=10000, grad_tol=1e-14, time_budget_s=1.5))
         assert result.status == "budget"
         assert result.trace[-1].time_s <= 1.5 + 3.0  # one-iteration overshoot
 
 
 class TestLoopContract:
     @pytest.mark.parametrize("method", METHODS)
-    def test_max_iter_gives_k_plus_one_rows(self, method):
+    def test_max_iter_gives_k_plus_one_rows(self, method, monkeypatch):
         k = 3
+        monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 0.0)
         result = ko.run(ko.coiled_unknot(48, windings=2), OptimizerConfig(
-            method=method, max_iter=k, grad_tol=0.0, grad_abs_tol=0.0))
+            method=method, max_iter=k, grad_tol=0.0))
         assert result.status == "max_iter"
         assert [r.iteration for r in result.trace] == list(range(k + 1))
 
