@@ -16,7 +16,10 @@ list of disjoint pairs.  The gradient and the Hessian are assembled on
 ordered N x N edge-pair tables (row I, column J) whose diagonal and adjacent
 band are masked: sums over J are row sums and table-vector products, and
 the terms of the edge heads I+1 are the tables rolled by one row or column.
-The same input gives the same bits.
+``hess_vec`` applies the Hessian to a batch of fields without assembling it,
+as the directional derivative of the gradient's tables; a product costs
+O(N^2) per field and node pair, like the gradient.  The same input gives the
+same bits.
 
 Two classic single-node variants (evaluating the bare energy density at
 vertices or edge midpoints) are provided for comparison, along with the
@@ -271,6 +274,117 @@ def d2_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
 
     half = hess.transpose(2, 0, 3, 1).reshape(n * m, n * m)
     return half + half.T
+
+
+def hess_vec(polygon: Polygon, quad: QuadratureRule, fields) -> np.ndarray:
+    """Hessian of the energy times a batch of fields ``V``, shape (k, N, m).
+
+    The directional derivative of :func:`d_energy`'s table formulas along
+    each field, on the same node-pair tables, returned in the shape of
+    ``V``.  A field moves the edge vectors by ``de`` and the quadrature
+    points ``x_I`` (node s) and ``y_J`` (node t) by ``X_I`` and ``Y_J``, so
+    ``d = x_I - y_J`` moves by ``X_I - Y_J``.  The tables shared by all
+    fields are built once per node pair; each field adds N x N scalar
+    tables only.  Every table linear in ``d`` is one (N x K)(K x N)
+    product, K at most 2m + 2 with the row and column terms folded in
+    (``u``, ``v``, ``d . dd``, ``du``, ``dv`` and ``dss``), and a sum
+    ``sum_J c_IJ d_IJ`` is ``x_I (c 1)_I - (c y)_I``.  The positions are
+    centred first, so no product cancels more than the curve's extent.  All
+    tables live in one work array, reused for every node pair and field.
+    """
+    fields = np.asarray(fields, dtype=float)
+    n, m = polygon.num_vertices, polygon.dim
+    if fields.ndim != 3 or fields.shape[1:] != (n, m):
+        raise ValueError(f"fields must have shape (k, {n}, {m}), got {fields.shape}")
+    k = len(fields)
+    e, ell = polygon.edge_vectors, polygon.edge_lengths
+    col, one = ell[:, None], np.ones((n, 1))
+    ss = np.outer(ell, ell) + e @ e.T
+    centred = polygon.vertices - polygon.vertices.mean(axis=0)
+    shift = np.roll(fields, -1, axis=1)
+    de = shift - fields
+    dell = np.einsum("kim,im->ki", de, e) / ell
+
+    def dot(a, b):
+        return np.einsum("im,im->i", a, b)[:, None]
+
+    de_cols = de.transpose(1, 0, 2).reshape(n, k * m)  # the fields side by side
+    q_right = np.hstack((de_cols, dell.T, col))
+    tail, head = np.zeros_like(fields), np.zeros_like(fields)
+    work = np.empty((14, n, n))
+    q2, vq, uq, a_h, scratch = work[:5]
+    u, v, a_tab, b_tab = work[5:9]   # dead once the shared products are taken,
+    tables = work[5:9]               # then each field's dq / -2, db, da / 2, dc
+    dq, db, da, dc_tab = tables
+    c_tab, h, du, dv, dss = work[9:]
+    for weight, s, t, _, q in _pair_tables(polygon, quad):
+        x = (1.0 - s) * centred + s * np.roll(centred, -1, axis=0)
+        y = (1.0 - t) * centred + t * np.roll(centred, -1, axis=0)
+        xx = (1.0 - s) * fields + s * shift
+        yy = (1.0 - t) * fields + t * shift
+        np.matmul(np.hstack((dot(e, x), -e)), np.hstack((one, y)).T, out=u)
+        np.matmul(np.hstack((x, -one)), np.hstack((e, dot(e, y))).T, out=v)
+        np.multiply(q, q, out=q2)
+        np.multiply(v, q2, out=b_tab)
+        np.multiply(u, q2, out=c_tab)
+        np.multiply(q2, q, out=scratch)
+        scratch *= 4.0
+        np.multiply(v, scratch, out=vq)          # 4 v q^3
+        np.multiply(u, scratch, out=uq)          # 4 u q^3
+        np.multiply(ss, scratch, out=a_h)
+        u *= vq
+        np.multiply(ss, q2, out=a_tab)
+        np.subtract(u, a_tab, out=a_tab)         # q^2 (8 u v q - 2 ss) / 2
+        u *= q
+        u *= 6.0
+        a_h -= u                                 # 4 ss q^3 - 24 u v q^4
+        # Shared tables times every field at once.
+        yy_cols = np.hstack((yy.transpose(1, 0, 2).reshape(n, k * m), one))
+        q_f = q @ q_right
+        c = q_f[:, -1]
+        b_yy, a_yy = b_tab @ yy_cols, 2.0 * (a_tab @ yy_cols)
+        b1, a1 = b_yy[:, -1:], a_yy[:, -1:]
+        c_de = c_tab @ de_cols
+        right = np.hstack((e, col, y, one))
+
+        for j in range(k):
+            # d . dd, du, dv and dss, one product each.
+            f, g, df, dl = xx[j], yy[j], de[j], dell[j][:, None]
+            np.matmul(np.hstack((x, f, dot(x, f), one)),
+                      np.hstack((-g, -y, one, dot(y, g))).T, out=h)
+            np.matmul(np.hstack((e, df, dot(e, f) + dot(df, x))),
+                      np.hstack((-g, -y, one)).T, out=du)
+            np.matmul(np.hstack((f, x, one)),
+                      np.hstack((e, df, -dot(e, g) - dot(df, y))).T, out=dv)
+            np.matmul(np.hstack((dl, col, df, e)), np.hstack((col, dl, e, df)).T,
+                      out=dss)
+            np.multiply(q2, h, out=dq)
+            np.multiply(q2, dv, out=db)
+            db -= np.multiply(vq, h, out=scratch)
+            np.multiply(q2, du, out=dc_tab)
+            dc_tab -= np.multiply(uq, h, out=scratch)
+            h *= a_h
+            du *= vq
+            dv *= uq
+            dss *= q2
+            np.add(h, du, out=da)
+            da += dv
+            da -= dss
+            sums = (tables.reshape(4 * n, n) @ right).reshape(4, n, -1)
+            dq_e, dq_ell = -2.0 * sums[0, :, :m], -2.0 * sums[0, :, m]
+            db_y, db1 = sums[1, :, m + 1:-1], sums[1, :, -1:]
+            da_y, da1 = 2.0 * sums[2, :, m + 1:-1], 2.0 * sums[2, :, -1:]
+            # The derivatives of d_energy's ga and gd.
+            dc = dq_ell + q_f[:, k * m + j]
+            cols = slice(j * m, (j + 1) * m)
+            ga = (df * (c / ell)[:, None] + e * ((dc - c * dell[j] / ell) / ell)[:, None]
+                  + dq_e + q_f[:, cols] - 2.0 * (x * db1 - db_y)
+                  - 2.0 * (f * b1 - b_yy[:, cols]))
+            gd = (x * da1 - da_y + f * a1 - a_yy[:, cols]
+                  - 2.0 * (df * b1 + e * db1 + sums[3, :, :m] + c_de[:, cols]))
+            tail[j] += weight * ((1.0 - s) * gd - ga)
+            head[j] += weight * (s * gd + ga)
+    return 2.0 * (tail + np.roll(head, 1, axis=1))
 
 
 def energy_density(polygon: Polygon, a: QuadPoint, b: QuadPoint) -> float:

@@ -37,9 +37,9 @@ iterate sequence and trace (wall-clock columns aside).
 fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
 ``TAU_MAX`` for the Armijo search and implicit Euler, ``WOLFE_C1``,
 ``WOLFE_C2`` and ``LBFGS_HISTORY`` for the penalty methods, the ``TR_*``
-radius rule and Newton gate of the trust region, and ``GRAD_ABS_TOL``, the
-absolute floor of the gradient stop test.  Restoration runs with the
-defaults of :func:`restore_feasibility`.
+radius rule, Newton gate and Newton CG stop of the trust region, and
+``GRAD_ABS_TOL``, the absolute floor of the gradient stop test.
+Restoration runs with the defaults of :func:`restore_feasibility`.
 """
 
 import time
@@ -51,7 +51,8 @@ from . import collision
 from .constraint import (ConstraintRows, ConstraintTargets, d_phi, phi,
                          restore_feasibility)
 from .curve import Polygon
-from .energy import MIDPOINT, QuadratureRule, d2_energy, d_energy, energy
+from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
+                     hess_vec)
 from .errors import (KnotOptError, LineSearchFailure, NewtonInnerFailure,
                      SingularSystem)
 from .metric import MetricKind, W32_GEOMETRIC, assemble_gram
@@ -76,8 +77,11 @@ TR_ACCEPT = 0.01
 TR_RATIO_HIGH = 0.75
 TR_RATIO_LOW = 0.25
 TR_NEWTON_GATE = 1e-2    # relative to the initial gradient norm
+TR_CG_TOL = 1e-4         # Newton CG residual, relative to the gradient norm
+TR_CG_MAX_ITER = 50
 
 STEP_LIMITS = ("collision", "restoration", "invalid", "armijo")
+TR_STEP_LIMITS = ("collision", "restoration", "invalid", "ratio")
 
 
 @dataclass(frozen=True)
@@ -230,10 +234,23 @@ def _prepare_state(polygon: Polygon, metric_kind: MetricKind,
     return _FeasibleState(polygon, gram, fact, eta, grad, grad_norm)
 
 
-def _restore_to_polygon(vertices, targets, fact):
-    """Restoration plus embeddedness validation; raises on failure."""
-    restored, iters = restore_feasibility(vertices, targets, fact)
-    return Polygon(restored), iters
+def _restored_trial(vertices, targets, fact, quad):
+    """Restore, validate and evaluate a trial point.
+
+    Returns ``(None, (polygon, energy, restoration iterations))``, or
+    ``(cause, None)`` when the trial fails: ``restoration`` if restoration
+    failed, ``invalid`` for a self-intersection, a degenerate edge or
+    coincident points.
+    """
+    try:
+        restored, iters = restore_feasibility(vertices, targets, fact)
+    except KnotOptError:
+        return "restoration", None
+    try:
+        polygon = Polygon(restored)
+        return None, (polygon, float(energy(polygon, quad)), iters)
+    except KnotOptError:
+        return "invalid", None
 
 
 def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
@@ -328,19 +345,14 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets, *,
     tau = tau0
     backtracks = 0
     while tau > _TAU_UNDERFLOW * tau0:
-        trial = polygon.vertices + tau * u.reshape(shape)
-        cause = "restoration"
-        try:
-            restored, newton_iters = restore_feasibility(trial, targets, fact)
-            cause = "invalid"
-            candidate = Polygon(restored)
-            trial_energy = float(energy(candidate, quad))
+        cause, trial = _restored_trial(polygon.vertices + tau * u.reshape(shape),
+                                       targets, fact, quad)
+        if cause is None:
+            candidate, trial_energy, newton_iters = trial
+            if trial_energy <= energy_value + ARMIJO_C * tau * slope:
+                return StepOutcome(candidate, tau, trial_energy, backtracks,
+                                   newton_iters)
             cause = "armijo"
-        except KnotOptError:
-            pass
-        if cause == "armijo" and \
-                trial_energy <= energy_value + ARMIJO_C * tau * slope:
-            return StepOutcome(candidate, tau, trial_energy, backtracks, newton_iters)
         limits[cause] += 1
         tau *= BACKTRACK_FACTOR
         backtracks += 1
@@ -444,19 +456,17 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
                     state.polygon, dt, state.gram, state.fact, targets, quad
                 )
                 slope = float(state.eta @ v)
-                if not slope < 0.0:
-                    raise NewtonInnerFailure("implicit step is not a descent step")
-                candidate, restore_iters = _restore_to_polygon(
-                    vertices + v.reshape(vertices.shape), targets, state.fact
-                )
-                trial_energy = float(energy(candidate, quad))
-                if trial_energy <= energy_value + ARMIJO_C * slope:
+            except KnotOptError:
+                slope = np.nan
+            if slope < 0.0:  # a descent step
+                cause, trial = _restored_trial(vertices + v.reshape(vertices.shape),
+                                               targets, state.fact, quad)
+                if cause is None and trial[1] <= energy_value + ARMIJO_C * slope:
+                    candidate, trial_energy, restore_iters = trial
                     outcome = StepOutcome(candidate, dt, trial_energy, backtracks,
                                           newton_iters + restore_iters)
                     dt = min(TAU_MAX, 2.0 * dt)
                     return outcome
-            except KnotOptError:
-                pass
             dt *= 0.25
             backtracks += 1
         raise LineSearchFailure(f"time step underflow after {backtracks} cuts")
@@ -855,6 +865,41 @@ def _gram_orthonormalize(vectors, gram, drop_tol=1e-10):
     return basis
 
 
+def newton_cg(state, quad: QuadratureRule):
+    """Newton direction by projected preconditioned CG.
+
+    Approximately solves ``H x + J^T lam = -eta``, ``J x = 0`` with
+    Hessian-vector products and the constraint preconditioner
+    ``[[G, J^T], [J, 0]]`` (Gould, Hribar & Nocedal 2001): each
+    preconditioned residual is the projected gradient of the residual on
+    the iteration's own saddle factorization, so every iterate stays in the
+    constraint kernel.  CG stops once the residual's dual norm falls to
+    ``TR_CG_TOL`` times the gradient norm, after ``TR_CG_MAX_ITER``
+    iterations, or at the first direction of non-positive curvature
+    (Steihaug 1983), returning the iterate reached; there is none when the
+    first direction has non-positive curvature.  Returns ``(x or None,
+    iterations)``.
+    """
+    shape = (1,) + state.polygon.vertices.shape
+    x = np.zeros_like(state.eta)
+    r, g, rg = state.eta, state.grad, state.grad_norm**2
+    p = -g
+    for it in range(1, TR_CG_MAX_ITER + 1):
+        hp = hess_vec(state.polygon, quad, p.reshape(shape)).ravel()
+        curvature = float(p @ hp)
+        if not curvature > 0.0:
+            return (x if it > 1 else None), it
+        alpha = rg / curvature
+        x = x + alpha * p
+        r = r + alpha * hp
+        g, _ = projected_gradient(state.fact, r)
+        rg, rg_prev = float(r @ g), rg
+        if rg <= (TR_CG_TOL * state.grad_norm) ** 2:
+            break
+        p = -g + (rg / rg_prev) * p
+    return x, it
+
+
 def run_trust_region(polygon: Polygon, config: OptimizerConfig,
                      targets: ConstraintTargets | None = None,
                      on_iterate=None) -> OptimizeResult:
@@ -863,8 +908,18 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
     The model is minimized exactly inside a metric ball over the span of
     the current projected gradient, the previous gradient projected onto
     the current tangent space, and (once the gradient is short enough) the
-    projected Newton direction.  Candidates are restored to feasibility
-    before the acceptance ratio is evaluated.
+    Newton direction of :func:`newton_cg`.  The model Hessian is the basis
+    projection of one batched :func:`~knotopt.energy.hess_vec`; no Hessian
+    is assembled.  Candidates are restored to feasibility before the
+    acceptance ratio is evaluated.
+
+    ``diagnostics["newton_cg_iters_max"]`` is the largest CG count, and
+    ``diagnostics["step_limits"]`` counts the ``TR_STEP_LIMITS``: trials
+    whose model step the contact bound scaled (``collision``), then per cut
+    trial ``restoration`` (it failed), ``invalid`` (self-intersection,
+    degenerate edge, coincident points) or ``ratio`` (poor acceptance
+    ratio or no predicted decrease).  The cuts sum to the trace's
+    ``backtracks``.
     """
     quad = config.quad()
     radius = TR_RADIUS0
@@ -874,28 +929,30 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
         nonlocal radius, prev_grad, newton_gate
         if newton_gate is None:
             newton_gate = TR_NEWTON_GATE * state.grad_norm
-        hess = d2_energy(state.polygon, quad)
         candidates = [state.grad]
         if prev_grad is not None:
             candidates.append(project_tangent(state.fact, prev_grad))
         if state.grad_norm < newton_gate:
-            try:
-                newton_fact = factorize(hess, state.fact.jacobian)
-                newton_dir, _ = projected_gradient(newton_fact, -state.eta)
+            newton_dir, cg_iters = newton_cg(state, quad)
+            diagnostics["newton_cg_iters_max"] = max(
+                diagnostics["newton_cg_iters_max"], cg_iters)
+            if newton_dir is not None:
                 candidates.append(newton_dir)
                 diagnostics["newton_directions"] += 1
-            except SingularSystem:
-                pass
         basis = _gram_orthonormalize(candidates, state.gram)
         prev_grad = state.grad
         if not basis:
             return None
+        vertices = state.polygon.vertices
         bmat = np.column_stack(basis)
         grad_sub = bmat.T @ state.eta
-        hess_sub = bmat.T @ hess @ bmat
+        hess_basis = hess_vec(state.polygon, quad,
+                              bmat.T.reshape((-1,) + vertices.shape))
+        hess_sub = bmat.T @ hess_basis.reshape(len(basis), -1).T
+        hess_sub = 0.5 * (hess_sub + hess_sub.T)
 
+        limits = diagnostics["step_limits"]
         backtracks = 0
-        vertices = state.polygon.vertices
         while radius > 1e-12 * TR_RADIUS0:
             z = solve_trust_region_subproblem(hess_sub, grad_sub, radius)
             v = bmat @ z
@@ -907,33 +964,32 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
             if tau_star < 1.0:
                 z = z * (collision.INITIAL_STEP_FACTOR * tau_star)
                 v = bmat @ z
+                limits["collision"] += 1
             predicted = -(float(grad_sub @ z) + 0.5 * float(z @ hess_sub @ z))
-            if predicted <= 0.0:
-                radius *= TR_SHRINK
-                backtracks += 1
-                continue
-            try:
-                candidate, newton_iters = _restore_to_polygon(
-                    vertices + v.reshape(vertices.shape), targets, state.fact
-                )
-                trial_energy = float(energy(candidate, quad))
-            except KnotOptError:
-                radius *= TR_SHRINK
-                backtracks += 1
-                continue
-            ratio = (energy_value - trial_energy) / predicted
-            if ratio >= TR_ACCEPT:
-                radius = update_trust_radius(
-                    radius, ratio, np.linalg.norm(z) >= 0.99 * radius
-                )
-                return StepOutcome(candidate, float(np.linalg.norm(z)),
-                                   trial_energy, backtracks, newton_iters)
-            radius = update_trust_radius(radius, ratio, False)
+            cause = "ratio"
+            if predicted > 0.0:
+                cause, trial = _restored_trial(vertices + v.reshape(vertices.shape),
+                                               targets, state.fact, quad)
+            if cause is None:
+                candidate, trial_energy, newton_iters = trial
+                ratio = (energy_value - trial_energy) / predicted
+                if ratio >= TR_ACCEPT:
+                    radius = update_trust_radius(
+                        radius, ratio, np.linalg.norm(z) >= 0.99 * radius
+                    )
+                    return StepOutcome(candidate, float(np.linalg.norm(z)),
+                                       trial_energy, backtracks, newton_iters)
+                cause = "ratio"
+            # Every cut shrinks: a rejected ratio lies below TR_RATIO_LOW.
+            radius *= TR_SHRINK
+            limits[cause] += 1
             backtracks += 1
         raise LineSearchFailure(f"no acceptable step after {backtracks} trials")
 
     return _run_feasible(polygon, config, targets, on_iterate,
-                         _feasible_metric(config), step)
+                         _feasible_metric(config), step,
+                         step_limits=dict.fromkeys(TR_STEP_LIMITS, 0),
+                         newton_cg_iters_max=0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ inverse ``H`` comes from a Cholesky factor; the Schur complement
 ``J (H (x) I_m) J^T + c I`` is built from the rows, its length block being
 ``(coef coef^T) o`` the second difference of ``H``, and Cholesky-factorized.
 A solve costs two products with ``H`` and one Schur solve.  Any other
-metric block (the indefinite Hessians of the implicit Euler and
-trust-region Newton steps) is factorized densely by LU.
+metric block is factorized densely by LU: only implicit Euler's Hessian
+system ``G / dt + H`` goes through it.
 
 Every solve is refined against the original system until the residual
 drops below ``1e-10`` relative to the right-hand side.  Failure to get

@@ -80,6 +80,7 @@ def test_criterion_03_derivative_correctness():
 
     worst_grad = 0.0
     worst_hess = 0.0
+    worst_hess_vec = 0.0
     for seed in range(20):
         n = 8 + (seed * 5) % 17  # sizes 8..24
         dim = 2 if seed % 2 == 0 else 3
@@ -101,9 +102,13 @@ def test_criterion_03_derivative_correctness():
         hv = ko.d2_energy(p) @ w
         hv_fd = fourth_order(dual_at, flat, shape, w, step)
         worst_hess = max(worst_hess, np.linalg.norm(hv - hv_fd) / np.linalg.norm(hv_fd))
-    ok = worst_grad <= 1e-6 and worst_hess <= 1e-5
+        hv = ko.hess_vec(p, ko.MIDPOINT, w.reshape((1,) + shape)).ravel()
+        worst_hess_vec = max(worst_hess_vec,
+                             np.linalg.norm(hv - hv_fd) / np.linalg.norm(hv_fd))
+    ok = worst_grad <= 1e-6 and worst_hess <= 1e-5 and worst_hess_vec <= 1e-5
     _report(3, "gradient/Hessian vs finite differences", ok,
-            f"(grad {worst_grad:.2e}, hess {worst_hess:.2e})")
+            f"(grad {worst_grad:.2e}, hess {worst_hess:.2e}, "
+            f"hess_vec {worst_hess_vec:.2e})")
 
 
 def test_criterion_04_metric_well_posedness():

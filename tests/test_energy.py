@@ -330,7 +330,47 @@ class TestTableAssembly:
         # Bow tie: the midpoints of the disjoint edges 0 and 2 coincide.
         p = ko.Polygon([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], validate=False)
         for assemble in (ko.d_energy, ko.d2_energy,
+                         lambda q: ko.hess_vec(q, MIDPOINT, np.ones((1, 4, 2))),
                          lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC),
                          lambda q: ko.assemble_gram(q, ko.W32_PURE)):
             with pytest.raises(ko.CoincidentPoints):
                 assemble(p)
+
+
+def _dense_products(hess, fields):
+    return (hess @ fields.reshape(len(fields), -1).T).T.reshape(fields.shape)
+
+
+class TestHessVec:
+    """Hessian-vector products against the dense table and pair-list Hessians."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_dense_hessians(self, k, rng):
+        rule = ko.QuadratureRule.gauss(k)
+        for name, p in _table_curves():
+            fields = rng.standard_normal((3,) + p.vertices.shape)
+            products = ko.hess_vec(p, rule, fields)
+            assert products.shape == fields.shape
+            for hess in (ko.d2_energy(p, rule), oracle.d2_energy(p, rule)):
+                assert _relative_defect(products, _dense_products(hess, fields)) <= 1e-11, name
+
+    def test_node_coincidence_in_masked_band_is_ignored(self, rng):
+        p = random_embedded_polygon(14, dim=3, seed=23)
+        fields = rng.standard_normal((2,) + p.vertices.shape)
+        for rule in (ko.QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+                     ko.QuadratureRule.vertex()):
+            expected = _dense_products(oracle.d2_energy(p, rule), fields)
+            assert _relative_defect(ko.hess_vec(p, rule, fields), expected) <= 1e-11
+
+    def test_batch_gives_the_same_columns(self, rng):
+        rule = ko.QuadratureRule.gauss(2)
+        for name, p in _table_curves():
+            fields = rng.standard_normal((3,) + p.vertices.shape)
+            batch = ko.hess_vec(p, rule, fields)
+            single = np.concatenate([ko.hess_vec(p, rule, f[None]) for f in fields])
+            assert _relative_defect(single, batch) <= 1e-11, name
+
+    def test_field_shape_checked(self):
+        p = ko.torus_knot(2, 3, 30)
+        with pytest.raises(ValueError, match="shape"):
+            ko.hess_vec(p, MIDPOINT, p.vertices)

@@ -337,6 +337,52 @@ class TestTrustRegion:
         assert gnorms[-1] <= 1e-4 * gnorms[0]
         assert min(b / a for a, b in zip(gnorms, gnorms[1:])) <= 0.1
 
+    def test_newton_cg_matches_dense_direction(self, monkeypatch):
+        # At the gated iterate of the symmetric trefoil the right-hand side
+        # has no component on the near-null modes of the projected Hessian,
+        # so the dense Newton direction is well defined.  (Near the round
+        # circle it is not: a planar rotation has zero curvature by scale
+        # invariance, and the dense solve amplifies rounding along it.)
+        monkeypatch.setattr(optimize, "TR_CG_TOL", 1e-8)
+        calls = []
+        newton_cg = optimize.newton_cg
+
+        def spy(state, quad):
+            calls.append((state, newton_cg(state, quad)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(optimize, "newton_cg", spy)
+        result = ko.run_trust_region(ko.torus_knot(2, 3, 60),
+                                     OptimizerConfig(method="trust_region"))
+        assert result.converged and calls
+        for state, (direction, _) in calls:
+            dense, _ = ko.projected_gradient(
+                ko.factorize(ko.d2_energy(state.polygon), state.fact.jacobian),
+                -state.eta)
+            assert np.linalg.norm(direction - dense) <= 1e-6 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("n", [60, 120, 240])
+    def test_newton_cg_iterations_independent_of_n(self, n, monkeypatch):
+        # Solved to 1e-8, not to the default TR_CG_TOL: the count of a
+        # tight solve stays flat in N.
+        monkeypatch.setattr(optimize, "TR_CG_TOL", 1e-8)
+        result = ko.run_trust_region(ko.torus_knot(2, 3, n),
+                                     OptimizerConfig(method="trust_region"))
+        assert result.converged
+        assert result.diagnostics["newton_directions"] >= 1
+        assert 1 <= result.diagnostics["newton_cg_iters_max"] <= 20
+
+    def test_negative_first_curvature_gives_no_newton_direction(self, monkeypatch):
+        p = ko.coiled_unknot(48, windings=2)
+        monkeypatch.setattr(optimize, "hess_vec", lambda polygon, quad, v: -v)
+        state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
+        assert optimize.newton_cg(state, ko.MIDPOINT) == (None, 1)
+        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
+        result = ko.run_trust_region(p, OptimizerConfig(method="trust_region", max_iter=3))
+        assert result.status == "max_iter"
+        assert result.diagnostics["newton_directions"] == 0
+        assert result.diagnostics["newton_cg_iters_max"] == 1
+
     def test_closed_gate_uses_gradient_and_momentum_only(self, monkeypatch):
         p = ko.coiled_unknot(48, windings=2)
         monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e-12)
@@ -441,3 +487,32 @@ class TestStepLimits:
         assert limits["restoration"] + limits["invalid"] + limits["armijo"] == total
         assert limits["restoration"] > 0 and limits["armijo"] > 0
         assert 0 < limits["collision"] <= len(result.trace) - 1
+
+    def test_trust_region_cuts_sum_to_trace_backtracks(self, monkeypatch):
+        # The L2 runs cut on failed restorations; a linear model (no
+        # curvature) overshoots and cuts on the acceptance ratio.
+        linear = lambda polygon, quad, v: np.zeros_like(v)
+        seen = dict.fromkeys(optimize.TR_STEP_LIMITS, 0)
+        for p in (ko.torus_knot(2, 3, 60), ko.coiled_unknot(48, windings=2)):
+            for metric, products in ((ko.W32_GEOMETRIC, ko.hess_vec),
+                                     (ko.L2, ko.hess_vec),
+                                     (ko.W32_GEOMETRIC, linear)):
+                monkeypatch.setattr(optimize, "hess_vec", products)
+                result = ko.run_trust_region(p, OptimizerConfig(
+                    method="trust_region", metric=metric, max_iter=20))
+                limits = result.diagnostics["step_limits"]
+                assert set(limits) == set(optimize.TR_STEP_LIMITS)
+                total = sum(r.backtracks for r in result.trace)
+                assert limits["restoration"] + limits["invalid"] + limits["ratio"] == total
+                for cause, count in limits.items():
+                    seen[cause] += count
+        assert seen["restoration"] > 0 and seen["ratio"] > 0
+
+    def test_trust_region_counts_collision_scaled_trials(self, monkeypatch):
+        monkeypatch.setattr(optimize.collision, "first_collision_step",
+                            lambda vertices, direction, tau_max: 0.5)
+        result = ko.run_trust_region(ko.torus_knot(2, 3, 60), OptimizerConfig(
+            method="trust_region", max_iter=5))
+        limits = result.diagnostics["step_limits"]
+        trials = len(result.trace) - 1 + sum(r.backtracks for r in result.trace)
+        assert limits["collision"] == trials > 0
