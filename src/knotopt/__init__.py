@@ -13,9 +13,8 @@ from .collision import (ProximityReport, first_collision_step, initial_step,
                         segment_distance)
 from .constraint import (ConstraintRows, ConstraintState, ConstraintTargets,
                          d_phi, phi, restore_feasibility)
-from .curve import (ArcTable, EdgeFrame, Polygon, QuadPoint, coiled_unknot,
-                    geodesic_distance, perturbed_circle, regular_ngon,
-                    torus_knot)
+from .curve import (Polygon, QuadPoint, coiled_unknot, geodesic_distance,
+                    perturbed_circle, regular_ngon, torus_knot)
 from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
                      energy_density, hess_vec, ks_energy)
 from .errors import (AdjacentEdges, AlreadyColliding, CoincidentPoints,
@@ -34,9 +33,9 @@ from .saddle import (SaddleFactorization, factorize, project_tangent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcTable", "AdjacentEdges", "AlreadyColliding", "CoincidentPoints",
+    "AdjacentEdges", "AlreadyColliding", "CoincidentPoints",
     "ConstraintRows", "ConstraintState", "ConstraintTargets", "DegenerateEdge",
-    "DimensionMismatch", "EdgeFrame", "GramOperator",
+    "DimensionMismatch", "GramOperator",
     "KnotOptError", "L2", "LineSearchFailure", "MIDPOINT", "MetricKind",
     "NewtonInnerFailure", "NonConvergence", "OptimizeResult",
     "OptimizerConfig", "Polygon", "ProximityReport", "QuadPoint",

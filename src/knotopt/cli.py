@@ -163,7 +163,7 @@ class RunConfig:
             max_iter=self.max_iter,
             grad_tol=self.grad_tol,
             quad_k=self.quad_k,
-            time_budget_s=self.budget_s if self.budget_s > 0 else None,
+            time_budget_s=self.budget_s or None,
         )
 
 

@@ -24,25 +24,6 @@ _DEGENERACY_SCALE = 1e-12
 
 
 @dataclass(frozen=True)
-class EdgeFrame:
-    """One edge with its endpoints, length, and unit tangent."""
-
-    index: int
-    start: np.ndarray
-    end: np.ndarray
-    length: float
-    tangent: np.ndarray
-
-
-@dataclass(frozen=True)
-class ArcTable:
-    """Arc-length prefix sums: ``prefix[i]`` is the length before edge i."""
-
-    prefix: np.ndarray
-    total: float
-
-
-@dataclass(frozen=True)
 class QuadPoint:
     """A point on edge ``edge`` at local parameter ``t`` in [0, 1]."""
 
@@ -100,21 +81,6 @@ class Polygon:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    @property
-    def arc_table(self) -> ArcTable:
-        return ArcTable(prefix=self.arc_prefix, total=self.total_length)
-
-    def edge_frame(self, i: int) -> EdgeFrame:
-        n = self.num_vertices
-        i = int(i) % n
-        return EdgeFrame(
-            index=i,
-            start=self.vertices[i],
-            end=self.vertices[(i + 1) % n],
-            length=float(self.edge_lengths[i]),
-            tangent=self.tangents[i],
-        )
 
     def quad_point(self, edge: int, t: float) -> QuadPoint:
         n = self.num_vertices

@@ -11,26 +11,27 @@ integrand is
 
 which already includes the ``|a||b|`` length factors of the pair.  Because
 ``w`` depends only on the four endpoints of the pair, its first and second
-derivatives are available in closed form.  The energy sums ``w`` over the
-list of disjoint pairs.  The gradient and the Hessian are assembled on
-ordered N x N edge-pair tables (row I, column J) whose diagonal and adjacent
-band are masked: sums over J are row sums and table-vector products, and
-the terms of the edge heads I+1 are the tables rolled by one row or column.
-``hess_vec`` applies the Hessian to a batch of fields without assembling it,
-as the directional derivative of the gradient's tables; a product costs
-O(N^2) per field and node pair, like the gradient.  The same input gives the
-same bits.
+derivatives are available in closed form.  The energy, its gradient and its
+Hessian are all assembled on ordered N x N edge-pair tables (row I, column
+J) whose diagonal and adjacent band are masked: the energy is one table sum
+per quadrature node pair, sums over J are row sums and table-vector
+products, and the terms of the edge heads I+1 are the tables rolled by one
+row or column.  ``hess_vec`` applies the Hessian to a batch of fields
+without assembling it, as the directional derivative of the gradient's
+tables; a product costs O(N^2) per field and node pair, like the gradient.
+The same input gives the same bits.
 
-Two classic single-node variants (evaluating the bare energy density at
-vertices or edge midpoints) are provided for comparison, along with the
-pointwise energy density used as a weight by the metric assembly.
+Two classic single-node variants (evaluating the bare energy density
+``1/|d|^2 - 1/rho^2`` at vertices or edge midpoints) are provided for
+comparison, on the same tables.  Their density table is also the weight of
+the metric's low-order term; ``energy_density`` evaluates the density at a
+single pair of curve points.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import nonadjacent_pairs
 from .curve import Polygon, QuadPoint, arc_distance
 from .errors import CoincidentPoints
 
@@ -150,25 +151,19 @@ def _sym(x):
 
 
 def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> float:
-    """Total energy ``4 + sum of all ordered disjoint-pair contributions``."""
-    pi, pj = nonadjacent_pairs(polygon.num_vertices)
-    a = polygon.edge_vectors[pi]
-    b = polygon.edge_vectors[pj]
-    ss = polygon.edge_lengths[pi] * polygon.edge_lengths[pj] + np.einsum(
-        "pk,pk->p", a, b
-    )
-    x = _quad_positions(polygon, quad)
-    w = np.zeros(len(pi))
-    for qi in range(quad.order):
-        for qj in range(quad.order):
-            d = x[pi, qi] - x[pj, qj]
-            r2 = np.einsum("pk,pk->p", d, d)
-            _check_separation(polygon, r2)
-            u = np.einsum("pk,pk->p", d, a)
-            v = np.einsum("pk,pk->p", d, b)
-            weight = float(quad.weights[qi] * quad.weights[qj])
-            w += weight * (ss / r2 - 2.0 * u * v / r2**2)
-    return 4.0 + 2.0 * float(w.sum())
+    """Total energy ``4 + sum of all ordered disjoint-pair contributions``.
+
+    One masked-table sum per node pair, ``sum q (ss - 2 u v q)`` with
+    ``u = <d, a_I>`` and ``v = <d, a_J>``.
+    """
+    e = polygon.edge_vectors
+    ss = np.outer(polygon.edge_lengths, polygon.edge_lengths) + e @ e.T
+    total = 0.0
+    for weight, _, _, d, q in _pair_tables(polygon, quad):
+        u = np.einsum("kij,ki->ij", d, e.T)
+        v = np.einsum("kij,kj->ij", d, e.T)
+        total += weight * float(np.sum(q * (ss - 2.0 * u * v * q)))
+    return 4.0 + total
 
 
 def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
@@ -398,12 +393,26 @@ def energy_density(polygon: Polygon, a: QuadPoint, b: QuadPoint) -> float:
     return 1.0 / r2 - 1.0 / rho**2
 
 
+def _density_table(polygon: Polygon, s: float, t: float, q: np.ndarray) -> np.ndarray:
+    """Masked table ``q - 1/rho^2`` between node s of edge I and node t of edge J.
+
+    ``rho`` is the arc distance of the two nodes; the masked entries
+    (``q = 0``, rho = 0 on the diagonal among them) stay zero.
+    """
+    ell = polygon.edge_lengths
+    rho2 = arc_distance(polygon, (polygon.arc_prefix + s * ell)[:, None],
+                        (polygon.arc_prefix + t * ell)[None, :]) ** 2
+    inv_rho2 = np.divide(1.0, rho2, out=np.zeros_like(q), where=q > 0.0)
+    return q - inv_rho2
+
+
 def ks_energy(polygon: Polygon, variant: str = "edge") -> float:
     """Single-node discretization of the bare energy density.
 
     ``variant="vertex"`` evaluates at edge start points, ``"edge"`` at edge
-    midpoints; both weight each disjoint pair with the product of its edge
-    lengths and use the polygon's own arc length for the geodesic part.
+    midpoints; both weight each ordered disjoint pair with the product of
+    its edge lengths and use the polygon's own arc length for the geodesic
+    part.
     """
     if variant == "vertex":
         t = 0.0
@@ -411,13 +420,7 @@ def ks_energy(polygon: Polygon, variant: str = "edge") -> float:
         t = 0.5
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    n = polygon.num_vertices
-    pi, pj = nonadjacent_pairs(n)
-    x = _quad_positions(polygon, QuadratureRule(np.array([t]), np.array([1.0])))[:, 0]
-    s_arc = polygon.arc_prefix + t * polygon.edge_lengths
-    d = x[pi] - x[pj]
-    r2 = np.einsum("pk,pk->p", d, d)
-    _check_separation(polygon, r2)
-    rho = arc_distance(polygon, s_arc[pi], s_arc[pj])
-    ll = polygon.edge_lengths[pi] * polygon.edge_lengths[pj]
-    return 2.0 * float(np.sum(ll * (1.0 / r2 - 1.0 / rho**2)))
+    rule = QuadratureRule(np.array([t]), np.array([1.0]))
+    (_, _, _, _, q), = _pair_tables(polygon, rule)
+    ell = polygon.edge_lengths
+    return float(np.sum(np.outer(ell, ell) * _density_table(polygon, t, t, q)))

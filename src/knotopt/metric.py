@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import Polygon, arc_distance
-from .energy import MIDPOINT, QuadratureRule, _pair_tables
+from .curve import Polygon
+from .energy import MIDPOINT, QuadratureRule, _density_table, _pair_tables
 from .errors import DimensionMismatch
 
 _FAMILIES = ("l2", "w12", "w22", "w32")
@@ -99,9 +99,6 @@ class GramOperator:
     def inner(self, u, v) -> float:
         return float(self._check(u) @ self.apply(v))
 
-    def norm(self, u) -> float:
-        return float(np.sqrt(max(self.inner(u, u), 0.0)))
-
 
 def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):
     """Scalar matrix of the w32 family from ordered edge-pair tables.
@@ -120,11 +117,7 @@ def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):
     for w, s, t, _, q in _pair_tables(polygon, quad):
         kernel += w * q
         if kind.include_low_order:
-            rho2 = arc_distance(polygon, (polygon.arc_prefix + s * ell)[:, None],
-                                (polygon.arc_prefix + t * ell)[None, :]) ** 2
-            # Masked entries (q = 0) include rho = 0 on the diagonal.
-            inv_rho2 = np.divide(1.0, rho2, out=np.zeros_like(q), where=q > 0.0)
-            low = w * np.outer(ell, ell) * (q - inv_rho2) * q
+            low = w * np.outer(ell, ell) * _density_table(polygon, s, t, q) * q
             row_sums = low.sum(axis=1)
             avg_s, avg_t = (1.0 - s, s), (1.0 - t, t)
             for p, r in np.ndindex(2, 2):

@@ -56,7 +56,7 @@ from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
 from .errors import (KnotOptError, LineSearchFailure, NewtonInnerFailure,
                      SingularSystem)
 from .metric import MetricKind, W32_GEOMETRIC, assemble_gram
-from .saddle import factorize, project_tangent, projected_gradient
+from .saddle import factorize, project_tangent, projected_gradient, solve_dense
 
 FEASIBLE_METHODS = ("projgd", "implicit_euler_l2", "trust_region")
 PENALTY_METHODS = ("ncg", "lbfgs", "nesterov")
@@ -100,8 +100,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("alpha must be positive and finite")
+        if not self.grad_tol >= 0.0:
+            raise ValueError("grad_tol must be non-negative")
+        if self.time_budget_s is not None and not self.time_budget_s >= 0.0:
+            raise ValueError("time_budget_s must be non-negative")
         if self.quad_k < 1:
             raise ValueError("quad_k must be at least 1")
         if self.max_iter < 0:
@@ -392,8 +396,9 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
     """Solve the backward step equation on the base tangent space.
 
     Finds ``v`` with ``G v / dt + DE(P + v) + J^T lam = 0`` and ``J v = 0``
-    by Newton's method (refactorizing the linearization each inner
-    iteration, which is what makes backtracking on ``dt`` expensive).
+    by Newton's method: each inner iteration LU-factorizes the dense block
+    ``[[G / dt + H, J^T], [J, 0]]`` anew, which is what makes backtracking
+    on ``dt`` expensive.
     Returns ``(v, inner_iterations)``.
     """
     jac = fact.jacobian
@@ -406,7 +411,7 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
 
     def residual(v, lam):
         trial = Polygon(polygon.vertices + v.reshape(shape), validate=False)
-        r1 = fact.gram_apply(v) / dt + d_energy(trial, quad) + jac.apply_T(lam)
+        r1 = gram.apply(v) / dt + d_energy(trial, quad) + jac.apply_T(lam)
         return np.concatenate((r1, jac.apply(v))), trial
 
     try:
@@ -415,13 +420,13 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
         raise NewtonInnerFailure("warm start left the admissible set") from exc
     res_norm0 = max(np.linalg.norm(res), np.finfo(float).tiny)
     metric = np.kron(gram.scalar, np.eye(gram.dim)) / dt
+    rows = jac.dense()
+    zero = np.zeros((len(rows), len(rows)))
     stall = 0
     for it in range(1, max_newton + 1):
-        hess = d2_energy(trial, quad)
-        core = metric + hess
+        kkt = np.block([[metric + d2_energy(trial, quad), rows.T], [rows, zero]])
         try:
-            kkt = factorize(core, jac)
-            delta = kkt.solve(-res)
+            delta = solve_dense(kkt, -res)
         except SingularSystem as exc:
             raise NewtonInnerFailure("inner linearization singular") from exc
         v = v + delta[:nv]

@@ -11,7 +11,7 @@ block is the metric ``G + J^T J``, since ``lam = J u`` for a right-hand side
 this way, with ``J`` the weighted edge-length rows.  A compliance with
 barycenter rows is rejected.
 
-When ``G`` is a :class:`GramOperator`, i.e. ``S (x) I_m``, no
+``G`` is a :class:`GramOperator`, i.e. ``S (x) I_m``, and no
 ``(N*m) x (N*m)`` matrix is formed.  With barycenter rows and ``c = 0``,
 ``J u = xi`` fixes ``W^T u = xi_b - moments^T xi_len`` (``W = w (x) I_m``,
 ``w`` the rows' lumped mass), so the shift ``W W^T`` that makes
@@ -21,17 +21,17 @@ side, as ``eta + W (xi_b - moments^T xi_len)``.  Without barycenter rows
 inverse ``H`` comes from a Cholesky factor; the Schur complement
 ``J (H (x) I_m) J^T + c I`` is built from the rows, its length block being
 ``(coef coef^T) o`` the second difference of ``H``, and Cholesky-factorized.
-A solve costs two products with ``H`` and one Schur solve.  Any other
-metric block is factorized densely by LU: only implicit Euler's Hessian
-system ``G / dt + H`` goes through it.
+A solve costs two products with ``H`` and one Schur solve.
 
 Every solve is refined against the original system until the residual
 drops below ``1e-10`` relative to the right-hand side.  Failure to get
 there, an indefinite metric block, a singular factor or a singular system
 (rank-deficient rows, or a metric ``G + J^T J`` vanishing on some field)
 raises :class:`SingularSystem`; this module is where scipy's
-``LinAlgError`` becomes one.  Each factorization records the largest
-refinement count and final relative residual of its solves.
+``LinAlgError`` becomes one, for the Cholesky factors here and for
+:func:`solve_dense`, the LU solve of implicit Euler's dense Newton system.
+Each factorization records the largest refinement count and final relative
+residual of its solves.
 """
 
 import numpy as np
@@ -58,14 +58,27 @@ def _cholesky(a, what):
     return factor
 
 
+def solve_dense(a, rhs):
+    """Solve a dense square system by LU; raises when it is singular.
+
+    ``a`` is overwritten by its factors.
+    """
+    try:
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSystem("dense system could not be factorized") from exc
+    diag = np.abs(np.diag(lu))
+    if not np.all(np.isfinite(lu)) or diag.min() <= _PIVOT_TOL * max(diag.max(), 1.0):
+        raise SingularSystem("dense system is numerically singular")
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
 class SaddleFactorization:
     """Reusable factorization of ``[[G, J^T], [J, -c I]]`` at one base point."""
 
     def __init__(self, gram, jacobian, compliance: float = 0.0):
         if not isinstance(gram, GramOperator):
-            gram = np.asarray(gram, dtype=float)
-        if len(gram.shape) != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError("metric block must be square")
+            raise ValueError(f"metric block must be a GramOperator, got {type(gram).__name__}")
         if jacobian.shape[1] != gram.shape[0]:
             raise ValueError(
                 f"constraint rows {jacobian.shape} incompatible with metric {gram.shape}"
@@ -80,27 +93,9 @@ class SaddleFactorization:
         self.n_dual = jacobian.shape[0]
         self.max_refinements = 0
         self.max_residual = 0.0
-        if isinstance(gram, GramOperator):
-            self._factor_structured(gram)
-        else:
-            self._factor_dense(gram)
+        self._factor(gram)
 
-    def _factor_dense(self, g):
-        j = self.jacobian.dense()
-        a = np.block([[g, j.T], [j, -self.compliance * np.eye(self.n_dual)]])
-        try:
-            self._lu, self._piv = scipy.linalg.lu_factor(a, overwrite_a=True,
-                                                         check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSystem("saddle matrix could not be factorized") from exc
-        diag = np.abs(np.diag(self._lu))
-        if not np.all(np.isfinite(self._lu)) or diag.min() <= _PIVOT_TOL * max(diag.max(), 1.0):
-            raise SingularSystem(
-                "saddle matrix is singular (rank-deficient constraints or "
-                "indefinite metric on the constraint kernel)"
-            )
-
-    def _factor_structured(self, gram):
+    def _factor(self, gram):
         rows = self.jacobian
         scalar, what = gram.scalar, "metric"
         if rows.moments is not None:
@@ -131,8 +126,6 @@ class SaddleFactorization:
         return np.block([[c, cross], [cross.T, corner]])
 
     def _solve_once(self, rhs):
-        if not isinstance(self.gram, GramOperator):
-            return scipy.linalg.lu_solve((self._lu, self._piv), rhs, check_finite=False)
         rows, n = self.jacobian, len(self.jacobian.coef)
         eta, xi = rhs[:self.n_primal].reshape(n, -1), rhs[self.n_primal:]
         if rows.moments is not None:  # J u = xi fixes W^T u: the shift's exact term
@@ -146,7 +139,7 @@ class SaddleFactorization:
     def _apply(self, x):
         """The saddle matrix times ``x``."""
         u, lam = x[:self.n_primal], x[self.n_primal:]
-        return np.concatenate((self.gram_apply(u) + self.jacobian.apply_T(lam),
+        return np.concatenate((self.gram.apply(u) + self.jacobian.apply_T(lam),
                                self.jacobian.apply(u) - self.compliance * lam))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -170,11 +163,6 @@ class SaddleFactorization:
         self.max_refinements = max(self.max_refinements, refinements)
         self.max_residual = max(self.max_residual, relative)
         return x
-
-    def gram_apply(self, u: np.ndarray) -> np.ndarray:
-        if isinstance(self.gram, GramOperator):
-            return self.gram.apply(u)
-        return self.gram @ u
 
 
 def factorize(gram, jacobian, compliance: float = 0.0) -> SaddleFactorization:
@@ -213,6 +201,6 @@ def project_tangent(fact: SaddleFactorization, u_tilde) -> np.ndarray:
         raise ValueError(
             f"field has length {u_tilde.shape[0]}, expected {fact.n_primal}"
         )
-    rhs = np.concatenate((fact.gram_apply(u_tilde), np.zeros(fact.n_dual)))
+    rhs = np.concatenate((fact.gram.apply(u_tilde), np.zeros(fact.n_dual)))
     x = fact.solve(rhs)
     return x[:fact.n_primal]

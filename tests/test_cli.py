@@ -157,6 +157,7 @@ class TestRun:
 
     @pytest.mark.parametrize("flag,value", [("--metric", "bogus"),
                                             ("--alpha", "-1"),
+                                            ("--alpha", "nan"),
                                             ("--quad-k", "0")])
     def test_bad_setting_exit_two(self, flag, value, tmp_path, capsys):
         curve_file = tmp_path / "pc.txt"

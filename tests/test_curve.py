@@ -56,19 +56,6 @@ class TestPolygonConstruction:
 
 
 class TestDerivedGeometry:
-    def test_edge_frame(self):
-        p = ko.Polygon(UNIT_SQUARE)
-        frame = p.edge_frame(1)
-        assert frame.length == 1.0
-        assert np.allclose(frame.tangent, [0.0, 1.0])
-        assert np.linalg.norm(frame.tangent) == pytest.approx(1.0)
-
-    def test_arc_table(self, rng):
-        p = random_embedded_polygon(17, seed=3)
-        table = p.arc_table
-        assert np.all(np.diff(table.prefix) > 0)
-        assert table.prefix[-1] + p.edge_lengths[-1] == pytest.approx(table.total)
-
     def test_quad_point(self):
         p = ko.Polygon(UNIT_SQUARE)
         qp = p.quad_point(1, 0.25)

@@ -300,6 +300,10 @@ class TestTableAssembly:
     def test_derivatives_match_pair_list(self, k):
         rule = ko.QuadratureRule.gauss(k)
         for name, p in _table_curves():
+            assert _relative_defect(ko.energy(p, rule), oracle.energy(p, rule)) <= 1e-13, name
+            for variant in ("vertex", "edge"):
+                assert _relative_defect(ko.ks_energy(p, variant),
+                                        oracle.ks_energy(p, variant)) <= 1e-13, name
             assert _relative_defect(ko.d_energy(p, rule),
                                     oracle.d_energy(p, rule)) <= 1e-11, name
             assert _relative_defect(ko.d2_energy(p, rule),
@@ -321,6 +325,7 @@ class TestTableAssembly:
         p = random_embedded_polygon(14, dim=3, seed=23)
         for rule in (ko.QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
                      ko.QuadratureRule.vertex()):
+            assert _relative_defect(ko.energy(p, rule), oracle.energy(p, rule)) <= 1e-13
             assert _relative_defect(ko.d_energy(p, rule), oracle.d_energy(p, rule)) <= 1e-11
             assert _relative_defect(ko.d2_energy(p, rule), oracle.d2_energy(p, rule)) <= 1e-11
             g = ko.assemble_gram(p, ko.W32_GEOMETRIC, rule)
@@ -329,7 +334,7 @@ class TestTableAssembly:
     def test_disjoint_coincidence_raises(self):
         # Bow tie: the midpoints of the disjoint edges 0 and 2 coincide.
         p = ko.Polygon([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], validate=False)
-        for assemble in (ko.d_energy, ko.d2_energy,
+        for assemble in (ko.energy, ko.ks_energy, ko.d_energy, ko.d2_energy,
                          lambda q: ko.hess_vec(q, MIDPOINT, np.ones((1, 4, 2))),
                          lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC),
                          lambda q: ko.assemble_gram(q, ko.W32_PURE)):

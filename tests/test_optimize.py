@@ -356,9 +356,10 @@ class TestTrustRegion:
                                      OptimizerConfig(method="trust_region"))
         assert result.converged and calls
         for state, (direction, _) in calls:
-            dense, _ = ko.projected_gradient(
-                ko.factorize(ko.d2_energy(state.polygon), state.fact.jacobian),
-                -state.eta)
+            hess, rows = ko.d2_energy(state.polygon), state.fact.jacobian.dense()
+            kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+            rhs = np.concatenate((-state.eta, np.zeros(len(rows))))
+            dense = np.linalg.solve(kkt, rhs)[:len(hess)]
             assert np.linalg.norm(direction - dense) <= 1e-6 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("n", [60, 120, 240])
@@ -406,9 +407,14 @@ class TestDispatch:
         with pytest.raises(ValueError):
             OptimizerConfig(method="adam")
 
-    @pytest.mark.parametrize("field", ("quad_k", "max_iter"))
-    def test_out_of_range_setting_rejected(self, field):
-        bad = {"quad_k": 0, "max_iter": -1}[field]
+    @pytest.mark.parametrize("field,bad", [
+        ("quad_k", 0), ("max_iter", -1), ("alpha", 0.0), ("alpha", np.nan),
+        ("alpha", np.inf), ("grad_tol", np.nan), ("grad_tol", -1e-4),
+        ("time_budget_s", np.nan), ("time_budget_s", -1.0)],
+        ids=["quad_k", "max_iter", "alpha-0", "alpha-nan", "alpha-inf",
+             "grad_tol-nan", "grad_tol-negative", "time_budget_s-nan",
+             "time_budget_s-negative"])
+    def test_out_of_range_setting_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: bad})
 
