@@ -290,6 +290,9 @@ _GENERATORS = {
 def cmd_generate(args) -> int:
     try:
         polygon = _GENERATORS[args.kind](args)
+    except ValueError as exc:
+        print(f"ERROR usage: {exc}", file=sys.stderr)
+        return 2
     except KnotOptError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

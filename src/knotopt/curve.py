@@ -111,6 +111,15 @@ def arc_distance(polygon: Polygon, s_a, s_b):
     return np.minimum(gap, polygon.total_length - gap)
 
 
+def _plane_curve(x, y, dim: int) -> Polygon:
+    """Polygon with coordinates ``x``, ``y`` in the first two axes of ``R^dim``."""
+    if dim < 2:
+        raise ValueError(f"ambient dimension must be >= 2, got {dim}")
+    v = np.zeros((len(x), dim))
+    v[:, 0], v[:, 1] = x, y
+    return Polygon(v)
+
+
 def regular_ngon(n: int, radius: float = 1.0, dim: int = 2) -> Polygon:
     """Planar regular polygon inscribed in a circle of the given radius.
 
@@ -119,10 +128,7 @@ def regular_ngon(n: int, radius: float = 1.0, dim: int = 2) -> Polygon:
     if n < 4:
         raise TooFewVertices(f"need at least 4 vertices, got {n}")
     theta = 2.0 * np.pi * np.arange(n) / n
-    v = np.zeros((n, dim))
-    v[:, 0] = radius * np.cos(theta)
-    v[:, 1] = radius * np.sin(theta)
-    return Polygon(v)
+    return _plane_curve(radius * np.cos(theta), radius * np.sin(theta), dim)
 
 
 def torus_knot(p: int, q: int, n: int, big_radius: float = 2.0,
@@ -193,7 +199,4 @@ def perturbed_circle(n: int, amplitude: float = 0.05, harmonics=(2, 3, 4, 5, 6),
     dense = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     peak = np.abs(bump_at(dense)).max()
     r = 1.0 + amplitude * bump_at(theta) / peak
-    v = np.zeros((n, dim))
-    v[:, 0] = r * np.cos(theta)
-    v[:, 1] = r * np.sin(theta)
-    return Polygon(v)
+    return _plane_curve(r * np.cos(theta), r * np.sin(theta), dim)

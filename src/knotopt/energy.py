@@ -12,14 +12,18 @@ integrand is
 which already includes the ``|a||b|`` length factors of the pair.  Because
 ``w`` depends only on the four endpoints of the pair, its first and second
 derivatives are available in closed form.  The energy, its gradient and its
-Hessian are all assembled on ordered N x N edge-pair tables (row I, column
-J) whose diagonal and adjacent band are masked: the energy is one table sum
-per quadrature node pair, sums over J are row sums and table-vector
-products, and the terms of the edge heads I+1 are the tables rolled by one
-row or column.  ``hess_vec`` applies the Hessian to a batch of fields
-without assembling it, as the directional derivative of the gradient's
-tables; a product costs O(N^2) per field and node pair, like the gradient.
-The same input gives the same bits.
+Hessian are all assembled on ordered edge-pair tables (row I, column J)
+whose diagonal and adjacent band are masked, taken in row blocks: a block
+holds ``_block_rows(N)`` edges I against all N edges J, so the energy and the
+gradient make no N x N temporary.  The energy is one table sum per block
+and quadrature node pair; the gradient's sums over J are row sums and
+table-vector products, local to a block's rows; the terms of the edge
+heads I+1 are the results rolled by one row.  The Hessian takes the whole
+table as one block, and its head terms are the tables rolled by one row or
+column.  ``hess_vec`` applies the Hessian to a batch of fields without
+assembling it, as the directional derivative of the gradient's tables, on
+one whole-table block too; a product costs O(N^2) per field and node pair,
+like the gradient.  The same input gives the same bits.
 
 Two classic single-node variants (evaluating the bare energy density
 ``1/|d|^2 - 1/rho^2`` at vertices or edge midpoints) are provided for
@@ -36,6 +40,8 @@ from .curve import Polygon, QuadPoint, arc_distance
 from .errors import CoincidentPoints
 
 _COINCIDENCE_SCALE = 1e-12
+# Entries per row block of the edge-pair tables, see ``_block_rows``.
+_BLOCK_ENTRIES = 24576
 
 
 @dataclass(frozen=True)
@@ -96,22 +102,55 @@ def _check_separation(polygon: Polygon, r2: np.ndarray):
         )
 
 
-def _pair_tables(polygon: Polygon, quad: QuadratureRule):
-    """Ordered edge-pair tables, one quadrature node pair (s, t) at a time.
+def _block_rows(n: int) -> int:
+    """Rows (edges I) per table block at N edges: whole groups of 16 rows, each
+    block table about ``_BLOCK_ENTRIES`` doubles (192 KB).
 
-    Yields ``(weight, s, t, d, q)`` with ``d[k, I, J]`` coordinate k of
-    ``x_I(s) - x_J(t)`` and ``q = 1 / |d|^2``.  On the diagonal and the
+    CPU time of ``energy``, ``d_energy`` and the Gram at N = 240 to 1536,
+    BLAS on one thread: blocks of 16k to 48k entries were within the noise
+    of each other, a fixed 32 rows cost the Gram up to 40 % more at
+    N <= 384 (more calls per table) and blocks over about 30k entries up to
+    twice as much at N = 240, and whole N x N tables took up to 3 times as
+    long, paying for freshly mapped pages on every call.  OpenBLAS forms
+    the row products (``q @ ell``, ``q @ e``) a group of rows at a time (4
+    here, 16 in its AVX-512 matrix kernel) and rounds left-over rows in
+    other kernels, so whole 16-row groups keep a block's row products
+    bitwise those of the whole table.
+    """
+    return max(16, _BLOCK_ENTRIES // n // 16 * 16)
+
+
+def _row_slices(n: int, rows: int | None = None) -> list:
+    """The row blocks of an N-row table, ``rows`` (default ``_block_rows(N)``) each."""
+    rows = _block_rows(n) if rows is None else rows
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _pair_blocks(polygon: Polygon, quad: QuadratureRule, rows: int | None = None):
+    """Ordered edge-pair tables in row blocks: ``rows`` edges I against all N edges J.
+
+    Yields ``(I, pairs)`` per block, ``I`` the slice of its rows and
+    ``pairs`` an iterator over the quadrature node pairs (s, t) of the
+    block, each ``(weight, s, t, d, q)`` with ``d[k, i, J]`` coordinate k of
+    ``x_{I_i}(s) - x_J(t)`` and ``q = 1 / |d|^2``.  On the diagonal and the
     adjacent band ``q`` is exactly zero; every other entry is checked for
     coincidence.  Each integrand derivative carries a factor ``q``, so the
-    masked entries drop out of every table sum.
+    masked entries drop out of every table sum.  A block's pairs must be
+    used up before the next block is drawn.
     """
-    n = polygon.num_vertices
-    i = np.arange(n)
-    band = np.concatenate((i, (i + 1) % n, (i - 1) % n)) + n * np.tile(i, 3)
     x = np.ascontiguousarray(_quad_positions(polygon, quad).transpose(1, 2, 0))
+    for block in _row_slices(polygon.num_vertices, rows):
+        yield block, _node_pairs(polygon, quad, x, block)
+
+
+def _node_pairs(polygon, quad, x, block):
+    n = polygon.num_vertices
+    i = np.arange(block.start, block.stop)
+    local = n * (i - block.start)
+    band = np.concatenate((local + i, local + (i + 1) % n, local + (i - 1) % n))
     for qi in range(quad.order):
         for qj in range(quad.order):
-            d = x[qi][:, :, None] - x[qj][:, None, :]
+            d = x[qi][:, block, None] - x[qj][:, None, :]
             r2 = np.einsum("kij,kij->ij", d, d)
             r2.flat[band] = np.inf
             _check_separation(polygon, r2)
@@ -153,16 +192,17 @@ def _sym(x):
 def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> float:
     """Total energy ``4 + sum of all ordered disjoint-pair contributions``.
 
-    One masked-table sum per node pair, ``sum q (ss - 2 u v q)`` with
-    ``u = <d, a_I>`` and ``v = <d, a_J>``.
+    One masked-table sum per row block and node pair, ``sum q (ss - 2 u v
+    q)`` with ``u = <d, a_I>`` and ``v = <d, a_J>``.
     """
-    e = polygon.edge_vectors
-    ss = np.outer(polygon.edge_lengths, polygon.edge_lengths) + e @ e.T
+    e, ell = polygon.edge_vectors, polygon.edge_lengths
     total = 0.0
-    for weight, _, _, d, q in _pair_tables(polygon, quad):
-        u = np.einsum("kij,ki->ij", d, e.T)
-        v = np.einsum("kij,kj->ij", d, e.T)
-        total += weight * float(np.sum(q * (ss - 2.0 * u * v * q)))
+    for rows, pairs in _pair_blocks(polygon, quad):
+        ss = np.outer(ell[rows], ell) + e[rows] @ e.T
+        for weight, _, _, d, q in pairs:
+            u = np.einsum("kij,ki->ij", d, e[rows].T)
+            v = np.einsum("kij,kj->ij", d, e.T)
+            total += weight * float(np.sum(q * (ss - 2.0 * u * v * q)))
     return 4.0 + total
 
 
@@ -171,22 +211,25 @@ def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
 
     The ordered pair sum is symmetric in (I, J), so the derivative is twice
     the sum of the derivatives through edge I alone: by ``a = a_I`` and by
-    ``d``, which moves with both endpoints of I.
+    ``d``, which moves with both endpoints of I.  Those are row sums, so
+    each row block fills its own rows of the tail and head terms.
     """
     e = polygon.edge_vectors
     ell = polygon.edge_lengths
-    ss = np.outer(ell, ell) + e @ e.T
     tail, head = np.zeros_like(e), np.zeros_like(e)
-    for weight, s, t, d, q in _pair_tables(polygon, quad):
-        u = np.einsum("kij,ki->ij", d, e.T)
-        v = np.einsum("kij,kj->ij", d, e.T)
-        q2 = q * q
-        vq2 = v * q2
-        ga = e * ((q @ ell) / ell)[:, None] + q @ e - 2.0 * _row_dot(vq2, d)
-        gd = (_row_dot(q2 * (8.0 * u * v * q - 2.0 * ss), d)
-              - 2.0 * e * vq2.sum(axis=1)[:, None] - 2.0 * (q2 * u) @ e)
-        tail += weight * ((1.0 - s) * gd - ga)
-        head += weight * (s * gd + ga)
+    for rows, pairs in _pair_blocks(polygon, quad):
+        e_i, ell_i = e[rows], ell[rows]
+        ss = np.outer(ell_i, ell) + e_i @ e.T
+        for weight, s, t, d, q in pairs:
+            u = np.einsum("kij,ki->ij", d, e_i.T)
+            v = np.einsum("kij,kj->ij", d, e.T)
+            q2 = q * q
+            vq2 = v * q2
+            ga = e_i * ((q @ ell) / ell_i)[:, None] + q @ e - 2.0 * _row_dot(vq2, d)
+            gd = (_row_dot(q2 * (8.0 * u * v * q - 2.0 * ss), d)
+                  - 2.0 * e_i * vq2.sum(axis=1)[:, None] - 2.0 * (q2 * u) @ e)
+            tail[rows] += weight * ((1.0 - s) * gd - ga)
+            head[rows] += weight * (s * gd + ga)
     return 2.0 * (tail + np.roll(head, 1, axis=0)).ravel()
 
 
@@ -218,7 +261,8 @@ def d2_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
     block = np.empty((m, m, n, n))
     weights = np.empty((3, m, n, n))
     scratch = np.empty((m, n, n))
-    for weight, s, t, d, q in _pair_tables(polygon, quad):
+    (_, pairs), = _pair_blocks(polygon, quad, rows=n)
+    for weight, s, t, d, q in pairs:
         u = np.einsum("kij,ki->ij", d, e_t)
         v = np.einsum("kij,kj->ij", d, e_t)
         q2 = q * q
@@ -312,7 +356,8 @@ def hess_vec(polygon: Polygon, quad: QuadratureRule, fields) -> np.ndarray:
     tables = work[5:9]               # then each field's dq / -2, db, da / 2, dc
     dq, db, da, dc_tab = tables
     c_tab, h, du, dv, dss = work[9:]
-    for weight, s, t, _, q in _pair_tables(polygon, quad):
+    (_, pairs), = _pair_blocks(polygon, quad, rows=n)
+    for weight, s, t, _, q in pairs:
         x = (1.0 - s) * centred + s * np.roll(centred, -1, axis=0)
         y = (1.0 - t) * centred + t * np.roll(centred, -1, axis=0)
         xx = (1.0 - s) * fields + s * shift
@@ -393,15 +438,17 @@ def energy_density(polygon: Polygon, a: QuadPoint, b: QuadPoint) -> float:
     return 1.0 / r2 - 1.0 / rho**2
 
 
-def _density_table(polygon: Polygon, s: float, t: float, q: np.ndarray) -> np.ndarray:
-    """Masked table ``q - 1/rho^2`` between node s of edge I and node t of edge J.
+def _density_table(polygon: Polygon, rows: slice, s: float, t: float,
+                   q: np.ndarray) -> np.ndarray:
+    """Masked table ``q - 1/rho^2`` between node s of the edges I in ``rows``
+    and node t of every edge J.
 
     ``rho`` is the arc distance of the two nodes; the masked entries
     (``q = 0``, rho = 0 on the diagonal among them) stay zero.
     """
-    ell = polygon.edge_lengths
-    rho2 = arc_distance(polygon, (polygon.arc_prefix + s * ell)[:, None],
-                        (polygon.arc_prefix + t * ell)[None, :]) ** 2
+    ell, start = polygon.edge_lengths, polygon.arc_prefix
+    rho2 = arc_distance(polygon, (start[rows] + s * ell[rows])[:, None],
+                        (start + t * ell)[None, :]) ** 2
     inv_rho2 = np.divide(1.0, rho2, out=np.zeros_like(q), where=q > 0.0)
     return q - inv_rho2
 
@@ -421,6 +468,9 @@ def ks_energy(polygon: Polygon, variant: str = "edge") -> float:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     rule = QuadratureRule(np.array([t]), np.array([1.0]))
-    (_, _, _, _, q), = _pair_tables(polygon, rule)
     ell = polygon.edge_lengths
-    return float(np.sum(np.outer(ell, ell) * _density_table(polygon, t, t, q)))
+    total = 0.0
+    for rows, pairs in _pair_blocks(polygon, rule):
+        (_, _, _, _, q), = pairs
+        total += float(np.sum(np.outer(ell[rows], ell) * _density_table(polygon, rows, t, t, q)))
+    return total

@@ -14,8 +14,10 @@ metric couples all edge pairs with disjoint closures:
   * an optional rank-m barycenter term that restores definiteness on
     constant fields when no barycenter constraint is active.
 
-The two pair terms are kernel-weighted graph Laplacians built from ordered
-edge-pair tables (see ``_w32_scalar``).
+The two pair terms are kernel-weighted graph Laplacians built from the
+ordered edge-pair tables one row block at a time (see ``_w32_scalar``):
+the N x N output is the only N x N array of the assembly, and
+``GramOperator`` keeps one symmetrized copy of it.
 
 The low-order baselines (lumped mass, first and second difference
 stiffness) use standard one-dimensional finite-element forms.
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curve import Polygon
-from .energy import MIDPOINT, QuadratureRule, _density_table, _pair_tables
+from .energy import MIDPOINT, QuadratureRule, _density_table, _pair_blocks, _row_slices
 from .errors import DimensionMismatch
 
 _FAMILIES = ("l2", "w12", "w22", "w32")
@@ -74,8 +76,13 @@ class GramOperator:
     """Symmetric operator ``scalar (x) I_dim`` realizing a metric at a polygon."""
 
     def __init__(self, scalar: np.ndarray, dim: int):
+        # 0.5 (S + S^T), one row block at a time into the one owned copy.
         scalar = np.asarray(scalar, dtype=float)
-        self.scalar = 0.5 * (scalar + scalar.T)
+        self.scalar = np.empty(scalar.shape)
+        for rows in _row_slices(len(scalar)):
+            block = self.scalar[rows]
+            np.add(scalar[rows], scalar[:, rows].T, out=block)
+            block *= 0.5
         self.dim = dim
         self.scalar.setflags(write=False)
 
@@ -108,26 +115,52 @@ def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):
     ``sum_st 2 (A_s^T diag(K_st 1) A_s - A_s^T K_st A_t)`` with the
     density-weighted table K_st and ``(A_s u)_I = (1-s) u_I + s u_{I+1}``.
     D and A weigh edge tails (0) and heads (1), so both parts are tables
-    ``[p, r]`` rolled p rows and r columns on.
+    ``T[p, r]`` rolled p rows and r columns on.  Each row block of the
+    tables is added straight into the output, every entry as ``((T00 +
+    T01) + T10) + T11``: the rows that the block's T10 and T11 roll past
+    its end are carried to the next block (the last block's to row 0).
     """
     n = polygon.num_vertices
     ell = polygon.edge_lengths
-    tables = np.zeros((2, 2, n, n))
-    kernel = np.zeros((n, n))
-    for w, s, t, _, q in _pair_tables(polygon, quad):
-        kernel += w * q
-        if kind.include_low_order:
-            low = w * np.outer(ell, ell) * _density_table(polygon, s, t, q) * q
-            row_sums = low.sum(axis=1)
-            avg_s, avg_t = (1.0 - s, s), (1.0 - t, t)
-            for p, r in np.ndindex(2, 2):
-                tables[p, r] -= 2.0 * avg_s[p] * avg_t[r] * low
-                tables[p, r].flat[::n + 1] += 2.0 * avg_s[p] * avg_s[r] * row_sums
-    # D = (head - tail) / l: the 1/l factors fold into the table.
-    principal = -2.0 * kernel
-    principal.flat[::n + 1] += 2.0 * (kernel @ ell) / ell
-    return sum(np.roll(tables[p, r] + (-1.0) ** (p + r) * principal, (p, r), axis=(0, 1))
-               for p, r in np.ndindex(2, 2))
+    out = np.empty((n, n))
+    carry = None
+    for rows, pairs in _pair_blocks(polygon, quad):
+        diag = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
+        tables = np.zeros((2, 2, rows.stop - rows.start, n))
+        kernel = np.zeros_like(tables[0, 0])
+        for w, s, t, _, q in pairs:
+            kernel += w * q
+            if kind.include_low_order:
+                low = w * np.outer(ell[rows], ell) * _density_table(polygon, rows, s, t, q) * q
+                row_sums = low.sum(axis=1)
+                avg_s, avg_t = (1.0 - s, s), (1.0 - t, t)
+                for p, r in np.ndindex(2, 2):
+                    tables[p, r] -= 2.0 * avg_s[p] * avg_t[r] * low
+                    tables[p, r][diag] += 2.0 * avg_s[p] * avg_s[r] * row_sums
+        # D = (head - tail) / l: the 1/l factors fold into the table.
+        principal = -2.0 * kernel
+        principal[diag] += 2.0 * (kernel @ ell) / ell[rows]
+        tables[0, 0] += principal
+        tables[1, 1] += principal
+        principal *= -1.0
+        tables[0, 1] += principal
+        tables[1, 0] += principal
+        (t00, t01), (t10, t11) = tables
+        block = out[rows]
+        _add_rolled(t00, t01, block)
+        if carry is not None:
+            _add_rolled(block[0] + carry[0], carry[1], block[0])
+        block[1:] += t10[:-1]
+        _add_rolled(block[1:], t11[:-1], block[1:])
+        carry = (t10[-1], t11[-1])
+    _add_rolled(out[0] + carry[0], carry[1], out[0])
+    return out
+
+
+def _add_rolled(x, y, out):
+    """``out = x + y`` with ``y`` rolled one column on; ``out`` may be ``x``."""
+    np.add(x[..., 1:], y[..., :-1], out=out[..., 1:])
+    np.add(x[..., :1], y[..., -1:], out=out[..., :1])
 
 
 def _lumped_mass_weights(polygon: Polygon) -> np.ndarray:
@@ -183,7 +216,8 @@ def assemble_gram(polygon: Polygon, kind: MetricKind,
         scalar = _w32_scalar(polygon, kind, quad)
     if kind.include_barycenter:
         weights = _lumped_mass_weights(polygon)
-        scalar = scalar + np.outer(weights, weights)
+        for rows in _row_slices(len(weights)):
+            scalar[rows] += np.outer(weights[rows], weights)
     return GramOperator(scalar, polygon.dim)
 
 

@@ -80,6 +80,19 @@ class TestGenerate:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["coil", "--n", "48", "--windings", "0"],
+        ["ngon", "--n", "8", "--dim", "1"],
+        ["perturbed-circle", "--n", "32", "--amplitude", "nan"],
+        ["torus-knot", "--n", "60", "--p", "2", "--q", "4"],
+    ], ids=["windings-0", "dim-1", "amplitude-nan", "p2-q4"])
+    def test_bad_value_exit_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad.txt"
+        code = cli.main(["generate", *argv, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR usage: ")
+        assert not out.exists()
+
 
 class TestRun:
     def test_near_minimal_input_single_row(self, tmp_path, capsys):

@@ -139,6 +139,11 @@ class TestRegularNgon:
         with pytest.raises(ko.TooFewVertices):
             ko.regular_ngon(3)
 
+    def test_dimension_below_two_rejected(self):
+        for make in (ko.regular_ngon, ko.perturbed_circle):
+            with pytest.raises(ValueError, match="dimension"):
+                make(8, dim=1)
+
 
 class TestTorusKnot:
     def test_trefoil_embedded(self):

@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +11,8 @@ import pairlist_oracle as oracle
 from conftest import random_embedded_polygon, rotation_matrix
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+# The module itself: ``knotopt.energy`` is also the name of the function.
+ENERGY_MODULE = importlib.import_module("knotopt.energy")
 
 
 def fd_gradient(polygon, quad_rule, step):
@@ -293,30 +298,36 @@ def _relative_defect(new, reference):
     return np.abs(new - reference).max() / np.abs(reference).max()
 
 
+def _check_derivatives(rule):
+    for name, p in _table_curves():
+        assert _relative_defect(ko.energy(p, rule), oracle.energy(p, rule)) <= 1e-13, name
+        for variant in ("vertex", "edge"):
+            assert _relative_defect(ko.ks_energy(p, variant),
+                                    oracle.ks_energy(p, variant)) <= 1e-13, name
+        assert _relative_defect(ko.d_energy(p, rule),
+                                oracle.d_energy(p, rule)) <= 1e-11, name
+        assert _relative_defect(ko.d2_energy(p, rule),
+                                oracle.d2_energy(p, rule)) <= 1e-11, name
+
+
+def _check_gram(rule, kind):
+    for name, p in _table_curves():
+        g = ko.assemble_gram(p, kind.with_barycenter(False), rule)
+        assert _relative_defect(g.scalar, oracle.w32_scalar(p, kind, rule)) <= 1e-13, name
+
+
 class TestTableAssembly:
     """The edge-pair table assembly against the pair-list scatter oracle."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_derivatives_match_pair_list(self, k):
-        rule = ko.QuadratureRule.gauss(k)
-        for name, p in _table_curves():
-            assert _relative_defect(ko.energy(p, rule), oracle.energy(p, rule)) <= 1e-13, name
-            for variant in ("vertex", "edge"):
-                assert _relative_defect(ko.ks_energy(p, variant),
-                                        oracle.ks_energy(p, variant)) <= 1e-13, name
-            assert _relative_defect(ko.d_energy(p, rule),
-                                    oracle.d_energy(p, rule)) <= 1e-11, name
-            assert _relative_defect(ko.d2_energy(p, rule),
-                                    oracle.d2_energy(p, rule)) <= 1e-11, name
+        _check_derivatives(ko.QuadratureRule.gauss(k))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("kind", [ko.W32_PURE, ko.W32_GEOMETRIC],
                              ids=["w32pure", "w32"])
     def test_gram_matches_pair_list(self, k, kind):
-        rule = ko.QuadratureRule.gauss(k)
-        for name, p in _table_curves():
-            g = ko.assemble_gram(p, kind.with_barycenter(False), rule)
-            assert _relative_defect(g.scalar, oracle.w32_scalar(p, kind, rule)) <= 1e-13, name
+        _check_gram(ko.QuadratureRule.gauss(k), kind)
 
     def test_node_coincidence_in_masked_band_is_ignored(self):
         # Nodes at both edge ends make every adjacent pair meet exactly at
@@ -340,6 +351,83 @@ class TestTableAssembly:
                          lambda q: ko.assemble_gram(q, ko.W32_PURE)):
             with pytest.raises(ko.CoincidentPoints):
                 assemble(p)
+
+
+def _blocked(p, rule, rows, monkeypatch):
+    """d_energy and the two w32 Grams with ``rows`` edges per table block."""
+    monkeypatch.setattr(ENERGY_MODULE, "_block_rows", lambda n: rows)
+    return [ko.d_energy(p, rule)] + [ko.assemble_gram(p, kind, rule).scalar
+                                     for kind in (ko.W32_GEOMETRIC, ko.W32_PURE)]
+
+
+def _last_block_bow_tie():
+    """A 200-gon whose only coincident disjoint pair, the midpoints of edges
+    194 and 196, lies in the last table block."""
+    angles = np.radians(np.linspace(100.0, 350.0, 194))
+    arc = 0.5 + 10.0 * np.column_stack((np.cos(angles), np.sin(angles)))
+    bow_tie = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+    tail = [(-0.5, 3.0), (-1.0, 6.0)]
+    return ko.Polygon(np.vstack((arc, bow_tie, tail)), validate=False)
+
+
+class TestRowBlocks:
+    """Row blocks of the edge-pair tables at sizes other than the default."""
+
+    # One row, a row count dividing none of the table curves' N, one block.
+    @pytest.mark.parametrize("rows", [1, 7, 1000], ids=["rows1", "rows7", "one-block"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_oracles_at_block_boundaries(self, rows, k, monkeypatch):
+        monkeypatch.setattr(ENERGY_MODULE, "_block_rows", lambda n: rows)
+        rule = ko.QuadratureRule.gauss(k)
+        _check_derivatives(rule)
+        for kind in (ko.W32_PURE, ko.W32_GEOMETRIC):
+            _check_gram(rule, kind)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_block_size_moves_no_bit(self, k, monkeypatch):
+        # BLAS forms the row products (q @ ell, q @ e) a group of 4 or 16
+        # rows at a time and rounds left-over rows in another kernel, and
+        # numpy takes one block's e @ e.T as a symmetric product.  Blocks of
+        # whole 16-row groups therefore give the same bits as each other (and
+        # the Grams those of one block); 1- and 7-row blocks agree to rounding.
+        rule = ko.QuadratureRule.gauss(k)
+        for name, p in _table_curves():
+            one_block = _blocked(p, rule, 1000, monkeypatch)
+            for new, ref in zip(_blocked(p, rule, 16, monkeypatch)[1:], one_block[1:]):
+                assert new.tobytes() == ref.tobytes(), name
+            for rows in (1, 7):
+                for new, ref in zip(_blocked(p, rule, rows, monkeypatch), one_block):
+                    assert _relative_defect(new, ref) <= 1e-14, (name, rows)
+        for p in (ko.coiled_unknot(96), ko.torus_knot(2, 3, 60)):
+            sixteen = _blocked(p, rule, 16, monkeypatch)
+            for rows in (32, 48):
+                for new, ref in zip(_blocked(p, rule, rows, monkeypatch), sixteen):
+                    assert new.tobytes() == ref.tobytes(), (p.num_vertices, rows)
+
+    def test_coincidence_in_last_block_raises(self):
+        p = _last_block_bow_tie()
+        rows = ENERGY_MODULE._block_rows(p.num_vertices)
+        assert 0 < (p.num_vertices - 1) // rows * rows <= 194
+        for assemble in (ko.energy, ko.d_energy,
+                         lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC)):
+            with pytest.raises(ko.CoincidentPoints):
+                assemble(p)
+
+    def test_peak_memory_stays_below_a_full_table(self):
+        # The whole-table assembly peaked at 10 (energy), 12 (d_energy) and
+        # 14 (Gram) N x N tables; the Gram's output and the operator's
+        # symmetric copy are the only N x N arrays left.
+        p = ko.coiled_unknot(768)
+        table = 768 * 768 * 8
+        for assemble, bound in ((ko.energy, 1), (ko.d_energy, 1),
+                                (lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC), 3)):
+            tracemalloc.start()
+            try:
+                assemble(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * table, (assemble, peak / table)
 
 
 def _dense_products(hess, fields):

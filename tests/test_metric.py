@@ -129,6 +129,15 @@ class TestOperatorInterface:
         basis[j] = 1.0
         assert np.array_equal(g.apply(basis), dense(g)[:, j])
 
+    def test_symmetrizes_an_owned_copy(self, rng):
+        # Wider than one row block; the caller's array is left as it was.
+        a = rng.standard_normal((70, 70))
+        before = a.copy()
+        g = ko.GramOperator(a, 2)
+        assert np.array_equal(a, before)
+        assert not np.shares_memory(g.scalar, a)
+        assert g.scalar.tobytes() == (0.5 * (a + a.T)).tobytes()
+
     def test_dimension_mismatch(self):
         p = random_embedded_polygon(8, seed=13)
         g = ko.assemble_gram(p, ko.L2)
