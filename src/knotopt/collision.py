@@ -10,9 +10,18 @@ Every query prunes with two balls per edge before any exact segment
 distance: the ball around the edge's midpoint of radius half its length
 (a lower bound on pair distances), and the ball around the mean velocity
 of its endpoints of radius half their difference (an upper bound on pair
-speeds).  Both bound tables come from one matrix product over the N edges.
-Only pairs whose bounds cannot rule them out are computed exactly, so every
-query returns what computing all N(N-3)/2 pairs would.
+speeds).  The bounds form a table over the edge pairs (I, J), I < J, built
+in blocks of rows, each block from one matrix product of the centred
+midpoints; no pairs-sized gather is made.  Only pairs whose bounds cannot
+rule them out are computed exactly, so every query returns what computing
+all N(N-3)/2 pairs would.
+
+The collision step bound keeps a wake time per pair in an N x N table:
+the earliest step at which the pair's lower bound on its distance could
+reach contact or the smallest ratio of distance to speed of the round.
+A conservative-advancement round computes only the pairs whose wake time
+has come, and each computed pair goes back to sleep behind a new wake time
+taken from its exact distance.
 """
 
 from dataclasses import dataclass
@@ -30,10 +39,21 @@ CONTACT_SCALE = 1e-9
 # per-pair lower bound on time to contact so rounding can never tunnel.
 _ADVANCE_FACTOR = 0.9
 _MAX_ROUNDS = 128
-# Pairs with the smallest bounds, computed first in each proximity query.
+# Pairs with the smallest bounds, computed first in each proximity query;
+# rows of smallest wake time, woken first in a collision query.
 _PRUNE_BATCH = 64
 # Relative rounding pad of the midpoint-ball bounds.
 _BOUND_PAD = 1e-12
+# Rows in one block of a bound table.
+_BLOCK_ROWS = 64
+# A wake time assumes a distance shrunk and a speed grown by these factors,
+# twice the pad of the lazy lower bound d (1 - 1e-9) - (tau - tau_at)
+# speed (1 + 1e-9) - slack that conservative advancement holds for a pair
+# not computed at tau; the margin covers the rounding of the wake time.
+_WAKE_SHRINK = 1.0 - 2e-9
+_WAKE_GROW = 1.0 + 2e-9
+# Relative pad of the wake threshold tau + best.
+_WAKE_PAD = 1e-12
 
 # Collision-limited line searches start at this fraction of the first
 # possible contact step.
@@ -55,13 +75,9 @@ def _segment_distance_batch(a0, a1, b0, b1):
     """Distances between closed segments [a0,a1] and [b0,b1], row-wise.
 
     Clamped closest-point computation; robust for parallel and degenerate
-    (zero-length) segments.
+    (zero-length) segments.  The arguments are float arrays of shape
+    (k, m).
     """
-    a0 = np.atleast_2d(np.asarray(a0, dtype=float))
-    a1 = np.atleast_2d(np.asarray(a1, dtype=float))
-    b0 = np.atleast_2d(np.asarray(b0, dtype=float))
-    b1 = np.atleast_2d(np.asarray(b1, dtype=float))
-
     d1 = a1 - a0
     d2 = b1 - b0
     r = a0 - b0
@@ -72,28 +88,44 @@ def _segment_distance_batch(a0, a1, b0, b1):
     b = np.einsum("ij,ij->i", d1, d2)
 
     tiny = np.finfo(float).tiny
+    long_a = a > tiny
     denom = a * e - b * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > 0.0, (b * f - c * e) / np.where(denom > 0.0, denom, 1.0), 0.0)
-        s = np.clip(s, 0.0, 1.0)
-        t = np.where(e > tiny, (b * s + f) / np.where(e > tiny, e, 1.0), 0.0)
-        s_low = np.clip(np.where(a > tiny, -c / np.where(a > tiny, a, 1.0), 0.0), 0.0, 1.0)
-        s_high = np.clip(np.where(a > tiny, (b - c) / np.where(a > tiny, a, 1.0), 0.0), 0.0, 1.0)
-    s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
-    t = np.clip(t, 0.0, 1.0)
+    clamped = np.zeros((4, len(a)))
+    s, t, s_low, s_high = clamped
+    np.divide(b * f - c * e, denom, out=s, where=denom > 0.0)
+    np.maximum(s, 0.0, out=s)
+    np.minimum(s, 1.0, out=s)
+    np.divide(b * s + f, e, out=t, where=e > tiny)
+    # s for t clamped to 0 and to 1.
+    np.divide(-c, a, out=s_low, where=long_a)
+    np.divide(b - c, a, out=s_high, where=long_a)
+    limits = clamped[2:]
+    np.maximum(limits, 0.0, out=limits)
+    np.minimum(limits, 1.0, out=limits)
+    np.copyto(s, s_low, where=t < 0.0)
+    np.copyto(s, s_high, where=t > 1.0)
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
 
-    diff = (a0 + s[:, None] * d1) - (b0 + t[:, None] * d2)
+    diff = a0 + s[:, None] * d1
+    diff -= b0 + t[:, None] * d2
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def segment_distance(a0, a1, b0, b1) -> float:
     """Euclidean distance between the closed segments [a0,a1] and [b0,b1]."""
-    return float(_segment_distance_batch(a0, a1, b0, b1)[0])
+    ends = (np.asarray(p, dtype=float).reshape(1, -1) for p in (a0, a1, b0, b1))
+    return float(_segment_distance_batch(*ends)[0])
+
+
+def _pair_ends(x, pi, pj):
+    """Start and end points of edges pi, then of edges pj: shape (4, k, m)."""
+    ends = x[np.concatenate((pi, pi + 1, pj, pj + 1)) % len(x)]
+    return ends.reshape(4, len(pi), x.shape[1])
 
 
 def _pair_distances(v, pi, pj):
-    n = len(v)
-    return _segment_distance_batch(v[pi], v[(pi + 1) % n], v[pj], v[(pj + 1) % n])
+    return _segment_distance_batch(*_pair_ends(v, pi, pj))
 
 
 def _pair_speeds(u, pi, pj):
@@ -103,36 +135,63 @@ def _pair_speeds(u, pi, pj):
     over the four endpoint combinations bounds every point pair on the two
     segments.
     """
-    n = len(u)
-    ends_i = np.stack((pi, (pi + 1) % n))[:, None]
-    ends_j = np.stack((pj, (pj + 1) % n))[None, :]
-    return np.linalg.norm(u[ends_i] - u[ends_j], axis=-1).max(axis=(0, 1))
+    ends = _pair_ends(u, pi, pj)
+    return np.linalg.norm(ends[:2, None] - ends[None, 2:], axis=-1).max(axis=(0, 1))
 
 
-def _ball_bound(x, pi, pj, sign):
-    """Padded bound on ``|p - q|`` for p on edge I and q on edge J of ``x``.
-
-    Edge I of the closed polyline ``x`` lies in the ball of radius r_I, half
-    its length, around its midpoint c_I.  With ``sign = -1`` this is a lower
-    bound on the pair's distance, ``|c_I - c_J| - r_I - r_J``; with
-    ``sign = +1`` an upper bound on the largest endpoint difference,
-    ``|c_I - c_J| + r_I + r_J``.  The N x N table of ``|c_I - c_J|^2`` is
-    one matrix product, ``|c_I|^2 + |c_J|^2 - 2 c_I.c_J``, of the centred
-    midpoints; it is padded, in the square and linearly, far beyond the
-    rounding of the midpoints, the product and the exact pair routines.
-    """
+def _edge_balls(x):
+    """Centred midpoints, half lengths, squared midpoint norms and the
+    linear rounding pad of the edges of the closed polyline ``x``."""
     nxt = np.roll(x, -1, axis=0)
     c = 0.5 * (x + nxt)
     r = 0.5 * np.linalg.norm(nxt - x, axis=1)
     pad = _BOUND_PAD * (np.abs(x).max() + r.max())
     c -= c.mean(axis=0)
-    sq = np.einsum("ij,ij->i", c, c)
-    d2 = sq[pi] + sq[pj]
-    d2 -= 2.0 * (c @ c.T)[pi, pj]
-    d2 += sign * _BOUND_PAD * sq.max()
-    reach = r[pi] + r[pj]
+    return c, r, np.einsum("ij,ij->i", c, c), pad
+
+
+def _row_blocks(n):
+    """Row ranges ``(lo, hi)`` covering the rows I < N - 2 of a pair table."""
+    for lo in range(0, n - 2, _BLOCK_ROWS):
+        yield lo, min(lo + _BLOCK_ROWS, n - 2)
+
+
+def _ball_rows(balls, lo, hi, sign):
+    """Rows ``lo:hi`` of the padded ball-bound table, columns ``lo + 2`` on.
+
+    Edge I lies in the ball of radius r_I, half its length, around its
+    midpoint c_I.  With ``sign = -1`` entry (I, J) is a lower bound on the
+    pair's distance, ``|c_I - c_J| - r_I - r_J``; with ``sign = +1`` an
+    upper bound on its largest endpoint difference, ``|c_I - c_J| + r_I +
+    r_J``.  ``|c_I - c_J|^2`` is ``|c_I|^2 + |c_J|^2 - 2 c_I.c_J`` of the
+    centred midpoints, one matrix product per block, padded in the square
+    and linearly far beyond the rounding of the midpoints, the product and
+    the exact pair routines.  Entries that are not a non-adjacent pair
+    I < J read ``-sign * inf``, so they pass no test a real pair must pass.
+    """
+    c, r, sq, pad = balls
+    n, start = len(c), lo + 2
+    bound = sq[lo:hi, None] + sq[start:]
+    bound -= 2.0 * (c[lo:hi] @ c[start:].T)
+    bound += sign * _BOUND_PAD * sq.max()
+    np.maximum(bound, 0.0, out=bound)
+    np.sqrt(bound, out=bound)
+    reach = r[lo:hi, None] + r[start:]
     reach += pad
-    return np.sqrt(np.maximum(d2, 0.0)) + sign * reach
+    reach *= sign
+    bound += reach
+    # Entry (lo + k, start + q) has J <= I + 1 when q < k; the pair
+    # (0, N - 1) shares vertex 0.
+    rows = hi - lo
+    bound[:, :rows][np.tri(rows, min(rows, n - start), -1, dtype=bool)] = -sign * np.inf
+    if lo == 0:
+        bound[0, -1] = -sign * np.inf
+    return bound
+
+
+def _ball_bound(x, pi, pj, sign):
+    """Entries (pi, pj) of the ball-bound table of ``x`` (see ``_ball_rows``)."""
+    return _ball_rows(_edge_balls(x), 0, len(x) - 2, sign)[pi, pj - 2]
 
 
 def _smallest(values):
@@ -157,26 +216,68 @@ class ProximityReport:
 def proximity_report(vertices) -> ProximityReport:
     """Closest non-adjacent edge pair; ties go to the first pair in order.
 
-    The exact distances of the pairs with the smallest ball bounds give a
-    running minimum; only the pairs whose bound is at or below it can
-    attain the minimum, and only they are computed exactly.
+    The lower-bound table is built a block of rows at a time.  In each
+    block the exact distances of the nearest pairs of its rows of smallest
+    bound lower a running minimum, and the pairs whose bound is at or below
+    it are kept; only the kept pairs whose bound is at or below the final
+    minimum can attain it, and only they are computed exactly.
     """
     v = np.asarray(vertices, dtype=float)
-    pi, pj = nonadjacent_pairs(len(v))
-    lower = _ball_bound(v, pi, pj, -1.0)
-    seed = _smallest(lower)
-    best = _pair_distances(v, pi[seed], pj[seed]).min()
-    candidates = np.flatnonzero(lower <= best)
-    d = _pair_distances(v, pi[candidates], pj[candidates])
+    balls = _edge_balls(v)
+    best, kept = np.inf, []
+    for lo, hi in _row_blocks(len(v)):
+        lower = _ball_rows(balls, lo, hi, -1.0)
+        nearest = lower.argmin(axis=1)
+        row_min = lower[np.arange(hi - lo), nearest]
+        rows = _smallest(row_min)
+        rows = rows[row_min[rows] <= best]
+        if rows.size:
+            best = min(best, _pair_distances(v, lo + rows, lo + 2 + nearest[rows]).min())
+        i, j = np.nonzero(lower <= best)
+        kept.append((lo + i, lo + 2 + j, lower[i, j]))
+    pi, pj, bound = (np.concatenate(parts) for parts in zip(*kept))
+    keep = bound <= best
+    pi, pj = pi[keep], pj[keep]
+    d = _pair_distances(v, pi, pj)
     k = int(np.argmin(d))
-    return ProximityReport(
-        min_distance=float(d[k]),
-        pair=(int(pi[candidates[k]]), int(pj[candidates[k]])),
-    )
+    return ProximityReport(min_distance=float(d[k]), pair=(int(pi[k]), int(pj[k])))
 
 
 def min_nonadjacent_distance(vertices) -> float:
     return proximity_report(vertices).min_distance
+
+
+def _wake_times(tau, dist, speed, reserve):
+    """First tau at which pairs at ``dist`` (at ``tau``) moving at most at
+    ``speed`` may come within ``reserve``; inf for pairs at rest."""
+    wake = np.full(dist.shape, np.inf)
+    np.divide(_WAKE_SHRINK * dist - reserve, _WAKE_GROW * speed, out=wake,
+              where=speed > 0.0)
+    wake += tau
+    return wake
+
+
+def _waking(wake, row_min, after, until):
+    """Pairs (i, j) whose wake time lies in (after, until]."""
+    rows = np.flatnonzero(row_min <= until)
+    block = wake[rows]
+    i, j = np.nonzero((block > after) & (block <= until))
+    return rows[i], j
+
+
+def _measure(w, u, speed_table, pi, pj):
+    """Distances at ``w``, speeds and distance / speed (inf at rest) of the
+    pairs (pi, pj).  A pair's speed is computed once and kept in
+    ``speed_table`` (NaN until then)."""
+    speed = speed_table[pi, pj]
+    fresh = np.flatnonzero(np.isnan(speed))
+    if fresh.size:
+        speed[fresh] = _pair_speeds(u, pi[fresh], pj[fresh])
+        speed_table[pi[fresh], pj[fresh]] = speed[fresh]
+    dist = _pair_distances(w, pi, pj)
+    ratio = np.full(len(dist), np.inf)
+    np.divide(dist, speed, out=ratio, where=speed > 0.0)
+    return dist, speed, ratio
 
 
 def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> float:
@@ -185,71 +286,93 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
     Returns a conservative ``tau_star`` in (0, tau_max] such that
     ``V + tau * U`` has no contact between non-adjacent edges for all
     ``tau < tau_star``.  Uses conservative advancement: each round advances
-    by a fraction of min over pairs of (distance / max relative endpoint
-    speed), which lower-bounds every pair's time to contact.
+    by a fraction of ``best``, the minimum over pairs of distance / max
+    relative endpoint speed, which lower-bounds every pair's time to contact.
 
     A pair's distance and speed are computed exactly only when the pair can
-    set that minimum or touch.  Until then two balls stand in for them: the
-    midpoint balls of the edges of ``V`` give a lower bound on the distance
-    at tau = 0, and the balls around the edges' mean velocities, of radius
-    half the velocity difference, give an upper bound on the speed.  A
-    lower bound on time to contact never exceeds the exact one, so the
-    minimum is always attained by an exactly computed pair and every step,
-    hence the result, equals that of computing all pairs exactly.
+    set that minimum or touch.  Until then a lower bound on its distance
+    stands in: its last exact distance (at tau = 0, the bound from the
+    edges' midpoint balls) less the time since times its speed (exact, or
+    the upper bound from the balls around the edges' mean velocities).
+    That bound can reach contact at ``tau``, or fall to ``best * speed``
+    there, only if the pair's wake time ``K = tau_at + (d_at - slack -
+    eps) / speed`` (padded for rounding) is at most ``tau + best``, so a
+    round at ``tau`` computes only the pairs with ``K <= tau + best``.  It first wakes the pairs with ``K`` up to a guess
+    of ``tau + best`` (in the first round, the smallest row minima of the
+    wake table; later, the last round's minimum pair with its bound grown
+    by the step), then those up to ``tau + best`` of what it computed; a
+    best large enough to end the query at ``tau_max`` caps both.  Each
+    computed pair gets a new ``K`` from its exact distance and, if that
+    lies beyond ``tau + best``, goes back to sleep.
+
+    A pair left asleep has a lower bound above ``best`` and above the
+    contact distance, and exact values never fall below a lower bound, so
+    the minimum and the contact test of each round, hence every step and
+    the result, equal those of computing all pairs exactly.
     """
     v = np.asarray(getattr(polygon_or_vertices, "vertices", polygon_or_vertices), dtype=float)
     u = np.asarray(displacement, dtype=float).reshape(v.shape)
     if tau_max <= 0.0:
         raise ValueError("tau_max must be positive")
 
-    pi, pj = nonadjacent_pairs(len(v))
+    n = len(v)
     eps_contact = CONTACT_SCALE * max(_polyline_length(v), np.finfo(float).tiny)
+    reserve = eps_contact + 1e-3 * eps_contact
+    # For N >= 4 every vertex pair bounds some non-adjacent edge pair, so
+    # all pair speeds are zero exactly when the motion is a translation.
+    rigid = bool(np.all(u == u[0]))
 
-    d = _ball_bound(v, pi, pj, -1.0)
-    near = np.flatnonzero(d <= eps_contact)
-    if near.size:
-        closest = _pair_distances(v, pi[near], pj[near]).min()
+    balls = _edge_balls(v)
+    speed_balls = None if rigid else _edge_balls(u)
+    wake = np.full((n - 2, n), np.inf)
+    near = []
+    for lo, hi in _row_blocks(n):
+        lower = _ball_rows(balls, lo, hi, -1.0)
+        i, j = np.nonzero(lower <= eps_contact)
+        near.append((lo + i, lo + 2 + j))
+        if not rigid:
+            wake[lo:hi, lo + 2:] = _wake_times(0.0, lower, _ball_rows(speed_balls, lo, hi, 1.0),
+                                               reserve)
+    pi, pj = (np.concatenate(parts) for parts in zip(*near))
+    if pi.size:
+        closest = _pair_distances(v, pi, pj).min()
         if closest <= eps_contact:
             raise AlreadyColliding(
                 f"minimum non-adjacent pair distance {closest:.3e} at start"
             )
-    # For N >= 4 every vertex pair bounds some non-adjacent edge pair, so
-    # all pair speeds are zero exactly when the motion is a translation.
-    if np.all(u == u[0]):
+    if rigid:
         return float(tau_max)
 
-    # For a pair not computed at the current tau, d holds a lower bound: its
-    # last computed distance (or ball bound) minus the time since times its
-    # speed (padded for rounding).  speed is exact once the pair has been
-    # computed and the ball upper bound before.
-    speed = _ball_bound(u, pi, pj, 1.0)
-    known = np.zeros(len(d), dtype=bool)
-    moving = speed > 0.0
-    safe_speed = np.where(moving, speed, 1.0)
-    d_at, tau_at = d.copy(), np.zeros(len(d))
-    slack = 1e-3 * eps_contact
-    tau, w = 0.0, v
-    for rounds in range(_MAX_ROUNDS + 1):
-        # Recompute only the pairs that can still set the minimum of
-        # d / speed or touch.
-        bounds = np.where(moving, d / safe_speed, np.inf)
-        stale = np.ones(len(d), dtype=bool)
-        todo = _smallest(bounds)
-        while todo.size:
-            fresh = todo[~known[todo]]
-            if fresh.size:
-                speed[fresh] = _pair_speeds(u, pi[fresh], pj[fresh])
-                known[fresh] = True
-                moving[fresh] = speed[fresh] > 0.0
-                safe_speed[fresh] = np.where(moving[fresh], speed[fresh], 1.0)
-            d[todo] = _pair_distances(w, pi[todo], pj[todo])
-            d_at[todo], tau_at[todo], stale[todo] = d[todo], tau, False
-            bounds[todo] = np.where(moving[todo], d[todo] / safe_speed[todo], np.inf)
-            best = bounds[~stale].min()
-            todo = np.flatnonzero(stale & ((bounds <= best) | (d <= eps_contact)))
-        if d[~stale].min() <= eps_contact or rounds == _MAX_ROUNDS:
+    row_min = wake.min(axis=1)
+    speed_table = np.full(wake.shape, np.nan)
+    # The first round starts from the rows of smallest wake time.
+    seeds = min(_PRUNE_BATCH, len(row_min)) - 1
+    tau, w, guess = 0.0, v, np.partition(row_min, seeds)[seeds]
+    for _ in range(_MAX_ROUNDS):
+        # A best of at least `last` ends the query at tau_max, so no pair
+        # waking after tau + last is needed (the pad keeps that true after
+        # rounding).
+        last = (tau_max - tau) / _ADVANCE_FACTOR + _WAKE_PAD * tau_max
+        cap = (tau + last) * (1.0 + _WAKE_PAD)
+        guess = min(guess, cap)
+        pi, pj = _waking(wake, row_min, -np.inf, guess)
+        dist, speed, ratio = _measure(w, u, speed_table, pi, pj)
+        best = ratio.min(initial=np.inf)
+        until = min((tau + best) * (1.0 + _WAKE_PAD), cap)
+        if until > guess:
+            # best only falls, so this batch wakes every pair still due.
+            more = _waking(wake, row_min, guess, until)
+            more_dist, more_speed, more_ratio = _measure(w, u, speed_table, *more)
+            best = min(best, more_ratio.min(initial=np.inf))
+            pi, pj, dist, speed = (np.concatenate(pair) for pair in zip(
+                (pi, pj, dist, speed), more + (more_dist, more_speed)))
+        if dist.min(initial=np.inf) <= eps_contact:
             return float(tau)
-        step = _ADVANCE_FACTOR * float(bounds.min())
+        wake[pi, pj] = _wake_times(tau, dist, speed, reserve)
+        rows = np.unique(pi)
+        row_min[rows] = wake[rows].min(axis=1)
+
+        step = _ADVANCE_FACTOR * float(best)
         if not np.isfinite(step):
             return float(tau_max)
         if tau + step >= tau_max:
@@ -258,7 +381,9 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
             return float(tau)
         tau += step
         w = v + tau * u
-        d = (1.0 - 1e-9) * d_at - (1.0 + 1e-9) * (tau - tau_at) * speed - slack
+        # The last minimum pair's bound grows at most by the step.
+        guess = (tau + float(best) + step) * (1.0 + _WAKE_PAD)
+    return float(tau)
 
 
 def initial_step(polygon_or_vertices, displacement, tau_max: float) -> float:

@@ -21,7 +21,9 @@ side, as ``eta + W (xi_b - moments^T xi_len)``.  Without barycenter rows
 inverse ``H`` comes from a Cholesky factor; the Schur complement
 ``J (H (x) I_m) J^T + c I`` is built from the rows, its length block being
 ``(coef coef^T) o`` the second difference of ``H``, and Cholesky-factorized.
-A solve costs two products with ``H`` and one Schur solve.
+Both factorizations run in place on F-ordered arrays, so a factorization
+holds at most three N x N arrays at a time.  A solve costs two products
+with ``H`` and one Schur solve.
 
 Every solve is refined against the original system until the residual
 drops below ``1e-10`` relative to the right-hand side.  Failure to get
@@ -43,6 +45,8 @@ from .metric import GramOperator
 SOLVE_TOL = 1e-10
 _REFINE_MAX = 12
 _PIVOT_TOL = 1e-14
+# Columns per block of the in-place updates of an N x N array.
+_BLOCK = 64
 
 
 def _cholesky(a, what):
@@ -56,6 +60,17 @@ def _cholesky(a, what):
     if not np.all(np.isfinite(factor)) or pivots.min() <= _PIVOT_TOL * pivots.max():
         raise SingularSystem(f"{what} is numerically singular")
     return factor
+
+
+def _mirror_lower(a):
+    """Copy the strict lower triangle of a square array onto its upper one."""
+    n = len(a)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+        diag = a[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        diag[upper] = diag.T[upper]
 
 
 def solve_dense(a, rhs):
@@ -97,33 +112,52 @@ class SaddleFactorization:
 
     def _factor(self, gram):
         rows = self.jacobian
-        scalar, what = gram.scalar, "metric"
+        # LAPACK factorizes and inverts an F-ordered array in place.
+        work, what = np.array(gram.scalar, order="F"), "metric"
         if rows.moments is not None:
-            scalar, what = scalar + np.outer(rows.mass, rows.mass), "metric plus barycenter term"
-        inv, info = scipy.linalg.lapack.dpotri(_cholesky(scalar, what),
+            what = "metric plus barycenter term"
+            for lo in range(0, len(work), _BLOCK):
+                work[:, lo:lo + _BLOCK] += np.multiply.outer(rows.mass, rows.mass[lo:lo + _BLOCK])
+        inv, info = scipy.linalg.lapack.dpotri(_cholesky(work, what),
                                                lower=1, overwrite_c=1)
         if info != 0:
             raise SingularSystem(f"{what} could not be inverted")
-        # dpotri fills the lower triangle only.
-        self._inv = np.tril(inv)
-        self._inv += np.tril(inv, -1).T
+        # dpotri fills the lower triangle only.  The symmetric result's
+        # transpose is C-ordered, which the solve products expect.
+        _mirror_lower(inv)
+        self._inv = inv.T
         self._schur = _cholesky(self._schur_complement(), "constraint Schur complement")
 
     def _schur_complement(self):
-        """``J (H (x) I_m) J^T + c I`` from the row structure."""
+        """``J (H (x) I_m) J^T + c I`` from the row structure, F-ordered."""
         rows, h = self.jacobian, self._inv
-        dh = np.roll(h, -1, axis=0) - h  # H[I + 1, J] - H[I, J]
-        c = (rows.coef @ rows.coef.T) * (np.roll(dh, -1, axis=1) - dh)
+        n = len(h)
+        # dh = H[I + 1, J] - H[I, J], then c = dh[I, J + 1] - dh[I, J],
+        # both cyclic.
+        dh = np.empty_like(h)
+        np.subtract(h[1:], h[:-1], out=dh[:-1])
+        np.subtract(h[0], h[-1], out=dh[-1])
+        c = np.empty_like(h)
+        np.subtract(dh[:, 1:], dh[:, :-1], out=c[:, :-1])
+        np.subtract(dh[:, 0], dh[:, -1], out=c[:, -1])
+        del dh
+        c *= rows.coef @ rows.coef.T
+        out = np.empty((self.n_dual, self.n_dual), order="F")
         if rows.moments is None:
-            c.flat[::len(c) + 1] += self.compliance
-            return c
+            c.flat[::n + 1] += self.compliance
+            out[...] = c
+            return out
         # Barycenter rows moments^T L + W^T; q = L (H w (x) I_m).
         hw = h @ rows.mass
         q = rows.coef * (np.roll(hw, -1) - hw)[:, None]
         cross = c @ rows.moments + q
         corner = rows.moments.T @ cross + q.T @ rows.moments
         corner.flat[::len(corner) + 1] += rows.mass @ hw
-        return np.block([[c, cross], [cross.T, corner]])
+        out[:n, :n] = c
+        out[:n, n:] = cross
+        out[n:, :n] = cross.T
+        out[n:, n:] = corner
+        return out
 
     def _solve_once(self, rhs):
         rows, n = self.jacobian, len(self.jacobian.coef)

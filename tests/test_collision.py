@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import knotopt as ko
 from knotopt import collision
+import collision_oracle as frozen
 from conftest import random_embedded_polygon, rotation_matrix
 
 UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -69,6 +72,72 @@ def pair_distance_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def round_pair_counts(monkeypatch):
+    """Pairs computed in each round of ``first_collision_step``, in order.
+
+    The rounds of one query are told apart by the displaced vertices they
+    measure at; clear the list between queries.
+    """
+    counts = []
+    measure = collision._measure
+    last = []
+
+    def counting(w, u, speed_table, pi, pj):
+        if not counts or w is not last[-1]:
+            counts.append(0)
+            last.append(w)
+        counts[-1] += len(pi)
+        return measure(w, u, speed_table, pi, pj)
+
+    monkeypatch.setattr(collision, "_measure", counting)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def grazing_queries():
+    """Collision queries of the first 10 projgd iterations of the L2 flow on
+    ``coiled_unknot(192)``; several stop at ``_MAX_ROUNDS``."""
+    queries = []
+    step = collision.first_collision_step
+
+    def record(polygon, u, tau_max):
+        v = np.asarray(getattr(polygon, "vertices", polygon), dtype=float)
+        queries.append((v.copy(), np.asarray(u, dtype=float).reshape(v.shape).copy(), tau_max))
+        return step(polygon, u, tau_max)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collision, "first_collision_step", record)
+        ko.run(ko.coiled_unknot(192), ko.OptimizerConfig(method="projgd", metric=ko.L2,
+                                                          max_iter=10))
+    return queries
+
+
+def segment_corpus(rng, k, dim):
+    """Random segment pairs, with degenerate, parallel, collinear, equal and
+    touching pairs mixed in, at tiny, unit and huge scales and offsets."""
+    a0, b0 = rng.standard_normal((2, k, dim))
+    a1 = a0 + rng.standard_normal((k, dim))
+    b1 = b0 + rng.standard_normal((k, dim))
+    kind = rng.integers(0, 8, k)
+    a1[kind == 1] = a0[kind == 1]                    # zero-length first segment
+    b1[kind == 2] = b0[kind == 2]                    # zero-length second segment
+    a1[kind == 3], b1[kind == 3] = a0[kind == 3], b0[kind == 3]
+    d = a1 - a0
+    sel = kind == 4                                  # parallel, overlapping span
+    b0[sel] = a0[sel] + 0.3 * d[sel] + 0.1 * rng.standard_normal((sel.sum(), dim))
+    b1[sel] = b0[sel] + 2.0 * d[sel]
+    sel = kind == 5                                  # collinear, disjoint
+    b0[sel], b1[sel] = a0[sel] + 3.0 * d[sel], a0[sel] + 5.0 * d[sel]
+    sel = kind == 6                                  # the same segment
+    b0[sel], b1[sel] = a0[sel], a1[sel]
+    sel = kind == 7                                  # touching at an endpoint
+    b0[sel] = a1[sel]
+    scale = rng.choice((1e-8, 1.0, 1e8), (k, 1))
+    shift = rng.choice((0.0, 1e4), (k, 1))
+    return [x * scale + shift for x in (a0, a1, b0, b1)]
+
+
 class TestSegmentDistance:
     def test_parallel_offset(self):
         assert ko.segment_distance((0, 0), (1, 0), (0, 0.75), (1, 0.75)) == 0.75
@@ -130,6 +199,18 @@ class TestProximityReport:
         v = make()
         report = ko.proximity_report(v)
         assert (report.min_distance, report.pair) == proximity_all_pairs(v)
+
+    def test_peak_memory_stays_in_row_blocks(self):
+        # The pair-list broad phase gathered five pairs-sized arrays from the
+        # N x N product, about 2 N x N tables at its peak.
+        v = ko.coiled_unknot(1536, windings=4).vertices
+        tracemalloc.start()
+        try:
+            ko.proximity_report(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * len(v) ** 2 * 8
 
     def test_exact_distances_only_for_candidates(self, pair_distance_counts):
         v = ko.coiled_unknot(384, windings=4).vertices
@@ -214,6 +295,59 @@ class TestFirstCollisionStep:
         pair_distance_counts.clear()
         assert ko.first_collision_step(p.vertices, u, 1.5) == 1.5
         assert pair_distance_counts == []
+
+
+class TestFrozenLoop:
+    """The wake-time loop against the frozen all-pairs-bookkeeping loop."""
+
+    @pytest.mark.parametrize("batch", (1, collision._PRUNE_BATCH))
+    def test_same_result_on_pruned_corpus(self, batch, rng, monkeypatch):
+        monkeypatch.setattr(collision, "_PRUNE_BATCH", batch)
+        cases = [(ko.coiled_unknot(96, windings=4), 1.5), (ko.torus_knot(2, 3, 60), 1.0)]
+        cases += [(random_embedded_polygon(n, dim=dim, seed=n), 5.0)
+                  for n, dim in ((7, 2), (30, 3), (80, 3), (31, 2), (64, 2))]
+        cases += [(ko.Polygon(ko.torus_knot(2, 3, 60).vertices + 1e4), 1.0),
+                  (ko.regular_ngon(12), 10.0)]
+        for p, tau_max in cases:
+            for scale in (0.05, 0.2, 1.0, 20.0):
+                u = scale * p.edge_lengths.mean() * rng.standard_normal(p.vertices.shape)
+                u[: p.num_vertices // 3] = u[0]  # a rigid arc: pairs at zero speed
+                expected = frozen.first_collision_step(p.vertices, u, tau_max)
+                assert ko.first_collision_step(p.vertices, u, tau_max) == expected
+
+    def test_same_result_on_grazing_queries(self, grazing_queries, round_pair_counts):
+        rounds = []
+        for v, u, tau_max in grazing_queries:
+            round_pair_counts.clear()
+            assert collision.first_collision_step(v, u, tau_max) == \
+                frozen.first_collision_step(v, u, tau_max)
+            rounds.append(len(round_pair_counts))
+        assert max(rounds) == collision._MAX_ROUNDS
+
+    def test_rounds_compute_only_waking_pairs(self, grazing_queries, round_pair_counts):
+        # After the first round a grazing query computes a few pairs per
+        # round, not the N (N - 3) / 2 that every round used to rebuild.
+        n = len(grazing_queries[0][0])
+        long_queries = 0
+        for v, u, tau_max in grazing_queries:
+            round_pair_counts.clear()
+            collision.first_collision_step(v, u, tau_max)
+            if len(round_pair_counts) >= 100:
+                long_queries += 1
+                assert max(round_pair_counts[1:]) < n * (n - 3) / 20
+        assert long_queries
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_pair_kernels_bitwise_equal(self, dim, rng):
+        for k in (1, 7, 64, 500):
+            for _ in range(10):
+                ends = segment_corpus(rng, k, dim)
+                assert (collision._segment_distance_batch(*ends).tobytes()
+                        == frozen._segment_distance_batch(*ends).tobytes())
+                u = rng.standard_normal((40, dim))
+                pi, pj = rng.integers(0, 40, (2, k))
+                assert (collision._pair_speeds(u, pi, pj).tobytes()
+                        == frozen._pair_speeds(u, pi, pj).tobytes())
 
 
 class TestInitialStep:

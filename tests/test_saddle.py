@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,20 @@ class TestFactorize:
         p, gram, _, _ = make_system(12, seed=1)
         with pytest.raises(ValueError):
             ko.factorize(gram, ko.d_phi(p), compliance=1.0)
+
+    def test_peak_memory(self):
+        # The factorization used to peak at 6 N x N arrays: the shifted
+        # metric, LAPACK's F-ordered copies, two triangles of the inverse
+        # and the rolled tables of the Schur complement.
+        p = ko.coiled_unknot(768)
+        gram, rows = ko.assemble_gram(p, ko.W32_GEOMETRIC), ko.d_phi(p)
+        tracemalloc.start()
+        try:
+            ko.factorize(gram, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 768 ** 2 * 8
 
     def test_dimension_check(self):
         rows = ko.d_phi(ko.regular_ngon(8))
