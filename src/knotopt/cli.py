@@ -9,16 +9,25 @@ accepted iteration.
 Subcommands: ``run`` (optimize one curve), ``generate`` (write a curve from
 one of the parametric families), ``bench`` (grid of methods x metrics x
 inputs under a wall-clock budget per cell), ``check`` (validate a curve
-file and report its invariants).  Exit codes: 0 ok (status ``converged``,
-``max_iter`` or ``budget``), 1 numerical failure (status
-``linesearch_failure`` or ``numerical_failure``, or an error before the
-first iteration), 2 usage or parse error.
+file and report its invariants).  Each ``cmd_*`` function is the check step
+of its subcommand: it parses the settings, builds every optimizer
+configuration, and reads every input curve or builds the generated one.  It
+returns the act step, which creates the output directory, runs and writes,
+so a rejected setting or input leaves nothing behind.  :func:`main` alone
+turns an exception into an ``ERROR <kind>: <message>`` line and an exit
+code: 0 ok (status ``converged``, ``max_iter`` or ``budget``); 1 a
+:class:`KnotOptError` in either step (the curve is not embedded or cannot
+be built, a check fails, an error before the first iteration) or status
+``linesearch_failure`` or ``numerical_failure``; 2 a ``ValueError`` in the
+check step (``ERROR usage: ...``), a file that cannot be read, decoded or
+parsed (:class:`CurveParseError`), or a flag that argparse rejects.  A ``ValueError`` in the act
+step is a fault of the program, not of its use, and propagates.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +38,21 @@ from .curve import Polygon
 from .energy import d_energy, energy
 from .errors import KnotOptError
 from .metric import parse_metric
-from .optimize import METHODS, OptimizerConfig
+from .optimize import OptimizerConfig
 
 TRACE_HEADER = "iter,time_s,energy,grad_norm,step_size,phi_inf,backtracks,newton_iters"
 
 
 class CurveParseError(KnotOptError):
     pass
+
+
+class CheckFailed(KnotOptError):
+    pass
+
+
+def _parse_error(lineno: int, what: str) -> CurveParseError:
+    return CurveParseError(f"parse error at line {lineno}: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,43 +82,29 @@ def parse_curve(text: str) -> np.ndarray:
         parts = line.split()
         if header is None:
             if parts[0] != "polyline" or len(parts) != 3:
-                raise CurveParseError(
-                    f"parse error at line {lineno}: expected 'polyline <N> <m>'"
-                )
+                raise _parse_error(lineno, "expected 'polyline <N> <m>'")
             try:
                 expected = (int(parts[1]), int(parts[2]))
             except ValueError:
-                raise CurveParseError(
-                    f"parse error at line {lineno}: malformed header counts"
-                ) from None
+                raise _parse_error(lineno, "malformed header counts") from None
             if expected[0] < 1 or expected[1] < 2:
-                raise CurveParseError(
-                    f"parse error at line {lineno}: header needs N >= 1 and m >= 2"
-                )
+                raise _parse_error(lineno, "header needs N >= 1 and m >= 2")
             header = lineno
             continue
         if len(parts) != expected[1]:
-            raise CurveParseError(
-                f"parse error at line {lineno}: expected {expected[1]} "
-                f"coordinates, got {len(parts)}"
-            )
+            raise _parse_error(lineno, f"expected {expected[1]} coordinates, "
+                                       f"got {len(parts)}")
         try:
             rows.append([float(x) for x in parts])
         except ValueError:
-            raise CurveParseError(
-                f"parse error at line {lineno}: non-numeric coordinate"
-            ) from None
+            raise _parse_error(lineno, "non-numeric coordinate") from None
         if not all(map(math.isfinite, rows[-1])):
-            raise CurveParseError(
-                f"parse error at line {lineno}: non-finite coordinate"
-            )
+            raise _parse_error(lineno, "non-finite coordinate")
     if header is None:
-        raise CurveParseError("parse error at line 1: missing 'polyline' header")
+        raise _parse_error(1, "missing 'polyline' header")
     if len(rows) != expected[0]:
-        raise CurveParseError(
-            f"parse error at line {header}: header promises {expected[0]} "
-            f"vertices, file has {len(rows)}"
-        )
+        raise _parse_error(header, f"header promises {expected[0]} vertices, "
+                                   f"file has {len(rows)}")
     return np.array(rows, dtype=float)
 
 
@@ -142,6 +145,8 @@ def write_trace(path, trace):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of ``run``; each field is both a flag and a config key."""
+
     input: str = ""
     method: str = OptimizerConfig.method
     metric: str = OptimizerConfig.metric.name
@@ -149,7 +154,8 @@ class RunConfig:
     max_iter: int = OptimizerConfig.max_iter
     grad_tol: float = OptimizerConfig.grad_tol
     quad_k: int = OptimizerConfig.quad_k
-    seed: int = 0           # accepted; no effect, methods are deterministic
+    # Methods are deterministic, so the seed is only accepted.
+    seed: int = field(default=0, metadata={"help": "accepted; has no effect"})
     snapshot_every: int = 0
     out_dir: str = "."
     budget_s: float = 0.0
@@ -182,99 +188,71 @@ def parse_config_file(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise CurveParseError(f"parse error at line {lineno}: expected key=value")
+            raise _parse_error(lineno, "expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _CONFIG_PARSERS:
-            raise CurveParseError(f"parse error at line {lineno}: unknown key {key!r}")
+            raise _parse_error(lineno, f"unknown key {key!r}")
         try:
             values[key] = _CONFIG_PARSERS[key](value.strip())
         except ValueError:
-            raise CurveParseError(
-                f"parse error at line {lineno}: bad value for {key!r}"
-            ) from None
+            raise _parse_error(lineno, f"bad value for {key!r}") from None
     return values
 
 
 def _build_run_config(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = replace(cfg, **parse_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    return replace(cfg, **overrides)
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                           if getattr(args, f.name) is not None})
 
 
-def _limit_threads() -> bool:
-    """Pin the BLAS pool to one thread; False (with a message) if impossible."""
+def _limit_threads():
+    """Pin the BLAS pool to one thread; a usage error if that is impossible."""
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        print("ERROR usage: --single-thread needs threadpoolctl; without it, "
-              "set OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 "
-              "in the environment instead", file=sys.stderr)
-        return False
+        raise ValueError(
+            "--single-thread needs threadpoolctl; without it, set OMP_NUM_THREADS=1 "
+            "OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 in the environment instead"
+        ) from None
     threadpool_limits(limits=1)
-    return True
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each checks everything, then returns its act step
 
 
-def _snapshot_writer(out_dir: Path, every: int):
-    if every <= 0:
-        return None
-
-    def writer(iteration, polygon):
-        if iteration % every == 0:
-            write_curve(out_dir / f"snap_{iteration:06d}.txt", polygon)
-
-    return writer
-
-
-def cmd_run(args) -> int:
+def cmd_run(args):
     cfg = _build_run_config(args)
-    if cfg.single_thread and not _limit_threads():
-        return 2
+    if cfg.single_thread:
+        _limit_threads()
     if not cfg.input:
-        print("ERROR usage: run requires an input curve file", file=sys.stderr)
-        return 2
-    try:
-        config = cfg.optimizer_config()
-    except ValueError as exc:
-        print(f"ERROR usage: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("run requires an input curve file")
+    config = cfg.optimizer_config()
+    polygon = read_curve(cfg.input)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        polygon = read_curve(cfg.input)
-    except (CurveParseError, OSError) as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except KnotOptError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = optimize.run(
-            polygon, config,
-            on_iterate=_snapshot_writer(out_dir, cfg.snapshot_every),
-        )
-    except KnotOptError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    write_trace(out_dir / "trace.csv", result.trace)
-    write_curve(out_dir / "final.txt", result.polygon,
-                comment=f"status {result.status}")
-    if "error" in result.diagnostics:
-        print(f"ERROR {result.diagnostics['error']}: stopped after iteration "
-              f"{result.trace[-1].iteration}", file=sys.stderr)
-    print(f"status {result.status} iterations {result.trace[-1].iteration} "
-          f"energy {result.final_energy!r}")
-    return 0 if result.status in ("converged", "max_iter", "budget") else 1
+
+    def snapshot(iteration, current):
+        if iteration % cfg.snapshot_every == 0:
+            write_curve(out_dir / f"snap_{iteration:06d}.txt", current)
+
+    def act() -> int:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        result = optimize.run(polygon, config, on_iterate=(
+            snapshot if cfg.snapshot_every > 0 else None))
+        write_trace(out_dir / "trace.csv", result.trace)
+        write_curve(out_dir / "final.txt", result.polygon,
+                    comment=f"status {result.status}")
+        if "error" in result.diagnostics:
+            print(f"ERROR {result.diagnostics['error']}: stopped after iteration "
+                  f"{result.trace[-1].iteration}", file=sys.stderr)
+        print(f"status {result.status} iterations {result.trace[-1].iteration} "
+              f"energy {result.final_energy!r}")
+        return 0 if result.status in ("converged", "max_iter", "budget") else 1
+
+    return act
 
 
 _GENERATORS = {
@@ -287,99 +265,84 @@ _GENERATORS = {
 }
 
 
-def cmd_generate(args) -> int:
-    try:
-        polygon = _GENERATORS[args.kind](args)
-    except ValueError as exc:
-        print(f"ERROR usage: {exc}", file=sys.stderr)
-        return 2
-    except KnotOptError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    write_curve(args.out, polygon, comment=f"generated {args.kind}")
-    print(f"wrote {args.out}: N={polygon.num_vertices} m={polygon.dim} "
-          f"L={polygon.total_length!r}")
-    return 0
+def cmd_generate(args):
+    polygon = _GENERATORS[args.kind](args)
+
+    def act() -> int:
+        write_curve(args.out, polygon, comment=f"generated {args.kind}")
+        print(f"wrote {args.out}: N={polygon.num_vertices} m={polygon.dim} "
+              f"L={polygon.total_length!r}")
+        return 0
+
+    return act
 
 
-def cmd_bench(args) -> int:
-    if args.single_thread and not _limit_threads():
-        return 2
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    inputs = [p.strip() for p in args.inputs.split(",") if p.strip()]
-    try:
-        configs = {(method, name): OptimizerConfig(
-            method=method, metric=parse_metric(name), max_iter=args.max_iter,
-            grad_tol=args.grad_tol, time_budget_s=args.budget_s,
-        ) for method in methods for name in metrics}
-    except ValueError as exc:
-        print(f"ERROR usage: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _csv_list(text: str) -> list:
+    return [item.strip() for item in text.split(",") if item.strip()]
 
-    summary = ["cell,final_energy,iterations,seconds,status"]
-    for input_path in inputs:
-        try:
-            polygon = read_curve(input_path)
-        except (CurveParseError, OSError, KnotOptError) as exc:
-            print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-        stem = Path(input_path).stem
-        for method in methods:
-            for metric_name in metrics:
-                cell = f"{stem}__{method}__{metric_name}"
-                try:
-                    result = optimize.run(polygon, configs[method, metric_name])
+
+def cmd_bench(args):
+    if args.single_thread:
+        _limit_threads()
+    methods, metrics = _csv_list(args.methods), _csv_list(args.metrics)
+    configs = {(method, name): OptimizerConfig(
+        method=method, metric=parse_metric(name), max_iter=args.max_iter,
+        grad_tol=args.grad_tol, time_budget_s=args.budget_s,
+    ) for method in methods for name in metrics}
+    paths = _csv_list(args.inputs)
+    stems = [Path(p).stem for p in paths]
+    for what, names in (("input file stems", stems), ("methods", methods),
+                        ("metrics", metrics)):
+        if not names or len(set(names)) < len(names):
+            raise ValueError(f"{what} must be given, each once, since they name "
+                             f"the cells: got {', '.join(names) or 'none'}")
+    polygons = {stem: read_curve(p) for stem, p in zip(stems, paths)}
+
+    def act() -> int:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary = ["cell,final_energy,iterations,seconds,status"]
+        for stem, polygon in polygons.items():
+            for method in methods:
+                for metric_name in metrics:
+                    cell = f"{stem}__{method}__{metric_name}"
+                    try:
+                        result = optimize.run(polygon, configs[method, metric_name])
+                    except KnotOptError as exc:
+                        summary.append(f"{cell},nan,0,0.000,error:{type(exc).__name__}")
+                        continue
                     write_trace(out_dir / f"{cell}.csv", result.trace)
                     last = result.trace[-1]
-                    summary.append(
-                        f"{cell},{last.energy!r},{last.iteration},"
-                        f"{last.time_s:.3f},{result.status}"
-                    )
-                except KnotOptError as exc:
-                    summary.append(f"{cell},nan,0,0.000,error:{type(exc).__name__}")
-    (out_dir / "summary.csv").write_text("\n".join(summary) + "\n")
-    print("\n".join(summary))
-    return 0
+                    summary.append(f"{cell},{last.energy!r},{last.iteration},"
+                                   f"{last.time_s:.3f},{result.status}")
+        (out_dir / "summary.csv").write_text("\n".join(summary) + "\n")
+        print("\n".join(summary))
+        return 0
+
+    return act
 
 
-def cmd_check(args) -> int:
-    try:
-        polygon = read_curve(args.input)
-    except (CurveParseError, OSError) as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except KnotOptError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    try:
+def cmd_check(args):
+    polygon = read_curve(args.input)
+
+    def act() -> int:
         e = float(energy(polygon))
         grad = d_energy(polygon)
-        targets = ConstraintTargets.from_polygon(polygon)
-        state = phi(polygon, targets)
+        state = phi(polygon, ConstraintTargets.from_polygon(polygon))
         gap = collision.min_nonadjacent_distance(polygon.vertices)
         translation_sum = np.abs(
             grad.reshape(polygon.num_vertices, polygon.dim).sum(axis=0)
         ).max()
-        ok = (
-            np.isfinite(e)
-            and np.all(np.isfinite(grad))
-            and gap > 0.0
-            and translation_sum <= 1e-8 * max(1.0, np.abs(grad).max())
-        )
-    except KnotOptError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    print(f"N {polygon.num_vertices} m {polygon.dim} "
-          f"length {polygon.total_length!r} energy {e!r} "
-          f"min_pair_distance {gap!r} "
-          f"barycenter_inf {float(np.abs(state.barycenter).max())!r}")
-    if not ok:
-        print("ERROR CheckFailed: invariant violation", file=sys.stderr)
-        return 1
-    return 0
+        print(f"N {polygon.num_vertices} m {polygon.dim} "
+              f"length {polygon.total_length!r} energy {e!r} "
+              f"min_pair_distance {gap!r} "
+              f"barycenter_inf {float(np.abs(state.barycenter).max())!r}")
+        if not (np.isfinite(e) and np.all(np.isfinite(grad)) and gap > 0.0
+                and translation_sum <= 1e-8 * max(1.0, np.abs(grad).max())):
+            raise CheckFailed("invariant violation")
+        return 0
+
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="optimize a curve file")
     run_p.add_argument("--config", help="key=value configuration file")
-    run_p.add_argument("--input")
-    run_p.add_argument("--method", choices=METHODS)
-    run_p.add_argument("--metric")
-    run_p.add_argument("--alpha", type=float)
-    run_p.add_argument("--max-iter", dest="max_iter", type=int)
-    run_p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    run_p.add_argument("--quad-k", dest="quad_k", type=int)
-    run_p.add_argument("--seed", type=int, help="accepted; has no effect")
-    run_p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-    run_p.add_argument("--out-dir", dest="out_dir")
-    run_p.add_argument("--budget-s", dest="budget_s", type=float)
-    run_p.add_argument("--single-thread", dest="single_thread",
-                       action="store_const", const=True)
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            run_p.add_argument(flag, action="store_const", const=True)
+        else:
+            run_p.add_argument(flag, type=f.type, help=f.metadata.get("help"))
     run_p.set_defaults(func=cmd_run)
 
     gen_p = sub.add_parser("generate", help="write a parametric curve file")
@@ -419,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     tk.add_argument("--p", type=int, default=2)
     tk.add_argument("--q", type=int, default=3)
     tk.add_argument("--n", type=int, required=True)
-    tk.add_argument("--big-radius", dest="big_radius", type=float, default=2.0)
-    tk.add_argument("--small-radius", dest="small_radius", type=float, default=1.0)
+    tk.add_argument("--big-radius", type=float, default=2.0)
+    tk.add_argument("--small-radius", type=float, default=1.0)
     coil = gen_sub.add_parser("coil")
     coil.add_argument("--n", type=int, required=True)
     coil.add_argument("--windings", type=int, default=4)
@@ -438,14 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated curve files")
     bench_p.add_argument("--methods", required=True)
     bench_p.add_argument("--metrics", required=True)
-    bench_p.add_argument("--budget-s", dest="budget_s", type=float, required=True)
-    bench_p.add_argument("--max-iter", dest="max_iter", type=int, default=100000)
-    bench_p.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-8)
+    bench_p.add_argument("--budget-s", type=float, required=True)
+    bench_p.add_argument("--max-iter", type=int, default=100000)
+    bench_p.add_argument("--grad-tol", type=float, default=1e-8)
     bench_p.add_argument("--seed", type=int, default=0,
                          help="accepted; has no effect")
-    bench_p.add_argument("--out-dir", dest="out_dir", default=".")
-    bench_p.add_argument("--single-thread", dest="single_thread",
-                         action="store_true")
+    bench_p.add_argument("--out-dir", default=".")
+    bench_p.add_argument("--single-thread", action="store_true")
     bench_p.set_defaults(func=cmd_bench)
 
     check_p = sub.add_parser("check", help="validate a curve file")
@@ -455,13 +410,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A file that cannot be read, decoded or parsed is, like a bad setting, the
+# caller's to fix: exit 2.
+_INPUT_ERRORS = (CurveParseError, OSError, UnicodeDecodeError)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    act = None
+    try:
+        act = args.func(args)
+        return act()
+    except (KnotOptError, *_INPUT_ERRORS) as exc:
+        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
+    except ValueError as exc:
+        if act is not None:
+            raise  # raised while acting: a fault of the program, not of its use
+        print(f"ERROR usage: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

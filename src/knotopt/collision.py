@@ -297,13 +297,16 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
     That bound can reach contact at ``tau``, or fall to ``best * speed``
     there, only if the pair's wake time ``K = tau_at + (d_at - slack -
     eps) / speed`` (padded for rounding) is at most ``tau + best``, so a
-    round at ``tau`` computes only the pairs with ``K <= tau + best``.  It first wakes the pairs with ``K`` up to a guess
-    of ``tau + best`` (in the first round, the smallest row minima of the
-    wake table; later, the last round's minimum pair with its bound grown
-    by the step), then those up to ``tau + best`` of what it computed; a
-    best large enough to end the query at ``tau_max`` caps both.  Each
-    computed pair gets a new ``K`` from its exact distance and, if that
-    lies beyond ``tau + best``, goes back to sleep.
+    round at ``tau`` computes only the pairs with ``K <= tau + best``.
+
+    A round first wakes the pairs with ``K`` up to a guess of ``tau +
+    best``.  In the first round the guess comes from the smallest row
+    minima of the wake table; later, from the last round's minimum pair,
+    its bound grown by the step.  The round then wakes the pairs with
+    ``K`` up to ``tau + best`` of what it computed.  A best large enough
+    to end the query at ``tau_max`` caps both.  Each computed pair gets a
+    new ``K`` from its exact distance and, if that lies beyond ``tau +
+    best``, goes back to sleep.
 
     A pair left asleep has a lower bound above ``best`` and above the
     contact distance, and exact values never fall below a lower bound, so

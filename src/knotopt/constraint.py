@@ -65,8 +65,8 @@ class ConstraintState:
         bar = float(np.abs(self.barycenter).max()) / total_target
         return max(res, bar)
 
-    def is_feasible(self, total_target: float, tol: float = FEASIBILITY_TOL) -> bool:
-        return self.max_violation(total_target) <= tol
+    def is_feasible(self, total_target: float) -> bool:
+        return self.max_violation(total_target) <= FEASIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,6 @@ def d_phi(polygon: Polygon) -> ConstraintRows:
 
 
 def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,
-                        tol: float = FEASIBILITY_TOL,
                         max_iter: int = RESTORE_MAX_ITER):
     """Pull a trial point back onto the constraint set.
 
@@ -161,7 +160,7 @@ def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,
 
     state = phi(v, targets)
     violation = state.max_violation(total)
-    if violation <= tol:
+    if violation <= FEASIBILITY_TOL:
         return v, 0
 
     for it in range(1, max_iter + 1):
@@ -171,7 +170,7 @@ def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,
             raise NonConvergence("restoration produced non-finite vertices")
         state = phi(v, targets)
         new_violation = state.max_violation(total)
-        if new_violation <= tol:
+        if new_violation <= FEASIBILITY_TOL:
             return v, it
         if new_violation >= violation:
             raise NonConvergence(
@@ -179,5 +178,5 @@ def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,
             )
         violation = new_violation
     raise NonConvergence(
-        f"violation {violation:.3e} > {tol:.1e} after {max_iter} iterations"
+        f"violation {violation:.3e} > {FEASIBILITY_TOL:.1e} after {max_iter} iterations"
     )

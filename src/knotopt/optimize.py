@@ -69,6 +69,7 @@ ARMIJO_C = 0.5
 BACKTRACK_FACTOR = 0.5
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+WOLFE_MAX_TRIALS = 40
 LBFGS_HISTORY = 30
 TR_RADIUS0 = 0.1
 TR_EXPAND = 2.0
@@ -79,6 +80,8 @@ TR_RATIO_LOW = 0.25
 TR_NEWTON_GATE = 1e-2    # relative to the initial gradient norm
 TR_CG_TOL = 1e-4         # Newton CG residual, relative to the gradient norm
 TR_CG_MAX_ITER = 50
+TR_BASIS_DROP_TOL = 1e-10  # relative metric norm below which a basis vector drops
+IMPLICIT_MAX_NEWTON = 20
 
 STEP_LIMITS = ("collision", "restoration", "invalid", "armijo")
 TR_STEP_LIMITS = ("collision", "restoration", "invalid", "ratio")
@@ -391,8 +394,7 @@ def run_projected_gd(polygon: Polygon, config: OptimizerConfig,
 
 
 def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
-                  quad: QuadratureRule, *, newton_tol: float = 1e-9,
-                  max_newton: int = 20):
+                  quad: QuadratureRule, *, newton_tol: float = 1e-9):
     """Solve the backward step equation on the base tangent space.
 
     Finds ``v`` with ``G v / dt + DE(P + v) + J^T lam = 0`` and ``J v = 0``
@@ -423,7 +425,7 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
     rows = jac.dense()
     zero = np.zeros((len(rows), len(rows)))
     stall = 0
-    for it in range(1, max_newton + 1):
+    for it in range(1, IMPLICIT_MAX_NEWTON + 1):
         kkt = np.block([[metric + d2_energy(trial, quad), rows.T], [rows, zero]])
         try:
             delta = solve_dense(kkt, -res)
@@ -441,7 +443,7 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
         stall = stall + 1 if rel > 0.5 else 0
         if stall >= 3:
             raise NewtonInnerFailure(f"residual stalled at relative {rel:.3e}")
-    raise NewtonInnerFailure(f"no convergence in {max_newton} inner iterations")
+    raise NewtonInnerFailure(f"no convergence in {IMPLICIT_MAX_NEWTON} inner iterations")
 
 
 def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
@@ -520,17 +522,12 @@ class PenaltyProblem:
             self._point = (key, poly, float(energy(poly, self.quad)), d_phi(poly), None)
         return self._point
 
-    def _log_lengths(self, x):
-        v = np.asarray(x, dtype=float).reshape(self.shape)
-        lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-        return np.log(lengths / self.targets.lengths)
-
     def value_and_dual(self, x):
         try:
             _, poly, energy_value, rows, _ = self._evaluate(x)
         except KnotOptError:
             return np.inf, None
-        r, w = self._log_lengths(x), self.weights
+        r, w = phi(poly, self.targets).residual, self.weights
         f = energy_value + self.config.alpha * float(w @ r**2)
         dual = d_energy(poly, self.quad) + 2.0 * self.config.alpha * (
             ConstraintRows(rows.coef).apply_T(w * r)
@@ -574,20 +571,20 @@ class PenaltyProblem:
     def trace_phi_inf(self, x) -> float:
         # Only the penalized block (edge lengths) is reported here; the
         # barycenter is unconstrained in the penalty methods.
-        return float(np.abs(self._log_lengths(x)).max())
+        return float(np.abs(phi(self.final_polygon(x), self.targets).residual).max())
 
     def final_polygon(self, x) -> Polygon:
         return self._evaluate(x)[1]
 
 
-def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap, max_trials: int = 40):
+def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap):
     """Bisection search for a weak Wolfe step, capped by the contact bound.
 
     Sufficient decrease uses ``WOLFE_C1`` and the curvature condition
     ``WOLFE_C2``.
 
     Falls back on the best sufficient-decrease point when the curvature
-    condition cannot be met within the trial budget.
+    condition cannot be met within ``WOLFE_MAX_TRIALS`` trials.
     """
     slope0 = float(dual0 @ d)
     if not slope0 < 0.0:
@@ -596,7 +593,7 @@ def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap, max_trials: int = 40):
     t = min(t_init, t_cap)
     best = None
     trials = 0
-    for _ in range(max_trials):
+    for _ in range(WOLFE_MAX_TRIALS):
         trials += 1
         f_t, dual_t = problem.value_and_dual(x + t * d)
         if not np.isfinite(f_t) or f_t > f0 + WOLFE_C1 * t * slope0:
@@ -851,7 +848,7 @@ def update_trust_radius(radius: float, ratio: float, hit_boundary: bool) -> floa
     return radius
 
 
-def _gram_orthonormalize(vectors, gram, drop_tol=1e-10):
+def _gram_orthonormalize(vectors, gram):
     """Modified Gram-Schmidt in the metric inner product."""
     basis = []
     ref = None
@@ -865,7 +862,7 @@ def _gram_orthonormalize(vectors, gram, drop_tol=1e-10):
         norm = float(np.sqrt(max(u @ gram.apply(u), 0.0)))
         if ref is None:
             ref = norm
-        if norm > drop_tol * max(ref, 1.0):
+        if norm > TR_BASIS_DROP_TOL * max(ref, 1.0):
             basis.append(u / norm)
     return basis
 

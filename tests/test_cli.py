@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import sys
 
@@ -56,6 +57,15 @@ class TestConfigFile:
         default = optimize.OptimizerConfig()
         for f in dataclasses.fields(optimize.OptimizerConfig):
             assert getattr(built, f.name) != getattr(default, f.name), f.name
+
+    def test_run_flags_are_the_config_keys(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest: a.option_strings
+                   for a in subparsers.choices["run"]._actions if a.dest != "help"}
+        names = ["config"] + [f.name for f in dataclasses.fields(cli.RunConfig)]
+        assert options == {n: ["--" + n.replace("_", "-")] for n in names}
 
 
 class TestGenerate:
@@ -168,7 +178,8 @@ class TestRun:
         assert len(rows) == 3  # header + iterations 0 and 1
         assert "status numerical_failure" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag,value", [("--metric", "bogus"),
+    @pytest.mark.parametrize("flag,value", [("--method", "bogus"),
+                                            ("--metric", "bogus"),
                                             ("--alpha", "-1"),
                                             ("--alpha", "nan"),
                                             ("--quad-k", "0")])
@@ -194,6 +205,31 @@ class TestRun:
         assert code == 2
         assert "ERROR usage:" in capsys.readouterr().err
         assert not (out_dir / "trace.csv").exists()
+
+    def test_malformed_input_creates_no_out_dir(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("polyline 5 2\n0 0\n1 0\n")
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--input", str(bad), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "ERROR CurveParseError: parse error at line" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_value_error_while_running_is_not_usage(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # Only the check step's ValueErrors are usage errors; one raised by
+        # the optimizer is a fault of the program and propagates.
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+
+        def broken_run(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(optimize, "run", broken_run)
+        with pytest.raises(ValueError, match="injected"):
+            cli.main(["run", "--input", str(curve_file),
+                      "--out-dir", str(tmp_path / "out")])
+        assert "ERROR usage" not in capsys.readouterr().err
 
     def test_trace_energies_non_increasing(self, tmp_path):
         curve_file = tmp_path / "coil.txt"
@@ -309,6 +345,63 @@ class TestBench:
         assert "ERROR usage:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_non_embedded_input_exit_one(self, tmp_path, capsys):
+        bow_tie = tmp_path / "bow.txt"
+        bow_tie.write_text("polyline 4 2\n0 0\n1 1\n1 0\n0 1\n")
+        out_dir = tmp_path / "x"
+        code = cli.main([
+            "bench", "--inputs", str(bow_tie), "--methods", "projgd",
+            "--metrics", "w32", "--budget-s", "1", "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ERROR SelfIntersection:")
+        assert not out_dir.exists()
+
+    def test_malformed_later_input_runs_nothing(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        cli.write_curve(good, ko.perturbed_circle(24))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("polyline 5 2\n0 0\n1 0\n")
+        out_dir = tmp_path / "x"
+        code = cli.main([
+            "bench", "--inputs", f"{good},{bad}", "--methods", "projgd",
+            "--metrics", "w32", "--budget-s", "1", "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert "ERROR CurveParseError:" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_duplicate_stems_exit_two(self, tmp_path, capsys):
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "c.txt")
+            cli.write_curve(paths[-1], ko.perturbed_circle(24))
+        out_dir = tmp_path / "x"
+        code = cli.main([
+            "bench", "--inputs", ",".join(map(str, paths)), "--methods",
+            "projgd", "--metrics", "w32", "--budget-s", "1",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR usage:")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("methods,metrics", [("projgd,projgd", "w32"),
+                                                 ("projgd", "")])
+    def test_repeated_or_missing_names_exit_two(self, methods, metrics, tmp_path,
+                                                capsys):
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+        out_dir = tmp_path / "x"
+        code = cli.main([
+            "bench", "--inputs", str(curve_file), "--methods", methods,
+            "--metrics", metrics, "--budget-s", "1", "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR usage:")
+        assert not out_dir.exists()
+
 
 class TestSingleThread:
     # Without threadpoolctl the flag cannot be honoured, so it is refused.
@@ -346,6 +439,12 @@ class TestCheck:
         bad.write_text("polyline 4 2\n0 0\n2 2\n0 2\n2 0\n")
         assert cli.main(["check", "--input", str(bad)]) == 1
         assert "SelfIntersection" in capsys.readouterr().err
+
+    def test_binary_file_exit_two(self, tmp_path, capsys):
+        binary = tmp_path / "bin.txt"
+        binary.write_bytes(b"polyline 4 2\n\xc0\xff\n")
+        assert cli.main(["check", "--input", str(binary)]) == 2
+        assert capsys.readouterr().err.startswith("ERROR UnicodeDecodeError:")
 
     @pytest.mark.parametrize("text,line", [
         ("polyline 4 2\n0 0\n1 0\ninf 1\n0 1\n", 4),
