@@ -21,7 +21,7 @@ from .errors import (AdjacentEdges, AlreadyColliding, CoincidentPoints,
                      DegenerateEdge, DimensionMismatch, KnotOptError,
                      LineSearchFailure, NewtonInnerFailure, NonConvergence,
                      SelfIntersection, SingularSystem, TooFewVertices)
-from .metric import (GramOperator, L2, MetricKind, W12, W22, W32_GEOMETRIC,
+from .metric import (METRICS, GramOperator, L2, W12, W22, W32_GEOMETRIC,
                      W32_PURE, assemble_gram, parse_metric)
 from .optimize import (OptimizeResult, OptimizerConfig, TraceRecord,
                        armijo_step, run, run_implicit_euler_l2, run_lbfgs,
@@ -36,7 +36,7 @@ __all__ = [
     "AdjacentEdges", "AlreadyColliding", "CoincidentPoints",
     "ConstraintRows", "ConstraintState", "ConstraintTargets", "DegenerateEdge",
     "DimensionMismatch", "GramOperator",
-    "KnotOptError", "L2", "LineSearchFailure", "MIDPOINT", "MetricKind",
+    "KnotOptError", "L2", "LineSearchFailure", "METRICS", "MIDPOINT",
     "NewtonInnerFailure", "NonConvergence", "OptimizeResult",
     "OptimizerConfig", "Polygon", "ProximityReport", "QuadPoint",
     "QuadratureRule", "SaddleFactorization", "SelfIntersection",

@@ -149,7 +149,7 @@ class RunConfig:
 
     input: str = ""
     method: str = OptimizerConfig.method
-    metric: str = OptimizerConfig.metric.name
+    metric: str = OptimizerConfig.metric
     alpha: float = OptimizerConfig.alpha
     max_iter: int = OptimizerConfig.max_iter
     grad_tol: float = OptimizerConfig.grad_tol

@@ -189,11 +189,6 @@ def _ball_rows(balls, lo, hi, sign):
     return bound
 
 
-def _ball_bound(x, pi, pj, sign):
-    """Entries (pi, pj) of the ball-bound table of ``x`` (see ``_ball_rows``)."""
-    return _ball_rows(_edge_balls(x), 0, len(x) - 2, sign)[pi, pj - 2]
-
-
 def _smallest(values):
     """Indices of the ``_PRUNE_BATCH`` smallest values (all if fewer)."""
     if len(values) > _PRUNE_BATCH:

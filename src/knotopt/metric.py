@@ -12,7 +12,10 @@ metric couples all edge pairs with disjoint closures:
     the pointwise energy density of the pair (this is what discourages
     movement in regions of near self-contact);
   * an optional rank-m barycenter term that restores definiteness on
-    constant fields when no barycenter constraint is active.
+    constant fields when no barycenter constraint is active.  Only the
+    penalty methods ask for it (``assemble_gram(barycenter=True)``), and
+    only for ``w32`` and ``w32pure``, whose seminorms vanish on constants;
+    the feasible methods constrain the barycenter instead.
 
 The two pair terms are kernel-weighted graph Laplacians built from the
 ordered edge-pair tables one row block at a time (see ``_w32_scalar``):
@@ -21,9 +24,13 @@ the N x N output is the only N x N array of the assembly, and
 
 The low-order baselines (lumped mass, first and second difference
 stiffness) use standard one-dimensional finite-element forms.
-"""
 
-from dataclasses import dataclass, replace
+A metric is one of the five names in ``METRICS``: ``l2`` (lumped mass),
+``w12`` and ``w22`` (mass plus first or second difference stiffness),
+``w32pure`` (the principal term) and ``w32`` (principal plus low-order
+term, the geometric metric).  ``L2``, ``W12``, ``W22``, ``W32_PURE`` and
+``W32_GEOMETRIC`` are those strings.
+"""
 
 import numpy as np
 
@@ -31,45 +38,8 @@ from .curve import Polygon
 from .energy import MIDPOINT, QuadratureRule, _density_table, _pair_blocks, _row_slices
 from .errors import DimensionMismatch
 
-_FAMILIES = ("l2", "w12", "w22", "w32")
-
-
-@dataclass(frozen=True)
-class MetricKind:
-    """Metric family plus assembly options.
-
-    ``include_low_order`` adds the energy-weighted term (only meaningful
-    for the w32 family; the geometric variant always carries it).
-    ``include_barycenter`` adds the rank-m mean-value term.
-    """
-
-    family: str
-    include_low_order: bool = False
-    include_barycenter: bool = False
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown metric family {self.family!r}")
-        if self.include_low_order and self.family != "w32":
-            raise ValueError("the low-order energy term belongs to the w32 family")
-
-    def with_barycenter(self, flag: bool) -> "MetricKind":
-        return replace(self, include_barycenter=flag)
-
-    @property
-    def name(self) -> str:
-        if self.family != "w32":
-            return self.family
-        return "w32" if self.include_low_order else "w32pure"
-
-
-L2 = MetricKind("l2")
-W12 = MetricKind("w12")
-W22 = MetricKind("w22")
-W32_PURE = MetricKind("w32", include_low_order=False, include_barycenter=True)
-W32_GEOMETRIC = MetricKind("w32", include_low_order=True, include_barycenter=False)
-
-BASELINE_KINDS = {"l2": L2, "w12": W12, "w22": W22, "w32pure": W32_PURE}
+METRICS = ("l2", "w12", "w22", "w32pure", "w32")
+L2, W12, W22, W32_PURE, W32_GEOMETRIC = METRICS
 
 
 class GramOperator:
@@ -107,7 +77,7 @@ class GramOperator:
         return float(self._check(u) @ self.apply(v))
 
 
-def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):
+def _w32_scalar(polygon: Polygon, low_order: bool, quad: QuadratureRule):
     """Scalar matrix of the w32 family from ordered edge-pair tables.
 
     Principal part ``2 D^T (diag(K 1) - K) D`` with ``K = l_I l_J sum w/|d|^2``
@@ -130,7 +100,7 @@ def _w32_scalar(polygon: Polygon, kind: MetricKind, quad: QuadratureRule):
         kernel = np.zeros_like(tables[0, 0])
         for w, s, t, _, q in pairs:
             kernel += w * q
-            if kind.include_low_order:
+            if low_order:
                 low = w * np.outer(ell[rows], ell) * _density_table(polygon, rows, s, t, q) * q
                 row_sums = low.sum(axis=1)
                 avg_s, avg_t = (1.0 - s, s), (1.0 - t, t)
@@ -203,30 +173,34 @@ def _w22_scalar(polygon: Polygon) -> np.ndarray:
     return scalar
 
 
-def assemble_gram(polygon: Polygon, kind: MetricKind,
-                  quad: QuadratureRule = MIDPOINT) -> GramOperator:
-    """Assemble the Gram operator of the requested metric at this polygon."""
-    if kind.family == "l2":
+def assemble_gram(polygon: Polygon, metric: str, quad: QuadratureRule = MIDPOINT,
+                  barycenter: bool = False) -> GramOperator:
+    """Assemble the Gram operator of the named metric at this polygon.
+
+    ``barycenter`` adds the rank-m mean-value term.
+    """
+    if metric == "l2":
         scalar = _l2_scalar(polygon)
-    elif kind.family == "w12":
+    elif metric == "w12":
         scalar = _w12_scalar(polygon)
-    elif kind.family == "w22":
+    elif metric == "w22":
         scalar = _w22_scalar(polygon)
+    elif metric in ("w32pure", "w32"):
+        scalar = _w32_scalar(polygon, metric == "w32", quad)
     else:
-        scalar = _w32_scalar(polygon, kind, quad)
-    if kind.include_barycenter:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+    if barycenter:
         weights = _lumped_mass_weights(polygon)
         for rows in _row_slices(len(weights)):
             scalar[rows] += np.outer(weights[rows], weights)
     return GramOperator(scalar, polygon.dim)
 
 
-def parse_metric(name: str) -> MetricKind:
+def parse_metric(name: str) -> str:
+    """The canonical metric name of a case-insensitive name or alias."""
     name = name.strip().lower()
-    if name in ("w32", "w32geometric", "w32-geometric"):
+    if name in ("w32geometric", "w32-geometric"):
         return W32_GEOMETRIC
-    if name in BASELINE_KINDS:
-        return BASELINE_KINDS[name]
-    raise ValueError(
-        f"unknown metric {name!r}; expected one of l2, w12, w22, w32pure, w32"
-    )
+    if name in METRICS:
+        return name
+    raise ValueError(f"unknown metric {name!r}; expected one of {', '.join(METRICS)}")

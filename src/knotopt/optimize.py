@@ -55,7 +55,7 @@ from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
                      hess_vec)
 from .errors import (KnotOptError, LineSearchFailure, NewtonInnerFailure,
                      SingularSystem)
-from .metric import MetricKind, W32_GEOMETRIC, assemble_gram
+from .metric import METRICS, assemble_gram
 from .saddle import factorize, project_tangent, projected_gradient, solve_dense
 
 FEASIBLE_METHODS = ("projgd", "implicit_euler_l2", "trust_region")
@@ -90,7 +90,7 @@ TR_STEP_LIMITS = ("collision", "restoration", "invalid", "ratio")
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = "projgd"
-    metric: MetricKind = W32_GEOMETRIC
+    metric: str = "w32"
     alpha: float = 1e3
     max_iter: int = 500
     grad_tol: float = 1e-4          # relative to the initial gradient norm
@@ -103,6 +103,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}")
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be positive and finite")
         if not self.grad_tol >= 0.0:
@@ -150,22 +152,6 @@ class StepOutcome:
     energy: float
     backtracks: int
     newton_iters: int
-
-
-def _feasible_metric(config: OptimizerConfig) -> MetricKind:
-    # The rank-m barycenter term is redundant once the barycenter
-    # constraint is enforced.
-    return config.metric.with_barycenter(False)
-
-
-def _penalty_metric(config: OptimizerConfig) -> MetricKind:
-    # Without the constraint, the w32 seminorms annihilate constants; the
-    # barycenter term restores definiteness.
-    if config.metric.family == "w32":
-        return config.metric.with_barycenter(True)
-    if config.metric.family == "l2":  # definite already; solved by division
-        return config.metric.with_barycenter(False)
-    return config.metric
 
 
 def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
@@ -231,9 +217,9 @@ class _FeasibleState:
     grad_norm: float
 
 
-def _prepare_state(polygon: Polygon, metric_kind: MetricKind,
+def _prepare_state(polygon: Polygon, metric: str,
                    quad: QuadratureRule) -> _FeasibleState:
-    gram = assemble_gram(polygon, metric_kind, quad)
+    gram = assemble_gram(polygon, metric, quad)
     fact = factorize(gram, d_phi(polygon))
     eta = d_energy(polygon, quad)
     grad, _ = projected_gradient(fact, eta)
@@ -261,7 +247,7 @@ def _restored_trial(vertices, targets, fact, quad):
 
 
 def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
-                     config: OptimizerConfig, metric_kind: MetricKind, step,
+                     config: OptimizerConfig, metric: str, step,
                      diagnostics: dict):
     """Accepted iterates of a constraint-preserving method.
 
@@ -275,7 +261,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
     """
     quad = config.quad()
     if not phi(polygon, targets).is_feasible(targets.total):
-        gram = assemble_gram(polygon, metric_kind, quad)
+        gram = assemble_gram(polygon, metric, quad)
         fact = factorize(gram, d_phi(polygon))
         restored, _ = restore_feasibility(polygon.vertices, targets, fact,
                                           max_iter=20)
@@ -284,7 +270,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
     outcome = StepOutcome(polygon, 0.0, float(energy(polygon, quad)), 0, 0)
     while outcome is not None:
         polygon = outcome.polygon
-        state = _prepare_state(polygon, metric_kind, quad)
+        state = _prepare_state(polygon, metric, quad)
         _note_solves(diagnostics, state.fact)
         nu = np.linalg.norm(state.grad)
         if nu > 0.0:
@@ -308,14 +294,14 @@ def _note_solves(diagnostics: dict, fact) -> None:
         diagnostics["saddle_residual_max"], fact.max_residual)
 
 
-def _run_feasible(polygon, config, targets, on_iterate, metric_kind, step,
+def _run_feasible(polygon, config, targets, on_iterate, metric, step,
                   **diagnostics_extra):
     if targets is None:
         targets = ConstraintTargets.from_polygon(polygon)
     diagnostics = _new_diagnostics()
     diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0,
                        **diagnostics_extra)
-    points = _feasible_points(polygon, targets, config, metric_kind, step,
+    points = _feasible_points(polygon, targets, config, metric, step,
                               diagnostics)
     return _drive(points, config, diagnostics, on_iterate)
 
@@ -384,8 +370,7 @@ def run_projected_gd(polygon: Polygon, config: OptimizerConfig,
             limits=diagnostics["step_limits"],
         )
 
-    return _run_feasible(polygon, config, targets, on_iterate,
-                         _feasible_metric(config), step,
+    return _run_feasible(polygon, config, targets, on_iterate, config.metric, step,
                          step_limits=dict.fromkeys(STEP_LIMITS, 0))
 
 
@@ -465,7 +450,9 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
                 slope = float(state.eta @ v)
             except KnotOptError:
                 slope = np.nan
-            if slope < 0.0:  # a descent step
+            # A descent step whose straight path from P stays clear of contact.
+            if slope < 0.0 and collision.first_collision_step(
+                    vertices, v.reshape(vertices.shape), 1.0) >= 1.0:
                 cause, trial = _restored_trial(vertices + v.reshape(vertices.shape),
                                                targets, state.fact, quad)
                 if cause is None and trial[1] <= energy_value + ARMIJO_C * slope:
@@ -478,8 +465,7 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
             backtracks += 1
         raise LineSearchFailure(f"time step underflow after {backtracks} cuts")
 
-    return _run_feasible(polygon, config, targets, on_iterate,
-                         MetricKind("l2"), step)
+    return _run_feasible(polygon, config, targets, on_iterate, "l2", step)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +493,13 @@ class PenaltyProblem:
         self.weights = targets.lengths / targets.total
         self.config = config
         self.quad = config.quad()
-        self.metric_kind = _penalty_metric(config)
+        # The one place that asks for the barycenter term: without the
+        # barycenter constraint the w32 seminorms vanish on constants, and
+        # the term restores definiteness.
+        self.barycenter = config.metric in ("w32pure", "w32")
         # The augmentation couples gradients to the penalty's Gauss-Newton
         # curvature; it hurt the plain lumped-mass metric, so skip it there.
-        self.augment = config.metric.family != "l2"
+        self.augment = config.metric != "l2"
         self._point = None
         self.solve_stats = {"saddle_refinements_max": 0, "saddle_residual_max": 0.0}
 
@@ -541,8 +530,10 @@ class PenaltyProblem:
             return (dual.reshape(self.shape) / rows.mass[:, None]).ravel()
         if fact is None:
             scale = np.sqrt(self.config.alpha * self.weights)
-            fact = factorize(assemble_gram(poly, self.metric_kind, self.quad),
-                             ConstraintRows(scale[:, None] * rows.coef), compliance=1.0)
+            gram = assemble_gram(poly, self.config.metric, self.quad,
+                                 barycenter=self.barycenter)
+            fact = factorize(gram, ConstraintRows(scale[:, None] * rows.coef),
+                             compliance=1.0)
             self._point = (key, poly, energy_value, rows, fact)
         g = fact.solve(np.concatenate((dual, np.zeros(fact.n_dual))))[:fact.n_primal]
         _note_solves(self.solve_stats, fact)
@@ -988,8 +979,7 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
             backtracks += 1
         raise LineSearchFailure(f"no acceptable step after {backtracks} trials")
 
-    return _run_feasible(polygon, config, targets, on_iterate,
-                         _feasible_metric(config), step,
+    return _run_feasible(polygon, config, targets, on_iterate, config.metric, step,
                          step_limits=dict.fromkeys(TR_STEP_LIMITS, 0),
                          newton_cg_iters_max=0)
 

@@ -238,8 +238,8 @@ def d2_energy(polygon, quad=MIDPOINT):
     return 0.5 * (full + full.T)
 
 
-def w32_scalar(polygon, kind, quad=MIDPOINT):
-    """Scalar N x N matrix of the w32 family, without the barycenter term."""
+def w32_scalar(polygon, metric, quad=MIDPOINT):
+    """Scalar N x N matrix of ``w32`` or ``w32pure``, without the barycenter term."""
     n = polygon.num_vertices
     pi, pj = nonadjacent_pairs(n)
     head = np.roll(np.arange(n), -1)
@@ -261,7 +261,7 @@ def w32_scalar(polygon, kind, quad=MIDPOINT):
             r2 = np.einsum("pk,pk->p", d, d)
             _check_separation(polygon, r2)
             kernel += w / r2
-            if kind.include_low_order:
+            if metric == "w32":
                 rho = arc_distance(polygon, s_arc[pi, qi], s_arc[pj, qj])
                 dens = 1.0 / r2 - 1.0 / rho**2
                 coef = w * ll * dens / r2

@@ -230,9 +230,10 @@ class TestBallBound:
         v = scale * random_embedded_polygon(n, dim=dim, seed=seed).vertices + shift
         u = scale * rng.standard_normal(v.shape) + shift
         pi, pj = collision.nonadjacent_pairs(n)
-        assert np.all(collision._ball_bound(v, pi, pj, -1.0)
-                      <= collision._pair_distances(v, pi, pj))
-        assert np.all(collision._ball_bound(u, pi, pj, 1.0) >= endpoint_speeds(u, pi, pj))
+        lower = collision._ball_rows(collision._edge_balls(v), 0, n - 2, -1.0)[pi, pj - 2]
+        upper = collision._ball_rows(collision._edge_balls(u), 0, n - 2, 1.0)[pi, pj - 2]
+        assert np.all(lower <= collision._pair_distances(v, pi, pj))
+        assert np.all(upper >= endpoint_speeds(u, pi, pj))
 
 
 class TestFirstCollisionStep:

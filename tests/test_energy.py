@@ -310,10 +310,10 @@ def _check_derivatives(rule):
                                 oracle.d2_energy(p, rule)) <= 1e-11, name
 
 
-def _check_gram(rule, kind):
+def _check_gram(rule, metric):
     for name, p in _table_curves():
-        g = ko.assemble_gram(p, kind.with_barycenter(False), rule)
-        assert _relative_defect(g.scalar, oracle.w32_scalar(p, kind, rule)) <= 1e-13, name
+        g = ko.assemble_gram(p, metric, rule)
+        assert _relative_defect(g.scalar, oracle.w32_scalar(p, metric, rule)) <= 1e-13, name
 
 
 class TestTableAssembly:
@@ -324,10 +324,9 @@ class TestTableAssembly:
         _check_derivatives(ko.QuadratureRule.gauss(k))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("kind", [ko.W32_PURE, ko.W32_GEOMETRIC],
-                             ids=["w32pure", "w32"])
-    def test_gram_matches_pair_list(self, k, kind):
-        _check_gram(ko.QuadratureRule.gauss(k), kind)
+    @pytest.mark.parametrize("metric", [ko.W32_PURE, ko.W32_GEOMETRIC])
+    def test_gram_matches_pair_list(self, k, metric):
+        _check_gram(ko.QuadratureRule.gauss(k), metric)
 
     def test_node_coincidence_in_masked_band_is_ignored(self):
         # Nodes at both edge ends make every adjacent pair meet exactly at
@@ -354,10 +353,11 @@ class TestTableAssembly:
 
 
 def _blocked(p, rule, rows, monkeypatch):
-    """d_energy and the two w32 Grams with ``rows`` edges per table block."""
+    """d_energy and the two w32 Grams (w32pure with its barycenter term) with
+    ``rows`` edges per table block."""
     monkeypatch.setattr(ENERGY_MODULE, "_block_rows", lambda n: rows)
-    return [ko.d_energy(p, rule)] + [ko.assemble_gram(p, kind, rule).scalar
-                                     for kind in (ko.W32_GEOMETRIC, ko.W32_PURE)]
+    return [ko.d_energy(p, rule), ko.assemble_gram(p, ko.W32_GEOMETRIC, rule).scalar,
+            ko.assemble_gram(p, ko.W32_PURE, rule, barycenter=True).scalar]
 
 
 def _last_block_bow_tie():
@@ -380,8 +380,8 @@ class TestRowBlocks:
         monkeypatch.setattr(ENERGY_MODULE, "_block_rows", lambda n: rows)
         rule = ko.QuadratureRule.gauss(k)
         _check_derivatives(rule)
-        for kind in (ko.W32_PURE, ko.W32_GEOMETRIC):
-            _check_gram(rule, kind)
+        for metric in (ko.W32_PURE, ko.W32_GEOMETRIC):
+            _check_gram(rule, metric)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_block_size_moves_no_bit(self, k, monkeypatch):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import knotopt as ko
-from knotopt.metric import MetricKind
 from knotopt.optimize import OptimizerConfig, PenaltyProblem
 from conftest import dense, random_embedded_polygon, rotation_matrix
 
@@ -21,7 +20,7 @@ class TestW32Geometric:
 
     def test_constant_field_with_barycenter_term(self):
         p = random_embedded_polygon(12, seed=0)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC.with_barycenter(True))
+        g = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
         c = np.tile([0.8, -1.1], p.num_vertices)
         expected = p.total_length**2 * (0.8**2 + 1.1**2)
         assert g.inner(c, c) == pytest.approx(expected, rel=1e-12)
@@ -48,10 +47,9 @@ class TestW32Geometric:
     def test_principal_scaling_is_exact(self):
         # Doubling the polygon scales the principal form by exactly 1/4;
         # powers of two make the identity bit-exact.
-        kind = MetricKind("w32")
         p = random_embedded_polygon(12, seed=3)
-        g1 = ko.assemble_gram(p, kind)
-        g2 = ko.assemble_gram(ko.Polygon(2.0 * p.vertices), kind)
+        g1 = ko.assemble_gram(p, ko.W32_PURE)
+        g2 = ko.assemble_gram(ko.Polygon(2.0 * p.vertices), ko.W32_PURE)
         assert np.array_equal(4.0 * dense(g2), dense(g1))
 
     def test_rotation_equivariance(self, rng):
@@ -65,7 +63,7 @@ class TestW32Geometric:
 
     def test_scalar_block_structure(self):
         p = random_embedded_polygon(10, dim=3, seed=5)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC.with_barycenter(True))
+        g = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
         m = p.dim
         full = dense(g)
         for c1 in range(m):
@@ -108,7 +106,7 @@ class TestBaselines:
 
     def test_w32_pure_positive_definite(self):
         p = random_embedded_polygon(12, seed=9)
-        g = ko.assemble_gram(p, ko.W32_PURE)
+        g = ko.assemble_gram(p, ko.W32_PURE, barycenter=True)
         assert np.linalg.eigvalsh(dense(g)).min() > 0.0
 
 
@@ -153,7 +151,9 @@ class TestOperatorInterface:
         x = p.vertices.ravel()
         rhs = rng.standard_normal(x.size)
         g = problem.metric_solve(x, rhs)
-        gram = ko.assemble_gram(p, problem.metric_kind)
+        # Without the barycenter constraint the w32 seminorm takes its
+        # barycenter term.
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
         jac_len = ko.d_phi(p).dense()[:p.num_vertices]
         w = problem.targets.lengths / problem.targets.total
         applied = gram.apply(g) + config.alpha * jac_len.T @ (w * (jac_len @ g))
@@ -169,13 +169,23 @@ class TestOperatorInterface:
 
 
 class TestMetricKind:
-    def test_low_order_requires_w32(self):
-        with pytest.raises(ValueError):
-            MetricKind("l2", include_low_order=True)
-
     def test_parse_names(self):
         assert ko.parse_metric("w32") == ko.W32_GEOMETRIC
         assert ko.parse_metric("W32Pure".lower()) == ko.W32_PURE
         assert ko.parse_metric("l2") == ko.L2
         with pytest.raises(ValueError):
             ko.parse_metric("h1")
+
+    def test_parse_aliases(self):
+        assert ko.parse_metric("w32geometric") == "w32"
+        assert ko.parse_metric(" W32-Geometric ") == "w32"
+
+    def test_metrics_are_their_names(self):
+        assert ko.METRICS == (ko.L2, ko.W12, ko.W22, ko.W32_PURE, ko.W32_GEOMETRIC)
+        assert ko.METRICS == ("l2", "w12", "w22", "w32pure", "w32")
+        assert [ko.parse_metric(name) for name in ko.METRICS] == list(ko.METRICS)
+
+    def test_assemble_rejects_unknown_name(self):
+        p = random_embedded_polygon(8, seed=16)
+        with pytest.raises(ValueError, match="unknown metric 'h1'"):
+            ko.assemble_gram(p, "h1")

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import knotopt as ko
 from knotopt import optimize
-from knotopt.metric import MetricKind
 from knotopt.optimize import (METHODS, OptimizerConfig, PenaltyProblem,
                               implicit_step, lbfgs_loop, pr_plus_direction,
                               solve_trust_region_subproblem,
@@ -20,7 +21,7 @@ def audit_no_self_intersection(snapshots):
 class TestArmijoStep:
     def test_near_stationary_accepts_with_negligible_change(self):
         p = ko.regular_ngon(64)
-        state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
+        state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
         targets = ko.ConstraintTargets.from_polygon(p)
         e0 = float(ko.energy(p))
         outcome = ko.armijo_step(
@@ -32,7 +33,7 @@ class TestArmijoStep:
 
     def test_coil_descent_direction_accepted(self):
         p = ko.coiled_unknot(96, windings=4)
-        state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
+        state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
         targets = ko.ConstraintTargets.from_polygon(p)
         e0 = float(ko.energy(p))
         outcome = ko.armijo_step(
@@ -44,7 +45,7 @@ class TestArmijoStep:
 
     def test_ascent_direction_rejected(self):
         p = random_embedded_polygon(16, seed=0)
-        state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
+        state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
         targets = ko.ConstraintTargets.from_polygon(p)
         with pytest.raises(ValueError):
             ko.armijo_step(
@@ -118,7 +119,7 @@ class TestProjectedGradientDescent:
 class TestImplicitEuler:
     def test_small_step_agrees_with_explicit_to_second_order(self):
         p = ko.perturbed_circle(16)
-        state = _prepare_state(p, MetricKind("l2"), ko.MIDPOINT)
+        state = _prepare_state(p, ko.L2, ko.MIDPOINT)
         targets = ko.ConstraintTargets.from_polygon(p)
         errors = []
         for dt in (2e-3, 1e-3, 5e-4):
@@ -145,6 +146,31 @@ class TestImplicitEuler:
         assert result.status in ("converged", "max_iter")
         energies = [r.energy for r in result.trace]
         assert energies[-1] <= energies[0]
+
+    def test_collision_bound_cuts_the_time_step(self, monkeypatch):
+        # The trial that the plain run accepts is cut once more when its
+        # straight path from P is reported to meet a contact at half the
+        # step, though its end point is a valid polygon.  With max_iter=1
+        # the plain run's last contact query is that of its accepted trial.
+        p = ko.perturbed_circle(16)
+        config = OptimizerConfig(method="implicit_euler_l2", max_iter=1)
+        first_collision_step = optimize.collision.first_collision_step
+        calls, contact_at = [], None
+
+        def spy(vertices, displacement, tau_max):
+            calls.append(tau_max)
+            if len(calls) == contact_at:
+                return 0.5
+            return first_collision_step(vertices, displacement, tau_max)
+
+        monkeypatch.setattr(optimize.collision, "first_collision_step", spy)
+        plain = ko.run_implicit_euler_l2(p, config)
+        assert calls and set(calls) == {1.0}
+        contact_at = len(calls)
+        calls.clear()
+        cut = ko.run_implicit_euler_l2(p, config)
+        assert cut.trace[1].backtracks == plain.trace[1].backtracks + 1 >= 1
+        assert cut.trace[1].step_size == 0.25 * plain.trace[1].step_size
 
 
 class QuadraticProblem:
@@ -219,14 +245,15 @@ class TestPenaltyDrivers:
     @pytest.mark.parametrize("metric", ("l2", "w12", "w22", "w32pure", "w32"))
     def test_metric_solve_matches_dense_cholesky(self, metric, dim, rng):
         # Oracle: the penalty metric expanded to (N*m)^2 and factorized,
-        # kron(S, I_m) + alpha J_len^T diag(w) J_len (no augmentation for l2).
+        # kron(S, I_m) + alpha J_len^T diag(w) J_len (no augmentation for l2;
+        # S carries the barycenter term for the w32 seminorms).
         p = random_embedded_polygon(16, dim=dim, seed=21)
         config = OptimizerConfig(method="lbfgs", metric=ko.parse_metric(metric))
         problem = PenaltyProblem(p, None, config)
         x = 1.02 * p.vertices.ravel()
         _, dual = problem.value_and_dual(x)
         poly = ko.Polygon(x.reshape(p.vertices.shape))
-        gram = ko.assemble_gram(poly, problem.metric_kind)
+        gram = ko.assemble_gram(poly, metric, barycenter=metric in ("w32pure", "w32"))
         matrix = np.kron(gram.scalar, np.eye(dim))
         if metric != "l2":
             jac_len = ko.d_phi(poly).dense()[:poly.num_vertices]
@@ -376,7 +403,7 @@ class TestTrustRegion:
     def test_negative_first_curvature_gives_no_newton_direction(self, monkeypatch):
         p = ko.coiled_unknot(48, windings=2)
         monkeypatch.setattr(optimize, "hess_vec", lambda polygon, quad, v: -v)
-        state = _prepare_state(p, ko.W32_GEOMETRIC.with_barycenter(False), ko.MIDPOINT)
+        state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
         assert optimize.newton_cg(state, ko.MIDPOINT) == (None, 1)
         monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
         result = ko.run_trust_region(p, OptimizerConfig(method="trust_region", max_iter=3))
@@ -406,6 +433,44 @@ class TestDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method="adam")
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="metric"):
+            OptimizerConfig(metric="h1")
+
+    @pytest.mark.parametrize("method", ("projgd", "lbfgs"))
+    def test_metric_given_by_name(self, method):
+        p = ko.perturbed_circle(24)
+        by_name = ko.run(p, OptimizerConfig(method=method, metric="w32", max_iter=3))
+        by_constant = ko.run(p, OptimizerConfig(method=method, metric=ko.W32_GEOMETRIC,
+                                                max_iter=3))
+        rows = [[dataclasses.replace(r, time_s=0.0) for r in result.trace]
+                for result in (by_name, by_constant)]
+        assert len(rows[0]) == 4
+        assert rows[0] == rows[1]
+
+    def test_only_penalty_w32_metrics_take_the_barycenter_term(self, monkeypatch):
+        # The feasible methods constrain the barycenter; the penalty methods
+        # do not, and only the w32 seminorms vanish on constants.
+        asked = []
+
+        def spy(polygon, metric, quad=ko.MIDPOINT, barycenter=False):
+            asked.append((metric, barycenter))
+            return ko.assemble_gram(polygon, metric, quad, barycenter)
+
+        monkeypatch.setattr(optimize, "assemble_gram", spy)
+        p = ko.perturbed_circle(16)
+        for method in METHODS:
+            for metric in ko.METRICS:
+                asked.clear()
+                ko.run(p, OptimizerConfig(method=method, metric=metric, max_iter=0))
+                penalty = method in optimize.PENALTY_METHODS
+                if penalty and metric == ko.L2:
+                    assert asked == [], (method, metric)  # solved by division
+                    continue
+                expected = (ko.L2 if method == "implicit_euler_l2" else metric,
+                            penalty and metric in (ko.W32_PURE, ko.W32_GEOMETRIC))
+                assert set(asked) == {expected}, (method, metric)
 
     @pytest.mark.parametrize("field,bad", [
         ("quad_k", 0), ("max_iter", -1), ("alpha", 0.0), ("alpha", np.nan),

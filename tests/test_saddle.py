@@ -7,24 +7,22 @@ import knotopt as ko
 from conftest import dense, random_embedded_polygon
 
 
-def make_system(n=16, seed=0, kind=ko.W32_GEOMETRIC, dim=2):
+def make_system(n=16, seed=0, metric=ko.W32_GEOMETRIC, dim=2, barycenter=False):
     p = random_embedded_polygon(n, dim=dim, seed=seed)
-    gram = ko.assemble_gram(p, kind)
+    gram = ko.assemble_gram(p, metric, barycenter=barycenter)
     rows = ko.d_phi(p)
     return p, gram, rows.dense(), ko.factorize(gram, rows)
 
 
-METRICS = {"l2": ko.L2, "w12": ko.W12, "w22": ko.W22, "w32pure": ko.W32_PURE,
-           "w32": ko.W32_GEOMETRIC}
-
-
 class TestFactorize:
     @pytest.mark.parametrize("dim", (2, 3))
-    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("metric", sorted(ko.METRICS))
     def test_structured_solve_matches_dense_oracle(self, metric, dim, rng):
         # Random right-hand side with a nonzero constraint block, so the
-        # multipliers carry the correction for the barycenter shift.
-        _, _, _, fact = make_system(14, seed=12, kind=METRICS[metric], dim=dim)
+        # multipliers carry the correction for the barycenter shift.  The
+        # pure seminorm is taken with its barycenter term, w32 without.
+        _, _, _, fact = make_system(14, seed=12, metric=metric, dim=dim,
+                                    barycenter=metric == ko.W32_PURE)
         rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
         x = fact.solve(rhs)
         ref = np.linalg.solve(dense(fact), rhs)
@@ -35,17 +33,15 @@ class TestFactorize:
 
     @pytest.mark.parametrize("compliance", (0.25, 1.0))
     @pytest.mark.parametrize("dim", (2, 3))
-    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("metric", sorted(ko.METRICS))
     def test_compliance_block_matches_dense_oracle(self, metric, dim, compliance, rng):
         # The penalty preconditioner's system: weighted length rows, which
-        # vanish on translations, so the w32 seminorm carries its barycenter
+        # vanish on translations, so the w32 seminorms carry their barycenter
         # term here.
-        kind = METRICS[metric]
-        if kind.family == "w32":
-            kind = kind.with_barycenter(True)
         p = random_embedded_polygon(14, dim=dim, seed=13)
         rows = ko.ConstraintRows(3.0 * ko.d_phi(p).coef)
-        fact = ko.factorize(ko.assemble_gram(p, kind), rows, compliance)
+        gram = ko.assemble_gram(p, metric, barycenter=metric in ("w32pure", "w32"))
+        fact = ko.factorize(gram, rows, compliance)
         rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
         x = fact.solve(rhs)
         ref = np.linalg.solve(dense(fact), rhs)
@@ -122,7 +118,7 @@ class TestProjectedGradient:
         # Brute-force dense projection formula at N=6 with an invertible
         # metric.
         p = random_embedded_polygon(6, seed=4)
-        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC.with_barycenter(True))
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
         fact = ko.factorize(gram, ko.d_phi(p))
         jac = ko.d_phi(p).dense()
         eta = ko.d_energy(p)
