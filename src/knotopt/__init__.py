@@ -8,9 +8,9 @@ detection so the isotopy class of the curve is preserved along the
 iteration.
 """
 
-from .collision import (ProximityReport, first_collision_step, initial_step,
+from .collision import (ProximityReport, first_collision_step,
                         min_nonadjacent_distance, proximity_report,
-                        segment_distance)
+                        segment_distance, step_bounds)
 from .constraint import (ConstraintRows, ConstraintState, ConstraintTargets,
                          d_phi, phi, restore_feasibility)
 from .curve import (Polygon, QuadPoint, coiled_unknot, geodesic_distance,
@@ -23,10 +23,7 @@ from .errors import (AdjacentEdges, AlreadyColliding, CoincidentPoints,
                      SelfIntersection, SingularSystem, TooFewVertices)
 from .metric import (METRICS, GramOperator, L2, W12, W22, W32_GEOMETRIC,
                      W32_PURE, assemble_gram, parse_metric)
-from .optimize import (OptimizeResult, OptimizerConfig, TraceRecord,
-                       armijo_step, run, run_implicit_euler_l2, run_lbfgs,
-                       run_ncg_pr_plus, run_nesterov, run_projected_gd,
-                       run_trust_region)
+from .optimize import OptimizeResult, OptimizerConfig, TraceRecord, armijo_step, run
 from .saddle import (SaddleFactorization, factorize, project_tangent,
                      projected_gradient, pseudoinverse_apply)
 
@@ -44,11 +41,10 @@ __all__ = [
     "W32_GEOMETRIC", "W32_PURE", "armijo_step", "assemble_gram",
     "coiled_unknot", "d2_energy", "d_energy", "d_phi", "energy",
     "energy_density", "factorize", "first_collision_step",
-    "geodesic_distance", "hess_vec", "initial_step", "ks_energy",
+    "geodesic_distance", "hess_vec", "ks_energy",
     "min_nonadjacent_distance", "parse_metric",
     "perturbed_circle", "phi", "project_tangent", "projected_gradient",
     "proximity_report", "pseudoinverse_apply", "regular_ngon",
-    "restore_feasibility", "run",
-    "run_implicit_euler_l2", "run_lbfgs", "run_ncg_pr_plus", "run_nesterov",
-    "run_projected_gd", "run_trust_region", "segment_distance", "torus_knot",
+    "restore_feasibility", "run", "segment_distance", "step_bounds",
+    "torus_knot",
 ]

@@ -174,6 +174,8 @@ class RunConfig:
 
 
 def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
     return text.lower() in ("1", "true", "yes")
 
 
@@ -284,9 +286,10 @@ def _csv_list(text: str) -> list:
 def cmd_bench(args):
     if args.single_thread:
         _limit_threads()
-    methods, metrics = _csv_list(args.methods), _csv_list(args.metrics)
+    methods = _csv_list(args.methods)
+    metrics = [parse_metric(name) for name in _csv_list(args.metrics)]
     configs = {(method, name): OptimizerConfig(
-        method=method, metric=parse_metric(name), max_iter=args.max_iter,
+        method=method, metric=name, max_iter=args.max_iter,
         grad_tol=args.grad_tol, time_budget_s=args.budget_s,
     ) for method in methods for name in metrics}
     paths = _csv_list(args.inputs)

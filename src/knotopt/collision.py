@@ -384,13 +384,17 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
     return float(tau)
 
 
-def initial_step(polygon_or_vertices, displacement, tau_max: float) -> float:
-    """Starting step for backtracking: min(tau_max, 2/3 of first contact).
+def step_bounds(polygon_or_vertices, displacement,
+                tau_max: float) -> tuple[float, float]:
+    """Step cap and first trial of a line search along a motion.
 
-    The contact search extends past ``tau_max`` so that a motion with no
-    contact by the cap starts at the full cap rather than two thirds of it;
-    contact times beyond 1.5 * tau_max cannot change the result.
+    Returns ``(min(tau_max, tau*), min(tau_max, 2/3 tau*))``, where ``tau*``
+    is the first contact step searched up to ``1.5 * tau_max``: a motion
+    with no contact by the cap starts at the full cap rather than two thirds
+    of it, and later contact times cannot change either value.  The first
+    trial never exceeds the cap.
     """
     tau_star = first_collision_step(polygon_or_vertices, displacement,
                                     1.5 * tau_max)
-    return float(min(tau_max, INITIAL_STEP_FACTOR * tau_star))
+    return (float(min(tau_max, tau_star)),
+            float(min(tau_max, INITIAL_STEP_FACTOR * tau_star)))

@@ -16,8 +16,11 @@ metric).  That term enters the saddle solver as the rows
 formed.  Steps use a weak Wolfe line search truncated by collision
 detection.
 
-Every method is a step function with its own memory.  One generator per
-family produces the accepted iterates by calling it, and one loop,
+``run`` is the one entry point, and ``config.method`` picks the method.
+Each method is a step builder in ``_STEPS``: it adds its own keys to the
+run's diagnostics and returns a step function with its own memory.  ``run``
+picks the family and builds the shared diagnostics and the family's
+generator of accepted iterates, which calls the step.  One loop,
 ``_drive``, records the trace, calls ``on_iterate`` and decides the status:
 
   * ``converged``: the gradient norm reached the tolerance, or the method
@@ -111,10 +114,10 @@ class OptimizerConfig:
             raise ValueError("grad_tol must be non-negative")
         if self.time_budget_s is not None and not self.time_budget_s >= 0.0:
             raise ValueError("time_budget_s must be non-negative")
-        if self.quad_k < 1:
-            raise ValueError("quad_k must be at least 1")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be non-negative")
+        if not isinstance(self.quad_k, (int, np.integer)) or self.quad_k < 1:
+            raise ValueError("quad_k must be an integer, at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ValueError("max_iter must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -198,11 +201,6 @@ def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
     return OptimizeResult(polygon_of(point), trace, status, diagnostics)
 
 
-def _new_diagnostics() -> dict:
-    return {"max_tangent_defect": 0.0, "newton_directions": 0,
-            "momentum_resets": 0}
-
-
 # ---------------------------------------------------------------------------
 # Feasible machinery
 
@@ -253,11 +251,11 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
 
     An infeasible input is first restored onto the constraint set.  At
     each iterate the metric, the saddle factorization and the projected
-    gradient are rebuilt, then ``step(state, energy, targets,
-    diagnostics)`` returns the next :class:`StepOutcome`, or ``None`` when
-    no direction is left.  The largest refinement count and final relative
-    residual of the solves on these factorizations are kept in
-    ``diagnostics`` as ``saddle_refinements_max`` and ``saddle_residual_max``.
+    gradient are rebuilt, then ``step(state, energy, targets)`` returns the
+    next :class:`StepOutcome`, or ``None`` when no direction is left.  The
+    largest refinement count and final relative residual of the solves on
+    these factorizations are kept in ``diagnostics`` as
+    ``saddle_refinements_max`` and ``saddle_residual_max``.
     """
     quad = config.quad()
     if not phi(polygon, targets).is_feasible(targets.total):
@@ -281,7 +279,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
                         phi(polygon, targets).max_violation(targets.total),
                         outcome.backtracks, outcome.newton_iters)
         try:
-            outcome = step(state, outcome.energy, targets, diagnostics)
+            outcome = step(state, outcome.energy, targets)
         finally:
             _note_solves(diagnostics, state.fact)
 
@@ -292,18 +290,6 @@ def _note_solves(diagnostics: dict, fact) -> None:
         diagnostics["saddle_refinements_max"], fact.max_refinements)
     diagnostics["saddle_residual_max"] = max(
         diagnostics["saddle_residual_max"], fact.max_residual)
-
-
-def _run_feasible(polygon, config, targets, on_iterate, metric, step,
-                  **diagnostics_extra):
-    if targets is None:
-        targets = ConstraintTargets.from_polygon(polygon)
-    diagnostics = _new_diagnostics()
-    diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0,
-                       **diagnostics_extra)
-    points = _feasible_points(polygon, targets, config, metric, step,
-                              diagnostics)
-    return _drive(points, config, diagnostics, on_iterate)
 
 
 def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets, *,
@@ -333,7 +319,7 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets, *,
     limits = dict.fromkeys(STEP_LIMITS, 0) if limits is None else limits
 
     shape = polygon.vertices.shape
-    tau0 = collision.initial_step(polygon.vertices, u.reshape(shape), TAU_MAX)
+    tau0 = collision.step_bounds(polygon.vertices, u.reshape(shape), TAU_MAX)[1]
     limits["collision"] += int(tau0 < TAU_MAX)
     tau = tau0
     backtracks = 0
@@ -354,31 +340,28 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets, *,
     )
 
 
-def run_projected_gd(polygon: Polygon, config: OptimizerConfig,
-                     targets: ConstraintTargets | None = None,
-                     on_iterate=None) -> OptimizeResult:
+def _projected_gd(config: OptimizerConfig, diagnostics: dict):
     """Explicit projected gradient flow in the configured metric.
 
     ``diagnostics["step_limits"]`` sums the ``armijo_step`` limits.
     """
     quad = config.quad()
+    limits = diagnostics["step_limits"] = dict.fromkeys(STEP_LIMITS, 0)
 
-    def step(state, energy_value, targets, diagnostics):
+    def step(state, energy_value, targets):
         return armijo_step(
             state.polygon, -state.grad, state.fact, targets, quad=quad,
-            energy_value=energy_value, slope=-state.grad_norm**2,
-            limits=diagnostics["step_limits"],
+            energy_value=energy_value, slope=-state.grad_norm**2, limits=limits,
         )
 
-    return _run_feasible(polygon, config, targets, on_iterate, config.metric, step,
-                         step_limits=dict.fromkeys(STEP_LIMITS, 0))
+    return config.metric, step
 
 
 # ---------------------------------------------------------------------------
 # Implicit Euler for the lumped-mass flow
 
 
-def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
+def implicit_step(polygon: Polygon, dt: float, gram, fact,
                   quad: QuadratureRule, *, newton_tol: float = 1e-9):
     """Solve the backward step equation on the base tangent space.
 
@@ -431,21 +414,19 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact, targets,
     raise NewtonInnerFailure(f"no convergence in {IMPLICIT_MAX_NEWTON} inner iterations")
 
 
-def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
-                          targets: ConstraintTargets | None = None,
-                          on_iterate=None) -> OptimizeResult:
+def _implicit_euler_l2(config: OptimizerConfig, diagnostics: dict):
     """Backward Euler steps of the lumped-mass flow with Armijo control."""
     quad = config.quad()
     dt = TAU_MAX
 
-    def step(state, energy_value, targets, diagnostics):
+    def step(state, energy_value, targets):
         nonlocal dt
         vertices = state.polygon.vertices
         backtracks = 0
         while dt > _TAU_UNDERFLOW * TAU_MAX:
             try:
                 v, newton_iters = implicit_step(
-                    state.polygon, dt, state.gram, state.fact, targets, quad
+                    state.polygon, dt, state.gram, state.fact, quad
                 )
                 slope = float(state.eta @ v)
             except KnotOptError:
@@ -465,7 +446,7 @@ def run_implicit_euler_l2(polygon: Polygon, config: OptimizerConfig,
             backtracks += 1
         raise LineSearchFailure(f"time step underflow after {backtracks} cuts")
 
-    return _run_feasible(polygon, config, targets, on_iterate, "l2", step)
+    return "l2", step
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +465,8 @@ class PenaltyProblem:
     factorization)``; the dual and the rows of ``R`` share the rows.
     """
 
-    def __init__(self, reference: Polygon, targets: ConstraintTargets | None,
+    def __init__(self, reference: Polygon, targets: ConstraintTargets,
                  config: OptimizerConfig):
-        if targets is None:
-            targets = ConstraintTargets.from_polygon(reference)
         self.shape = reference.vertices.shape
         self.targets = targets
         self.weights = targets.lengths / targets.total
@@ -540,20 +519,9 @@ class PenaltyProblem:
         return g
 
     def step_bound(self, x, d):
-        """(step cap, initial trial step) along direction d.
-
-        The contact search extends past ``TAU_MAX`` so that an unobstructed
-        direction starts at the full cap; both values stay below the
-        certified contact-free horizon.
-        """
-        tau_star = collision.first_collision_step(
-            np.asarray(x).reshape(self.shape),
-            np.asarray(d).reshape(self.shape),
-            1.5 * TAU_MAX,
-        )
-        cap = min(TAU_MAX, tau_star)
-        return cap, min(TAU_MAX,
-                        collision.INITIAL_STEP_FACTOR * tau_star)
+        """(step cap, first trial step) along d; see :func:`collision.step_bounds`."""
+        return collision.step_bounds(np.asarray(x).reshape(self.shape),
+                                     np.asarray(d).reshape(self.shape), TAU_MAX)
 
     # Trace hooks; driver loops stay agnostic of the geometry.
     def trace_energy(self, x) -> float:
@@ -568,20 +536,21 @@ class PenaltyProblem:
         return self._evaluate(x)[1]
 
 
-def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap):
+def weak_wolfe(problem, x, f0, dual0, d):
     """Bisection search for a weak Wolfe step, capped by the contact bound.
 
+    The cap and the first trial come from ``problem.step_bound(x, d)``.
     Sufficient decrease uses ``WOLFE_C1`` and the curvature condition
     ``WOLFE_C2``.
 
     Falls back on the best sufficient-decrease point when the curvature
     condition cannot be met within ``WOLFE_MAX_TRIALS`` trials.
     """
+    t_cap, t = problem.step_bound(x, d)
     slope0 = float(dual0 @ d)
     if not slope0 < 0.0:
         raise LineSearchFailure(f"not a descent direction (slope {slope0:.3e})")
     lo, hi = 0.0, t_cap
-    t = min(t_init, t_cap)
     best = None
     trials = 0
     for _ in range(WOLFE_MAX_TRIALS):
@@ -602,12 +571,12 @@ def weak_wolfe(problem, x, f0, dual0, d, t_init, t_cap):
     raise LineSearchFailure("no sufficient-decrease step found")
 
 
-def _penalty_points(problem, x0, step, diagnostics: dict):
+def _penalty_points(problem, x0, step):
     """Accepted iterates of a penalty method, from an admissible start.
 
     At each iterate the dual is preconditioned by the metric; then
-    ``step(x, f, dual, g, diagnostics)`` returns the next
-    ``(x, f, dual, step_size, trials)``.
+    ``step(x, f, dual, g)`` returns the next ``(x, f, dual, step_size,
+    trials)``.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, dual = problem.value_and_dual(x)
@@ -619,24 +588,19 @@ def _penalty_points(problem, x0, step, diagnostics: dict):
         grad_norm = float(np.sqrt(max(dual @ g, 0.0)))
         yield x, (problem.trace_energy(x), grad_norm, t,
                   problem.trace_phi_inf(x), trials, 0)
-        x, f, dual, t, trials = step(x, f, dual, g, diagnostics)
+        x, f, dual, t, trials = step(x, f, dual, g)
 
 
-def _run_penalty(problem, x0, config, on_iterate, step):
-    """Drive a penalty method; the problem's ``solve_stats``, if any, join the diagnostics."""
-    diagnostics = _new_diagnostics()
-    result = _drive(_penalty_points(problem, x0, step, diagnostics), config,
-                    diagnostics, on_iterate, problem.final_polygon)
-    result.diagnostics.update(getattr(problem, "solve_stats", {}))
-    return result
+def _lbfgs(problem, diagnostics: dict):
+    """Limited-memory quasi-Newton on the penalized objective.
 
-
-def lbfgs_loop(problem, x0, config: OptimizerConfig,
-               on_iterate=None) -> OptimizeResult:
-    """Driver for the two-loop recursion; works on any problem object."""
+    The two-loop recursion is seeded with the inverse of the metric at the
+    current iterate instead of a scalar initial Hessian guess.  It works on
+    any problem object.
+    """
     memory: list[tuple[np.ndarray, np.ndarray, float]] = []
 
-    def step(x, f, dual, g, diagnostics):
+    def step(x, f, dual, g):
         q = dual.copy()
         alphas = []
         for s, y, rho in reversed(memory):
@@ -652,10 +616,7 @@ def lbfgs_loop(problem, x0, config: OptimizerConfig,
             d = -g
             memory.clear()
 
-        tau_star, t_init = problem.step_bound(x, d)
-        t, f_new, dual_new, trials = weak_wolfe(
-            problem, x, f, dual, d, t_init, tau_star
-        )
+        t, f_new, dual_new, trials = weak_wolfe(problem, x, f, dual, d)
         s_vec = t * d
         y_vec = dual_new - dual
         ys = float(y_vec @ s_vec)
@@ -665,19 +626,7 @@ def lbfgs_loop(problem, x0, config: OptimizerConfig,
                 memory.pop(0)
         return x + s_vec, f_new, dual_new, t, trials
 
-    return _run_penalty(problem, x0, config, on_iterate, step)
-
-
-def run_lbfgs(polygon: Polygon, config: OptimizerConfig,
-              targets: ConstraintTargets | None = None,
-              on_iterate=None) -> OptimizeResult:
-    """Limited-memory quasi-Newton on the penalized objective.
-
-    The two-loop recursion is seeded with the inverse of the metric at the
-    current iterate instead of a scalar initial Hessian guess.
-    """
-    problem = PenaltyProblem(polygon, targets, config)
-    return lbfgs_loop(problem, polygon.vertices.ravel(), config, on_iterate)
+    return step
 
 
 def pr_plus_direction(g, dual, g_prev, dual_prev, d_prev):
@@ -694,52 +643,42 @@ def pr_plus_direction(g, dual, g_prev, dual_prev, d_prev):
     return d, beta
 
 
-def run_ncg_pr_plus(polygon: Polygon, config: OptimizerConfig,
-                    targets: ConstraintTargets | None = None,
-                    on_iterate=None) -> OptimizeResult:
+def _ncg_pr_plus(problem, diagnostics: dict):
     """Nonlinear conjugate gradient with the clamped PR update.
 
     A negative raw update coefficient resets the direction to the
     preconditioned steepest descent direction.
     """
-    problem = PenaltyProblem(polygon, targets, config)
     previous = None  # (g, dual, d) of the last step
 
-    def step(x, f, dual, g, diagnostics):
+    def step(x, f, dual, g):
         nonlocal previous
         d = -g if previous is None else pr_plus_direction(g, dual, *previous)[0]
-        tau_star, t_init = problem.step_bound(x, d)
-        t, f_new, dual_new, trials = weak_wolfe(
-            problem, x, f, dual, d, t_init, tau_star
-        )
+        t, f_new, dual_new, trials = weak_wolfe(problem, x, f, dual, d)
         previous = (g, dual, d)
         return x + t * d, f_new, dual_new, t, trials
 
-    return _run_penalty(problem, polygon.vertices.ravel(), config, on_iterate,
-                        step)
+    return step
 
 
-def run_nesterov(polygon: Polygon, config: OptimizerConfig,
-                 targets: ConstraintTargets | None = None,
-                 on_iterate=None) -> OptimizeResult:
+def _nesterov(problem, diagnostics: dict):
     """Accelerated gradient with collision-truncated extrapolation.
 
     Momentum resets to zero whenever the objective increases; both the
     look-ahead move and the gradient step are bounded by collision
     detection.
     """
-    problem = PenaltyProblem(polygon, targets, config)
-    x_prev = polygon.vertices.ravel()
+    x_prev = None
     t_seq = 1.0
 
-    def step(x, f, dual, g, diagnostics):
+    def step(x, f, dual, g):
         nonlocal x_prev, t_seq
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_seq**2))
         mu = (t_seq - 1.0) / t_next
 
         # Look-ahead point, truncated so the extrapolation cannot cross a
-        # self-contact.
-        delta = mu * (x - x_prev)
+        # self-contact.  The first step has no previous point: no momentum.
+        delta = 0.0 * x if x_prev is None else mu * (x - x_prev)
         y = x
         if np.linalg.norm(delta) > 0.0:
             scale = min(1.0, collision.INITIAL_STEP_FACTOR *
@@ -757,10 +696,7 @@ def run_nesterov(polygon: Polygon, config: OptimizerConfig,
             raise LineSearchFailure("no admissible look-ahead point")
 
         d = -problem.metric_solve(y, dual_y)
-        tau_star, t_init = problem.step_bound(y, d)
-        t, f_new, dual_new, trials = weak_wolfe(
-            problem, y, f_y, dual_y, d, t_init, tau_star
-        )
+        t, f_new, dual_new, trials = weak_wolfe(problem, y, f_y, dual_y, d)
         x_prev = x
         if f_new > f:
             t_seq = 1.0
@@ -769,8 +705,7 @@ def run_nesterov(polygon: Polygon, config: OptimizerConfig,
             t_seq = t_next
         return y + t * d, f_new, dual_new, t, trials
 
-    return _run_penalty(problem, polygon.vertices.ravel(), config, on_iterate,
-                        step)
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -893,9 +828,7 @@ def newton_cg(state, quad: QuadratureRule):
     return x, it
 
 
-def run_trust_region(polygon: Polygon, config: OptimizerConfig,
-                     targets: ConstraintTargets | None = None,
-                     on_iterate=None) -> OptimizeResult:
+def _trust_region(config: OptimizerConfig, diagnostics: dict):
     """Subspace trust region: gradient, momentum, and a gated Newton direction.
 
     The model is minimized exactly inside a metric ball over the span of
@@ -917,8 +850,10 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
     quad = config.quad()
     radius = TR_RADIUS0
     prev_grad = newton_gate = None
+    limits = diagnostics["step_limits"] = dict.fromkeys(TR_STEP_LIMITS, 0)
+    diagnostics["newton_cg_iters_max"] = 0
 
-    def step(state, energy_value, targets, diagnostics):
+    def step(state, energy_value, targets):
         nonlocal radius, prev_grad, newton_gate
         if newton_gate is None:
             newton_gate = TR_NEWTON_GATE * state.grad_norm
@@ -944,7 +879,6 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
         hess_sub = bmat.T @ hess_basis.reshape(len(basis), -1).T
         hess_sub = 0.5 * (hess_sub + hess_sub.T)
 
-        limits = diagnostics["step_limits"]
         backtracks = 0
         while radius > 1e-12 * TR_RADIUS0:
             z = solve_trust_region_subproblem(hess_sub, grad_sub, radius)
@@ -979,26 +913,46 @@ def run_trust_region(polygon: Polygon, config: OptimizerConfig,
             backtracks += 1
         raise LineSearchFailure(f"no acceptable step after {backtracks} trials")
 
-    return _run_feasible(polygon, config, targets, on_iterate, config.metric, step,
-                         step_limits=dict.fromkeys(TR_STEP_LIMITS, 0),
-                         newton_cg_iters_max=0)
+    return config.metric, step
 
 
 # ---------------------------------------------------------------------------
 
 
-_RUNNERS = {
-    "projgd": run_projected_gd,
-    "implicit_euler_l2": run_implicit_euler_l2,
-    "trust_region": run_trust_region,
-    "ncg": run_ncg_pr_plus,
-    "lbfgs": run_lbfgs,
-    "nesterov": run_nesterov,
+# A feasible method's builder takes (config, diagnostics) and returns (metric,
+# step); a penalty method's takes (problem, diagnostics) and returns step.
+_STEPS = {
+    "projgd": _projected_gd,
+    "implicit_euler_l2": _implicit_euler_l2,
+    "trust_region": _trust_region,
+    "ncg": _ncg_pr_plus,
+    "lbfgs": _lbfgs,
+    "nesterov": _nesterov,
 }
 
 
 def run(polygon: Polygon, config: OptimizerConfig,
         targets: ConstraintTargets | None = None,
         on_iterate=None) -> OptimizeResult:
-    """Run the optimizer named by ``config.method``."""
-    return _RUNNERS[config.method](polygon, config, targets, on_iterate)
+    """Run the optimizer named by ``config.method`` from ``polygon``.
+
+    ``targets`` defaults to the edge lengths and barycenter of ``polygon``;
+    ``on_iterate(iteration, polygon)`` is called at every accepted iterate.
+    """
+    if targets is None:
+        targets = ConstraintTargets.from_polygon(polygon)
+    diagnostics = {"max_tangent_defect": 0.0, "newton_directions": 0,
+                   "momentum_resets": 0}
+    build = _STEPS[config.method]
+    if config.method in FEASIBLE_METHODS:
+        diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0)
+        metric, step = build(config, diagnostics)
+        points = _feasible_points(polygon, targets, config, metric, step,
+                                  diagnostics)
+        return _drive(points, config, diagnostics, on_iterate)
+    problem = PenaltyProblem(polygon, targets, config)
+    points = _penalty_points(problem, polygon.vertices.ravel(),
+                             build(problem, diagnostics))
+    result = _drive(points, config, diagnostics, on_iterate, problem.final_polygon)
+    result.diagnostics.update(problem.solve_stats)
+    return result

@@ -184,7 +184,7 @@ def test_criterion_06_feasibility_along_runs():
     ok = True
     detail = ""
     for polygon in corpus:
-        result = ko.run_projected_gd(polygon, OptimizerConfig(max_iter=20))
+        result = ko.run(polygon, OptimizerConfig(max_iter=20))
         if not all(r.phi_inf <= 1e-8 for r in result.trace):
             ok, detail = False, "(violation above 1e-8)"
             break
@@ -203,7 +203,7 @@ def test_criterion_07_descent_and_isotopy_audit():
     """Strict descent with zero collision events on coil and trefoil."""
     coil = ko.coiled_unknot(96, windings=4)
     coil_snaps = []
-    coil_run = ko.run_projected_gd(
+    coil_run = ko.run(
         coil, OptimizerConfig(max_iter=1000),
         on_iterate=lambda k, poly: coil_snaps.append(poly),
     )
@@ -216,7 +216,7 @@ def test_criterion_07_descent_and_isotopy_audit():
 
     trefoil = ko.torus_knot(2, 3, 120)
     tre_snaps = []
-    tre_run = ko.run_projected_gd(
+    tre_run = ko.run(
         trefoil, OptimizerConfig(max_iter=600, grad_tol=1e-3),
         on_iterate=lambda k, poly: tre_snaps.append(poly),
     )
@@ -244,8 +244,7 @@ def test_criterion_08_mesh_insensitivity(monkeypatch):
     like a mesh-dependent power between two and four."""
     iterations = {}
     for n in (64, 256):
-        result = ko.run_projected_gd(ko.perturbed_circle(n),
-                                     OptimizerConfig(max_iter=120))
+        result = ko.run(ko.perturbed_circle(n), OptimizerConfig(max_iter=120))
         iterations[n] = next(
             r.iteration for r in result.trace if r.energy <= 4.05
         )
@@ -255,7 +254,7 @@ def test_criterion_08_mesh_insensitivity(monkeypatch):
     medians = {}
     monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 1e-16)
     for n in (48, 96, 192):
-        result = ko.run_projected_gd(
+        result = ko.run(
             ko.perturbed_circle(n),
             OptimizerConfig(metric=ko.L2, max_iter=30, grad_tol=1e-14),
         )

@@ -49,6 +49,27 @@ class TestConfigFile:
         with pytest.raises(cli.CurveParseError, match="unknown key"):
             cli.parse_config_file(bad)
 
+    def test_booleans_in_any_case(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                            ("0", False), ("False", False), ("NO", False)):
+            cfg.write_text(f"single_thread = {text}\n")
+            assert cli.parse_config_file(cfg) == {"single_thread": value}
+
+    def test_non_boolean_exit_two(self, tmp_path, capsys):
+        # At one time any word but 1/true/yes read as false.
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+        cfg = tmp_path / "maybe.cfg"
+        cfg.write_text("single_thread = maybe\n")
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--input", str(curve_file), "--config", str(cfg),
+                         "--max-iter", "1", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert ("parse error at line 1: bad value for 'single_thread'"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_every_optimizer_setting_reachable(self):
         # A field of OptimizerConfig that no run key changes is a dead knob.
         cfg = cli.RunConfig(method="lbfgs", metric="l2", alpha=7.0, max_iter=3,
@@ -283,6 +304,17 @@ class TestBench:
         assert len(summary) == 5  # 2 methods x 2 metrics
         assert len(list(out_dir.glob("pc__*.csv"))) == 4
 
+    def test_cells_take_the_canonical_metric_name(self, tmp_path):
+        curve_file = tmp_path / "pc.txt"
+        cli.write_curve(curve_file, ko.perturbed_circle(24))
+        out_dir = tmp_path / "bench"
+        code = cli.main(["bench", "--inputs", str(curve_file), "--methods", "projgd",
+                         "--metrics", "W32", "--budget-s", "1", "--max-iter", "1",
+                         "--out-dir", str(out_dir)])
+        assert code == 0
+        assert sorted(f.name for f in out_dir.glob("pc__*.csv")) == ["pc__projgd__w32.csv"]
+        assert "pc__projgd__w32," in (out_dir / "summary.csv").read_text()
+
     def test_budget_respected(self, tmp_path):
         curve_file = tmp_path / "coil.txt"
         cli.write_curve(curve_file, ko.coiled_unknot(64, windings=3))
@@ -388,7 +420,9 @@ class TestBench:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("methods,metrics", [("projgd,projgd", "w32"),
-                                                 ("projgd", "")])
+                                                 ("projgd", ""),
+                                                 ("projgd", "w32,W32"),
+                                                 ("projgd", "w32,w32geometric")])
     def test_repeated_or_missing_names_exit_two(self, methods, metrics, tmp_path,
                                                 capsys):
         curve_file = tmp_path / "pc.txt"

@@ -358,17 +358,35 @@ class TestInitialStep:
                       (0.0, -5.0 / 3.0), (0.0, -5.0 / 3.0)])
         tau_star = ko.first_collision_step(UNIT_SQUARE, u, 1.0)
         assert tau_star == pytest.approx(0.3, abs=1e-6)
-        tau0 = ko.initial_step(UNIT_SQUARE, u, 1.0)
+        tau0 = ko.step_bounds(UNIT_SQUARE, u, 1.0)[1]
         assert tau0 == pytest.approx(0.2, abs=1e-6)
         assert tau0 == pytest.approx(2.0 / 3.0 * tau_star, rel=1e-12)
 
     def test_no_collision_uses_cap(self):
         u = np.tile([1.0, 0.0], (4, 1))
-        assert ko.initial_step(UNIT_SQUARE, u, 1.0) == 1.0
+        assert ko.step_bounds(UNIT_SQUARE, u, 1.0)[1] == 1.0
 
     def test_collision_at_cap(self):
         # Contact at exactly tau_max == 1 gives the plain two-thirds start.
         u = np.array([(0.0, 0.5), (0.0, 0.5), (0.0, -0.5), (0.0, -0.5)])
         tau_star = ko.first_collision_step(UNIT_SQUARE, u, 1.0)
         assert tau_star == pytest.approx(1.0, abs=1e-6)
-        assert ko.initial_step(UNIT_SQUARE, u, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert ko.step_bounds(UNIT_SQUARE, u, 1.0)[1] == pytest.approx(2.0 / 3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("speed", [0.0, 5.0 / 3.0, 5.0 / 12.0],
+                             ids=["unobstructed", "contact-0.3", "contact-1.2"])
+    def test_cap_and_start_from_one_contact_search(self, speed):
+        # Gap 1 closing at relative speed 2 * speed; the contact search runs
+        # to 1.5 * tau_max, so a contact between the cap and 1.5 caps the
+        # step but still shortens the start.
+        u = np.array([(1.0, speed), (1.0, speed), (1.0, -speed), (1.0, -speed)])
+        tau_max = 1.0
+        tau_star = ko.first_collision_step(UNIT_SQUARE, u, 1.5 * tau_max)
+        cap, start = ko.step_bounds(UNIT_SQUARE, u, tau_max)
+        assert cap == min(tau_max, tau_star)
+        assert start == min(tau_max, 2.0 / 3.0 * tau_star)
+        assert start <= cap
+        if speed == 0.0:
+            assert tau_star == 1.5 and (cap, start) == (1.0, 1.0)
+        else:
+            assert tau_star == pytest.approx(0.5 / speed, abs=1e-6)

@@ -147,7 +147,7 @@ class TestOperatorInterface:
         # M = S (x) I_m + alpha J_len^T diag(w) J_len.
         p = random_embedded_polygon(10, seed=14)
         config = OptimizerConfig(method="lbfgs")
-        problem = PenaltyProblem(p, None, config)
+        problem = PenaltyProblem(p, ko.ConstraintTargets.from_polygon(p), config)
         x = p.vertices.ravel()
         rhs = rng.standard_normal(x.size)
         g = problem.metric_solve(x, rhs)

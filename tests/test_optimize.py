@@ -7,7 +7,7 @@ import scipy.linalg
 import knotopt as ko
 from knotopt import optimize
 from knotopt.optimize import (METHODS, OptimizerConfig, PenaltyProblem,
-                              implicit_step, lbfgs_loop, pr_plus_direction,
+                              implicit_step, pr_plus_direction,
                               solve_trust_region_subproblem,
                               update_trust_radius, _prepare_state)
 from conftest import fail_on_call, random_embedded_polygon
@@ -58,7 +58,7 @@ class TestProjectedGradientDescent:
     def test_perturbed_circle_reaches_near_minimal_energy(self):
         p = ko.perturbed_circle(64)
         snapshots = []
-        result = ko.run_projected_gd(
+        result = ko.run(
             p, OptimizerConfig(max_iter=60),
             on_iterate=lambda k, poly: snapshots.append((k, poly)),
         )
@@ -76,11 +76,11 @@ class TestProjectedGradientDescent:
         # many iterations (its stable steps scale like a third power of
         # the mesh size).
         p = ko.perturbed_circle(64)
-        result_w = ko.run_projected_gd(p, OptimizerConfig(max_iter=60))
+        result_w = ko.run(p, OptimizerConfig(max_iter=60))
         target = 4.00002
         it_w = next(r.iteration for r in result_w.trace if r.energy <= target)
         monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 1e-16)
-        result_l = ko.run_projected_gd(
+        result_l = ko.run(
             p, OptimizerConfig(metric=ko.L2, max_iter=10 * it_w, grad_tol=1e-14),
         )
         assert min(r.energy for r in result_l.trace) > target
@@ -88,7 +88,7 @@ class TestProjectedGradientDescent:
     def test_trefoil_converges_to_nontrivial_stationary_point(self):
         p = ko.torus_knot(2, 3, 120)
         snapshots = []
-        result = ko.run_projected_gd(
+        result = ko.run(
             p, OptimizerConfig(max_iter=400, grad_tol=1e-3),
             on_iterate=lambda k, poly: snapshots.append((k, poly)),
         )
@@ -99,14 +99,14 @@ class TestProjectedGradientDescent:
 
     def test_restoration_budget_respected(self):
         p = ko.coiled_unknot(48, windings=2)
-        result = ko.run_projected_gd(p, OptimizerConfig(max_iter=25))
+        result = ko.run(p, OptimizerConfig(max_iter=25))
         assert all(r.newton_iters <= 5 for r in result.trace)
 
     def test_determinism(self):
         p = ko.coiled_unknot(48, windings=2)
         cfg = OptimizerConfig(max_iter=15)
-        a = ko.run_projected_gd(p, cfg)
-        b = ko.run_projected_gd(p, cfg)
+        a = ko.run(p, cfg)
+        b = ko.run(p, cfg)
         for ra, rb in zip(a.trace, b.trace):
             assert ra.iteration == rb.iteration
             assert ra.energy == rb.energy
@@ -120,18 +120,17 @@ class TestImplicitEuler:
     def test_small_step_agrees_with_explicit_to_second_order(self):
         p = ko.perturbed_circle(16)
         state = _prepare_state(p, ko.L2, ko.MIDPOINT)
-        targets = ko.ConstraintTargets.from_polygon(p)
         errors = []
         for dt in (2e-3, 1e-3, 5e-4):
-            v, _ = implicit_step(p, dt, state.gram, state.fact, targets,
-                                 ko.MIDPOINT, newton_tol=1e-12)
+            v, _ = implicit_step(p, dt, state.gram, state.fact, ko.MIDPOINT,
+                                 newton_tol=1e-12)
             errors.append(np.linalg.norm(v - (-dt) * state.grad))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         assert all(2.5 <= r <= 6.0 for r in ratios)
 
     def test_monotone_decrease(self):
         p = ko.perturbed_circle(24)
-        result = ko.run_implicit_euler_l2(p, OptimizerConfig(
+        result = ko.run(p, OptimizerConfig(
             method="implicit_euler_l2", max_iter=12))
         energies = [r.energy for r in result.trace]
         assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
@@ -141,7 +140,7 @@ class TestImplicitEuler:
     def test_oversized_step_is_handled_by_shrinking(self, monkeypatch):
         p = ko.perturbed_circle(16)
         monkeypatch.setattr(optimize, "TAU_MAX", 50.0)
-        result = ko.run_implicit_euler_l2(p, OptimizerConfig(
+        result = ko.run(p, OptimizerConfig(
             method="implicit_euler_l2", max_iter=4))
         assert result.status in ("converged", "max_iter")
         energies = [r.energy for r in result.trace]
@@ -164,11 +163,11 @@ class TestImplicitEuler:
             return first_collision_step(vertices, displacement, tau_max)
 
         monkeypatch.setattr(optimize.collision, "first_collision_step", spy)
-        plain = ko.run_implicit_euler_l2(p, config)
+        plain = ko.run(p, config)
         assert calls and set(calls) == {1.0}
         contact_at = len(calls)
         calls.clear()
-        cut = ko.run_implicit_euler_l2(p, config)
+        cut = ko.run(p, config)
         assert cut.trace[1].backtracks == plain.trace[1].backtracks + 1 >= 1
         assert cut.trace[1].step_size == 0.25 * plain.trace[1].step_size
 
@@ -236,7 +235,9 @@ class TestPenaltyDrivers:
         x0 = rng.standard_normal(dim)
         monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 0.0)
         cfg = OptimizerConfig(method="lbfgs", max_iter=200, grad_tol=1e-10)
-        result = lbfgs_loop(problem, x0, cfg)
+        step = optimize._lbfgs(problem, {})
+        result = optimize._drive(optimize._penalty_points(problem, x0, step), cfg,
+                                 {}, None, problem.final_polygon)
         assert result.converged
         assert result.trace[-1].grad_norm <= 1e-10 * result.trace[0].grad_norm
         assert result.trace[-1].iteration <= dim * 12
@@ -249,7 +250,7 @@ class TestPenaltyDrivers:
         # S carries the barycenter term for the w32 seminorms).
         p = random_embedded_polygon(16, dim=dim, seed=21)
         config = OptimizerConfig(method="lbfgs", metric=ko.parse_metric(metric))
-        problem = PenaltyProblem(p, None, config)
+        problem = PenaltyProblem(p, ko.ConstraintTargets.from_polygon(p), config)
         x = 1.02 * p.vertices.ravel()
         _, dual = problem.value_and_dual(x)
         poly = ko.Polygon(x.reshape(p.vertices.shape))
@@ -265,14 +266,14 @@ class TestPenaltyDrivers:
             assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_penalty_run_reports_saddle_residual(self):
-        result = ko.run_lbfgs(ko.coiled_unknot(96), OptimizerConfig(
+        result = ko.run(ko.coiled_unknot(96), OptimizerConfig(
             method="lbfgs", max_iter=20))
         assert result.diagnostics["saddle_residual_max"] <= 1e-10
         assert result.diagnostics["saddle_refinements_max"] >= 0
 
     def test_lbfgs_descends_on_coil(self):
         p = ko.coiled_unknot(48, windings=2)
-        result = ko.run_lbfgs(p, OptimizerConfig(
+        result = ko.run(p, OptimizerConfig(
             method="lbfgs", max_iter=80))
         assert result.final_energy < result.trace[0].energy
         assert result.trace[-1].phi_inf <= 1e-2
@@ -281,8 +282,8 @@ class TestPenaltyDrivers:
         # Cross-method comparison: the penalized minimizer agrees with the
         # constrained one to a fraction of a percent at alpha = 1e3.
         p = ko.coiled_unknot(96, windings=4)
-        feasible = ko.run_projected_gd(p, OptimizerConfig(max_iter=200))
-        penalized = ko.run_lbfgs(p, OptimizerConfig(
+        feasible = ko.run(p, OptimizerConfig(max_iter=200))
+        penalized = ko.run(p, OptimizerConfig(
             method="lbfgs", alpha=1e3, max_iter=300))
         assert penalized.trace[-1].phi_inf <= 1e-2
         gap = abs(penalized.final_energy - feasible.final_energy)
@@ -290,13 +291,13 @@ class TestPenaltyDrivers:
 
     def test_ncg_descends(self):
         p = ko.perturbed_circle(48)
-        result = ko.run_ncg_pr_plus(p, OptimizerConfig(
+        result = ko.run(p, OptimizerConfig(
             method="ncg", max_iter=60))
         assert result.final_energy <= 4.01
 
     def test_nesterov_descends_and_can_reset(self):
         p = ko.perturbed_circle(48)
-        result = ko.run_nesterov(p, OptimizerConfig(
+        result = ko.run(p, OptimizerConfig(
             method="nesterov", max_iter=60))
         assert result.final_energy <= 4.01
         assert result.diagnostics["momentum_resets"] >= 0
@@ -350,9 +351,9 @@ class TestTrustRegion:
 
     def test_newton_phase_near_minimizer(self, monkeypatch):
         p = ko.perturbed_circle(32)
-        warm = ko.run_projected_gd(p, OptimizerConfig(max_iter=10))
+        warm = ko.run(p, OptimizerConfig(max_iter=10))
         monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 0.5)
-        result = ko.run_trust_region(warm.polygon, OptimizerConfig(
+        result = ko.run(warm.polygon, OptimizerConfig(
             method="trust_region", max_iter=20, grad_tol=1e-4))
         assert result.diagnostics["newton_directions"] >= 1
         assert result.converged
@@ -379,8 +380,7 @@ class TestTrustRegion:
             return calls[-1][1]
 
         monkeypatch.setattr(optimize, "newton_cg", spy)
-        result = ko.run_trust_region(ko.torus_knot(2, 3, 60),
-                                     OptimizerConfig(method="trust_region"))
+        result = ko.run(ko.torus_knot(2, 3, 60), OptimizerConfig(method="trust_region"))
         assert result.converged and calls
         for state, (direction, _) in calls:
             hess, rows = ko.d2_energy(state.polygon), state.fact.jacobian.dense()
@@ -394,8 +394,7 @@ class TestTrustRegion:
         # Solved to 1e-8, not to the default TR_CG_TOL: the count of a
         # tight solve stays flat in N.
         monkeypatch.setattr(optimize, "TR_CG_TOL", 1e-8)
-        result = ko.run_trust_region(ko.torus_knot(2, 3, n),
-                                     OptimizerConfig(method="trust_region"))
+        result = ko.run(ko.torus_knot(2, 3, n), OptimizerConfig(method="trust_region"))
         assert result.converged
         assert result.diagnostics["newton_directions"] >= 1
         assert 1 <= result.diagnostics["newton_cg_iters_max"] <= 20
@@ -406,7 +405,7 @@ class TestTrustRegion:
         state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
         assert optimize.newton_cg(state, ko.MIDPOINT) == (None, 1)
         monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
-        result = ko.run_trust_region(p, OptimizerConfig(method="trust_region", max_iter=3))
+        result = ko.run(p, OptimizerConfig(method="trust_region", max_iter=3))
         assert result.status == "max_iter"
         assert result.diagnostics["newton_directions"] == 0
         assert result.diagnostics["newton_cg_iters_max"] == 1
@@ -414,7 +413,7 @@ class TestTrustRegion:
     def test_closed_gate_uses_gradient_and_momentum_only(self, monkeypatch):
         p = ko.coiled_unknot(48, windings=2)
         monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e-12)
-        result = ko.run_trust_region(p, OptimizerConfig(
+        result = ko.run(p, OptimizerConfig(
             method="trust_region", max_iter=8))
         assert result.diagnostics["newton_directions"] == 0
         energies = [r.energy for r in result.trace]
@@ -422,14 +421,6 @@ class TestTrustRegion:
 
 
 class TestDispatch:
-    def test_mode_reconciliation(self):
-        # The method alone picks the family: lbfgs always runs penalized.
-        p = ko.perturbed_circle(24)
-        cfg = OptimizerConfig(method="lbfgs", max_iter=5)
-        via_run = ko.run(p, cfg)
-        direct = ko.run_lbfgs(p, cfg)
-        assert [r.energy for r in via_run.trace] == [r.energy for r in direct.trace]
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method="adam")
@@ -475,10 +466,11 @@ class TestDispatch:
     @pytest.mark.parametrize("field,bad", [
         ("quad_k", 0), ("max_iter", -1), ("alpha", 0.0), ("alpha", np.nan),
         ("alpha", np.inf), ("grad_tol", np.nan), ("grad_tol", -1e-4),
-        ("time_budget_s", np.nan), ("time_budget_s", -1.0)],
+        ("time_budget_s", np.nan), ("time_budget_s", -1.0), ("max_iter", 2.5),
+        ("quad_k", 1.5)],
         ids=["quad_k", "max_iter", "alpha-0", "alpha-nan", "alpha-inf",
              "grad_tol-nan", "grad_tol-negative", "time_budget_s-nan",
-             "time_budget_s-negative"])
+             "time_budget_s-negative", "max_iter-fraction", "quad_k-fraction"])
     def test_out_of_range_setting_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: bad})
@@ -486,7 +478,7 @@ class TestDispatch:
     def test_budget_stops_run(self, monkeypatch):
         p = ko.coiled_unknot(96, windings=4)
         monkeypatch.setattr(optimize, "GRAD_ABS_TOL", 1e-16)
-        result = ko.run_projected_gd(p, OptimizerConfig(
+        result = ko.run(p, OptimizerConfig(
             max_iter=10000, grad_tol=1e-14, time_budget_s=1.5))
         assert result.status == "budget"
         assert result.trace[-1].time_s <= 1.5 + 3.0  # one-iteration overshoot
@@ -550,7 +542,7 @@ class TestStepLimits:
     def test_cut_trials_sum_to_trace_backtracks(self):
         # The lumped-mass flow on the coil meets all but the invalid-polygon
         # cause within 30 iterations.
-        result = ko.run_projected_gd(
+        result = ko.run(
             ko.coiled_unknot(96), OptimizerConfig(metric=ko.L2, max_iter=30))
         limits = result.diagnostics["step_limits"]
         assert set(limits) == set(optimize.STEP_LIMITS)
@@ -569,7 +561,7 @@ class TestStepLimits:
                                      (ko.L2, ko.hess_vec),
                                      (ko.W32_GEOMETRIC, linear)):
                 monkeypatch.setattr(optimize, "hess_vec", products)
-                result = ko.run_trust_region(p, OptimizerConfig(
+                result = ko.run(p, OptimizerConfig(
                     method="trust_region", metric=metric, max_iter=20))
                 limits = result.diagnostics["step_limits"]
                 assert set(limits) == set(optimize.TR_STEP_LIMITS)
@@ -582,7 +574,7 @@ class TestStepLimits:
     def test_trust_region_counts_collision_scaled_trials(self, monkeypatch):
         monkeypatch.setattr(optimize.collision, "first_collision_step",
                             lambda vertices, direction, tau_max: 0.5)
-        result = ko.run_trust_region(ko.torus_knot(2, 3, 60), OptimizerConfig(
+        result = ko.run(ko.torus_knot(2, 3, 60), OptimizerConfig(
             method="trust_region", max_iter=5))
         limits = result.diagnostics["step_limits"]
         trials = len(result.trace) - 1 + sum(r.backtracks for r in result.trace)
