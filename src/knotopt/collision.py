@@ -16,12 +16,16 @@ midpoints; no pairs-sized gather is made.  Only pairs whose bounds cannot
 rule them out are computed exactly, so every query returns what computing
 all N(N-3)/2 pairs would.
 
-The collision step bound keeps a wake time per pair in an N x N table:
-the earliest step at which the pair's lower bound on its distance could
-reach contact or the smallest ratio of distance to speed of the round.
-A conservative-advancement round computes only the pairs whose wake time
-has come, and each computed pair goes back to sleep behind a new wake time
-taken from its exact distance.
+The collision step bound keeps a wake time per pair in an (N - 2) x N
+table: the earliest step at which the pair's lower bound on its distance
+could reach contact or the smallest ratio of distance to speed of the
+round.  A conservative-advancement round computes only the pairs whose wake
+time has come, and each computed pair goes back to sleep behind a new wake
+time taken from its exact distance.  The wake times and the pair speeds
+share one (2, N - 2, N) work array.  A round reads its due pairs a block
+of rows at a time and computes them in batches of ``_PAIR_BATCH`` pairs,
+writing each batch's wake times back before the next, so however many
+pairs a round wakes, the query holds little beyond its two tables.
 """
 
 from dataclasses import dataclass
@@ -46,6 +50,8 @@ _PRUNE_BATCH = 64
 _BOUND_PAD = 1e-12
 # Rows in one block of a bound table.
 _BLOCK_ROWS = 64
+# Pairs in one batch of exact pair work in a collision query.
+_PAIR_BATCH = 4096
 # A wake time assumes a distance shrunk and a speed grown by these factors,
 # twice the pad of the lazy lower bound d (1 - 1e-9) - (tau - tau_at)
 # speed (1 + 1e-9) - slack that conservative advancement holds for a pair
@@ -253,11 +259,24 @@ def _wake_times(tau, dist, speed, reserve):
 
 
 def _waking(wake, row_min, after, until):
-    """Pairs (i, j) whose wake time lies in (after, until]."""
+    """Pairs (i, j) whose wake time lies in (after, until], in row order.
+
+    The rows that may hold such a pair are read ``_BLOCK_ROWS`` at a time,
+    and the pairs come in batches of at most ``_PAIR_BATCH``, the last one
+    possibly empty.  A batch's pairs lie in rows read before it, so the
+    caller may overwrite their wake times before taking the next batch.
+    """
     rows = np.flatnonzero(row_min <= until)
-    block = wake[rows]
-    i, j = np.nonzero((block > after) & (block <= until))
-    return rows[i], j
+    held = np.empty((2, 0), dtype=np.intp)
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block_rows = rows[lo:lo + _BLOCK_ROWS]
+        block = wake[block_rows]
+        i, j = np.nonzero((block > after) & (block <= until))
+        held = np.concatenate((held, (block_rows[i], j)), axis=1)
+        while held.shape[1] >= _PAIR_BATCH:
+            yield held[:, :_PAIR_BATCH]
+            held = held[:, _PAIR_BATCH:]
+    yield held
 
 
 def _measure(w, u, speed_table, pi, pj):
@@ -300,8 +319,10 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
     its bound grown by the step.  The round then wakes the pairs with
     ``K`` up to ``tau + best`` of what it computed.  A best large enough
     to end the query at ``tau_max`` caps both.  Each computed pair gets a
-    new ``K`` from its exact distance and, if that lies beyond ``tau +
-    best``, goes back to sleep.
+    new ``K`` from its exact distance as soon as its batch is done and, if
+    that lies beyond ``tau + best``, goes back to sleep; a pair of the
+    first pass whose new ``K`` falls due in the second is computed again,
+    at the same ``tau``, to the same values.
 
     A pair left asleep has a lower bound above ``best`` and above the
     contact distance, and exact values never fall below a lower bound, so
@@ -322,7 +343,10 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
 
     balls = _edge_balls(v)
     speed_balls = None if rigid else _edge_balls(u)
-    wake = np.full((n - 2, n), np.inf)
+    # The query's one work array: wake times, and pair speeds (NaN until
+    # computed).
+    tables = np.full((2, n - 2, n), np.inf)
+    wake, speeds = tables
     near = []
     for lo, hi in _row_blocks(n):
         lower = _ball_rows(balls, lo, hi, -1.0)
@@ -342,7 +366,7 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
         return float(tau_max)
 
     row_min = wake.min(axis=1)
-    speed_table = np.full(wake.shape, np.nan)
+    speeds.fill(np.nan)
     # The first round starts from the rows of smallest wake time.
     seeds = min(_PRUNE_BATCH, len(row_min)) - 1
     tau, w, guess = 0.0, v, np.partition(row_min, seeds)[seeds]
@@ -352,23 +376,25 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
         # rounding).
         last = (tau_max - tau) / _ADVANCE_FACTOR + _WAKE_PAD * tau_max
         cap = (tau + last) * (1.0 + _WAKE_PAD)
-        guess = min(guess, cap)
-        pi, pj = _waking(wake, row_min, -np.inf, guess)
-        dist, speed, ratio = _measure(w, u, speed_table, pi, pj)
-        best = ratio.min(initial=np.inf)
-        until = min((tau + best) * (1.0 + _WAKE_PAD), cap)
-        if until > guess:
-            # best only falls, so this batch wakes every pair still due.
-            more = _waking(wake, row_min, guess, until)
-            more_dist, more_speed, more_ratio = _measure(w, u, speed_table, *more)
-            best = min(best, more_ratio.min(initial=np.inf))
-            pi, pj, dist, speed = (np.concatenate(pair) for pair in zip(
-                (pi, pj, dist, speed), more + (more_dist, more_speed)))
-        if dist.min(initial=np.inf) <= eps_contact:
+        # Wake the pairs due by the guess, then, while tau + best reaches
+        # past what was woken, those due by it; best only falls, so the
+        # second pass wakes every pair still due.
+        best = closest = np.inf
+        after, until = -np.inf, min(guess, cap)
+        while until > after:
+            for pi, pj in _waking(wake, row_min, after, until):
+                dist, speed, ratio = _measure(w, u, speeds, pi, pj)
+                best = min(best, ratio.min(initial=np.inf))
+                closest = min(closest, dist.min(initial=np.inf))
+                wake[pi, pj] = _wake_times(tau, dist, speed, reserve)
+            after, until = until, min((tau + best) * (1.0 + _WAKE_PAD), cap)
+        if closest <= eps_contact:
             return float(tau)
-        wake[pi, pj] = _wake_times(tau, dist, speed, reserve)
-        rows = np.unique(pi)
-        row_min[rows] = wake[rows].min(axis=1)
+        # The rows that held a pair due by `after` are the rows computed.
+        rows = np.flatnonzero(row_min <= after)
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            block_rows = rows[lo:lo + _BLOCK_ROWS]
+            row_min[block_rows] = wake[block_rows].min(axis=1)
 
         step = _ADVANCE_FACTOR * float(best)
         if not np.isfinite(step):

@@ -26,15 +26,22 @@ holds at most three N x N arrays at a time.  A solve costs two products
 with ``H`` and one Schur solve.
 
 Every solve is refined against the original system until the residual
-drops below ``1e-10`` relative to the right-hand side.  Failure to get
-there, an indefinite metric block, a singular factor or a singular system
-(rank-deficient rows, or a metric ``G + J^T J`` vanishing on some field)
-raises :class:`SingularSystem`; this module is where scipy's
-``LinAlgError`` becomes one, for the Cholesky factors here and for
-:func:`solve_dense`, the LU solve of implicit Euler's dense Newton system.
-Each factorization records the largest refinement count and final relative
-residual of its solves.
+drops below ``1e-10`` relative to the right-hand side, or, once a
+refinement no longer halves it, until it is no larger than rounding makes
+it: ``|r| <= c u (|A| |x| + |b|)``, a normwise backward error of at most
+``c u`` (``u`` the unit roundoff, ``c = 16``, ``|A|`` the saddle matrix's
+infinity norm, computed once per factorization when first needed).  At
+large N the W^{3/2} systems reach that floor above ``1e-10``.  A
+refinement that stalls above it, an indefinite metric block, a singular
+factor or a singular system (rank-deficient rows, or a metric
+``G + J^T J`` vanishing on some field) raises :class:`SingularSystem`;
+this module is where scipy's ``LinAlgError`` becomes one, for the
+Cholesky factors here and for :func:`solve_dense`, the LU solve of
+implicit Euler's dense Newton system.  Each factorization records the
+largest refinement count and final relative residual of its solves.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -44,6 +51,8 @@ from .metric import GramOperator
 
 SOLVE_TOL = 1e-10
 _REFINE_MAX = 12
+# c u of the backward-error stop: 16 unit roundoffs.
+_BACKWARD_TOL = 8.0 * np.finfo(float).eps
 _PIVOT_TOL = 1e-14
 # Columns per block of the in-place updates of an N x N array.
 _BLOCK = 64
@@ -170,6 +179,25 @@ class SaddleFactorization:
         u = y - self._inv @ rows.apply_T(lam).reshape(n, -1)
         return np.concatenate((u.ravel(), lam))
 
+    @cached_property
+    def _norm(self):
+        """Infinity norm of the saddle matrix, which bounds its 2-norm."""
+        rows, n = self.jacobian, len(self.jacobian.coef)
+        scalar = self.gram.scalar
+        metric = np.concatenate([np.abs(scalar[lo:lo + _BLOCK]).sum(axis=1)
+                                 for lo in range(0, n, _BLOCK)])
+        # |J| summed down each column (a vertex-major field) and along each
+        # row: length row I is coef_I at vertex I + 1 and -coef_I at I.
+        coef = np.abs(rows.coef)
+        down, along = coef + np.roll(coef, 1, axis=0), list(2.0 * coef.sum(axis=1))
+        for k in range(n, self.n_dual):
+            unit = np.zeros(self.n_dual)
+            unit[k] = 1.0
+            row = np.abs(rows.apply_T(unit)).reshape(coef.shape)
+            down += row
+            along.append(row.sum())
+        return max(float((metric[:, None] + down).max()), max(along) + self.compliance)
+
     def _apply(self, x):
         """The saddle matrix times ``x``."""
         u, lam = x[:self.n_primal], x[self.n_primal:]
@@ -178,15 +206,21 @@ class SaddleFactorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        norm = np.linalg.norm(rhs)
+        norm = float(np.linalg.norm(rhs))
         if norm == 0.0:
             return np.zeros_like(rhs)
         x = self._solve_once(rhs)
-        refinements = 0
+        refinements, last = 0, np.inf
         while True:
             residual = rhs - self._apply(x)
-            relative = float(np.linalg.norm(residual) / norm)
+            size = float(np.linalg.norm(residual))
+            relative = size / norm
             if relative <= SOLVE_TOL:
+                break
+            # A refinement that no longer halves the residual has met the
+            # rounding floor; it is good enough if that floor is.
+            if 2.0 * size > last and size <= _BACKWARD_TOL * (
+                    self._norm * np.linalg.norm(x) + norm):
                 break
             if refinements == _REFINE_MAX:
                 raise SingularSystem(
@@ -194,6 +228,7 @@ class SaddleFactorization:
                 )
             x = x + self._solve_once(residual)
             refinements += 1
+            last = size
         self.max_refinements = max(self.max_refinements, refinements)
         self.max_residual = max(self.max_residual, relative)
         return x

@@ -297,6 +297,32 @@ class TestFirstCollisionStep:
         assert ko.first_collision_step(p.vertices, u, 1.5) == 1.5
         assert pair_distance_counts == []
 
+    def test_peak_memory_of_a_dense_round(self, round_pair_counts):
+        # The first projected-gradient query on coiled_unknot(1536) wakes
+        # over a third of the pairs in one round.  Computed in one batch,
+        # with the due pairs gathered from a copy of their rows, the query
+        # peaked at 13 tables of (N - 2) x N doubles.
+        class Recorded(Exception):
+            pass
+
+        def record(polygon, u, tau_max):
+            raise Recorded(getattr(polygon, "vertices", polygon), u, tau_max)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collision, "first_collision_step", record)
+            with pytest.raises(Recorded) as query:
+                ko.run(ko.coiled_unknot(1536), ko.OptimizerConfig(max_iter=1))
+        v, u, tau_max = query.value.args
+        n = len(v)
+        tracemalloc.start()
+        try:
+            collision.first_collision_step(v, u, tau_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(round_pair_counts) >= n * (n - 3) / 6
+        assert peak <= 4 * (n - 2) * n * 8
+
 
 class TestFrozenLoop:
     """The wake-time loop against the frozen all-pairs-bookkeeping loop."""
@@ -349,6 +375,18 @@ class TestFrozenLoop:
                 pi, pj = rng.integers(0, 40, (2, k))
                 assert (collision._pair_speeds(u, pi, pj).tobytes()
                         == frozen._pair_speeds(u, pi, pj).tobytes())
+
+
+class TestPairBatches(TestFrozenLoop):
+    """The frozen-loop and all-pairs checks with every round's pairs split
+    over several batches, each written back before the next is taken."""
+
+    @pytest.fixture(autouse=True, params=(1, 7))
+    def pair_batch(self, request, monkeypatch):
+        monkeypatch.setattr(collision, "_PAIR_BATCH", request.param)
+
+    test_pruned_rounds_match_all_pairs_oracle = \
+        TestFirstCollisionStep.test_pruned_rounds_match_all_pairs_oracle
 
 
 class TestInitialStep:

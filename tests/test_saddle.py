@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import knotopt as ko
+from knotopt import saddle
 from conftest import dense, random_embedded_polygon
 
 
@@ -93,6 +94,37 @@ class TestFactorize:
         # A dense metric block is not a metric operator.
         with pytest.raises(ValueError, match="GramOperator"):
             ko.factorize(np.eye(16), rows)
+
+
+class TestRefinementStop:
+    @pytest.mark.parametrize("compliance", (0.0, 0.25))
+    @pytest.mark.parametrize("metric", sorted(ko.METRICS))
+    def test_norm_is_the_infinity_norm(self, metric, compliance):
+        p = random_embedded_polygon(14, dim=3, seed=12)
+        rows = ko.d_phi(p)
+        if compliance:
+            rows = ko.ConstraintRows(3.0 * rows.coef)
+        gram = ko.assemble_gram(p, metric, barycenter=metric in ("w32pure", "w32"))
+        fact = ko.factorize(gram, rows, compliance)
+        expected = np.abs(dense(fact)).sum(axis=1).max()
+        assert fact._norm == pytest.approx(expected, rel=1e-12)
+
+    def test_floor_above_the_tolerance_converges(self, monkeypatch):
+        # Refinement cannot bring these residuals to 1e-15 relative; it used
+        # to raise after _REFINE_MAX rounds, and now stops at the rounding
+        # floor.
+        monkeypatch.setattr(saddle, "SOLVE_TOL", 1e-15)
+        result = ko.run(ko.coiled_unknot(192), ko.OptimizerConfig(max_iter=2))
+        assert result.status == "max_iter"
+        assert result.diagnostics["saddle_residual_max"] > 1e-15
+        assert result.diagnostics["saddle_refinements_max"] < saddle._REFINE_MAX
+
+    def test_stall_above_the_floor_raises(self, rng):
+        # A solve that makes no progress stalls at the full residual.
+        _, _, _, fact = make_system(16)
+        fact._solve_once = np.zeros_like
+        with pytest.raises(ko.SingularSystem, match="stalled"):
+            fact.solve(rng.standard_normal(fact.n_primal + fact.n_dual))
 
 
 class TestProjectedGradient:
