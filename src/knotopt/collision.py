@@ -343,10 +343,9 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
 
     balls = _edge_balls(v)
     speed_balls = None if rigid else _edge_balls(u)
-    # The query's one work array: wake times, and pair speeds (NaN until
-    # computed).
-    tables = np.full((2, n - 2, n), np.inf)
-    wake, speeds = tables
+    # Views of the query's one work array: wake times, and pair speeds (NaN
+    # until computed).
+    wake, speeds = np.full((2, n - 2, n), np.inf)
     near = []
     for lo, hi in _row_blocks(n):
         lower = _ball_rows(balls, lo, hi, -1.0)
