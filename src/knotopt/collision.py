@@ -6,26 +6,40 @@ of a closed polyline with vertices ``V`` runs from ``V[i]`` to
 ``V[(i+1) % N]``.  "Non-adjacent" edge pairs are those whose closures are
 disjoint, i.e. pairs that share no vertex.
 
-Every query prunes with two balls per edge before any exact segment
-distance: the ball around the edge's midpoint of radius half its length
-(a lower bound on pair distances), and the ball around the mean velocity
-of its endpoints of radius half their difference (an upper bound on pair
-speeds).  The bounds form a table over the edge pairs (I, J), I < J, built
-in blocks of rows, each block from one matrix product of the centred
-midpoints; no pairs-sized gather is made.  Only pairs whose bounds cannot
-rule them out are computed exactly, so every query returns what computing
-all N(N-3)/2 pairs would.
+Every query prunes with a ball per edge, around its midpoint c_I of radius
+r_I, half its length: edges I and J are at least |c_I - c_J| - r_I - r_J
+apart.  The bounds form a table over the pairs (I, J), I < J, built in
+blocks of rows, each from one matrix product of the centred midpoints.
+Only the pairs that the bounds cannot rule out are computed exactly, so a
+proximity query returns what computing all N(N-3)/2 pairs would.
 
-The collision step bound keeps a wake time per pair in an (N - 2) x N
-table: the earliest step at which the pair's lower bound on its distance
-could reach contact or the smallest ratio of distance to speed of the
-round.  A conservative-advancement round computes only the pairs whose wake
-time has come, and each computed pair goes back to sleep behind a new wake
-time taken from its exact distance.  The wake times and the pair speeds
-share one (2, N - 2, N) work array.  A round reads its due pairs a block
-of rows at a time and computes them in batches of ``_PAIR_BATCH`` pairs,
-writing each batch's wake times back before the next, so however many
-pairs a round wakes, the query holds little beyond its two tables.
+The collision step bound is conservative advancement (Mirtich, 1996) along
+separating directions (C2A; Tang, Kim & Manocha, 2009), so sliding is not
+approach.  Δ after a pair is computed, its distance is at least the least
+n.(a_i - b_j) + Δ n.(u_{a_i} - u_{b_j}) over its endpoint pairs (i, j), n
+along the difference of its closest points, as a linear function is least
+over a segment at an endpoint.  Until then the separation of its balls
+along c_I - c_J closes at most at rho_I + rho_J - n.(ubar_I - ubar_J), with
+ubar and rho the mean and half the difference of an edge's endpoint
+velocities, from one more product per block.  A pair's time to contact is
+when its bound reaches 0, its wake time when it reaches the contact
+distance.  The wake times fill one (N - 2) x N table; a round computes only
+the due pairs, in batches of ``_PAIR_BATCH`` written back before the next,
+so the query holds little beyond that table.
+
+Rounding, u the unit roundoff: n is scaled by 1 - 2^-48, as |d| and d/|d|
+round off by (m/2 + 3) u for d in R^m, m < 50.  The radii carry the pad
+``_BOUND_PAD`` (|x|_max + r_max), and |c_I|^2 + |c_J|^2 - 2 c_I.c_J the pad
+``_BOUND_PAD`` |c|_max^2 both ways: the balls' n is c_I - c_J over the root
+h of the upper side, so |n| <= 1, and the lower side over h bounds n.(c_I
+- c_J).  The products with ubar, off by (6m + 8) u |c|_max |ubar|_max, carry
+the pad ``_BOUND_PAD`` |c|_max |ubar|_max.  An exact pair's gaps and rates
+round off by under 1e-15 relatively, which the times' 2e-9 pads and
+``_ADVANCE_FACTOR`` cover, and absolutely by a few u times the coordinates
+in the displaced vertices, which the contact reserve covers within 1e4
+curve lengths of the origin.  As n.(a_i - b_j) is at least the distance
+and n.(u_{b_j} - u_{a_i}) at most the largest endpoint speed, each bound
+is, up to the pads, at least the distance over largest endpoint speed.
 """
 
 from dataclasses import dataclass
@@ -46,20 +60,20 @@ _MAX_ROUNDS = 128
 # Pairs with the smallest bounds, computed first in each proximity query;
 # rows of smallest wake time, woken first in a collision query.
 _PRUNE_BATCH = 64
-# Relative rounding pad of the midpoint-ball bounds.
+# Relative rounding pad of the ball bounds.
 _BOUND_PAD = 1e-12
 # Rows in one block of a bound table.
 _BLOCK_ROWS = 64
 # Pairs in one batch of exact pair work in a collision query.
 _PAIR_BATCH = 4096
-# A wake time assumes a distance shrunk and a speed grown by these factors,
-# twice the pad of the lazy lower bound d (1 - 1e-9) - (tau - tau_at)
-# speed (1 + 1e-9) - slack that conservative advancement holds for a pair
-# not computed at tau; the margin covers the rounding of the wake time.
+# A time to contact or wake time assumes a gap shrunk and a closing rate
+# grown by these factors, far beyond the rounding of either.
 _WAKE_SHRINK = 1.0 - 2e-9
 _WAKE_GROW = 1.0 + 2e-9
 # Relative pad of the wake threshold tau + best.
 _WAKE_PAD = 1e-12
+# Scale of a pair's closest-point direction: 32 unit roundoffs below 1.
+_DIRECTION_SHRINK = 1.0 - 2.0**-48
 
 # Collision-limited line searches start at this fraction of the first
 # possible contact step.
@@ -77,8 +91,9 @@ def nonadjacent_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _segment_distance_batch(a0, a1, b0, b1):
-    """Distances between closed segments [a0,a1] and [b0,b1], row-wise.
+def _closest_parameters(a0, a1, b0, b1):
+    """Parameters (s, t) of closest points ``a0 + s (a1 - a0)`` and ``b0 + t
+    (b1 - b0)`` of the segments [a0,a1] and [b0,b1], row-wise.
 
     Clamped closest-point computation; robust for parallel and degenerate
     (zero-length) segments.  The arguments are float arrays of shape
@@ -112,10 +127,19 @@ def _segment_distance_batch(a0, a1, b0, b1):
     np.copyto(s, s_high, where=t > 1.0)
     np.maximum(t, 0.0, out=t)
     np.minimum(t, 1.0, out=t)
+    return s[:, None], t[:, None]
 
-    diff = a0 + s[:, None] * d1
-    diff -= b0 + t[:, None] * d2
+
+def _norms(diff):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _segment_distance_batch(a0, a1, b0, b1):
+    """Distances between closed segments [a0,a1] and [b0,b1], row-wise."""
+    s, t = _closest_parameters(a0, a1, b0, b1)
+    diff = a0 + s * (a1 - a0)
+    diff -= b0 + t * (b1 - b0)
+    return _norms(diff)
 
 
 def segment_distance(a0, a1, b0, b1) -> float:
@@ -134,17 +158,6 @@ def _pair_distances(v, pi, pj):
     return _segment_distance_batch(*_pair_ends(v, pi, pj))
 
 
-def _pair_speeds(u, pi, pj):
-    """Largest relative endpoint speed of each edge pair.
-
-    Relative speeds are constant along linear trajectories; the maximum
-    over the four endpoint combinations bounds every point pair on the two
-    segments.
-    """
-    ends = _pair_ends(u, pi, pj)
-    return np.linalg.norm(ends[:2, None] - ends[None, 2:], axis=-1).max(axis=(0, 1))
-
-
 def _edge_balls(x):
     """Centred midpoints, half lengths, squared midpoint norms and the
     linear rounding pad of the edges of the closed polyline ``x``."""
@@ -156,43 +169,62 @@ def _edge_balls(x):
     return c, r, np.einsum("ij,ij->i", c, c), pad
 
 
+def _motion_balls(balls, u):
+    """The stacked ``[c, ubar]`` and ``[ubar, c]``, the padded ``c.ubar`` and
+    the padded velocity radii rho of the edges of ``balls`` moving by ``u``."""
+    c, sq = balls[0], balls[2]
+    ubar, rho, usq, pad = _edge_balls(u)
+    along = np.einsum("ij,ij->i", c, ubar)
+    along -= 0.5 * _BOUND_PAD * np.sqrt(sq.max() * usq.max())
+    return np.hstack((c, ubar)), np.hstack((ubar, c)), along, rho + pad
+
+
 def _row_blocks(n):
     """Row ranges ``(lo, hi)`` covering the rows I < N - 2 of a pair table."""
     for lo in range(0, n - 2, _BLOCK_ROWS):
         yield lo, min(lo + _BLOCK_ROWS, n - 2)
 
 
-def _ball_rows(balls, lo, hi, sign):
-    """Rows ``lo:hi`` of the padded ball-bound table, columns ``lo + 2`` on.
+def _ball_rows(balls, lo, hi, motion=None):
+    """Rows ``lo:hi`` of the padded ball-bound tables, columns ``lo + 2`` on.
 
-    Edge I lies in the ball of radius r_I, half its length, around its
-    midpoint c_I.  With ``sign = -1`` entry (I, J) is a lower bound on the
-    pair's distance, ``|c_I - c_J| - r_I - r_J``; with ``sign = +1`` an
-    upper bound on its largest endpoint difference, ``|c_I - c_J| + r_I +
-    r_J``.  ``|c_I - c_J|^2`` is ``|c_I|^2 + |c_J|^2 - 2 c_I.c_J`` of the
-    centred midpoints, one matrix product per block, padded in the square
-    and linearly far beyond the rounding of the midpoints, the product and
-    the exact pair routines.  Entries that are not a non-adjacent pair
-    I < J read ``-sign * inf``, so they pass no test a real pair must pass.
+    Entry (I, J) of the first is a lower bound on the pair's distance,
+    ``|c_I - c_J| - r_I - r_J``; given the ``_motion_balls``, on their
+    separation along ``(c_I - c_J) / h``, h >= |c_I - c_J|, and of the
+    second an upper bound on the rate at which that closes, ``rho_I + rho_J
+    - (c_I - c_J).(ubar_I - ubar_J) / h`` (else None; the module docstring
+    has the pads).  Non-pairs (J <= I + 1, or 0 and N - 1) bound at inf.
     """
     c, r, sq, pad = balls
     n, start = len(c), lo + 2
-    bound = sq[lo:hi, None] + sq[start:]
-    bound -= 2.0 * (c[lo:hi] @ c[start:].T)
-    bound += sign * _BOUND_PAD * sq.max()
-    np.maximum(bound, 0.0, out=bound)
-    np.sqrt(bound, out=bound)
+    lower = sq[lo:hi, None] + sq[start:]
+    lower -= 2.0 * (c[lo:hi] @ c[start:].T)
+    closing = None
+    if motion is not None:
+        h = lower + _BOUND_PAD * sq.max()
+        np.sqrt(np.maximum(h, np.finfo(float).tiny, out=h), out=h)
+        left, right, along, rho = motion
+        closing = left[lo:hi] @ right[start:].T
+        closing -= along[lo:hi, None]
+        closing -= along[start:]
+        closing /= h
+        closing += rho[lo:hi, None]
+        closing += rho[start:]
+    lower -= _BOUND_PAD * sq.max()
+    np.maximum(lower, 0.0, out=lower)
+    if motion is None:
+        np.sqrt(lower, out=lower)
+    else:
+        lower /= h
     reach = r[lo:hi, None] + r[start:]
     reach += pad
-    reach *= sign
-    bound += reach
-    # Entry (lo + k, start + q) has J <= I + 1 when q < k; the pair
-    # (0, N - 1) shares vertex 0.
+    lower -= reach
+    # Entry (lo + k, start + q) has J <= I + 1 when q < k.
     rows = hi - lo
-    bound[:, :rows][np.tri(rows, min(rows, n - start), -1, dtype=bool)] = -sign * np.inf
+    lower[:, :rows][np.tri(rows, min(rows, n - start), -1, dtype=bool)] = np.inf
     if lo == 0:
-        bound[0, -1] = -sign * np.inf
-    return bound
+        lower[0, -1] = np.inf
+    return lower, closing
 
 
 def _smallest(values):
@@ -227,7 +259,7 @@ def proximity_report(vertices) -> ProximityReport:
     balls = _edge_balls(v)
     best, kept = np.inf, []
     for lo, hi in _row_blocks(len(v)):
-        lower = _ball_rows(balls, lo, hi, -1.0)
+        lower = _ball_rows(balls, lo, hi)[0]
         nearest = lower.argmin(axis=1)
         row_min = lower[np.arange(hi - lo), nearest]
         rows = _smallest(row_min)
@@ -248,28 +280,33 @@ def min_nonadjacent_distance(vertices) -> float:
     return proximity_report(vertices).min_distance
 
 
-def _wake_times(tau, dist, speed, reserve):
-    """First tau at which pairs at ``dist`` (at ``tau``) moving at most at
-    ``speed`` may come within ``reserve``; inf for pairs at rest."""
-    wake = np.full(dist.shape, np.inf)
-    np.divide(_WAKE_SHRINK * dist - reserve, _WAKE_GROW * speed, out=wake,
-              where=speed > 0.0)
-    wake += tau
-    return wake
+def _time_to(level, gap, closing, out):
+    """Time for gaps closing at most at ``closing`` to reach ``level``, with
+    the gap shrunk and the rate grown by the pads: 0 if there already, inf
+    if never.  Written to ``out``, which is returned."""
+    ahead = _WAKE_SHRINK * gap
+    ahead -= level
+    out[...] = np.inf
+    np.copyto(out, 0.0, where=ahead <= 0.0)
+    np.divide(ahead, closing, out=out, where=(ahead > 0.0) & (closing > 0.0))
+    out /= _WAKE_GROW
+    return out
 
 
 def _waking(wake, row_min, after, until):
     """Pairs (i, j) whose wake time lies in (after, until], in row order.
 
-    The rows that may hold such a pair are read ``_BLOCK_ROWS`` at a time,
-    and the pairs come in batches of at most ``_PAIR_BATCH``, the last one
-    possibly empty.  A batch's pairs lie in rows read before it, so the
-    caller may overwrite their wake times before taking the next batch.
+    The rows that may hold such a pair are read at most ``_BLOCK_ROWS``
+    and about ``_PAIR_BATCH`` entries at a time, and the pairs come in
+    batches of at most ``_PAIR_BATCH``, the last one possibly empty.  A
+    batch's pairs lie in rows read before it, so the caller may overwrite
+    their wake times before taking the next batch.
     """
     rows = np.flatnonzero(row_min <= until)
+    read = max(1, min(_BLOCK_ROWS, _PAIR_BATCH // wake.shape[1]))
     held = np.empty((2, 0), dtype=np.intp)
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        block_rows = rows[lo:lo + _BLOCK_ROWS]
+    for lo in range(0, len(rows), read):
+        block_rows = rows[lo:lo + read]
         block = wake[block_rows]
         i, j = np.nonzero((block > after) & (block <= until))
         held = np.concatenate((held, (block_rows[i], j)), axis=1)
@@ -279,19 +316,25 @@ def _waking(wake, row_min, after, until):
     yield held
 
 
-def _measure(w, u, speed_table, pi, pj):
-    """Distances at ``w``, speeds and distance / speed (inf at rest) of the
-    pairs (pi, pj).  A pair's speed is computed once and kept in
-    ``speed_table`` (NaN until then)."""
-    speed = speed_table[pi, pj]
-    fresh = np.flatnonzero(np.isnan(speed))
-    if fresh.size:
-        speed[fresh] = _pair_speeds(u, pi[fresh], pj[fresh])
-        speed_table[pi[fresh], pj[fresh]] = speed[fresh]
-    dist = _pair_distances(w, pi, pj)
-    ratio = np.full(len(dist), np.inf)
-    np.divide(dist, speed, out=ratio, where=speed > 0.0)
-    return dist, speed, ratio
+def _measure(tau, w, u, pi, pj, reserve):
+    """Distances at ``w`` (the vertices at ``tau``) of the pairs (pi, pj),
+    their times to contact and their wake times, the times at which their
+    separating-direction bounds may reach 0 and ``reserve``."""
+    ends = a0, a1, b0, b1 = _pair_ends(w, pi, pj)
+    s, t = _closest_parameters(*ends)
+    # Formed from the offsets, the difference's rounding does not grow with
+    # the coordinates.
+    diff = a0 - b0 + s * (a1 - a0) - t * (b1 - b0)
+    dist = _norms(diff)
+    scale = np.zeros(len(dist))
+    np.divide(_DIRECTION_SHRINK, dist, out=scale, where=dist > 0.0)
+    normal = diff * scale[:, None]
+    gap = np.einsum("ijkm,km->ijk", ends[:2, None] - ends[None, 2:], normal)
+    vel = _pair_ends(u, pi, pj)
+    closing = np.einsum("ijkm,km->ijk", vel[None, 2:] - vel[:2, None], normal)
+    ratio = _time_to(0.0, gap, closing, np.empty_like(gap)).min(axis=(0, 1))
+    wake = _time_to(reserve, gap, closing, np.empty_like(gap)).min(axis=(0, 1))
+    return dist, ratio, tau + wake
 
 
 def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> float:
@@ -299,35 +342,16 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
 
     Returns a conservative ``tau_star`` in (0, tau_max] such that
     ``V + tau * U`` has no contact between non-adjacent edges for all
-    ``tau < tau_star``.  Uses conservative advancement: each round advances
-    by a fraction of ``best``, the minimum over pairs of distance / max
-    relative endpoint speed, which lower-bounds every pair's time to contact.
-
-    A pair's distance and speed are computed exactly only when the pair can
-    set that minimum or touch.  Until then a lower bound on its distance
-    stands in: its last exact distance (at tau = 0, the bound from the
-    edges' midpoint balls) less the time since times its speed (exact, or
-    the upper bound from the balls around the edges' mean velocities).
-    That bound can reach contact at ``tau``, or fall to ``best * speed``
-    there, only if the pair's wake time ``K = tau_at + (d_at - slack -
-    eps) / speed`` (padded for rounding) is at most ``tau + best``, so a
-    round at ``tau`` computes only the pairs with ``K <= tau + best``.
-
-    A round first wakes the pairs with ``K`` up to a guess of ``tau +
-    best``.  In the first round the guess comes from the smallest row
-    minima of the wake table; later, from the last round's minimum pair,
-    its bound grown by the step.  The round then wakes the pairs with
-    ``K`` up to ``tau + best`` of what it computed.  A best large enough
-    to end the query at ``tau_max`` caps both.  Each computed pair gets a
-    new ``K`` from its exact distance as soon as its batch is done and, if
-    that lies beyond ``tau + best``, goes back to sleep; a pair of the
-    first pass whose new ``K`` falls due in the second is computed again,
-    at the same ``tau``, to the same values.
-
-    A pair left asleep has a lower bound above ``best`` and above the
-    contact distance, and exact values never fall below a lower bound, so
-    the minimum and the contact test of each round, hence every step and
-    the result, equal those of computing all pairs exactly.
+    ``tau < tau_star``.  Each conservative-advancement round advances by a
+    fraction of ``best``, the least time to contact of the pairs it
+    computes, from their approach speeds along separating directions.  It
+    computes the pairs whose wake time ``K`` is at most ``tau + best``; a
+    pair left asleep cannot touch by then.  It first wakes the pairs with
+    ``K`` up to a guess (the ``_PRUNE_BATCH``-th smallest row minimum of
+    the wake table, later the last ``best`` past the new ``tau``), then
+    those up to ``tau + best`` of what it computed; a ``best`` that ends
+    the query at ``tau_max`` caps both.  Each computed pair gets a new
+    ``K`` as soon as its batch is done.
     """
     v = np.asarray(getattr(polygon_or_vertices, "vertices", polygon_or_vertices), dtype=float)
     u = np.asarray(displacement, dtype=float).reshape(v.shape)
@@ -342,18 +366,16 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
     rigid = bool(np.all(u == u[0]))
 
     balls = _edge_balls(v)
-    speed_balls = None if rigid else _edge_balls(u)
-    # Views of the query's one work array: wake times, and pair speeds (NaN
-    # until computed).
-    wake, speeds = np.full((2, n - 2, n), np.inf)
+    motion = None if rigid else _motion_balls(balls, u)
+    wake = np.full((n - 2, n), np.inf)
     near = []
     for lo, hi in _row_blocks(n):
-        lower = _ball_rows(balls, lo, hi, -1.0)
+        lower, closing = _ball_rows(balls, lo, hi, motion)
         i, j = np.nonzero(lower <= eps_contact)
         near.append((lo + i, lo + 2 + j))
         if not rigid:
-            wake[lo:hi, lo + 2:] = _wake_times(0.0, lower, _ball_rows(speed_balls, lo, hi, 1.0),
-                                               reserve)
+            _time_to(reserve, lower, closing, wake[lo:hi, lo + 2:])
+        del lower, closing  # before the next block's tables are built
     pi, pj = (np.concatenate(parts) for parts in zip(*near))
     if pi.size:
         closest = _pair_distances(v, pi, pj).min()
@@ -365,8 +387,6 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
         return float(tau_max)
 
     row_min = wake.min(axis=1)
-    speeds.fill(np.nan)
-    # The first round starts from the rows of smallest wake time.
     seeds = min(_PRUNE_BATCH, len(row_min)) - 1
     tau, w, guess = 0.0, v, np.partition(row_min, seeds)[seeds]
     for _ in range(_MAX_ROUNDS):
@@ -382,10 +402,9 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
         after, until = -np.inf, min(guess, cap)
         while until > after:
             for pi, pj in _waking(wake, row_min, after, until):
-                dist, speed, ratio = _measure(w, u, speeds, pi, pj)
+                dist, ratio, wake[pi, pj] = _measure(tau, w, u, pi, pj, reserve)
                 best = min(best, ratio.min(initial=np.inf))
                 closest = min(closest, dist.min(initial=np.inf))
-                wake[pi, pj] = _wake_times(tau, dist, speed, reserve)
             after, until = until, min((tau + best) * (1.0 + _WAKE_PAD), cap)
         if closest <= eps_contact:
             return float(tau)
@@ -404,8 +423,7 @@ def first_collision_step(polygon_or_vertices, displacement, tau_max: float) -> f
             return float(tau)
         tau += step
         w = v + tau * u
-        # The last minimum pair's bound grows at most by the step.
-        guess = (tau + float(best) + step) * (1.0 + _WAKE_PAD)
+        guess = (tau + float(best)) * (1.0 + _WAKE_PAD)
     return float(tau)
 
 

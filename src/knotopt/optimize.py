@@ -88,6 +88,7 @@ IMPLICIT_MAX_NEWTON = 20
 
 STEP_LIMITS = ("collision", "restoration", "invalid", "armijo")
 TR_STEP_LIMITS = ("collision", "restoration", "invalid", "ratio")
+WOLFE_STEP_LIMITS = ("collision", "invalid", "armijo", "curvature")
 
 
 @dataclass(frozen=True)
@@ -536,7 +537,7 @@ class PenaltyProblem:
         return self._evaluate(x)[1]
 
 
-def weak_wolfe(problem, x, f0, dual0, d):
+def weak_wolfe(problem, x, f0, dual0, d, limits):
     """Bisection search for a weak Wolfe step, capped by the contact bound.
 
     The cap and the first trial come from ``problem.step_bound(x, d)``.
@@ -544,9 +545,13 @@ def weak_wolfe(problem, x, f0, dual0, d):
     ``WOLFE_C2``.
 
     Falls back on the best sufficient-decrease point when the curvature
-    condition cannot be met within ``WOLFE_MAX_TRIALS`` trials.
+    condition cannot be met within ``WOLFE_MAX_TRIALS`` trials.  ``limits``
+    counts the ``WOLFE_STEP_LIMITS``: ``collision`` if the contact cap is
+    below ``TAU_MAX``, then per rejected trial ``invalid`` (infinite
+    objective), ``armijo`` (insufficient decrease) or ``curvature``.
     """
     t_cap, t = problem.step_bound(x, d)
+    limits["collision"] += int(t_cap < TAU_MAX)
     slope0 = float(dual0 @ d)
     if not slope0 < 0.0:
         raise LineSearchFailure(f"not a descent direction (slope {slope0:.3e})")
@@ -558,15 +563,18 @@ def weak_wolfe(problem, x, f0, dual0, d):
         f_t, dual_t = problem.value_and_dual(x + t * d)
         if not np.isfinite(f_t) or f_t > f0 + WOLFE_C1 * t * slope0:
             hi = t
+            limits["armijo" if np.isfinite(f_t) else "invalid"] += 1
         elif float(dual_t @ d) < WOLFE_C2 * slope0:
             lo = t
             best = (t, f_t, dual_t)
+            limits["curvature"] += 1
         else:
             return t, f_t, dual_t, trials
         t = 0.5 * (lo + hi)
         if t <= _TAU_UNDERFLOW or hi - lo <= 1e-12 * max(hi, 1.0):
             break
     if best is not None:
+        limits["curvature"] -= 1  # the fallback accepts that trial
         return best[0], best[1], best[2], trials
     raise LineSearchFailure("no sufficient-decrease step found")
 
@@ -599,6 +607,7 @@ def _lbfgs(problem, diagnostics: dict):
     any problem object.
     """
     memory: list[tuple[np.ndarray, np.ndarray, float]] = []
+    limits = diagnostics["step_limits"] = dict.fromkeys(WOLFE_STEP_LIMITS, 0)
 
     def step(x, f, dual, g):
         q = dual.copy()
@@ -616,7 +625,7 @@ def _lbfgs(problem, diagnostics: dict):
             d = -g
             memory.clear()
 
-        t, f_new, dual_new, trials = weak_wolfe(problem, x, f, dual, d)
+        t, f_new, dual_new, trials = weak_wolfe(problem, x, f, dual, d, limits)
         s_vec = t * d
         y_vec = dual_new - dual
         ys = float(y_vec @ s_vec)
@@ -650,11 +659,12 @@ def _ncg_pr_plus(problem, diagnostics: dict):
     preconditioned steepest descent direction.
     """
     previous = None  # (g, dual, d) of the last step
+    limits = diagnostics["step_limits"] = dict.fromkeys(WOLFE_STEP_LIMITS, 0)
 
     def step(x, f, dual, g):
         nonlocal previous
         d = -g if previous is None else pr_plus_direction(g, dual, *previous)[0]
-        t, f_new, dual_new, trials = weak_wolfe(problem, x, f, dual, d)
+        t, f_new, dual_new, trials = weak_wolfe(problem, x, f, dual, d, limits)
         previous = (g, dual, d)
         return x + t * d, f_new, dual_new, t, trials
 
@@ -670,6 +680,7 @@ def _nesterov(problem, diagnostics: dict):
     """
     x_prev = None
     t_seq = 1.0
+    limits = diagnostics["step_limits"] = dict.fromkeys(WOLFE_STEP_LIMITS, 0)
 
     def step(x, f, dual, g):
         nonlocal x_prev, t_seq
@@ -696,7 +707,7 @@ def _nesterov(problem, diagnostics: dict):
             raise LineSearchFailure("no admissible look-ahead point")
 
         d = -problem.metric_solve(y, dual_y)
-        t, f_new, dual_new, trials = weak_wolfe(problem, y, f_y, dual_y, d)
+        t, f_new, dual_new, trials = weak_wolfe(problem, y, f_y, dual_y, d, limits)
         x_prev = x
         if f_new > f:
             t_seq = 1.0

@@ -13,13 +13,6 @@ from conftest import random_embedded_polygon, rotation_matrix
 UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
-def endpoint_speeds(u, pi, pj):
-    """Largest relative endpoint speed of each edge pair (oracle)."""
-    head = np.roll(np.arange(len(u)), -1)
-    return np.max([np.linalg.norm(u[a] - u[b], axis=1)
-                   for a in (pi, head[pi]) for b in (pj, head[pj])], axis=0)
-
-
 def proximity_all_pairs(v):
     """Minimum distance and first closest pair over every pair (oracle)."""
     pi, pj = collision.nonadjacent_pairs(len(v))
@@ -32,30 +25,6 @@ def near_contact_polygon():
     """Vertex 4 hangs 1e-7 above edge 0: pairs (0, 3) and (0, 4) nearly tie."""
     return np.array([(0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (2.0, 2.0),
                      (1.5, 1e-7), (1.0, 2.0), (0.0, 2.0)])
-
-
-def first_collision_step_all_pairs(v, u, tau_max):
-    """Conservative advancement recomputing every pair each round (oracle)."""
-    pi, pj = collision.nonadjacent_pairs(len(v))
-    eps_contact = collision.CONTACT_SCALE * collision._polyline_length(v)
-    d = collision._pair_distances(v, pi, pj)
-    speed = endpoint_speeds(u, pi, pj)
-    if speed.max() == 0.0:
-        return tau_max
-    tau = 0.0
-    for _ in range(collision._MAX_ROUNDS):
-        with np.errstate(divide="ignore"):
-            bounds = np.where(speed > 0.0, d / np.where(speed > 0.0, speed, 1.0), np.inf)
-        step = collision._ADVANCE_FACTOR * float(bounds.min())
-        if not np.isfinite(step) or tau + step >= tau_max:
-            return tau_max
-        if step <= 1e-16 * max(tau, tau_max):
-            return tau
-        tau += step
-        d = collision._pair_distances(v + tau * u, pi, pj)
-        if d.min() <= eps_contact:
-            return tau
-    return tau
 
 
 @pytest.fixture
@@ -83,12 +52,12 @@ def round_pair_counts(monkeypatch):
     measure = collision._measure
     last = []
 
-    def counting(w, u, speed_table, pi, pj):
+    def counting(tau, w, u, pi, pj, reserve):
         if not counts or w is not last[-1]:
             counts.append(0)
             last.append(w)
         counts[-1] += len(pi)
-        return measure(w, u, speed_table, pi, pj)
+        return measure(tau, w, u, pi, pj, reserve)
 
     monkeypatch.setattr(collision, "_measure", counting)
     return counts
@@ -97,7 +66,7 @@ def round_pair_counts(monkeypatch):
 @pytest.fixture(scope="module")
 def grazing_queries():
     """Collision queries of the first 10 projgd iterations of the L2 flow on
-    ``coiled_unknot(192)``; several stop at ``_MAX_ROUNDS``."""
+    ``coiled_unknot(192)``; the old bound needed ``_MAX_ROUNDS`` for one."""
     queries = []
     step = collision.first_collision_step
 
@@ -224,16 +193,48 @@ class TestBallBound:
     @given(seed=st.integers(0, 10**6), dim=st.sampled_from((2, 3)),
            scale=st.sampled_from((1e-6, 1.0, 1e6)), shift=st.sampled_from((0.0, 1e6)))
     def test_bounds_bracket_exact_values(self, seed, dim, scale, shift):
-        # The rounding pad must hold for tiny, huge and off-centre curves.
+        # The rounding pads must hold for tiny, huge and off-centre curves:
+        # a pair's ball bound, less the time times its closing-rate bound,
+        # stays below its distance, measured in extended precision.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 40))
         v = scale * random_embedded_polygon(n, dim=dim, seed=seed).vertices + shift
         u = scale * rng.standard_normal(v.shape) + shift
         pi, pj = collision.nonadjacent_pairs(n)
-        lower = collision._ball_rows(collision._edge_balls(v), 0, n - 2, -1.0)[pi, pj - 2]
-        upper = collision._ball_rows(collision._edge_balls(u), 0, n - 2, 1.0)[pi, pj - 2]
+        balls = collision._edge_balls(v)
+        lower, closing = collision._ball_rows(balls, 0, n - 2, collision._motion_balls(balls, u))
+        lower, closing = lower[pi, pj - 2], closing[pi, pj - 2]
         assert np.all(lower <= collision._pair_distances(v, pi, pj))
-        assert np.all(upper >= endpoint_speeds(u, pi, pj))
+        for delta in (0.25, 1.0, 4.0):
+            moved = v.astype(np.longdouble) + delta * u.astype(np.longdouble)
+            assert np.all(lower - delta * closing <= collision._pair_distances(moved, pi, pj))
+
+
+def pruned_corpus(rng):
+    """Queries (v, u, tau_max) on coils, trefoils (one offset by 1e4),
+    random 2-D and 3-D curves and a 12-gon, at four field scales, each
+    field with a rigid arc whose pairs do not move."""
+    cases = [(ko.coiled_unknot(96, windings=4), 1.5), (ko.torus_knot(2, 3, 60), 1.0)]
+    cases += [(random_embedded_polygon(n, dim=dim, seed=n), 5.0)
+              for n, dim in ((7, 2), (30, 3), (80, 3), (31, 2), (64, 2))]
+    cases += [(ko.Polygon(ko.torus_knot(2, 3, 60).vertices + 1e4), 1.0),
+              (ko.regular_ngon(12), 10.0)]
+    for p, tau_max in cases:
+        for scale in (0.05, 0.2, 1.0, 20.0):
+            u = scale * p.edge_lengths.mean() * rng.standard_normal(p.vertices.shape)
+            u[: p.num_vertices // 3] = u[0]
+            yield p.vertices, u, tau_max
+
+
+DEFAULT_PAIR_BATCH, DEFAULT_PRUNE_BATCH = collision._PAIR_BATCH, collision._PRUNE_BATCH
+
+
+def with_default_batches(v, u, tau_max):
+    """The step bound with the module's own batch sizes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collision, "_PAIR_BATCH", DEFAULT_PAIR_BATCH)
+        patch.setattr(collision, "_PRUNE_BATCH", DEFAULT_PRUNE_BATCH)
+        return collision.first_collision_step(v, u, tau_max)
 
 
 class TestFirstCollisionStep:
@@ -269,87 +270,100 @@ class TestFirstCollisionStep:
                 moved = p.vertices + frac * tau_star * u
                 assert ko.min_nonadjacent_distance(moved) > 0.0
 
-
-    @pytest.mark.parametrize("batch", (1, collision._PRUNE_BATCH))
-    def test_pruned_rounds_match_all_pairs_oracle(self, batch, rng, monkeypatch,
-                                                  pair_distance_counts):
-        # Skipping pairs whose distance bound cannot reach the minimum must
-        # leave every step, and so the result, bit-identical.  A batch of
-        # one makes each round find the remaining candidates itself.
-        monkeypatch.setattr(collision, "_PRUNE_BATCH", batch)
-        cases = [(ko.coiled_unknot(96, windings=4), 1.5), (ko.torus_knot(2, 3, 60), 1.0)]
-        cases += [(random_embedded_polygon(n, dim=dim, seed=n), 5.0)
-                  for n, dim in ((7, 2), (30, 3), (80, 3))]
-        cases += [(ko.Polygon(ko.torus_knot(2, 3, 60).vertices + 1e4), 1.0)]
-        for p, tau_max in cases:
-            for scale in (0.2, 1.0, 20.0):
-                u = scale * p.edge_lengths.mean() * rng.standard_normal(p.vertices.shape)
-                u[: p.num_vertices // 3] = u[0]  # a rigid arc: pairs at zero speed
-                expected = first_collision_step_all_pairs(p.vertices, u, tau_max)
-                assert ko.first_collision_step(p.vertices, u, tau_max) == expected
-
+    def test_rigid_translation_computes_no_pair(self, rng, pair_distance_counts):
         # A rigid translation moves no pair: the ball bounds alone clear the
         # start, and no pair distance is computed.
         p = ko.coiled_unknot(384)
         u = np.tile(rng.standard_normal(p.dim), (p.num_vertices, 1))
-        assert first_collision_step_all_pairs(p.vertices, u, 1.5) == 1.5
         pair_distance_counts.clear()
         assert ko.first_collision_step(p.vertices, u, 1.5) == 1.5
         assert pair_distance_counts == []
 
     def test_peak_memory_of_a_dense_round(self, round_pair_counts):
-        # The first projected-gradient query on coiled_unknot(1536) wakes
-        # over a third of the pairs in one round.  Computed in one batch,
-        # with the due pairs gathered from a copy of their rows, the query
-        # peaked at 13 tables of (N - 2) x N doubles.
-        class Recorded(Exception):
-            pass
-
-        def record(polygon, u, tau_max):
-            raise Recorded(getattr(polygon, "vertices", polygon), u, tau_max)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(collision, "first_collision_step", record)
-            with pytest.raises(Recorded) as query:
-                ko.run(ko.coiled_unknot(1536), ko.OptimizerConfig(max_iter=1))
-        v, u, tau_max = query.value.args
+        # Shrinking the coil towards its centroid closes every pair at the
+        # same rate, so the first round wakes them all; the query then ends
+        # at tau_max.  Computed in one batch, with the due pairs gathered
+        # from a copy of their rows, such a round peaked at 13 tables of
+        # (N - 2) x N doubles.
+        v = ko.coiled_unknot(1536).vertices
+        u = v.mean(axis=0) - v
         n = len(v)
         tracemalloc.start()
         try:
-            collision.first_collision_step(v, u, tau_max)
+            assert collision.first_collision_step(v, u, 0.95) == 0.95
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert max(round_pair_counts) >= n * (n - 3) / 6
-        assert peak <= 4 * (n - 2) * n * 8
+        # Beyond the wake table: a batch's pair work, about 1 KiB a pair,
+        # or the few 64-row blocks of the ball-bound tables.
+        assert peak <= (n - 2) * n * 8 + collision._PAIR_BATCH * 1024
+
+
+class TestSeparatingBound:
+    """The separating-direction bound: sound, and never below the frozen
+    loop of the bound it replaced."""
+
+    @staticmethod
+    def check_sound(v, u, tau_star):
+        # The all-pairs minimum distance stays positive on [0, tau_star).
+        samples = np.linspace(0.0, tau_star, 64, endpoint=False)
+        for tau in (*samples, np.nextafter(tau_star, 0.0)):
+            assert proximity_all_pairs(v + tau * u)[0] > 0.0
+
+    def test_sound_on_pruned_corpus(self, rng):
+        for v, u, tau_max in pruned_corpus(rng):
+            self.check_sound(v, u, collision.first_collision_step(v, u, tau_max))
+
+    def test_sound_on_grazing_queries(self, grazing_queries):
+        for v, u, tau_max in grazing_queries:
+            self.check_sound(v, u, collision.first_collision_step(v, u, tau_max))
+
+    def test_at_least_frozen_step_on_pruned_corpus(self, rng):
+        for v, u, tau_max in pruned_corpus(rng):
+            expected = frozen.first_collision_step(v, u, tau_max)
+            assert collision.first_collision_step(v, u, tau_max) >= (1.0 - 1e-6) * expected
+
+    def test_at_least_frozen_step_in_fewer_rounds(self, grazing_queries, monkeypatch,
+                                                  round_pair_counts):
+        # The frozen loop's rounds are told apart by the vertices at which
+        # it measures.
+        frozen_rounds = []
+        pair_distances = frozen._pair_distances
+
+        def counting(w, pi, pj):
+            if not frozen_rounds or w is not frozen_rounds[-1]:
+                frozen_rounds.append(w)
+            return pair_distances(w, pi, pj)
+
+        monkeypatch.setattr(frozen, "_pair_distances", counting)
+        rounds = []
+        for v, u, tau_max in grazing_queries:
+            round_pair_counts.clear()
+            expected = frozen.first_collision_step(v, u, tau_max)
+            assert collision.first_collision_step(v, u, tau_max) >= (1.0 - 1e-6) * expected
+            rounds.append(len(round_pair_counts))
+        assert max(rounds) < collision._MAX_ROUNDS
+        assert 4 * sum(rounds) <= len(frozen_rounds)
 
 
 class TestFrozenLoop:
-    """The wake-time loop against the frozen all-pairs-bookkeeping loop."""
+    """Bit-identical results whatever the batch sizes, and the exact pair
+    kernel against the frozen loop's."""
 
     @pytest.mark.parametrize("batch", (1, collision._PRUNE_BATCH))
     def test_same_result_on_pruned_corpus(self, batch, rng, monkeypatch):
         monkeypatch.setattr(collision, "_PRUNE_BATCH", batch)
-        cases = [(ko.coiled_unknot(96, windings=4), 1.5), (ko.torus_knot(2, 3, 60), 1.0)]
-        cases += [(random_embedded_polygon(n, dim=dim, seed=n), 5.0)
-                  for n, dim in ((7, 2), (30, 3), (80, 3), (31, 2), (64, 2))]
-        cases += [(ko.Polygon(ko.torus_knot(2, 3, 60).vertices + 1e4), 1.0),
-                  (ko.regular_ngon(12), 10.0)]
-        for p, tau_max in cases:
-            for scale in (0.05, 0.2, 1.0, 20.0):
-                u = scale * p.edge_lengths.mean() * rng.standard_normal(p.vertices.shape)
-                u[: p.num_vertices // 3] = u[0]  # a rigid arc: pairs at zero speed
-                expected = frozen.first_collision_step(p.vertices, u, tau_max)
-                assert ko.first_collision_step(p.vertices, u, tau_max) == expected
-
-    def test_same_result_on_grazing_queries(self, grazing_queries, round_pair_counts):
-        rounds = []
-        for v, u, tau_max in grazing_queries:
-            round_pair_counts.clear()
+        for v, u, tau_max in pruned_corpus(rng):
             assert collision.first_collision_step(v, u, tau_max) == \
-                frozen.first_collision_step(v, u, tau_max)
-            rounds.append(len(round_pair_counts))
-        assert max(rounds) == collision._MAX_ROUNDS
+                with_default_batches(v, u, tau_max)
+
+    def test_same_result_on_grazing_queries(self, grazing_queries, monkeypatch):
+        for batch in (1, collision._PRUNE_BATCH):
+            monkeypatch.setattr(collision, "_PRUNE_BATCH", batch)
+            for v, u, tau_max in grazing_queries:
+                assert collision.first_collision_step(v, u, tau_max) == \
+                    with_default_batches(v, u, tau_max)
 
     def test_rounds_compute_only_waking_pairs(self, grazing_queries, round_pair_counts):
         # After the first round a grazing query computes a few pairs per
@@ -359,7 +373,7 @@ class TestFrozenLoop:
         for v, u, tau_max in grazing_queries:
             round_pair_counts.clear()
             collision.first_collision_step(v, u, tau_max)
-            if len(round_pair_counts) >= 100:
+            if len(round_pair_counts) >= 10:
                 long_queries += 1
                 assert max(round_pair_counts[1:]) < n * (n - 3) / 20
         assert long_queries
@@ -371,22 +385,15 @@ class TestFrozenLoop:
                 ends = segment_corpus(rng, k, dim)
                 assert (collision._segment_distance_batch(*ends).tobytes()
                         == frozen._segment_distance_batch(*ends).tobytes())
-                u = rng.standard_normal((40, dim))
-                pi, pj = rng.integers(0, 40, (2, k))
-                assert (collision._pair_speeds(u, pi, pj).tobytes()
-                        == frozen._pair_speeds(u, pi, pj).tobytes())
 
 
 class TestPairBatches(TestFrozenLoop):
-    """The frozen-loop and all-pairs checks with every round's pairs split
-    over several batches, each written back before the next is taken."""
+    """The batch-invariance checks with every round's pairs split over
+    several batches, each written back before the next is taken."""
 
     @pytest.fixture(autouse=True, params=(1, 7))
     def pair_batch(self, request, monkeypatch):
         monkeypatch.setattr(collision, "_PAIR_BATCH", request.param)
-
-    test_pruned_rounds_match_all_pairs_oracle = \
-        TestFirstCollisionStep.test_pruned_rounds_match_all_pairs_oracle
 
 
 class TestInitialStep:

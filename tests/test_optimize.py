@@ -551,6 +551,37 @@ class TestStepLimits:
         assert limits["restoration"] > 0 and limits["armijo"] > 0
         assert 0 < limits["collision"] <= len(result.trace) - 1
 
+    def test_wolfe_rejections_sum_to_trace_trials(self):
+        # A penalty run's trace holds each step's trial count in its
+        # backtracks column: the rejected trials and the accepted one.
+        for method in ("lbfgs", "ncg", "nesterov"):
+            result = ko.run(ko.coiled_unknot(96), OptimizerConfig(
+                method=method, metric=ko.L2, max_iter=20))
+            limits = result.diagnostics["step_limits"]
+            assert set(limits) == set(optimize.WOLFE_STEP_LIMITS)
+            steps = len(result.trace) - 1
+            total = sum(r.backtracks for r in result.trace)
+            assert limits["invalid"] + limits["armijo"] + limits["curvature"] + steps == total
+            assert limits["armijo"] > 0 and 0 < limits["collision"] <= steps
+
+    def test_wolfe_fallback_counts_its_accepted_trial_once(self):
+        # f(x) = x, admissible only for x >= 0.5: along d = -1 from x = 1
+        # the curvature condition never holds, and the bisection between
+        # curvature failures and invalid points ends on the fallback.
+        class Ramp:
+            def step_bound(self, x, d):
+                return 0.75, 0.75
+
+            def value_and_dual(self, x):
+                return (float(x[0]), np.ones(1)) if x[0] >= 0.5 else (np.inf, None)
+
+        limits = dict.fromkeys(optimize.WOLFE_STEP_LIMITS, 0)
+        trials = optimize.weak_wolfe(Ramp(), np.ones(1), 1.0, np.ones(1), -np.ones(1),
+                                     limits)[3]
+        assert limits["collision"] == 1 and limits["armijo"] == 0
+        assert limits["invalid"] > 0 and limits["curvature"] > 0
+        assert limits["invalid"] + limits["curvature"] + 1 == trials
+
     def test_trust_region_cuts_sum_to_trace_backtracks(self, monkeypatch):
         # The L2 runs cut on failed restorations; a linear model (no
         # curvature) overshoots and cuts on the acceptance ratio.
