@@ -21,6 +21,29 @@ def proximity_all_pairs(v):
     return float(d[k]), (int(pi[k]), int(pj[k]))
 
 
+def first_collision_step_all_pairs(v, u, tau_max):
+    """Conservative advancement computing every pair's separating-direction
+    bound each round (oracle)."""
+    pi, pj = collision.nonadjacent_pairs(len(v))
+    eps_contact = collision.CONTACT_SCALE * collision._polyline_length(v)
+    reserve = eps_contact + 1e-3 * eps_contact
+    if np.all(u == u[0]):
+        return tau_max
+    tau, w = 0.0, v
+    for _ in range(collision._MAX_ROUNDS):
+        d, ratio, _ = collision._measure(tau, w, u, pi, pj, reserve)
+        if d.min() <= eps_contact:
+            return tau
+        step = collision._ADVANCE_FACTOR * float(ratio.min())
+        if not np.isfinite(step) or tau + step >= tau_max:
+            return tau_max
+        if step <= 1e-16 * max(tau, tau_max):
+            return tau
+        tau += step
+        w = v + tau * u
+    return tau
+
+
 def near_contact_polygon():
     """Vertex 4 hangs 1e-7 above edge 0: pairs (0, 3) and (0, 4) nearly tie."""
     return np.array([(0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (2.0, 2.0),
@@ -270,6 +293,19 @@ class TestFirstCollisionStep:
                 moved = p.vertices + frac * tau_star * u
                 assert ko.min_nonadjacent_distance(moved) > 0.0
 
+    @pytest.mark.parametrize("batch", (1, collision._PRUNE_BATCH))
+    def test_pruned_rounds_match_all_pairs_oracle(self, batch, rng, monkeypatch):
+        # Computing only the pairs whose wake time falls due must give the
+        # step of computing every pair each round.  A pair left asleep keeps
+        # the bound of the direction it was last computed along, so the
+        # steps agree to about 1e-8, not bitwise.  A batch of one makes each
+        # round find the remaining candidates itself.
+        monkeypatch.setattr(collision, "_PRUNE_BATCH", batch)
+        for v, u, tau_max in pruned_corpus(rng):
+            expected = first_collision_step_all_pairs(v, u, tau_max)
+            assert collision.first_collision_step(v, u, tau_max) == \
+                pytest.approx(expected, rel=1e-6)
+
     def test_rigid_translation_computes_no_pair(self, rng, pair_distance_counts):
         # A rigid translation moves no pair: the ball bounds alone clear the
         # start, and no pair distance is computed.
@@ -388,12 +424,15 @@ class TestFrozenLoop:
 
 
 class TestPairBatches(TestFrozenLoop):
-    """The batch-invariance checks with every round's pairs split over
-    several batches, each written back before the next is taken."""
+    """The batch-invariance and all-pairs checks with every round's pairs
+    split over several batches, each written back before the next is taken."""
 
     @pytest.fixture(autouse=True, params=(1, 7))
     def pair_batch(self, request, monkeypatch):
         monkeypatch.setattr(collision, "_PAIR_BATCH", request.param)
+
+    test_pruned_rounds_match_all_pairs_oracle = \
+        TestFirstCollisionStep.test_pruned_rounds_match_all_pairs_oracle
 
 
 class TestInitialStep:
