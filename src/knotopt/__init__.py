@@ -16,7 +16,7 @@ from .constraint import (ConstraintRows, ConstraintState, ConstraintTargets,
 from .curve import (Polygon, QuadPoint, coiled_unknot, geodesic_distance,
                     perturbed_circle, regular_ngon, torus_knot)
 from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
-                     energy_density, hess_vec, ks_energy)
+                     energy_density, hess_vec, hessian, ks_energy)
 from .errors import (AdjacentEdges, AlreadyColliding, CoincidentPoints,
                      DegenerateEdge, DimensionMismatch, KnotOptError,
                      LineSearchFailure, NewtonInnerFailure, NonConvergence,
@@ -41,7 +41,7 @@ __all__ = [
     "W32_GEOMETRIC", "W32_PURE", "armijo_step", "assemble_gram",
     "coiled_unknot", "d2_energy", "d_energy", "d_phi", "energy",
     "energy_density", "factorize", "first_collision_step",
-    "geodesic_distance", "hess_vec", "ks_energy",
+    "geodesic_distance", "hess_vec", "hessian", "ks_energy",
     "min_nonadjacent_distance", "parse_metric",
     "perturbed_circle", "phi", "project_tangent", "projected_gradient",
     "proximity_report", "pseudoinverse_apply", "regular_ngon",

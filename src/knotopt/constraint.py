@@ -152,7 +152,10 @@ def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,
     the pseudoinverse is evaluated through the saddle factorization built
     at the step's base point.  Returns ``(vertices, iterations)`` or raises
     :class:`NonConvergence` (the caller's signal to shrink the step).  The
-    violation is monitored and must not increase between iterates.
+    violation must decrease between iterates.  From the second iterate on,
+    the iteration also stops once its last contraction rate, kept for the
+    iterations left, would end above ``10 * FEASIBILITY_TOL``: the
+    iteration converges linearly, so such a restoration fails anyway.
     """
     v = np.asarray(vertices0, dtype=float).copy()
     shape = v.shape
@@ -175,6 +178,12 @@ def restore_feasibility(vertices0, targets: ConstraintTargets, saddle,
         if new_violation >= violation:
             raise NonConvergence(
                 f"restoration stalled at violation {new_violation:.3e}"
+            )
+        rate = new_violation / violation
+        if it >= 2 and new_violation * rate ** (max_iter - it) > 10.0 * FEASIBILITY_TOL:
+            raise NonConvergence(
+                f"violation {new_violation:.3e} contracting by {rate:.2f} per "
+                f"iteration cannot reach {FEASIBILITY_TOL:.1e} in {max_iter} iterations"
             )
         violation = new_violation
     raise NonConvergence(

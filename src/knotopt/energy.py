@@ -20,10 +20,12 @@ and quadrature node pair; the gradient's sums over J are row sums and
 table-vector products, local to a block's rows; the terms of the edge
 heads I+1 are the results rolled by one row.  The Hessian takes the whole
 table as one block, and its head terms are the tables rolled by one row or
-column.  ``hess_vec`` applies the Hessian to a batch of fields without
-assembling it, as the directional derivative of the gradient's tables, on
-one whole-table block too; a product costs O(N^2) per field and node pair,
-like the gradient.  The same input gives the same bits.
+column.  ``hessian`` builds an operator that applies the Hessian to a batch
+of fields without assembling it, as the directional derivative of the
+gradient's tables, on one whole-table block too: the builder keeps the
+tables that every field shares, and each product costs O(N^2) per field
+and node pair, like the gradient.  ``hess_vec`` is one operator applied
+once.  The same input gives the same bits.
 
 Two classic single-node variants (evaluating the bare energy density
 ``1/|d|^2 - 1/rho^2`` at vertices or edge midpoints) are provided for
@@ -165,7 +167,7 @@ def _combine(out, scratch, terms):
         out += np.multiply(c, x, out=scratch)
 
 
-def _row_dot(c, d):
+def _rowdot(c, d):
     """``sum_J c[I, J] d[:, I, J]`` as (N, m)."""
     return np.einsum("ij,kij->ik", c, d)
 
@@ -225,8 +227,8 @@ def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
             v = np.einsum("kij,kj->ij", d, e.T)
             q2 = q * q
             vq2 = v * q2
-            ga = e_i * ((q @ ell) / ell_i)[:, None] + q @ e - 2.0 * _row_dot(vq2, d)
-            gd = (_row_dot(q2 * (8.0 * u * v * q - 2.0 * ss), d)
+            ga = e_i * ((q @ ell) / ell_i)[:, None] + q @ e - 2.0 * _rowdot(vq2, d)
+            gd = (_rowdot(q2 * (8.0 * u * v * q - 2.0 * ss), d)
                   - 2.0 * e_i * vq2.sum(axis=1)[:, None] - 2.0 * (q2 * u) @ e)
             tail[rows] += weight * ((1.0 - s) * gd - ga)
             head[rows] += weight * (s * gd + ga)
@@ -276,11 +278,11 @@ def d2_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
 
         # Blocks in (a, a), (a, d), (d, d) summed over J.
         s_aa = ((q @ ell) / ell)[:, None, None] * (eye - _edge_outer(ehat, ehat))
-        s_ad = (_edge_outer(e, _row_dot(m2q2 * ratio, d))
+        s_ad = (_edge_outer(e, _rowdot(m2q2 * ratio, d))
                 + _sym(_col_outer(m2q2, d, e)) + _row_outer(vq3, d)
                 + (m2q2 * v).sum(axis=1)[:, None, None] * eye)
         s_dd = (_row_outer(dd_dd, d)
-                + _sym(_edge_outer(e, _row_dot(vq3, d)) + _col_outer(uq3, d, e)
+                + _sym(_edge_outer(e, _rowdot(vq3, d)) + _col_outer(uq3, d, e)
                        + _edge_outer(e, m2q2 @ e))
                 + eye_dd.sum(axis=1)[:, None, None] * eye)
 
@@ -315,53 +317,50 @@ def d2_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
     return half + half.T
 
 
-def hess_vec(polygon: Polygon, quad: QuadratureRule, fields) -> np.ndarray:
-    """Hessian of the energy times a batch of fields ``V``, shape (k, N, m).
+def hessian(polygon: Polygon, quad: QuadratureRule):
+    """Hessian operator of the energy at ``polygon``.
 
-    The directional derivative of :func:`d_energy`'s table formulas along
-    each field, on the same node-pair tables, returned in the shape of
-    ``V``.  A field moves the edge vectors by ``de`` and the quadrature
-    points ``x_I`` (node s) and ``y_J`` (node t) by ``X_I`` and ``Y_J``, so
-    ``d = x_I - y_J`` moves by ``X_I - Y_J``.  The tables shared by all
-    fields are built once per node pair; each field adds N x N scalar
-    tables only.  Every table linear in ``d`` is one (N x K)(K x N)
-    product, K at most 2m + 2 with the row and column terms folded in
-    (``u``, ``v``, ``d . dd``, ``du``, ``dv`` and ``dss``), and a sum
-    ``sum_J c_IJ d_IJ`` is ``x_I (c 1)_I - (c y)_I``.  The positions are
-    centred first, so no product cancels more than the curve's extent.  All
-    tables live in one work array, reused for every node pair and field.
+    Returns ``apply(V)``, the Hessian times a batch of fields ``V`` of
+    shape (k, N, m), in the shape of ``V``: the directional derivative of
+    :func:`d_energy`'s table formulas along each field, on the same
+    node-pair tables.  A field moves the edge vectors by ``de`` and the
+    quadrature points ``x_I`` (node s) and ``y_J`` (node t) by ``X_I`` and
+    ``Y_J``, so ``d = x_I - y_J`` moves by ``X_I - Y_J``.
+
+    The builder walks the node pairs once and keeps, per node pair, the
+    ``q`` table the walk yielded and seven tables that every field shares
+    (q^2, 4 v q^3, 4 u q^3, ``d_energy``'s three tables and the
+    q-derivative of the first).  Each ``apply`` adds only the N x N tables
+    of each field, in nine scratch tables that it reuses for every node
+    pair and field, so it allocates no N x N array (and one operator serves
+    one caller at a time).  The shared tables and the scratch are one work
+    array of 7 r^2 + 9 tables for a rule of r nodes, allocated after the
+    walk has freed its ``d`` tables; with the ``q`` tables the operator
+    holds 8 r^2 + 9.  Every table linear in ``d``
+    is one (N x K)(K x N) product, K at most 2m + 2 with the row and column
+    terms folded in (``u``, ``v``, ``d . dd``, ``du``, ``dv`` and ``dss``),
+    and a sum ``sum_J c_IJ d_IJ`` is ``x_I (c 1)_I - (c y)_I``.  The
+    positions are centred first, so no product cancels more than the
+    curve's extent.
     """
-    fields = np.asarray(fields, dtype=float)
     n, m = polygon.num_vertices, polygon.dim
-    if fields.ndim != 3 or fields.shape[1:] != (n, m):
-        raise ValueError(f"fields must have shape (k, {n}, {m}), got {fields.shape}")
-    k = len(fields)
     e, ell = polygon.edge_vectors, polygon.edge_lengths
     col, one = ell[:, None], np.ones((n, 1))
     ss = np.outer(ell, ell) + e @ e.T
     centred = polygon.vertices - polygon.vertices.mean(axis=0)
-    shift = np.roll(fields, -1, axis=1)
-    de = shift - fields
-    dell = np.einsum("kim,im->ki", de, e) / ell
 
     def dot(a, b):
         return np.einsum("im,im->i", a, b)[:, None]
 
-    de_cols = de.transpose(1, 0, 2).reshape(n, k * m)  # the fields side by side
-    q_right = np.hstack((de_cols, dell.T, col))
-    tail, head = np.zeros_like(fields), np.zeros_like(fields)
-    work = np.empty((14, n, n))
-    q2, vq, uq, a_h, scratch = work[:5]
-    u, v, a_tab, b_tab = work[5:9]   # dead once the shared products are taken,
-    tables = work[5:9]               # then each field's dq / -2, db, da / 2, dc
-    dq, db, da, dc_tab = tables
-    c_tab, h, du, dv, dss = work[9:]
     (_, pairs), = _pair_blocks(polygon, quad, rows=n)
-    for weight, s, t, _, q in pairs:
+    walked = [(weight, s, t, q) for weight, s, t, _, q in pairs]
+    work = np.empty((7 * len(walked) + 9, n, n))
+    scratch, u, v = work[-9:-6]        # field scratch, free while building
+    nodes = []
+    for (weight, s, t, q), shared in zip(walked, work[:-9].reshape(-1, 7, n, n)):
+        q2, vq, uq, a_h, a_tab, b_tab, c_tab = shared
         x = (1.0 - s) * centred + s * np.roll(centred, -1, axis=0)
         y = (1.0 - t) * centred + t * np.roll(centred, -1, axis=0)
-        xx = (1.0 - s) * fields + s * shift
-        yy = (1.0 - t) * fields + t * shift
         np.matmul(np.hstack((dot(e, x), -e)), np.hstack((one, y)).T, out=u)
         np.matmul(np.hstack((x, -one)), np.hstack((e, dot(e, y))).T, out=v)
         np.multiply(q, q, out=q2)
@@ -378,53 +377,80 @@ def hess_vec(polygon: Polygon, quad: QuadratureRule, fields) -> np.ndarray:
         u *= q
         u *= 6.0
         a_h -= u                                 # 4 ss q^3 - 24 u v q^4
-        # Shared tables times every field at once.
-        yy_cols = np.hstack((yy.transpose(1, 0, 2).reshape(n, k * m), one))
-        q_f = q @ q_right
-        c = q_f[:, -1]
-        b_yy, a_yy = b_tab @ yy_cols, 2.0 * (a_tab @ yy_cols)
-        b1, a1 = b_yy[:, -1:], a_yy[:, -1:]
-        c_de = c_tab @ de_cols
-        right = np.hstack((e, col, y, one))
+        nodes.append((weight, s, t, x, y, np.hstack((e, col, y, one)), q, shared))
 
-        for j in range(k):
-            # d . dd, du, dv and dss, one product each.
-            f, g, df, dl = xx[j], yy[j], de[j], dell[j][:, None]
-            np.matmul(np.hstack((x, f, dot(x, f), one)),
-                      np.hstack((-g, -y, one, dot(y, g))).T, out=h)
-            np.matmul(np.hstack((e, df, dot(e, f) + dot(df, x))),
-                      np.hstack((-g, -y, one)).T, out=du)
-            np.matmul(np.hstack((f, x, one)),
-                      np.hstack((e, df, -dot(e, g) - dot(df, y))).T, out=dv)
-            np.matmul(np.hstack((dl, col, df, e)), np.hstack((col, dl, e, df)).T,
-                      out=dss)
-            np.multiply(q2, h, out=dq)
-            np.multiply(q2, dv, out=db)
-            db -= np.multiply(vq, h, out=scratch)
-            np.multiply(q2, du, out=dc_tab)
-            dc_tab -= np.multiply(uq, h, out=scratch)
-            h *= a_h
-            du *= vq
-            dv *= uq
-            dss *= q2
-            np.add(h, du, out=da)
-            da += dv
-            da -= dss
-            sums = (tables.reshape(4 * n, n) @ right).reshape(4, n, -1)
-            dq_e, dq_ell = -2.0 * sums[0, :, :m], -2.0 * sums[0, :, m]
-            db_y, db1 = sums[1, :, m + 1:-1], sums[1, :, -1:]
-            da_y, da1 = 2.0 * sums[2, :, m + 1:-1], 2.0 * sums[2, :, -1:]
-            # The derivatives of d_energy's ga and gd.
-            dc = dq_ell + q_f[:, k * m + j]
-            cols = slice(j * m, (j + 1) * m)
-            ga = (df * (c / ell)[:, None] + e * ((dc - c * dell[j] / ell) / ell)[:, None]
-                  + dq_e + q_f[:, cols] - 2.0 * (x * db1 - db_y)
-                  - 2.0 * (f * b1 - b_yy[:, cols]))
-            gd = (x * da1 - da_y + f * a1 - a_yy[:, cols]
-                  - 2.0 * (df * b1 + e * db1 + sums[3, :, :m] + c_de[:, cols]))
-            tail[j] += weight * ((1.0 - s) * gd - ga)
-            head[j] += weight * (s * gd + ga)
-    return 2.0 * (tail + np.roll(head, 1, axis=1))
+    def apply(fields) -> np.ndarray:
+        fields = np.asarray(fields, dtype=float)
+        if fields.ndim != 3 or fields.shape[1:] != (n, m):
+            raise ValueError(f"fields must have shape (k, {n}, {m}), got {fields.shape}")
+        k = len(fields)
+        shift = np.roll(fields, -1, axis=1)
+        de = shift - fields
+        dell = np.einsum("kim,im->ki", de, e) / ell
+        de_cols = de.transpose(1, 0, 2).reshape(n, k * m)  # the fields side by side
+        q_right = np.hstack((de_cols, dell.T, col))
+        tables = work[-4:]             # each field's dq / -2, db, da / 2, dc
+        dq, db, da, dc_tab = tables
+        scratch, h, du, dv, dss = work[-9:-4]
+        tail, head = np.zeros_like(fields), np.zeros_like(fields)
+        for weight, s, t, x, y, right, q, shared in nodes:
+            q2, vq, uq, a_h, a_tab, b_tab, c_tab = shared
+            xx = (1.0 - s) * fields + s * shift
+            yy = (1.0 - t) * fields + t * shift
+            # Shared tables times every field at once.
+            yy_cols = np.hstack((yy.transpose(1, 0, 2).reshape(n, k * m), one))
+            q_f = q @ q_right
+            c = q_f[:, -1]
+            b_yy, a_yy = b_tab @ yy_cols, 2.0 * (a_tab @ yy_cols)
+            b1, a1 = b_yy[:, -1:], a_yy[:, -1:]
+            c_de = c_tab @ de_cols
+
+            for j in range(k):
+                # d . dd, du, dv and dss, one product each.
+                f, g, df, dl = xx[j], yy[j], de[j], dell[j][:, None]
+                np.matmul(np.hstack((x, f, dot(x, f), one)),
+                          np.hstack((-g, -y, one, dot(y, g))).T, out=h)
+                np.matmul(np.hstack((e, df, dot(e, f) + dot(df, x))),
+                          np.hstack((-g, -y, one)).T, out=du)
+                np.matmul(np.hstack((f, x, one)),
+                          np.hstack((e, df, -dot(e, g) - dot(df, y))).T, out=dv)
+                np.matmul(np.hstack((dl, col, df, e)), np.hstack((col, dl, e, df)).T,
+                          out=dss)
+                np.multiply(q2, h, out=dq)
+                np.multiply(q2, dv, out=db)
+                db -= np.multiply(vq, h, out=scratch)
+                np.multiply(q2, du, out=dc_tab)
+                dc_tab -= np.multiply(uq, h, out=scratch)
+                h *= a_h
+                du *= vq
+                dv *= uq
+                dss *= q2
+                np.add(h, du, out=da)
+                da += dv
+                da -= dss
+                sums = (tables.reshape(4 * n, n) @ right).reshape(4, n, -1)
+                dq_e, dq_ell = -2.0 * sums[0, :, :m], -2.0 * sums[0, :, m]
+                db_y, db1 = sums[1, :, m + 1:-1], sums[1, :, -1:]
+                da_y, da1 = 2.0 * sums[2, :, m + 1:-1], 2.0 * sums[2, :, -1:]
+                # The derivatives of d_energy's ga and gd.
+                dc = dq_ell + q_f[:, k * m + j]
+                cols = slice(j * m, (j + 1) * m)
+                ga = (df * (c / ell)[:, None] + e * ((dc - c * dell[j] / ell) / ell)[:, None]
+                      + dq_e + q_f[:, cols] - 2.0 * (x * db1 - db_y)
+                      - 2.0 * (f * b1 - b_yy[:, cols]))
+                gd = (x * da1 - da_y + f * a1 - a_yy[:, cols]
+                      - 2.0 * (df * b1 + e * db1 + sums[3, :, :m] + c_de[:, cols]))
+                tail[j] += weight * ((1.0 - s) * gd - ga)
+                head[j] += weight * (s * gd + ga)
+        return 2.0 * (tail + np.roll(head, 1, axis=1))
+
+    return apply
+
+
+def hess_vec(polygon: Polygon, quad: QuadratureRule, fields) -> np.ndarray:
+    """Hessian of the energy times a batch of fields ``V``, shape (k, N, m):
+    one :func:`hessian` operator applied once."""
+    return hessian(polygon, quad)(fields)
 
 
 def energy_density(polygon: Polygon, a: QuadPoint, b: QuadPoint) -> float:

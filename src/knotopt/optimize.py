@@ -55,7 +55,7 @@ from .constraint import (ConstraintRows, ConstraintTargets, d_phi, phi,
                          restore_feasibility)
 from .curve import Polygon
 from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
-                     hess_vec)
+                     hessian)
 from .errors import (KnotOptError, LineSearchFailure, NewtonInnerFailure,
                      SingularSystem)
 from .metric import METRICS, assemble_gram
@@ -804,15 +804,16 @@ def _gram_orthonormalize(vectors, gram):
     return basis
 
 
-def newton_cg(state, quad: QuadratureRule):
+def newton_cg(state, hess):
     """Newton direction by projected preconditioned CG.
 
-    Approximately solves ``H x + J^T lam = -eta``, ``J x = 0`` with
-    Hessian-vector products and the constraint preconditioner
-    ``[[G, J^T], [J, 0]]`` (Gould, Hribar & Nocedal 2001): each
-    preconditioned residual is the projected gradient of the residual on
-    the iteration's own saddle factorization, so every iterate stays in the
-    constraint kernel.  CG stops once the residual's dual norm falls to
+    Approximately solves ``H x + J^T lam = -eta``, ``J x = 0`` with the
+    products of ``hess``, the iterate's :func:`~knotopt.energy.hessian`
+    operator, whose shared tables are built before CG starts, and the
+    constraint preconditioner ``[[G, J^T], [J, 0]]`` (Gould, Hribar &
+    Nocedal 2001): each preconditioned residual is the projected gradient
+    of the residual on the iteration's own saddle factorization, so every
+    iterate stays in the constraint kernel.  CG stops once the residual's dual norm falls to
     ``TR_CG_TOL`` times the gradient norm, after ``TR_CG_MAX_ITER``
     iterations, or at the first direction of non-positive curvature
     (Steihaug 1983), returning the iterate reached; there is none when the
@@ -824,7 +825,7 @@ def newton_cg(state, quad: QuadratureRule):
     r, g, rg = state.eta, state.grad, state.grad_norm**2
     p = -g
     for it in range(1, TR_CG_MAX_ITER + 1):
-        hp = hess_vec(state.polygon, quad, p.reshape(shape)).ravel()
+        hp = hess(p.reshape(shape)).ravel()
         curvature = float(p @ hp)
         if not curvature > 0.0:
             return (x if it > 1 else None), it
@@ -845,9 +846,11 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
     The model is minimized exactly inside a metric ball over the span of
     the current projected gradient, the previous gradient projected onto
     the current tangent space, and (once the gradient is short enough) the
-    Newton direction of :func:`newton_cg`.  The model Hessian is the basis
-    projection of one batched :func:`~knotopt.energy.hess_vec`; no Hessian
-    is assembled.  Candidates are restored to feasibility before the
+    Newton direction of :func:`newton_cg`.  One
+    :func:`~knotopt.energy.hessian` operator is built per iterate; it serves
+    every CG product and the model Hessian, the basis projection of one
+    batched product, and is dropped before the trial loop.  No Hessian is
+    assembled.  Candidates are restored to feasibility before the
     acceptance ratio is evaluated.
 
     ``diagnostics["newton_cg_iters_max"]`` is the largest CG count, and
@@ -871,8 +874,9 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
         candidates = [state.grad]
         if prev_grad is not None:
             candidates.append(project_tangent(state.fact, prev_grad))
+        hess = hessian(state.polygon, quad)
         if state.grad_norm < newton_gate:
-            newton_dir, cg_iters = newton_cg(state, quad)
+            newton_dir, cg_iters = newton_cg(state, hess)
             diagnostics["newton_cg_iters_max"] = max(
                 diagnostics["newton_cg_iters_max"], cg_iters)
             if newton_dir is not None:
@@ -885,8 +889,8 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
         vertices = state.polygon.vertices
         bmat = np.column_stack(basis)
         grad_sub = bmat.T @ state.eta
-        hess_basis = hess_vec(state.polygon, quad,
-                              bmat.T.reshape((-1,) + vertices.shape))
+        hess_basis = hess(bmat.T.reshape((-1,) + vertices.shape))
+        del hess
         hess_sub = bmat.T @ hess_basis.reshape(len(basis), -1).T
         hess_sub = 0.5 * (hess_sub + hess_sub.T)
 

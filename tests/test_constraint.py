@@ -1,8 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import knotopt as ko
 from conftest import random_embedded_polygon, rotation_matrix
+
+CONSTRAINT_MODULE = importlib.import_module("knotopt.constraint")
 
 
 def build_saddle(polygon, kind=ko.W32_GEOMETRIC):
@@ -176,6 +180,33 @@ class TestRestoreFeasibility:
         trial = p.vertices + 10.0 * p.total_length * tangent.reshape(-1, 2)
         with pytest.raises(ko.NonConvergence):
             ko.restore_feasibility(trial, targets, fact)
+
+    def test_slow_contraction_stops_after_two_solves(self, rng, monkeypatch):
+        # Half of each Newton correction halves the violation per iteration,
+        # which cannot take it from 1e-3 to 1e-8 in five; the full
+        # correction from the same trial point succeeds in two.
+        p = ko.perturbed_circle(32)
+        targets = ko.ConstraintTargets.from_polygon(p)
+        fact = build_saddle(p)
+        tangent = ko.project_tangent(fact, rng.standard_normal(p.num_vertices * 2))
+        tangent /= np.linalg.norm(tangent)
+        trial = p.vertices + 0.002 * p.total_length * tangent.reshape(-1, 2)
+        solves = []
+
+        def scaled(scale):
+            def apply(saddle, residual):
+                solves.append(scale)
+                return scale * ko.pseudoinverse_apply(saddle, residual)
+            return apply
+
+        monkeypatch.setattr(CONSTRAINT_MODULE, "pseudoinverse_apply", scaled(0.5))
+        with pytest.raises(ko.NonConvergence, match="contracting"):
+            ko.restore_feasibility(trial, targets, fact)
+        assert len(solves) == 2
+        monkeypatch.setattr(CONSTRAINT_MODULE, "pseudoinverse_apply", scaled(1.0))
+        out, iters = ko.restore_feasibility(trial, targets, fact)
+        assert iters == 2 and len(solves) == 4
+        assert ko.phi(out, targets).max_violation(targets.total) <= CONSTRAINT_MODULE.FEASIBILITY_TOL
 
     def test_violation_never_increases_on_accepted_paths(self, rng):
         p = ko.perturbed_circle(24)

@@ -346,6 +346,7 @@ class TestTableAssembly:
         p = ko.Polygon([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], validate=False)
         for assemble in (ko.energy, ko.ks_energy, ko.d_energy, ko.d2_energy,
                          lambda q: ko.hess_vec(q, MIDPOINT, np.ones((1, 4, 2))),
+                         lambda q: ko.hessian(q, MIDPOINT),
                          lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC),
                          lambda q: ko.assemble_gram(q, ko.W32_PURE)):
             with pytest.raises(ko.CoincidentPoints):
@@ -462,6 +463,19 @@ class TestHessVec:
             batch = ko.hess_vec(p, rule, fields)
             single = np.concatenate([ko.hess_vec(p, rule, f[None]) for f in fields])
             assert _relative_defect(single, batch) <= 1e-11, name
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_operator_reuse_moves_no_bit(self, k, rng):
+        # One operator applied to interleaved and repeated batches gives the
+        # bits of a fresh product each time: no apply clobbers the tables
+        # that the builder shares between fields.
+        rule = ko.QuadratureRule.gauss(k)
+        for name, p in _table_curves():
+            hess = ko.hessian(p, rule)
+            one, three = (rng.standard_normal((b,) + p.vertices.shape) for b in (1, 3))
+            for fields in (one, three, one, three, three, one):
+                assert (hess(fields).tobytes()
+                        == ko.hess_vec(p, rule, fields).tobytes()), name
 
     def test_field_shape_checked(self):
         p = ko.torus_knot(2, 3, 30)

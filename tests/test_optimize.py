@@ -375,8 +375,8 @@ class TestTrustRegion:
         calls = []
         newton_cg = optimize.newton_cg
 
-        def spy(state, quad):
-            calls.append((state, newton_cg(state, quad)))
+        def spy(state, hess):
+            calls.append((state, newton_cg(state, hess)))
             return calls[-1][1]
 
         monkeypatch.setattr(optimize, "newton_cg", spy)
@@ -399,11 +399,42 @@ class TestTrustRegion:
         assert result.diagnostics["newton_directions"] >= 1
         assert 1 <= result.diagnostics["newton_cg_iters_max"] <= 20
 
+    def test_one_hessian_operator_per_iterate(self, monkeypatch):
+        # Every iterate builds one operator.  Newton CG makes all its
+        # one-field products with it, and the basis product is its last.
+        built, cg_calls = [], []
+        hessian, newton_cg = optimize.hessian, optimize.newton_cg
+
+        def build(polygon, quad):
+            apply, batches = hessian(polygon, quad), []
+
+            def spy(fields):
+                batches.append(len(fields))
+                return apply(fields)
+            built.append((spy, batches))
+            return spy
+
+        def cg(state, hess):
+            direction, iters = newton_cg(state, hess)
+            cg_calls.append((hess, iters))
+            return direction, iters
+
+        monkeypatch.setattr(optimize, "hessian", build)
+        monkeypatch.setattr(optimize, "newton_cg", cg)
+        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
+        result = ko.run(ko.torus_knot(2, 3, 60), OptimizerConfig(
+            method="trust_region", max_iter=4))
+        assert result.status == "max_iter"
+        assert len(built) == len(cg_calls) == len(result.trace) - 1
+        for (spy, batches), (hess, iters) in zip(built, cg_calls):
+            assert hess is spy
+            assert batches[:-1] == [1] * iters and batches[-1] >= 2
+
     def test_negative_first_curvature_gives_no_newton_direction(self, monkeypatch):
         p = ko.coiled_unknot(48, windings=2)
-        monkeypatch.setattr(optimize, "hess_vec", lambda polygon, quad, v: -v)
+        monkeypatch.setattr(optimize, "hessian", lambda polygon, quad: lambda v: -v)
         state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
-        assert optimize.newton_cg(state, ko.MIDPOINT) == (None, 1)
+        assert optimize.newton_cg(state, lambda v: -v) == (None, 1)
         monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
         result = ko.run(p, OptimizerConfig(method="trust_region", max_iter=3))
         assert result.status == "max_iter"
@@ -585,13 +616,13 @@ class TestStepLimits:
     def test_trust_region_cuts_sum_to_trace_backtracks(self, monkeypatch):
         # The L2 runs cut on failed restorations; a linear model (no
         # curvature) overshoots and cuts on the acceptance ratio.
-        linear = lambda polygon, quad, v: np.zeros_like(v)
+        linear = lambda polygon, quad: np.zeros_like
         seen = dict.fromkeys(optimize.TR_STEP_LIMITS, 0)
         for p in (ko.torus_knot(2, 3, 60), ko.coiled_unknot(48, windings=2)):
-            for metric, products in ((ko.W32_GEOMETRIC, ko.hess_vec),
-                                     (ko.L2, ko.hess_vec),
+            for metric, products in ((ko.W32_GEOMETRIC, ko.hessian),
+                                     (ko.L2, ko.hessian),
                                      (ko.W32_GEOMETRIC, linear)):
-                monkeypatch.setattr(optimize, "hess_vec", products)
+                monkeypatch.setattr(optimize, "hessian", products)
                 result = ko.run(p, OptimizerConfig(
                     method="trust_region", metric=metric, max_iter=20))
                 limits = result.diagnostics["step_limits"]
