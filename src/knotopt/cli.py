@@ -232,6 +232,8 @@ def cmd_run(args):
         _limit_threads()
     if not cfg.input:
         raise ValueError("run requires an input curve file")
+    if cfg.snapshot_every < 0:
+        raise ValueError("snapshot_every must be non-negative")
     config = cfg.optimizer_config()
     polygon = read_curve(cfg.input)
     out_dir = Path(cfg.out_dir)

@@ -87,6 +87,7 @@ TR_BASIS_DROP_TOL = 1e-10  # relative metric norm below which a basis vector dro
 IMPLICIT_MAX_NEWTON = 20
 
 STEP_LIMITS = ("collision", "restoration", "invalid", "armijo")
+IMPLICIT_STEP_LIMITS = ("newton",) + STEP_LIMITS
 TR_STEP_LIMITS = ("collision", "restoration", "invalid", "ratio")
 WOLFE_STEP_LIMITS = ("collision", "invalid", "armijo", "curvature")
 
@@ -209,21 +210,20 @@ def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
 @dataclass
 class _FeasibleState:
     polygon: Polygon
-    gram: object
     fact: object
     eta: np.ndarray
     grad: np.ndarray
+    lam: np.ndarray
     grad_norm: float
 
 
 def _prepare_state(polygon: Polygon, metric: str,
                    quad: QuadratureRule) -> _FeasibleState:
-    gram = assemble_gram(polygon, metric, quad)
-    fact = factorize(gram, d_phi(polygon))
+    fact = factorize(assemble_gram(polygon, metric, quad), d_phi(polygon))
     eta = d_energy(polygon, quad)
-    grad, _ = projected_gradient(fact, eta)
+    grad, lam = projected_gradient(fact, eta)
     grad_norm = float(np.sqrt(max(eta @ grad, 0.0)))
-    return _FeasibleState(polygon, gram, fact, eta, grad, grad_norm)
+    return _FeasibleState(polygon, fact, eta, grad, lam, grad_norm)
 
 
 def _restored_trial(vertices, targets, fact, quad):
@@ -260,8 +260,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
     """
     quad = config.quad()
     if not phi(polygon, targets).is_feasible(targets.total):
-        gram = assemble_gram(polygon, metric, quad)
-        fact = factorize(gram, d_phi(polygon))
+        fact = factorize(assemble_gram(polygon, metric, quad), d_phi(polygon))
         restored, _ = restore_feasibility(polygon.vertices, targets, fact,
                                           max_iter=20)
         _note_solves(diagnostics, fact)
@@ -362,50 +361,46 @@ def _projected_gd(config: OptimizerConfig, diagnostics: dict):
 # Implicit Euler for the lumped-mass flow
 
 
-def implicit_step(polygon: Polygon, dt: float, gram, fact,
-                  quad: QuadratureRule, *, newton_tol: float = 1e-9):
+def implicit_step(state: _FeasibleState, dt: float, quad: QuadratureRule, *,
+                  newton_tol: float = 1e-9):
     """Solve the backward step equation on the base tangent space.
 
     Finds ``v`` with ``G v / dt + DE(P + v) + J^T lam = 0`` and ``J v = 0``
-    by Newton's method: each inner iteration LU-factorizes the dense block
-    ``[[G / dt + H, J^T], [J, 0]]`` anew, which is what makes backtracking
-    on ``dt`` expensive.
+    by Newton's method from the state's explicit step ``(-dt grad, -lam)``:
+    each inner iteration LU-factorizes the dense block ``[[G / dt + H, J^T],
+    [J, 0]]`` anew, which is what makes backtracking on ``dt`` expensive.
     Returns ``(v, inner_iterations)``.
     """
-    jac = fact.jacobian
-    eta = d_energy(polygon, quad)
-    g0, lam0 = projected_gradient(fact, eta)
-    v = -dt * g0
-    lam = -lam0
-    shape = polygon.vertices.shape
-    nv = v.shape[0]
+    gram, jac = state.fact.gram, state.fact.jacobian
+    v = -dt * state.grad
+    lam = -state.lam
+    vertices = state.polygon.vertices
 
-    def residual(v, lam):
-        trial = Polygon(polygon.vertices + v.reshape(shape), validate=False)
-        r1 = gram.apply(v) / dt + d_energy(trial, quad) + jac.apply_T(lam)
-        return np.concatenate((r1, jac.apply(v))), trial
+    def residual(v, lam, what):
+        try:
+            trial = Polygon(vertices + v.reshape(vertices.shape), validate=False)
+            r1 = gram.apply(v) / dt + d_energy(trial, quad) + jac.apply_T(lam)
+            return np.concatenate((r1, jac.apply(v))), trial
+        except KnotOptError as exc:
+            raise NewtonInnerFailure(f"{what} left the admissible set") from exc
 
-    try:
-        res, trial = residual(v, lam)
-    except KnotOptError as exc:
-        raise NewtonInnerFailure("warm start left the admissible set") from exc
+    res, trial = residual(v, lam, "warm start")
     res_norm0 = max(np.linalg.norm(res), np.finfo(float).tiny)
-    metric = np.kron(gram.scalar, np.eye(gram.dim)) / dt
+    metric, m = gram.scalar / dt, gram.dim
     rows = jac.dense()
     zero = np.zeros((len(rows), len(rows)))
     stall = 0
     for it in range(1, IMPLICIT_MAX_NEWTON + 1):
-        kkt = np.block([[metric + d2_energy(trial, quad), rows.T], [rows, zero]])
+        hess = d2_energy(trial, quad)
+        for c in range(m):  # G / dt is S / dt on each coordinate's block
+            hess[c::m, c::m] += metric
+        kkt = np.block([[hess, rows.T], [rows, zero]])
         try:
             delta = solve_dense(kkt, -res)
         except SingularSystem as exc:
             raise NewtonInnerFailure("inner linearization singular") from exc
-        v = v + delta[:nv]
-        lam = lam + delta[nv:]
-        try:
-            res, trial = residual(v, lam)
-        except KnotOptError as exc:
-            raise NewtonInnerFailure("iterate left the admissible set") from exc
+        v, lam = v + delta[:v.size], lam + delta[v.size:]
+        res, trial = residual(v, lam, "iterate")
         rel = np.linalg.norm(res) / res_norm0
         if rel <= newton_tol:
             return v, it
@@ -416,9 +411,16 @@ def implicit_step(polygon: Polygon, dt: float, gram, fact,
 
 
 def _implicit_euler_l2(config: OptimizerConfig, diagnostics: dict):
-    """Backward Euler steps of the lumped-mass flow with Armijo control."""
+    """Backward Euler steps of the lumped-mass flow with Armijo control.
+
+    ``diagnostics["step_limits"]`` counts each cut of ``dt`` by its cause in
+    ``IMPLICIT_STEP_LIMITS``: ``newton`` (the inner solve failed or ``v`` is
+    no descent step), ``collision`` (the path to P + v meets a contact),
+    ``restoration``, ``invalid`` or ``armijo``; they sum to ``backtracks``.
+    """
     quad = config.quad()
     dt = TAU_MAX
+    limits = diagnostics["step_limits"] = dict.fromkeys(IMPLICIT_STEP_LIMITS, 0)
 
     def step(state, energy_value, targets):
         nonlocal dt
@@ -426,15 +428,15 @@ def _implicit_euler_l2(config: OptimizerConfig, diagnostics: dict):
         backtracks = 0
         while dt > _TAU_UNDERFLOW * TAU_MAX:
             try:
-                v, newton_iters = implicit_step(
-                    state.polygon, dt, state.gram, state.fact, quad
-                )
+                v, newton_iters = implicit_step(state, dt, quad)
                 slope = float(state.eta @ v)
             except KnotOptError:
                 slope = np.nan
-            # A descent step whose straight path from P stays clear of contact.
-            if slope < 0.0 and collision.first_collision_step(
-                    vertices, v.reshape(vertices.shape), 1.0) >= 1.0:
+            if not slope < 0.0:
+                cause = "newton"
+            elif collision.step_bounds(vertices, v.reshape(vertices.shape), 1.0)[0] < 1.0:
+                cause = "collision"
+            else:
                 cause, trial = _restored_trial(vertices + v.reshape(vertices.shape),
                                                targets, state.fact, quad)
                 if cause is None and trial[1] <= energy_value + ARMIJO_C * slope:
@@ -443,6 +445,8 @@ def _implicit_euler_l2(config: OptimizerConfig, diagnostics: dict):
                                           newton_iters + restore_iters)
                     dt = min(TAU_MAX, 2.0 * dt)
                     return outcome
+                cause = cause or "armijo"
+            limits[cause] += 1
             dt *= 0.25
             backtracks += 1
         raise LineSearchFailure(f"time step underflow after {backtracks} cuts")
@@ -515,7 +519,7 @@ class PenaltyProblem:
             fact = factorize(gram, ConstraintRows(scale[:, None] * rows.coef),
                              compliance=1.0)
             self._point = (key, poly, energy_value, rows, fact)
-        g = fact.solve(np.concatenate((dual, np.zeros(fact.n_dual))))[:fact.n_primal]
+        g = projected_gradient(fact, dual)[0]
         _note_solves(self.solve_stats, fact)
         return g
 
@@ -672,11 +676,12 @@ def _ncg_pr_plus(problem, diagnostics: dict):
 
 
 def _nesterov(problem, diagnostics: dict):
-    """Accelerated gradient with collision-truncated extrapolation.
+    """Accelerated gradient with a damped, collision-bounded extrapolation.
 
-    Momentum resets to zero whenever the objective increases; both the
-    look-ahead move and the gradient step are bounded by collision
-    detection.
+    The look-ahead takes ``INITIAL_STEP_FACTOR * cap`` of the momentum move
+    ``mu (x - x_prev)``, ``cap`` its contact cap from ``problem.step_bound``:
+    two thirds of the move even with no contact near.  Momentum resets to
+    zero whenever the objective increases.
     """
     x_prev = None
     t_seq = 1.0
@@ -687,16 +692,12 @@ def _nesterov(problem, diagnostics: dict):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_seq**2))
         mu = (t_seq - 1.0) / t_next
 
-        # Look-ahead point, truncated so the extrapolation cannot cross a
-        # self-contact.  The first step has no previous point: no momentum.
+        # The first step has no previous point: no momentum.
         delta = 0.0 * x if x_prev is None else mu * (x - x_prev)
         y = x
         if np.linalg.norm(delta) > 0.0:
-            scale = min(1.0, collision.INITIAL_STEP_FACTOR *
-                        collision.first_collision_step(
-                            x.reshape(problem.shape),
-                            delta.reshape(problem.shape), 1.0))
-            y = x + scale * delta
+            cap = problem.step_bound(x, delta)[0]
+            y = x + collision.INITIAL_STEP_FACTOR * cap * delta
         f_y, dual_y = problem.value_and_dual(y)
         for _ in range(60):
             if dual_y is not None:
@@ -882,7 +883,7 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
             if newton_dir is not None:
                 candidates.append(newton_dir)
                 diagnostics["newton_directions"] += 1
-        basis = _gram_orthonormalize(candidates, state.gram)
+        basis = _gram_orthonormalize(candidates, state.fact.gram)
         prev_grad = state.grad
         if not basis:
             return None
@@ -900,11 +901,9 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
             v = bmat @ z
             if np.linalg.norm(v) == 0.0:
                 break
-            tau_star = collision.first_collision_step(
-                vertices, v.reshape(vertices.shape), 1.0
-            )
-            if tau_star < 1.0:
-                z = z * (collision.INITIAL_STEP_FACTOR * tau_star)
+            cap, scale = collision.step_bounds(vertices, v.reshape(vertices.shape), 1.0)
+            if cap < 1.0:
+                z = z * scale
                 v = bmat @ z
                 limits["collision"] += 1
             predicted = -(float(grad_sub @ z) + 0.5 * float(z @ hess_sub @ z))

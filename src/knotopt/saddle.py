@@ -270,6 +270,4 @@ def project_tangent(fact: SaddleFactorization, u_tilde) -> np.ndarray:
         raise ValueError(
             f"field has length {u_tilde.shape[0]}, expected {fact.n_primal}"
         )
-    rhs = np.concatenate((fact.gram.apply(u_tilde), np.zeros(fact.n_dual)))
-    x = fact.solve(rhs)
-    return x[:fact.n_primal]
+    return projected_gradient(fact, fact.gram.apply(u_tilde))[0]

@@ -203,7 +203,8 @@ class TestRun:
                                             ("--metric", "bogus"),
                                             ("--alpha", "-1"),
                                             ("--alpha", "nan"),
-                                            ("--quad-k", "0")])
+                                            ("--quad-k", "0"),
+                                            ("--snapshot-every", "-3")])
     def test_bad_setting_exit_two(self, flag, value, tmp_path, capsys):
         curve_file = tmp_path / "pc.txt"
         cli.write_curve(curve_file, ko.perturbed_circle(24))
@@ -212,10 +213,10 @@ class TestRun:
                          str(out_dir), flag, value])
         assert code == 2
         assert "ERROR usage:" in capsys.readouterr().err
-        assert not (out_dir / "trace.csv").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("line", ["metric = bogus", "alpha = -1",
-                                      "quad_k = 0"])
+                                      "quad_k = 0", "snapshot_every = -3"])
     def test_bad_config_value_exit_two(self, line, tmp_path, capsys):
         curve_file = tmp_path / "pc.txt"
         cli.write_curve(curve_file, ko.perturbed_circle(24))
@@ -225,7 +226,7 @@ class TestRun:
         code = cli.main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
         assert code == 2
         assert "ERROR usage:" in capsys.readouterr().err
-        assert not (out_dir / "trace.csv").exists()
+        assert not out_dir.exists()
 
     def test_malformed_input_creates_no_out_dir(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

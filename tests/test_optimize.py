@@ -122,8 +122,7 @@ class TestImplicitEuler:
         state = _prepare_state(p, ko.L2, ko.MIDPOINT)
         errors = []
         for dt in (2e-3, 1e-3, 5e-4):
-            v, _ = implicit_step(p, dt, state.gram, state.fact, ko.MIDPOINT,
-                                 newton_tol=1e-12)
+            v, _ = implicit_step(state, dt, ko.MIDPOINT, newton_tol=1e-12)
             errors.append(np.linalg.norm(v - (-dt) * state.grad))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         assert all(2.5 <= r <= 6.0 for r in ratios)
@@ -153,16 +152,16 @@ class TestImplicitEuler:
         # the plain run's last contact query is that of its accepted trial.
         p = ko.perturbed_circle(16)
         config = OptimizerConfig(method="implicit_euler_l2", max_iter=1)
-        first_collision_step = optimize.collision.first_collision_step
+        step_bounds = optimize.collision.step_bounds
         calls, contact_at = [], None
 
         def spy(vertices, displacement, tau_max):
             calls.append(tau_max)
             if len(calls) == contact_at:
-                return 0.5
-            return first_collision_step(vertices, displacement, tau_max)
+                return 0.5, 1.0 / 3.0
+            return step_bounds(vertices, displacement, tau_max)
 
-        monkeypatch.setattr(optimize.collision, "first_collision_step", spy)
+        monkeypatch.setattr(optimize.collision, "step_bounds", spy)
         plain = ko.run(p, config)
         assert calls and set(calls) == {1.0}
         contact_at = len(calls)
@@ -170,6 +169,8 @@ class TestImplicitEuler:
         cut = ko.run(p, config)
         assert cut.trace[1].backtracks == plain.trace[1].backtracks + 1 >= 1
         assert cut.trace[1].step_size == 0.25 * plain.trace[1].step_size
+        collisions = [run.diagnostics["step_limits"]["collision"] for run in (plain, cut)]
+        assert collisions[1] == collisions[0] + 1
 
 
 class QuadraticProblem:
@@ -294,6 +295,30 @@ class TestPenaltyDrivers:
         result = ko.run(p, OptimizerConfig(
             method="ncg", max_iter=60))
         assert result.final_energy <= 4.01
+
+    def test_nesterov_look_ahead_is_damped_without_contact(self):
+        # No contact is near the circle's momentum move, so its contact cap
+        # is 1; the look-ahead still takes two thirds of the move.
+        p = ko.perturbed_circle(48)
+        problem = PenaltyProblem(p, ko.ConstraintTargets.from_polygon(p),
+                                 OptimizerConfig(method="nesterov"))
+        caps, points = [], []
+        step_bound, value_and_dual = problem.step_bound, problem.value_and_dual
+        problem.step_bound = lambda x, d: caps.append(step_bound(x, d)) or caps[-1]
+        problem.value_and_dual = lambda x: points.append(x) or value_and_dual(x)
+        step = optimize._nesterov(problem, {"momentum_resets": 0})
+        x0 = p.vertices.ravel()
+        f0, dual0 = value_and_dual(x0)
+        x1, f1, dual1, _, _ = step(x0, f0, dual0, problem.metric_solve(x0, dual0))
+        assert f1 <= f0  # the momentum is kept
+        caps.clear()
+        points.clear()
+        step(x1, f1, dual1, problem.metric_solve(x1, dual1))
+        t1 = 0.5 * (1.0 + np.sqrt(5.0))
+        mu = (t1 - 1.0) / (0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t1**2)))
+        delta = mu * (x1 - x0)
+        assert caps[0][0] == 1.0
+        assert np.array_equal(points[0], x1 + (2.0 / 3.0) * delta)
 
     def test_nesterov_descends_and_can_reset(self):
         p = ko.perturbed_circle(48)
@@ -581,6 +606,16 @@ class TestStepLimits:
         assert limits["restoration"] + limits["invalid"] + limits["armijo"] == total
         assert limits["restoration"] > 0 and limits["armijo"] > 0
         assert 0 < limits["collision"] <= len(result.trace) - 1
+
+    def test_implicit_euler_cuts_sum_to_trace_backtracks(self):
+        # On the coil the inner solve fails once and restorations fail
+        # within 25 iterations.
+        result = ko.run(ko.coiled_unknot(96), OptimizerConfig(
+            method="implicit_euler_l2", max_iter=25))
+        limits = result.diagnostics["step_limits"]
+        assert set(limits) == set(optimize.IMPLICIT_STEP_LIMITS)
+        assert sum(limits.values()) == sum(r.backtracks for r in result.trace)
+        assert limits["newton"] > 0 and limits["restoration"] > 0
 
     def test_wolfe_rejections_sum_to_trace_trials(self):
         # A penalty run's trace holds each step's trial count in its
