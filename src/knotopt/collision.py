@@ -57,8 +57,8 @@ CONTACT_SCALE = 1e-9
 # per-pair lower bound on time to contact so rounding can never tunnel.
 _ADVANCE_FACTOR = 0.9
 _MAX_ROUNDS = 128
-# Pairs with the smallest bounds, computed first in each proximity query;
-# rows of smallest wake time, woken first in a collision query.
+# Rows of smallest wake time, whose largest row minimum is a collision
+# query's first guess of the pairs to wake.
 _PRUNE_BATCH = 64
 # Relative rounding pad of the ball bounds.
 _BOUND_PAD = 1e-12
@@ -227,13 +227,6 @@ def _ball_rows(balls, lo, hi, motion=None):
     return lower, closing
 
 
-def _smallest(values):
-    """Indices of the ``_PRUNE_BATCH`` smallest values (all if fewer)."""
-    if len(values) > _PRUNE_BATCH:
-        return np.argpartition(values, _PRUNE_BATCH)[:_PRUNE_BATCH]
-    return np.arange(len(values))
-
-
 def _polyline_length(v) -> float:
     return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
 
@@ -250,10 +243,11 @@ def proximity_report(vertices) -> ProximityReport:
     """Closest non-adjacent edge pair; ties go to the first pair in order.
 
     The lower-bound table is built a block of rows at a time.  In each
-    block the exact distances of the nearest pairs of its rows of smallest
-    bound lower a running minimum, and the pairs whose bound is at or below
-    it are kept; only the kept pairs whose bound is at or below the final
-    minimum can attain it, and only they are computed exactly.
+    block the exact distance of each row's nearest pair, for the rows whose
+    smallest bound is at or below a running minimum, lowers that minimum,
+    and the pairs whose bound is at or below it are kept; only the kept
+    pairs whose bound is at or below the final minimum can attain it, and
+    only they are computed exactly.
     """
     v = np.asarray(vertices, dtype=float)
     balls = _edge_balls(v)
@@ -262,8 +256,7 @@ def proximity_report(vertices) -> ProximityReport:
         lower = _ball_rows(balls, lo, hi)[0]
         nearest = lower.argmin(axis=1)
         row_min = lower[np.arange(hi - lo), nearest]
-        rows = _smallest(row_min)
-        rows = rows[row_min[rows] <= best]
+        rows = np.flatnonzero(row_min <= best)
         if rows.size:
             best = min(best, _pair_distances(v, lo + rows, lo + 2 + nearest[rows]).min())
         i, j = np.nonzero(lower <= best)

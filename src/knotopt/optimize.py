@@ -40,8 +40,9 @@ iterate sequence and trace (wall-clock columns aside).
 fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
 ``TAU_MAX`` for the Armijo search and implicit Euler, ``WOLFE_C1``,
 ``WOLFE_C2`` and ``LBFGS_HISTORY`` for the penalty methods, the ``TR_*``
-radius rule, Newton gate and Newton CG stop of the trust region, and
-``GRAD_ABS_TOL``, the absolute floor of the gradient stop test.
+radius rule, Newton gate and Newton CG stop of the trust region, the cap
+``KRYLOV_MAX_ITER`` of both Krylov loops, and ``GRAD_ABS_TOL``, the
+absolute floor of the gradient stop test.
 Restoration runs with the defaults of :func:`restore_feasibility`.
 """
 
@@ -54,12 +55,10 @@ from . import collision
 from .constraint import (ConstraintRows, ConstraintTargets, d_phi, phi,
                          restore_feasibility)
 from .curve import Polygon
-from .energy import (MIDPOINT, QuadratureRule, d2_energy, d_energy, energy,
-                     hessian)
-from .errors import (KnotOptError, LineSearchFailure, NewtonInnerFailure,
-                     SingularSystem)
-from .metric import METRICS, assemble_gram
-from .saddle import factorize, project_tangent, projected_gradient, solve_dense
+from .energy import QuadratureRule, d_energy, energy, hessian
+from .errors import KnotOptError, LineSearchFailure, NewtonInnerFailure
+from .metric import METRICS, GramOperator, assemble_gram
+from .saddle import SOLVE_TOL, factorize, project_tangent, projected_gradient
 
 FEASIBLE_METHODS = ("projgd", "implicit_euler_l2", "trust_region")
 PENALTY_METHODS = ("ncg", "lbfgs", "nesterov")
@@ -82,7 +81,7 @@ TR_RATIO_HIGH = 0.75
 TR_RATIO_LOW = 0.25
 TR_NEWTON_GATE = 1e-2    # relative to the initial gradient norm
 TR_CG_TOL = 1e-4         # Newton CG residual, relative to the gradient norm
-TR_CG_MAX_ITER = 50
+KRYLOV_MAX_ITER = 50     # Newton CG iterations, and GMRES's per Newton system
 TR_BASIS_DROP_TOL = 1e-10  # relative metric norm below which a basis vector drops
 IMPLICIT_MAX_NEWTON = 20
 
@@ -103,7 +102,7 @@ class OptimizerConfig:
     time_budget_s: float | None = None
 
     def quad(self) -> QuadratureRule:
-        return MIDPOINT if self.quad_k == 1 else QuadratureRule.gauss(self.quad_k)
+        return QuadratureRule.gauss(self.quad_k)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -362,19 +361,30 @@ def _projected_gd(config: OptimizerConfig, diagnostics: dict):
 
 
 def implicit_step(state: _FeasibleState, dt: float, quad: QuadratureRule, *,
-                  newton_tol: float = 1e-9):
+                  newton_tol: float = 1e-9, diagnostics: dict | None = None):
     """Solve the backward step equation on the base tangent space.
 
     Finds ``v`` with ``G v / dt + DE(P + v) + J^T lam = 0`` and ``J v = 0``
-    by Newton's method from the state's explicit step ``(-dt grad, -lam)``:
-    each inner iteration LU-factorizes the dense block ``[[G / dt + H, J^T],
-    [J, 0]]`` anew, which is what makes backtracking on ``dt`` expensive.
-    Returns ``(v, inner_iterations)``.
+    by Newton's method from the state's explicit step ``(-dt grad, -lam)``.
+    Each Newton system ``[[G / dt + H, J^T], [J, 0]]``, which may be
+    indefinite, gets one GMRES cycle (Saad & Schultz 1986) of at most
+    ``KRYLOV_MAX_ITER`` iterations on the trial's
+    :func:`~knotopt.energy.hessian` products, preconditioned by the saddle
+    factorization of ``G / dt`` plus the W^{3/2} metric at ``P`` (Gould,
+    Hribar & Nocedal 2001).  The largest GMRES count goes to
+    ``diagnostics["gmres_iters_max"]`` when given.  Returns ``(v,
+    inner_iterations)``.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     gram, jac = state.fact.gram, state.fact.jacobian
     v = -dt * state.grad
     lam = -state.lam
     vertices = state.polygon.vertices
+    w32 = assemble_gram(state.polygon, "w32", quad).scalar
+    fact = factorize(GramOperator(gram.scalar / dt + w32, gram.dim), jac)
+    size = v.size + jac.shape[0]
+    precondition = LinearOperator((size, size), matvec=fact.solve)
 
     def residual(v, lam, what):
         try:
@@ -386,19 +396,26 @@ def implicit_step(state: _FeasibleState, dt: float, quad: QuadratureRule, *,
 
     res, trial = residual(v, lam, "warm start")
     res_norm0 = max(np.linalg.norm(res), np.finfo(float).tiny)
-    metric, m = gram.scalar / dt, gram.dim
-    rows = jac.dense()
-    zero = np.zeros((len(rows), len(rows)))
     stall = 0
     for it in range(1, IMPLICIT_MAX_NEWTON + 1):
-        hess = d2_energy(trial, quad)
-        for c in range(m):  # G / dt is S / dt on each coordinate's block
-            hess[c::m, c::m] += metric
-        kkt = np.block([[hess, rows.T], [rows, zero]])
-        try:
-            delta = solve_dense(kkt, -res)
-        except SingularSystem as exc:
-            raise NewtonInnerFailure("inner linearization singular") from exc
+        hess = hessian(trial, quad)
+
+        def newton_block(x):
+            u = x[:v.size]
+            hu = hess(u.reshape(1, *vertices.shape)).ravel() + gram.apply(u) / dt
+            return np.concatenate((hu + jac.apply_T(x[v.size:]), jac.apply(u)))
+
+        # GMRES's info is not checked: it judges the preconditioned
+        # residual, and the Newton residual below judges every update.
+        residuals = []
+        delta, _ = gmres(LinearOperator((size, size), matvec=newton_block), -res,
+                         rtol=SOLVE_TOL, restart=KRYLOV_MAX_ITER, maxiter=1,
+                         M=precondition, callback=residuals.append,
+                         callback_type="pr_norm")
+        if diagnostics is not None:
+            diagnostics["gmres_iters_max"] = max(diagnostics["gmres_iters_max"],
+                                                 len(residuals))
+        del hess
         v, lam = v + delta[:v.size], lam + delta[v.size:]
         res, trial = residual(v, lam, "iterate")
         rel = np.linalg.norm(res) / res_norm0
@@ -417,10 +434,13 @@ def _implicit_euler_l2(config: OptimizerConfig, diagnostics: dict):
     ``IMPLICIT_STEP_LIMITS``: ``newton`` (the inner solve failed or ``v`` is
     no descent step), ``collision`` (the path to P + v meets a contact),
     ``restoration``, ``invalid`` or ``armijo``; they sum to ``backtracks``.
+    ``diagnostics["gmres_iters_max"]`` is the largest GMRES count of any
+    Newton system, ``KRYLOV_MAX_ITER`` when some system hit the cap.
     """
     quad = config.quad()
     dt = TAU_MAX
     limits = diagnostics["step_limits"] = dict.fromkeys(IMPLICIT_STEP_LIMITS, 0)
+    diagnostics["gmres_iters_max"] = 0
 
     def step(state, energy_value, targets):
         nonlocal dt
@@ -428,7 +448,8 @@ def _implicit_euler_l2(config: OptimizerConfig, diagnostics: dict):
         backtracks = 0
         while dt > _TAU_UNDERFLOW * TAU_MAX:
             try:
-                v, newton_iters = implicit_step(state, dt, quad)
+                v, newton_iters = implicit_step(state, dt, quad,
+                                                diagnostics=diagnostics)
                 slope = float(state.eta @ v)
             except KnotOptError:
                 slope = np.nan
@@ -815,7 +836,7 @@ def newton_cg(state, hess):
     Nocedal 2001): each preconditioned residual is the projected gradient
     of the residual on the iteration's own saddle factorization, so every
     iterate stays in the constraint kernel.  CG stops once the residual's dual norm falls to
-    ``TR_CG_TOL`` times the gradient norm, after ``TR_CG_MAX_ITER``
+    ``TR_CG_TOL`` times the gradient norm, after ``KRYLOV_MAX_ITER``
     iterations, or at the first direction of non-positive curvature
     (Steihaug 1983), returning the iterate reached; there is none when the
     first direction has non-positive curvature.  Returns ``(x or None,
@@ -825,7 +846,7 @@ def newton_cg(state, hess):
     x = np.zeros_like(state.eta)
     r, g, rg = state.eta, state.grad, state.grad_norm**2
     p = -g
-    for it in range(1, TR_CG_MAX_ITER + 1):
+    for it in range(1, KRYLOV_MAX_ITER + 1):
         hp = hess(p.reshape(shape)).ravel()
         curvature = float(p @ hp)
         if not curvature > 0.0:

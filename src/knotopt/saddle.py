@@ -35,10 +35,9 @@ large N the W^{3/2} systems reach that floor above ``1e-10``.  A
 refinement that stalls above it, an indefinite metric block, a singular
 factor or a singular system (rank-deficient rows, or a metric
 ``G + J^T J`` vanishing on some field) raises :class:`SingularSystem`;
-this module is where scipy's ``LinAlgError`` becomes one, for the
-Cholesky factors here and for :func:`solve_dense`, the LU solve of
-implicit Euler's dense Newton system.  Each factorization records the
-largest refinement count and final relative residual of its solves.
+this module is where scipy's ``LinAlgError`` becomes one.  Each
+factorization records the largest refinement count and final relative
+residual of its solves.
 """
 
 from functools import cached_property
@@ -80,21 +79,6 @@ def _mirror_lower(a):
         diag = a[lo:hi, lo:hi]
         upper = np.triu_indices(hi - lo, 1)
         diag[upper] = diag.T[upper]
-
-
-def solve_dense(a, rhs):
-    """Solve a dense square system by LU; raises when it is singular.
-
-    ``a`` is overwritten by its factors.
-    """
-    try:
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem("dense system could not be factorized") from exc
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or diag.min() <= _PIVOT_TOL * max(diag.max(), 1.0):
-        raise SingularSystem("dense system is numerically singular")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 class SaddleFactorization:

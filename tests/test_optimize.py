@@ -172,6 +172,66 @@ class TestImplicitEuler:
         collisions = [run.diagnostics["step_limits"]["collision"] for run in (plain, cut)]
         assert collisions[1] == collisions[0] + 1
 
+    @pytest.mark.parametrize("quad", [ko.MIDPOINT, ko.QuadratureRule.gauss(2)],
+                             ids=["midpoint", "gauss2"])
+    @pytest.mark.parametrize("dt", [1 / 16, 1 / 4])
+    @pytest.mark.parametrize("curve", ["coil96", "trefoil60"])
+    def test_matches_dense_newton_reference(self, curve, dt, quad):
+        # The Newton iteration with each system solved densely by LU, from
+        # the same warm start and with the same residual and stop rules.
+        p = {"coil96": ko.coiled_unknot(96),
+             "trefoil60": ko.torus_knot(2, 3, 60)}[curve]
+        state = _prepare_state(p, ko.L2, quad)
+        gram, jac = state.fact.gram, state.fact.jacobian
+        rows, m = jac.dense(), p.dim
+
+        def residual(v, lam):
+            trial = ko.Polygon(p.vertices + v.reshape(p.vertices.shape), validate=False)
+            r1 = gram.apply(v) / dt + ko.d_energy(trial, quad) + jac.apply_T(lam)
+            return np.concatenate((r1, jac.apply(v))), trial
+
+        v, lam = -dt * state.grad, -state.lam
+        res, trial = residual(v, lam)
+        res_norm0 = np.linalg.norm(res)
+        stall = 0
+        for it in range(1, optimize.IMPLICIT_MAX_NEWTON + 1):
+            hess = ko.d2_energy(trial, quad)
+            for c in range(m):
+                hess[c::m, c::m] += gram.scalar / dt
+            kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+            delta = np.linalg.solve(kkt, -res)
+            v, lam = v + delta[:v.size], lam + delta[v.size:]
+            res, trial = residual(v, lam)
+            rel = np.linalg.norm(res) / res_norm0
+            if rel <= 1e-9:
+                break
+            stall = stall + 1 if rel > 0.5 else 0
+            assert stall < 3
+        else:
+            pytest.fail("the dense reference did not converge")
+
+        diagnostics = {"gmres_iters_max": 0}
+        got, iters = implicit_step(state, dt, quad, diagnostics=diagnostics)
+        assert iters == it
+        assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
+        assert 1 <= diagnostics["gmres_iters_max"] <= optimize.KRYLOV_MAX_ITER
+
+    def test_short_gmres_cuts_the_time_step(self, monkeypatch):
+        # With one GMRES iteration per Newton system, Newton does not
+        # converge at dt = 1/4 on the coil: the inner solve fails, and a run
+        # counts each such cut as newton and goes on with a smaller dt.
+        monkeypatch.setattr(optimize, "KRYLOV_MAX_ITER", 1)
+        p = ko.coiled_unknot(96)
+        state = _prepare_state(p, ko.L2, ko.MIDPOINT)
+        with pytest.raises(ko.NewtonInnerFailure):
+            implicit_step(state, 1 / 4, ko.MIDPOINT)
+        result = ko.run(p, OptimizerConfig(method="implicit_euler_l2", max_iter=3))
+        limits = result.diagnostics["step_limits"]
+        assert limits["newton"] > 0
+        assert sum(limits.values()) == sum(r.backtracks for r in result.trace)
+        assert result.status == "max_iter"
+        assert result.diagnostics["gmres_iters_max"] == 1
+
 
 class QuadraticProblem:
     """Objective x.A x / 2 with a fixed metric; no geometry involved."""
