@@ -334,7 +334,7 @@ def cmd_check(args):
         e = float(energy(polygon))
         grad = d_energy(polygon)
         state = phi(polygon, ConstraintTargets.from_polygon(polygon))
-        gap = collision.min_nonadjacent_distance(polygon.vertices)
+        gap = collision.proximity_report(polygon.vertices).min_distance
         translation_sum = np.abs(
             grad.reshape(polygon.num_vertices, polygon.dim).sum(axis=0)
         ).max()

@@ -134,18 +134,12 @@ def _norms(diff):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _segment_distance_batch(a0, a1, b0, b1):
+def _segment_pair_distances(a0, a1, b0, b1):
     """Distances between closed segments [a0,a1] and [b0,b1], row-wise."""
     s, t = _closest_parameters(a0, a1, b0, b1)
     diff = a0 + s * (a1 - a0)
     diff -= b0 + t * (b1 - b0)
     return _norms(diff)
-
-
-def segment_distance(a0, a1, b0, b1) -> float:
-    """Euclidean distance between the closed segments [a0,a1] and [b0,b1]."""
-    ends = (np.asarray(p, dtype=float).reshape(1, -1) for p in (a0, a1, b0, b1))
-    return float(_segment_distance_batch(*ends)[0])
 
 
 def _pair_ends(x, pi, pj):
@@ -155,7 +149,7 @@ def _pair_ends(x, pi, pj):
 
 
 def _pair_distances(v, pi, pj):
-    return _segment_distance_batch(*_pair_ends(v, pi, pj))
+    return _segment_pair_distances(*_pair_ends(v, pi, pj))
 
 
 def _edge_balls(x):
@@ -267,10 +261,6 @@ def proximity_report(vertices) -> ProximityReport:
     d = _pair_distances(v, pi, pj)
     k = int(np.argmin(d))
     return ProximityReport(min_distance=float(d[k]), pair=(int(pi[k]), int(pj[k])))
-
-
-def min_nonadjacent_distance(vertices) -> float:
-    return proximity_report(vertices).min_distance
 
 
 def _time_to(level, gap, closing, out):

@@ -29,14 +29,14 @@ RESTORE_MAX_ITER = 5
 
 @dataclass(frozen=True)
 class ConstraintTargets:
-    """Per-edge target lengths; all strictly positive."""
+    """Per-edge target lengths; all finite and strictly positive."""
 
     lengths: np.ndarray
 
     def __post_init__(self):
         lengths = np.asarray(self.lengths, dtype=float)
-        if lengths.ndim != 1 or np.any(lengths <= 0.0):
-            raise ValueError("target lengths must be a 1-d positive array")
+        if lengths.ndim != 1 or not np.all(np.isfinite(lengths)) or np.any(lengths <= 0.0):
+            raise ValueError("target lengths must be a 1-d finite positive array")
         lengths.setflags(write=False)
         object.__setattr__(self, "lengths", lengths)
 
@@ -105,10 +105,6 @@ class ConstraintRows:
         if self.moments is not None:
             out += np.outer(self.mass, lam[n:])
         return out.ravel()
-
-    def dense(self) -> np.ndarray:
-        """The rows as a dense (rows, N * m) matrix."""
-        return np.array([self.apply_T(e) for e in np.eye(self.shape[0])])
 
 
 def _lengths_and_barycenter(vertices: np.ndarray):

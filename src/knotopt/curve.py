@@ -10,7 +10,6 @@ between threads.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +20,6 @@ from .errors import DegenerateEdge, SelfIntersection, TooFewVertices
 # and non-adjacent pairs closer than this fraction of the total length
 # count as self-contact.
 _DEGENERACY_SCALE = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadPoint:
-    """A point on edge ``edge`` at local parameter ``t`` in [0, 1]."""
-
-    edge: int
-    t: float
-    position: np.ndarray
-    arc_coord: float
 
 
 class Polygon:
@@ -82,27 +71,11 @@ class Polygon:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def quad_point(self, edge: int, t: float) -> QuadPoint:
-        n = self.num_vertices
-        edge = int(edge) % n
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"local parameter t={t} outside [0, 1]")
-        pos = (1.0 - t) * self.vertices[edge] + t * self.vertices[(edge + 1) % n]
-        s = float(self.arc_prefix[edge] + t * self.edge_lengths[edge])
-        return QuadPoint(edge=edge, t=float(t), position=pos, arc_coord=s)
-
     def __repr__(self) -> str:
         return (
             f"Polygon(N={self.num_vertices}, m={self.dim}, "
             f"L={self.total_length:.6g})"
         )
-
-
-def geodesic_distance(polygon: Polygon, a: QuadPoint, b: QuadPoint) -> float:
-    """Length of the shorter arc of the polygon between two of its points."""
-    total = polygon.total_length
-    gap = abs(a.arc_coord - b.arc_coord)
-    return min(gap, total - gap)
 
 
 def arc_distance(polygon: Polygon, s_a, s_b):

@@ -11,34 +11,25 @@ integrand is
 
 which already includes the ``|a||b|`` length factors of the pair.  Because
 ``w`` depends only on the four endpoints of the pair, its first and second
-derivatives are available in closed form.  The energy, its gradient and its
-Hessian are all assembled on ordered edge-pair tables (row I, column J)
-whose diagonal and adjacent band are masked, taken in row blocks: a block
-holds ``_block_rows(N)`` edges I against all N edges J, so the energy and the
-gradient make no N x N temporary.  The energy is one table sum per block
-and quadrature node pair; the gradient's sums over J are row sums and
-table-vector products, local to a block's rows; the terms of the edge
-heads I+1 are the results rolled by one row.  The Hessian takes the whole
-table as one block, and its head terms are the tables rolled by one row or
-column.  ``hessian`` builds an operator that applies the Hessian to a batch
-of fields without assembling it, as the directional derivative of the
-gradient's tables, on one whole-table block too: the builder keeps the
+derivatives are available in closed form.  The energy and its gradient are
+assembled on ordered edge-pair tables (row I, column J) whose diagonal and
+adjacent band are masked, taken in row blocks: a block holds
+``_block_rows(N)`` edges I against all N edges J, so neither makes an N x N
+temporary.  The energy is one table sum per block and quadrature node pair;
+the gradient's sums over J are row sums and table-vector products, local
+to a block's rows; the terms of the edge heads I+1 are the results rolled
+by one row.  ``hessian`` builds an operator that applies the Hessian to a
+batch of fields without assembling it, as the directional derivative of
+the gradient's tables, on one whole-table block: the builder keeps the
 tables that every field shares, and each product costs O(N^2) per field
-and node pair, like the gradient.  ``hess_vec`` is one operator applied
-once.  The same input gives the same bits.
-
-Two classic single-node variants (evaluating the bare energy density
-``1/|d|^2 - 1/rho^2`` at vertices or edge midpoints) are provided for
-comparison, on the same tables.  Their density table is also the weight of
-the metric's low-order term; ``energy_density`` evaluates the density at a
-single pair of curve points.
+and node pair, like the gradient.  The same input gives the same bits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Polygon, QuadPoint, arc_distance
+from .curve import Polygon
 from .errors import CoincidentPoints
 
 _COINCIDENCE_SCALE = 1e-12
@@ -58,6 +49,8 @@ class QuadratureRule:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if nodes.shape != weights.shape or nodes.ndim != 1 or len(nodes) < 1:
             raise ValueError("nodes and weights must be matching 1-d arrays")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("quadrature nodes and weights must be finite")
         if nodes.min() < 0.0 or nodes.max() > 1.0:
             raise ValueError("quadrature nodes must lie in [0, 1]")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -160,35 +153,9 @@ def _node_pairs(polygon, quad, x, block):
                    float(quad.nodes[qi]), float(quad.nodes[qj]), d, 1.0 / r2)
 
 
-def _combine(out, scratch, terms):
-    """``out = sum c * x`` over the (c, x) terms, without out-sized temporaries."""
-    np.multiply(*terms[0], out=out)
-    for c, x in terms[1:]:
-        out += np.multiply(c, x, out=scratch)
-
-
 def _rowdot(c, d):
     """``sum_J c[I, J] d[:, I, J]`` as (N, m)."""
     return np.einsum("ij,kij->ik", c, d)
-
-
-def _row_outer(c, d):
-    """``sum_J c[I, J] d[:, I, J] (x) d[:, I, J]`` as (N, m, m)."""
-    return np.matmul((c * d).transpose(1, 0, 2), d.transpose(1, 2, 0))
-
-
-def _col_outer(c, d, e):
-    """``sum_J c[I, J] e[J] (x) d[:, I, J]`` as (N, m, m)."""
-    return np.matmul(c * d, e).transpose(1, 2, 0)
-
-
-def _edge_outer(e, x):
-    """``e[I] (x) x[I]`` as (N, m, m)."""
-    return e[:, :, None] * x[:, None, :]
-
-
-def _sym(x):
-    return x + x.transpose(0, 2, 1)
 
 
 def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> float:
@@ -233,88 +200,6 @@ def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
             tail[rows] += weight * ((1.0 - s) * gd - ga)
             head[rows] += weight * (s * gd + ga)
     return 2.0 * (tail + np.roll(head, 1, axis=0)).ravel()
-
-
-def d2_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
-    """Dense symmetric Hessian of the energy, (N*m, N*m), vertex-major.
-
-    By the (I, J) symmetry of the ordered pair sum, the Hessian is twice the
-    (I, I) blocks summed over J plus the (I, J) blocks and their transposes.
-    The local second derivatives are taken in the edge vectors ``a = a_I``,
-    ``b = a_J`` and the point difference ``d``; the chain to the (tail,
-    head) vertices has coefficients ``(-1, 1)`` on a and ``(1-s, s)`` on d
-    for edge I, ``(-1, 1)`` on b and ``(-(1-t), -t)`` on d for edge J.  Each
-    of the four tail/head (I, J) tables is ``a (x) W_a + b (x) W_b +
-    d (x) W_d`` plus a multiple of the identity, every W linear in (a, b, d).
-    """
-    n, m = polygon.num_vertices, polygon.dim
-    e = polygon.edge_vectors
-    ell = polygon.edge_lengths
-    ll = np.outer(ell, ell)
-    ss = ll + e @ e.T
-    ratio = ell[None, :] / ell[:, None]
-    ehat = e / ell[:, None]
-    e_t = np.ascontiguousarray(e.T)
-    rows, cols = e_t[:, :, None], e_t[:, None, :]
-    eye = np.eye(m)
-    ids = np.arange(n)
-    sign = (-1.0, 1.0)
-    hess = np.zeros((m, m, n, n))
-    block = np.empty((m, m, n, n))
-    weights = np.empty((3, m, n, n))
-    scratch = np.empty((m, n, n))
-    (_, pairs), = _pair_blocks(polygon, quad, rows=n)
-    for weight, s, t, d, q in pairs:
-        u = np.einsum("kij,ki->ij", d, e_t)
-        v = np.einsum("kij,kj->ij", d, e_t)
-        q2 = q * q
-        m2q2 = -2.0 * q2
-        uq3 = 8.0 * u * q2 * q
-        vq3 = 8.0 * v * q2 * q
-        ss_q2 = ss * q2
-        uvq3 = u * vq3
-        dd_dd = q * (8.0 * ss_q2 - 6.0 * uvq3)
-        eye_dd = uvq3 - 2.0 * ss_q2
-
-        # Blocks in (a, a), (a, d), (d, d) summed over J.
-        s_aa = ((q @ ell) / ell)[:, None, None] * (eye - _edge_outer(ehat, ehat))
-        s_ad = (_edge_outer(e, _rowdot(m2q2 * ratio, d))
-                + _sym(_col_outer(m2q2, d, e)) + _row_outer(vq3, d)
-                + (m2q2 * v).sum(axis=1)[:, None, None] * eye)
-        s_dd = (_row_outer(dd_dd, d)
-                + _sym(_edge_outer(e, _rowdot(vq3, d)) + _col_outer(uq3, d, e)
-                       + _edge_outer(e, m2q2 @ e))
-                + eye_dd.sum(axis=1)[:, None, None] * eye)
-
-        vectors = np.stack(np.broadcast_arrays(rows, cols, d))
-        row_d = (1.0 - s, s)
-        col_d = (-(1.0 - t), -t)
-        for p, r in np.ndindex(2, 2):
-            # Weights of the (a, b), (a, d), (d, b) and (d, d) blocks.
-            ab, ad, db, dd = weight * np.outer(
-                (sign[p], row_d[p]), (sign[r], col_d[r])).ravel()
-            _combine(weights[0], scratch, (
-                (ab * q / ll + dd * m2q2, cols),
-                (dd * vq3 + m2q2 * (ad * ratio + db), d)))
-            _combine(weights[1], scratch, (
-                (dd * m2q2, rows), (dd * uq3 + ad * m2q2, d)))
-            _combine(weights[2], scratch, (
-                (dd * vq3 + db * m2q2, rows),
-                (dd * uq3 + m2q2 * (ad + db / ratio), cols),
-                (ab * m2q2 + ad * vq3 + db * uq3 + dd * dd_dd, d)))
-            np.einsum("xkij,xlij->klij", vectors, weights, out=block)
-            diag = ab * q + m2q2 * (ad * v + db * u) + dd * eye_dd
-            for k in range(m):
-                block[k, k] += diag
-            # The (I, I) blocks sit on the diagonal.
-            block[:, :, ids, ids] += weight * (
-                sign[p] * sign[r] * s_aa + sign[p] * row_d[r] * s_ad
-                + row_d[p] * sign[r] * s_ad.transpose(0, 2, 1)
-                + row_d[p] * row_d[r] * s_dd).transpose(1, 2, 0)
-            hess += np.roll(block, (p, r), axis=(2, 3))
-
-    half = hess.transpose(2, 0, 3, 1).reshape(n * m, n * m)
-    return half + half.T
 
 
 def hessian(polygon: Polygon, quad: QuadratureRule):
@@ -445,58 +330,3 @@ def hessian(polygon: Polygon, quad: QuadratureRule):
         return 2.0 * (tail + np.roll(head, 1, axis=1))
 
     return apply
-
-
-def hess_vec(polygon: Polygon, quad: QuadratureRule, fields) -> np.ndarray:
-    """Hessian of the energy times a batch of fields ``V``, shape (k, N, m):
-    one :func:`hessian` operator applied once."""
-    return hessian(polygon, quad)(fields)
-
-
-def energy_density(polygon: Polygon, a: QuadPoint, b: QuadPoint) -> float:
-    """Pointwise density ``1/|dg|^2 - 1/rho^2`` between two curve points."""
-    dg = a.position - b.position
-    r2 = float(dg @ dg)
-    if r2 <= (_COINCIDENCE_SCALE * polygon.total_length) ** 2:
-        raise CoincidentPoints("curve points coincide")
-    gap = abs(a.arc_coord - b.arc_coord)
-    rho = min(gap, polygon.total_length - gap)
-    return 1.0 / r2 - 1.0 / rho**2
-
-
-def _density_table(polygon: Polygon, rows: slice, s: float, t: float,
-                   q: np.ndarray) -> np.ndarray:
-    """Masked table ``q - 1/rho^2`` between node s of the edges I in ``rows``
-    and node t of every edge J.
-
-    ``rho`` is the arc distance of the two nodes; the masked entries
-    (``q = 0``, rho = 0 on the diagonal among them) stay zero.
-    """
-    ell, start = polygon.edge_lengths, polygon.arc_prefix
-    rho2 = arc_distance(polygon, (start[rows] + s * ell[rows])[:, None],
-                        (start + t * ell)[None, :]) ** 2
-    inv_rho2 = np.divide(1.0, rho2, out=np.zeros_like(q), where=q > 0.0)
-    return q - inv_rho2
-
-
-def ks_energy(polygon: Polygon, variant: str = "edge") -> float:
-    """Single-node discretization of the bare energy density.
-
-    ``variant="vertex"`` evaluates at edge start points, ``"edge"`` at edge
-    midpoints; both weight each ordered disjoint pair with the product of
-    its edge lengths and use the polygon's own arc length for the geodesic
-    part.
-    """
-    if variant == "vertex":
-        t = 0.0
-    elif variant == "edge":
-        t = 0.5
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    rule = QuadratureRule(np.array([t]), np.array([1.0]))
-    ell = polygon.edge_lengths
-    total = 0.0
-    for rows, pairs in _pair_blocks(polygon, rule):
-        (_, _, _, _, q), = pairs
-        total += float(np.sum(np.outer(ell[rows], ell) * _density_table(polygon, rows, t, t, q)))
-    return total

@@ -21,10 +21,6 @@ class CoincidentPoints(KnotOptError):
     """Two evaluation points on the curve coincide up to machine scale."""
 
 
-class AdjacentEdges(KnotOptError):
-    """A pairwise quantity was requested for edges with non-disjoint closures."""
-
-
 class DimensionMismatch(KnotOptError):
     """Vector or matrix dimensions are inconsistent."""
 

@@ -20,7 +20,10 @@ metric couples all edge pairs with disjoint closures:
 The two pair terms are kernel-weighted graph Laplacians built from the
 ordered edge-pair tables one row block at a time (see ``_w32_scalar``):
 the N x N output is the only N x N array of the assembly, and
-``GramOperator`` keeps one symmetrized copy of it.
+``GramOperator`` keeps one symmetrized copy of it.  The low-order term's
+weight is the density table ``1/|d|^2 - 1/rho^2`` of each node pair
+(``_density_table``), rho the arc distance of the two nodes along the
+polygon.
 
 The low-order baselines (lumped mass, first and second difference
 stiffness) use standard one-dimensional finite-element forms.
@@ -34,8 +37,8 @@ term, the geometric metric).  ``L2``, ``W12``, ``W22``, ``W32_PURE`` and
 
 import numpy as np
 
-from .curve import Polygon
-from .energy import MIDPOINT, QuadratureRule, _density_table, _pair_blocks, _row_slices
+from .curve import Polygon, arc_distance
+from .energy import MIDPOINT, QuadratureRule, _pair_blocks, _row_slices
 from .errors import DimensionMismatch
 
 METRICS = ("l2", "w12", "w22", "w32pure", "w32")
@@ -125,6 +128,21 @@ def _w32_scalar(polygon: Polygon, low_order: bool, quad: QuadratureRule):
         carry = (t10[-1], t11[-1])
     _add_rolled(out[0] + carry[0], carry[1], out[0])
     return out
+
+
+def _density_table(polygon: Polygon, rows: slice, s: float, t: float,
+                   q: np.ndarray) -> np.ndarray:
+    """Masked table ``q - 1/rho^2`` between node s of the edges I in ``rows``
+    and node t of every edge J.
+
+    ``rho`` is the arc distance of the two nodes; the masked entries
+    (``q = 0``, rho = 0 on the diagonal among them) stay zero.
+    """
+    ell, start = polygon.edge_lengths, polygon.arc_prefix
+    rho2 = arc_distance(polygon, (start[rows] + s * ell[rows])[:, None],
+                        (start + t * ell)[None, :]) ** 2
+    inv_rho2 = np.divide(1.0, rho2, out=np.zeros_like(q), where=q > 0.0)
+    return q - inv_rho2
 
 
 def _add_rolled(x, y, out):

@@ -812,8 +812,6 @@ def _gram_orthonormalize(vectors, gram):
     basis = []
     ref = None
     for v in vectors:
-        if v is None:
-            continue
         u = np.asarray(v, dtype=float).copy()
         for _ in range(2):
             for b in basis:
@@ -971,11 +969,15 @@ def run(polygon: Polygon, config: OptimizerConfig,
         on_iterate=None) -> OptimizeResult:
     """Run the optimizer named by ``config.method`` from ``polygon``.
 
-    ``targets`` defaults to the edge lengths and barycenter of ``polygon``;
+    ``targets`` defaults to the edge lengths and barycenter of ``polygon``,
+    and given targets must have one length per edge (else ``ValueError``);
     ``on_iterate(iteration, polygon)`` is called at every accepted iterate.
     """
     if targets is None:
         targets = ConstraintTargets.from_polygon(polygon)
+    elif len(targets.lengths) != polygon.num_vertices:
+        raise ValueError(f"{len(targets.lengths)} target lengths for a polygon "
+                         f"of {polygon.num_vertices} edges")
     diagnostics = {"max_tangent_defect": 0.0, "newton_directions": 0,
                    "momentum_resets": 0}
     build = _STEPS[config.method]

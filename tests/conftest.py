@@ -28,13 +28,23 @@ def random_embedded_polygon(n, dim=2, noise=0.25, seed=0):
 
 
 def dense(operator):
-    """Dense matrix of a Gram operator, ``scalar (x) I_dim``, or of the
-    system ``[[G, J^T], [J, -c I]]`` of a saddle factorization with
-    compliance ``c``."""
+    """Dense matrix of a Gram operator, ``scalar (x) I_dim``, of constraint
+    rows, (rows, N * m), or of the system ``[[G, J^T], [J, -c I]]`` of a
+    saddle factorization with compliance ``c``."""
     if isinstance(operator, ko.SaddleFactorization):
-        g, j = dense(operator.gram), operator.jacobian.dense()
+        g, j = dense(operator.gram), dense(operator.jacobian)
         return np.block([[g, j.T], [j, -operator.compliance * np.eye(j.shape[0])]])
+    if isinstance(operator, ko.ConstraintRows):
+        return np.array([operator.apply_T(e) for e in np.eye(operator.shape[0])])
     return np.kron(operator.scalar, np.eye(operator.dim))
+
+
+def dense_hessian(polygon, quad=ko.MIDPOINT):
+    """Dense (N * m, N * m) Hessian of the energy: the Hessian operator
+    applied to every unit field."""
+    n, m = polygon.vertices.shape
+    fields = np.eye(n * m).reshape(n * m, n, m)
+    return ko.hessian(polygon, quad)(fields).reshape(n * m, n * m).T
 
 
 def fail_on_call(fn, k, exc):

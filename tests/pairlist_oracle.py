@@ -1,20 +1,24 @@
 """Oracles for the energy, its derivatives and the W^{3/2} Gram matrix.
 
 ``in_integrand`` and ``local_contribution`` evaluate the energy one point
-pair and one edge pair at a time.  ``energy``, ``ks_energy``, ``d_energy``,
-``d2_energy`` and ``w32_scalar`` are the straightforward pair-list form that
-the table assembly in ``knotopt`` replaced: every quantity is evaluated on
-the list of unordered disjoint edge pairs (and scattered onto the vertices
-with ``np.add.at``).
+pair and one edge pair at a time.  ``energy``, ``d_energy``, ``d2_energy``
+(the dense Hessian) and ``w32_scalar`` are the straightforward pair-list
+form that the table assembly in ``knotopt`` replaced: every quantity is
+evaluated on the list of unordered disjoint edge pairs (and scattered onto
+the vertices with ``np.add.at``).
 """
 
 import numpy as np
 
 from knotopt.collision import nonadjacent_pairs
 from knotopt.curve import arc_distance
-from knotopt.energy import (MIDPOINT, _COINCIDENCE_SCALE, QuadratureRule,
+from knotopt.energy import (MIDPOINT, _COINCIDENCE_SCALE,
                             _check_separation, _quad_positions)
-from knotopt.errors import AdjacentEdges, CoincidentPoints
+from knotopt.errors import CoincidentPoints, KnotOptError
+
+
+class AdjacentEdges(KnotOptError):
+    """A pair quantity was asked of edges with non-disjoint closures."""
 
 
 def in_integrand(p_lo_i, p_hi_i, p_lo_j, p_hi_j, s: float, t: float) -> float:
@@ -89,31 +93,6 @@ def energy(polygon, quad=MIDPOINT) -> float:
             weight = float(quad.weights[qi] * quad.weights[qj])
             w += weight * (ss / r2 - 2.0 * u * v / r2**2)
     return 4.0 + 2.0 * float(w.sum())
-
-
-def ks_energy(polygon, variant: str = "edge") -> float:
-    """Single-node discretization of the bare energy density.
-
-    ``variant="vertex"`` evaluates at edge start points, ``"edge"`` at edge
-    midpoints; both weight each disjoint pair with the product of its edge
-    lengths and use the polygon's own arc length for the geodesic part.
-    """
-    if variant == "vertex":
-        t = 0.0
-    elif variant == "edge":
-        t = 0.5
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    n = polygon.num_vertices
-    pi, pj = nonadjacent_pairs(n)
-    x = _quad_positions(polygon, QuadratureRule(np.array([t]), np.array([1.0])))[:, 0]
-    s_arc = polygon.arc_prefix + t * polygon.edge_lengths
-    d = x[pi] - x[pj]
-    r2 = np.einsum("pk,pk->p", d, d)
-    _check_separation(polygon, r2)
-    rho = arc_distance(polygon, s_arc[pi], s_arc[pj])
-    ll = polygon.edge_lengths[pi] * polygon.edge_lengths[pj]
-    return 2.0 * float(np.sum(ll * (1.0 / r2 - 1.0 / rho**2)))
 
 
 def _pair_terms(polygon, quad):

@@ -12,7 +12,7 @@ import pytest
 import knotopt as ko
 from knotopt import cli, optimize
 from knotopt.optimize import OptimizerConfig
-from conftest import dense, random_embedded_polygon
+from conftest import dense, dense_hessian, random_embedded_polygon
 
 
 def _report(number: int, description: str, ok: bool, detail: str = ""):
@@ -79,7 +79,7 @@ def test_criterion_03_derivative_correctness():
 
     worst_grad = 0.0
     worst_hess = 0.0
-    worst_hess_vec = 0.0
+    worst_product = 0.0
     for seed in range(20):
         n = 8 + (seed * 5) % 17  # sizes 8..24
         dim = 2 if seed % 2 == 0 else 3
@@ -98,16 +98,16 @@ def test_criterion_03_derivative_correctness():
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(flat.size)
         w /= np.linalg.norm(w)
-        hv = ko.d2_energy(p) @ w
+        hv = dense_hessian(p) @ w
         hv_fd = fourth_order(dual_at, flat, shape, w, step)
         worst_hess = max(worst_hess, np.linalg.norm(hv - hv_fd) / np.linalg.norm(hv_fd))
-        hv = ko.hess_vec(p, ko.MIDPOINT, w.reshape((1,) + shape)).ravel()
-        worst_hess_vec = max(worst_hess_vec,
+        hv = ko.hessian(p, ko.MIDPOINT)(w.reshape((1,) + shape)).ravel()
+        worst_product = max(worst_product,
                              np.linalg.norm(hv - hv_fd) / np.linalg.norm(hv_fd))
-    ok = worst_grad <= 1e-6 and worst_hess <= 1e-5 and worst_hess_vec <= 1e-5
+    ok = worst_grad <= 1e-6 and worst_hess <= 1e-5 and worst_product <= 1e-5
     _report(3, "gradient/Hessian vs finite differences", ok,
             f"(grad {worst_grad:.2e}, hess {worst_hess:.2e}, "
-            f"hess_vec {worst_hess_vec:.2e})")
+            f"product {worst_product:.2e})")
 
 
 def test_criterion_04_metric_well_posedness():
@@ -122,7 +122,7 @@ def test_criterion_04_metric_well_posedness():
         if sym > 1e-13 * np.abs(g).max():
             ok, detail = False, f"(symmetry defect {sym:.2e} at seed {seed})"
             break
-        jac = ko.d_phi(p).dense()
+        jac = dense(ko.d_phi(p))
         _, _, vt = np.linalg.svd(jac)
         kernel = vt[jac.shape[0]:].T
         min_eig = np.linalg.eigvalsh(kernel.T @ g @ kernel).min()
@@ -143,14 +143,14 @@ def test_criterion_05_kkt_contracts():
     p = random_embedded_polygon(16, dim=3, seed=200)
     gram = ko.assemble_gram(p, ko.W32_GEOMETRIC)
     fact = ko.factorize(gram, ko.d_phi(p))
-    jac = ko.d_phi(p).dense()
+    jac = dense(ko.d_phi(p))
     eta = ko.d_energy(p)
     u, _ = ko.projected_gradient(fact, eta)
     ok_tangent = np.linalg.norm(jac @ u) <= 1e-10 * np.linalg.norm(u)
 
     p6 = random_embedded_polygon(6, seed=201)
     g6 = ko.assemble_gram(p6, ko.W32_GEOMETRIC, barycenter=True)
-    j6 = ko.d_phi(p6).dense()
+    j6 = dense(ko.d_phi(p6))
     u6, _ = ko.projected_gradient(ko.factorize(g6, ko.d_phi(p6)), ko.d_energy(p6))
     ginv = np.linalg.inv(dense(g6))
     schur = j6 @ ginv @ j6.T
@@ -211,7 +211,7 @@ def test_criterion_07_descent_and_isotopy_audit():
     coil_hits = [k for k, r in enumerate(coil_run.trace) if r.energy <= 4.1]
     coil_collisions = sum(
         1 for poly in coil_snaps
-        if ko.min_nonadjacent_distance(poly.vertices) <= 0.0
+        if ko.proximity_report(poly.vertices).min_distance <= 0.0
     )
 
     trefoil = ko.torus_knot(2, 3, 120)
@@ -223,7 +223,7 @@ def test_criterion_07_descent_and_isotopy_audit():
     tre_energies = [r.energy for r in tre_run.trace]
     tre_collisions = sum(
         1 for poly in tre_snaps
-        if ko.min_nonadjacent_distance(poly.vertices) <= 0.0
+        if ko.proximity_report(poly.vertices).min_distance <= 0.0
     )
 
     ok = (

@@ -103,7 +103,7 @@ class TestGenerate:
                          "--n", "120", "--out", str(out)])
         assert code == 0
         polygon = cli.read_curve(out)
-        assert ko.min_nonadjacent_distance(polygon.vertices) > 0.0
+        assert ko.proximity_report(polygon.vertices).min_distance > 0.0
 
     def test_undersized_rejected(self, tmp_path):
         out = tmp_path / "bad.txt"

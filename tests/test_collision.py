@@ -130,12 +130,19 @@ def segment_corpus(rng, k, dim):
     return [x * scale + shift for x in (a0, a1, b0, b1)]
 
 
+def segment_distance(a0, a1, b0, b1):
+    """Distance between the closed segments [a0,a1] and [b0,b1], as one row
+    of ``collision._segment_pair_distances``."""
+    ends = (np.asarray(p, dtype=float).reshape(1, -1) for p in (a0, a1, b0, b1))
+    return float(collision._segment_pair_distances(*ends)[0])
+
+
 class TestSegmentDistance:
     def test_parallel_offset(self):
-        assert ko.segment_distance((0, 0), (1, 0), (0, 0.75), (1, 0.75)) == 0.75
+        assert segment_distance((0, 0), (1, 0), (0, 0.75), (1, 0.75)) == 0.75
 
     def test_crossing_segments(self):
-        d = ko.segment_distance((0, 0), (1, 1), (0, 1), (1, 0))
+        d = segment_distance((0, 0), (1, 1), (0, 1), (1, 0))
         assert d <= 1e-12
 
     def test_skew_3d_pair(self):
@@ -148,24 +155,24 @@ class TestSegmentDistance:
         oracle = np.sqrt(
             ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
         ).min()
-        assert ko.segment_distance(a0, a1, b0, b1) == pytest.approx(1.0, abs=1e-12)
+        assert segment_distance(a0, a1, b0, b1) == pytest.approx(1.0, abs=1e-12)
         assert oracle == pytest.approx(1.0, abs=1e-5)
 
     def test_degenerate_point_segment(self):
-        assert ko.segment_distance((0, 0), (0, 0), (1, 0), (1, 1)) == 1.0
+        assert segment_distance((0, 0), (0, 0), (1, 0), (1, 1)) == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.integers(0, 10**9))
     def test_symmetry_and_rigid_invariance(self, data):
         rng = np.random.default_rng(data)
         pts = rng.uniform(-2, 2, size=(4, 3))
-        d1 = ko.segment_distance(pts[0], pts[1], pts[2], pts[3])
-        d2 = ko.segment_distance(pts[2], pts[3], pts[0], pts[1])
+        d1 = segment_distance(pts[0], pts[1], pts[2], pts[3])
+        d2 = segment_distance(pts[2], pts[3], pts[0], pts[1])
         assert d1 == pytest.approx(d2, rel=1e-12, abs=1e-12)
         r = rotation_matrix(3, rng, plane=(0, 1))
         shift = rng.standard_normal(3)
         moved = pts @ r.T + shift
-        d3 = ko.segment_distance(moved[0], moved[1], moved[2], moved[3])
+        d3 = segment_distance(moved[0], moved[1], moved[2], moved[3])
         assert d3 == pytest.approx(d1, rel=1e-10, abs=1e-12)
 
 
@@ -291,7 +298,7 @@ class TestFirstCollisionStep:
             tau_star = ko.first_collision_step(p.vertices, u, 10.0)
             for frac in (0.25, 0.6, 0.9, 0.999):
                 moved = p.vertices + frac * tau_star * u
-                assert ko.min_nonadjacent_distance(moved) > 0.0
+                assert ko.proximity_report(moved).min_distance > 0.0
 
     @pytest.mark.parametrize("batch", (1, collision._PRUNE_BATCH))
     def test_pruned_rounds_match_all_pairs_oracle(self, batch, rng, monkeypatch):
@@ -419,7 +426,7 @@ class TestFrozenLoop:
         for k in (1, 7, 64, 500):
             for _ in range(10):
                 ends = segment_corpus(rng, k, dim)
-                assert (collision._segment_distance_batch(*ends).tobytes()
+                assert (collision._segment_pair_distances(*ends).tobytes()
                         == frozen._segment_distance_batch(*ends).tobytes())
 
 

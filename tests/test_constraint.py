@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import knotopt as ko
-from conftest import random_embedded_polygon, rotation_matrix
+from conftest import dense, random_embedded_polygon, rotation_matrix
 
 CONSTRAINT_MODULE = importlib.import_module("knotopt.constraint")
 
@@ -81,12 +81,19 @@ class TestConstraintMap:
         with pytest.raises(ValueError):
             ko.ConstraintTargets(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        lengths = np.ones(8)
+        lengths[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ko.ConstraintTargets(lengths)
+
 
 class TestJacobian:
     def test_matches_finite_differences(self, rng):
         p = random_embedded_polygon(12, dim=3, seed=2)
         targets = ko.ConstraintTargets.from_polygon(p)
-        jac = ko.d_phi(p).dense()
+        jac = dense(ko.d_phi(p))
         u = rng.standard_normal(p.num_vertices * 3)
         eps = 1e-7
         up = ko.phi(p.vertices + eps * u.reshape(-1, 3), targets).stacked()
@@ -96,7 +103,7 @@ class TestJacobian:
 
     def test_translation_field_action(self):
         p = random_embedded_polygon(12, seed=3)
-        jac = ko.d_phi(p).dense()
+        jac = dense(ko.d_phi(p))
         shift = np.array([1.0, 2.0])
         field = np.tile(shift, p.num_vertices)
         out = jac @ field
@@ -108,14 +115,14 @@ class TestJacobian:
         center = p.vertices.mean(axis=0)
         rel = p.vertices - center
         field = np.column_stack((-rel[:, 1], rel[:, 0])).ravel()
-        out = ko.d_phi(p).dense() @ field
-        scale = np.abs(ko.d_phi(p).dense()).max() * np.abs(field).max()
+        out = dense(ko.d_phi(p)) @ field
+        scale = np.abs(dense(ko.d_phi(p))).max() * np.abs(field).max()
         assert np.abs(out[:p.num_vertices]).max() <= 1e-13 * scale
 
     def test_full_row_rank(self):
         for seed in range(3):
             p = random_embedded_polygon(14, dim=3, seed=seed)
-            jac = ko.d_phi(p).dense()
+            jac = dense(ko.d_phi(p))
             sv = np.linalg.svd(jac, compute_uv=False)
             assert sv.min() > 1e-10 * sv.max()
 
@@ -128,7 +135,7 @@ class TestConstraintRows:
         rows, ref = ko.d_phi(p), dense_d_phi(p)
         assert rows.shape == ref.shape
         scale = np.abs(ref).max()
-        assert np.abs(rows.dense() - ref).max() <= 1e-13 * scale
+        assert np.abs(dense(rows) - ref).max() <= 1e-13 * scale
         u = rng.standard_normal(ref.shape[1])
         lam = rng.standard_normal(ref.shape[0])
         assert np.allclose(rows.apply(u), ref @ u, rtol=0.0,
@@ -142,7 +149,7 @@ class TestConstraintRows:
         rows = ko.ConstraintRows(scale[:, None] * ko.d_phi(p).coef)
         ref = scale[:, None] * dense_d_phi(p)[:p.num_vertices]
         assert rows.shape == ref.shape
-        assert np.abs(rows.dense() - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(dense(rows) - ref).max() <= 1e-13 * np.abs(ref).max()
         u = rng.standard_normal(ref.shape[1])
         lam = rng.standard_normal(ref.shape[0])
         assert np.allclose(rows.apply(u), ref @ u, rtol=1e-13, atol=1e-13)

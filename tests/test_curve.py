@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotopt as ko
+from knotopt.curve import arc_distance
+from knotopt.energy import _quad_positions
 from conftest import random_embedded_polygon, rotation_matrix
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -55,32 +57,37 @@ class TestPolygonConstruction:
             p.vertices[0, 0] = 7.0
 
 
+def arc_coord(polygon, edge, t):
+    """Arc coordinate of the point at local parameter t on an edge."""
+    return polygon.arc_prefix[edge] + t * polygon.edge_lengths[edge]
+
+
 class TestDerivedGeometry:
     def test_quad_point(self):
+        # Node t = 0.25 of edge 1 of the unit square, as the energy places it.
         p = ko.Polygon(UNIT_SQUARE)
-        qp = p.quad_point(1, 0.25)
-        assert np.allclose(qp.position, [1.0, 0.25])
-        assert qp.arc_coord == pytest.approx(p.arc_prefix[1] + 0.25)
+        nodes = _quad_positions(p, ko.QuadratureRule(np.array([0.25]), np.array([1.0])))
+        assert np.allclose(nodes[1, 0], [1.0, 0.25])
 
 
 class TestGeodesicDistance:
+    """``arc_distance``: the shorter arc between two points of the polygon."""
+
     def test_opposite_midpoints_octagon(self):
         p = ko.regular_ngon(8)
-        a = p.quad_point(0, 0.5)
-        b = p.quad_point(4, 0.5)
-        assert ko.geodesic_distance(p, a, b) == pytest.approx(p.total_length / 2)
+        a, b = arc_coord(p, 0, 0.5), arc_coord(p, 4, 0.5)
+        assert arc_distance(p, a, b) == pytest.approx(p.total_length / 2)
 
     def test_same_point(self):
         p = ko.Polygon(UNIT_SQUARE)
-        a = p.quad_point(2, 0.75)
-        assert ko.geodesic_distance(p, a, a) == 0.0
+        a = arc_coord(p, 2, 0.75)
+        assert arc_distance(p, a, a) == 0.0
 
     def test_square_adjacent_midpoints(self):
         # Hand evaluation of the prefix sums: 0.5 + 0.5 along the short way.
         p = ko.Polygon(UNIT_SQUARE)
-        a = p.quad_point(0, 0.5)
-        b = p.quad_point(1, 0.5)
-        assert ko.geodesic_distance(p, a, b) == pytest.approx(1.0)
+        a, b = arc_coord(p, 0, 0.5), arc_coord(p, 1, 0.5)
+        assert arc_distance(p, a, b) == pytest.approx(1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -93,11 +100,11 @@ class TestGeodesicDistance:
     )
     def test_symmetry_bound_triangle(self, edges, params):
         p = random_embedded_polygon(11, seed=8)
-        a, b, c = (p.quad_point(e, t) for e, t in zip(edges, params))
-        dab = ko.geodesic_distance(p, a, b)
-        dbc = ko.geodesic_distance(p, b, c)
-        dac = ko.geodesic_distance(p, a, c)
-        assert dab == ko.geodesic_distance(p, b, a)
+        a, b, c = (arc_coord(p, e, t) for e, t in zip(edges, params))
+        dab = arc_distance(p, a, b)
+        dbc = arc_distance(p, b, c)
+        dac = arc_distance(p, a, c)
+        assert dab == arc_distance(p, b, a)
         assert 0.0 <= dab <= p.total_length / 2 + 1e-12
         assert dac <= dab + dbc + 1e-9
 
@@ -110,10 +117,8 @@ class TestRigidMotionInvariance:
         q = ko.Polygon(p.vertices @ r.T + shift)
         assert np.allclose(q.edge_lengths, p.edge_lengths, rtol=1e-13, atol=0)
         assert q.total_length == pytest.approx(p.total_length, rel=1e-13)
-        a1, b1 = p.quad_point(2, 0.3), p.quad_point(7, 0.9)
-        a2, b2 = q.quad_point(2, 0.3), q.quad_point(7, 0.9)
-        assert ko.geodesic_distance(q, a2, b2) == pytest.approx(
-            ko.geodesic_distance(p, a1, b1), rel=1e-13
+        assert arc_distance(q, arc_coord(q, 2, 0.3), arc_coord(q, 7, 0.9)) == pytest.approx(
+            arc_distance(p, arc_coord(p, 2, 0.3), arc_coord(p, 7, 0.9)), rel=1e-13
         )
         dots_p = p.tangents @ p.tangents[0]
         dots_q = q.tangents @ q.tangents[0]
@@ -149,7 +154,7 @@ class TestTorusKnot:
     def test_trefoil_embedded(self):
         p = ko.torus_knot(2, 3, 120)
         # Independent audit: brute-force minimum over non-adjacent pairs.
-        assert ko.min_nonadjacent_distance(p.vertices) > 0.0
+        assert ko.proximity_report(p.vertices).min_distance > 0.0
         assert p.dim == 3
 
     def test_degenerate_unknot(self):
@@ -177,7 +182,7 @@ class TestCoiledUnknot:
 
     def test_many_windings_high_energy(self):
         p = ko.coiled_unknot(192, windings=6)
-        assert ko.min_nonadjacent_distance(p.vertices) > 0.0
+        assert ko.proximity_report(p.vertices).min_distance > 0.0
         assert float(ko.energy(p)) > 8.0
 
     def test_collapsed_aspect_rejected(self):

@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import knotopt as ko
-from knotopt.energy import MIDPOINT
+from knotopt.energy import MIDPOINT, _pair_blocks
+from knotopt.metric import _density_table
 import pairlist_oracle as oracle
-from conftest import random_embedded_polygon, rotation_matrix
+from conftest import dense_hessian, random_embedded_polygon, rotation_matrix
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 # The module itself: ``knotopt.energy`` is also the name of the function.
@@ -71,7 +71,7 @@ class TestLocalContribution:
 
     def test_adjacent_rejected(self):
         p = ko.Polygon(UNIT_SQUARE)
-        with pytest.raises(ko.AdjacentEdges):
+        with pytest.raises(oracle.AdjacentEdges):
             oracle.local_contribution(p, 0, 1)
 
     def test_scale_invariance(self):
@@ -141,77 +141,32 @@ class TestEnergy:
         )
 
 
-class TestSingleNodeVariants:
-    def test_square_vertex_energy_hand_enumeration(self):
-        # Two unordered disjoint pairs; each contributes
-        # 1 * (1/2 - 1/4) = 1/4, ordered sum doubles: total 1.0.
-        p = ko.Polygon(UNIT_SQUARE)
-        brute = 0.0
-        for i in range(4):
-            for j in range(4):
-                if (i - j) % 4 in (0, 1, 3):
-                    continue
-                chord2 = float(np.sum((p.vertices[i] - p.vertices[j]) ** 2))
-                gap = abs(p.arc_prefix[i] - p.arc_prefix[j])
-                rho = min(gap, p.total_length - gap)
-                brute += 1.0 / chord2 - 1.0 / rho**2
-        assert brute == pytest.approx(1.0, rel=1e-14)
-        assert ko.ks_energy(p, "vertex") == pytest.approx(brute, rel=1e-14)
-
-    def test_edge_variant_converges_to_circle_oracle(self):
-        # Oracle: adaptive quadrature of the continuous density on the
-        # round circle (the value is 4).
-        length = 2 * np.pi
-        radius = 1.0
-        integrand = lambda s: (
-            1.0 / (2 * radius * np.sin(np.pi * s / length)) ** 2 - 1.0 / s**2
-        )
-        val, err = quad(integrand, 0.0, length / 2, limit=200)
-        oracle = 2 * length * val
-        assert oracle == pytest.approx(4.0, abs=1e-10)
-        gaps = [
-            abs(ko.ks_energy(ko.regular_ngon(n), "edge") - oracle)
-            for n in (32, 64, 128, 256)
-        ]
-        assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-        assert gaps[-1] < 0.01
-
-    def test_scale_invariance(self):
-        p = random_embedded_polygon(12, seed=7)
-        q = ko.Polygon(3.0 * p.vertices)
-        for variant in ("vertex", "edge"):
-            assert ko.ks_energy(q, variant) == pytest.approx(
-                ko.ks_energy(p, variant), rel=1e-13
-            )
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            ko.ks_energy(ko.Polygon(UNIT_SQUARE), "midpoint")
+def density(p, i, s, j, t):
+    """The metric's density table ``1/|d|^2 - 1/rho^2`` between node s of edge
+    i and node t of edge j, on the ``q`` table of the edge-pair walk."""
+    rule = ko.QuadratureRule(np.array([s, t]), np.array([0.5, 0.5]))
+    (rows, pairs), = _pair_blocks(p, rule, rows=p.num_vertices)
+    tables = {(si, ti): _density_table(p, rows, si, ti, q) for _, si, ti, _, q in pairs}
+    return float(tables[s, t][i, j])
 
 
 class TestEnergyDensity:
     def test_antipodal_midpoints_closed_form(self):
         n = 16
         p = ko.regular_ngon(n)
-        a = p.quad_point(0, 0.5)
-        b = p.quad_point(n // 2, 0.5)
         chord = 2.0 * np.cos(np.pi / n)  # two apothems of the unit n-gon
         expected = 1.0 / chord**2 - 4.0 / p.total_length**2
-        assert ko.energy_density(p, a, b) == pytest.approx(expected, rel=1e-13)
+        assert density(p, 0, 0.5, n // 2, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_near_diagonal_small(self):
         p = ko.regular_ngon(64)
-        a = p.quad_point(0, 0.5)
-        b = p.quad_point(2, 0.5)
-        assert 0.0 <= ko.energy_density(p, a, b) < 1.0
+        assert 0.0 <= density(p, 0, 0.5, 2, 0.5) < 1.0
 
     def test_scaling_degree(self):
         p = random_embedded_polygon(12, seed=9)
         q = ko.Polygon(2.0 * p.vertices)
-        a1, b1 = p.quad_point(1, 0.25), p.quad_point(6, 0.75)
-        a2, b2 = q.quad_point(1, 0.25), q.quad_point(6, 0.75)
-        assert ko.energy_density(q, a2, b2) == pytest.approx(
-            0.25 * ko.energy_density(p, a1, b1), rel=1e-13
+        assert density(q, 1, 0.25, 6, 0.75) == pytest.approx(
+            0.25 * density(p, 1, 0.25, 6, 0.75), rel=1e-13
         )
 
 
@@ -245,7 +200,7 @@ class TestGradient:
 class TestHessian:
     def test_directional_finite_difference(self, rng):
         p = random_embedded_polygon(10, dim=3, seed=14)
-        h = ko.d2_energy(p)
+        h = dense_hessian(p)
         w = rng.standard_normal(h.shape[0])
         w /= np.linalg.norm(w)
         step = 1e-5 * p.total_length
@@ -256,16 +211,17 @@ class TestHessian:
 
     def test_translation_nullspace(self):
         p = random_embedded_polygon(10, dim=2, seed=15)
-        h = ko.d2_energy(p)
+        h = dense_hessian(p)
         for axis in range(2):
             t = np.zeros((p.num_vertices, 2))
             t[:, axis] = 1.0
             assert np.abs(h @ t.ravel()).max() <= 1e-10 * np.abs(h).max()
 
     def test_symmetry(self):
+        # The operator's products are symmetric to rounding: u.Hv = Hu.v.
         p = random_embedded_polygon(10, seed=16)
-        h = ko.d2_energy(p)
-        assert np.array_equal(h, h.T)
+        h = dense_hessian(p)
+        assert np.abs(h - h.T).max() <= 1e-14 * np.abs(h).max()
 
 
 class TestQuadratureRule:
@@ -276,6 +232,14 @@ class TestQuadratureRule:
     def test_nodes_in_unit_interval(self):
         with pytest.raises(ValueError):
             ko.QuadratureRule(np.array([1.5]), np.array([1.0]))
+
+    @pytest.mark.parametrize("nodes, weights", [
+        ([np.nan], [np.nan]), ([np.nan], [1.0]), ([0.5], [np.nan]),
+        ([0.25, 0.75], [np.inf, -np.inf]),
+    ])
+    def test_non_finite_rejected(self, nodes, weights):
+        with pytest.raises(ValueError, match="finite"):
+            ko.QuadratureRule(np.array(nodes), np.array(weights))
 
     def test_gauss_rules(self):
         for k in (1, 2, 8):
@@ -301,12 +265,9 @@ def _relative_defect(new, reference):
 def _check_derivatives(rule):
     for name, p in _table_curves():
         assert _relative_defect(ko.energy(p, rule), oracle.energy(p, rule)) <= 1e-13, name
-        for variant in ("vertex", "edge"):
-            assert _relative_defect(ko.ks_energy(p, variant),
-                                    oracle.ks_energy(p, variant)) <= 1e-13, name
         assert _relative_defect(ko.d_energy(p, rule),
                                 oracle.d_energy(p, rule)) <= 1e-11, name
-        assert _relative_defect(ko.d2_energy(p, rule),
+        assert _relative_defect(dense_hessian(p, rule),
                                 oracle.d2_energy(p, rule)) <= 1e-11, name
 
 
@@ -337,16 +298,14 @@ class TestTableAssembly:
                      ko.QuadratureRule.vertex()):
             assert _relative_defect(ko.energy(p, rule), oracle.energy(p, rule)) <= 1e-13
             assert _relative_defect(ko.d_energy(p, rule), oracle.d_energy(p, rule)) <= 1e-11
-            assert _relative_defect(ko.d2_energy(p, rule), oracle.d2_energy(p, rule)) <= 1e-11
+            assert _relative_defect(dense_hessian(p, rule), oracle.d2_energy(p, rule)) <= 1e-11
             g = ko.assemble_gram(p, ko.W32_GEOMETRIC, rule)
             assert _relative_defect(g.scalar, oracle.w32_scalar(p, ko.W32_GEOMETRIC, rule)) <= 1e-13
 
     def test_disjoint_coincidence_raises(self):
         # Bow tie: the midpoints of the disjoint edges 0 and 2 coincide.
         p = ko.Polygon([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], validate=False)
-        for assemble in (ko.energy, ko.ks_energy, ko.d_energy, ko.d2_energy,
-                         lambda q: ko.hess_vec(q, MIDPOINT, np.ones((1, 4, 2))),
-                         lambda q: ko.hessian(q, MIDPOINT),
+        for assemble in (ko.energy, ko.d_energy, lambda q: ko.hessian(q, MIDPOINT),
                          lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC),
                          lambda q: ko.assemble_gram(q, ko.W32_PURE)):
             with pytest.raises(ko.CoincidentPoints):
@@ -436,17 +395,17 @@ def _dense_products(hess, fields):
 
 
 class TestHessVec:
-    """Hessian-vector products against the dense table and pair-list Hessians."""
+    """Products of the Hessian operator against the pair-list Hessian."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_dense_hessians(self, k, rng):
         rule = ko.QuadratureRule.gauss(k)
         for name, p in _table_curves():
             fields = rng.standard_normal((3,) + p.vertices.shape)
-            products = ko.hess_vec(p, rule, fields)
+            products = ko.hessian(p, rule)(fields)
             assert products.shape == fields.shape
-            for hess in (ko.d2_energy(p, rule), oracle.d2_energy(p, rule)):
-                assert _relative_defect(products, _dense_products(hess, fields)) <= 1e-11, name
+            expected = _dense_products(oracle.d2_energy(p, rule), fields)
+            assert _relative_defect(products, expected) <= 1e-11, name
 
     def test_node_coincidence_in_masked_band_is_ignored(self, rng):
         p = random_embedded_polygon(14, dim=3, seed=23)
@@ -454,14 +413,14 @@ class TestHessVec:
         for rule in (ko.QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
                      ko.QuadratureRule.vertex()):
             expected = _dense_products(oracle.d2_energy(p, rule), fields)
-            assert _relative_defect(ko.hess_vec(p, rule, fields), expected) <= 1e-11
+            assert _relative_defect(ko.hessian(p, rule)(fields), expected) <= 1e-11
 
     def test_batch_gives_the_same_columns(self, rng):
         rule = ko.QuadratureRule.gauss(2)
         for name, p in _table_curves():
             fields = rng.standard_normal((3,) + p.vertices.shape)
-            batch = ko.hess_vec(p, rule, fields)
-            single = np.concatenate([ko.hess_vec(p, rule, f[None]) for f in fields])
+            batch = ko.hessian(p, rule)(fields)
+            single = np.concatenate([ko.hessian(p, rule)(f[None]) for f in fields])
             assert _relative_defect(single, batch) <= 1e-11, name
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -475,9 +434,9 @@ class TestHessVec:
             one, three = (rng.standard_normal((b,) + p.vertices.shape) for b in (1, 3))
             for fields in (one, three, one, three, three, one):
                 assert (hess(fields).tobytes()
-                        == ko.hess_vec(p, rule, fields).tobytes()), name
+                        == ko.hessian(p, rule)(fields).tobytes()), name
 
     def test_field_shape_checked(self):
         p = ko.torus_knot(2, 3, 30)
         with pytest.raises(ValueError, match="shape"):
-            ko.hess_vec(p, MIDPOINT, p.vertices)
+            ko.hessian(p, MIDPOINT)(p.vertices)

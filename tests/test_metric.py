@@ -31,7 +31,7 @@ class TestW32Geometric:
             g = dense(ko.assemble_gram(p, ko.W32_GEOMETRIC))
             sym = np.abs(g - g.T).max()
             assert sym <= 1e-14 * np.abs(g).max()
-            z = kernel_basis(ko.d_phi(p).dense())
+            z = kernel_basis(dense(ko.d_phi(p)))
             eigs = np.linalg.eigvalsh(z.T @ g @ z)
             assert eigs.min() > 0.0
 
@@ -154,7 +154,7 @@ class TestOperatorInterface:
         # Without the barycenter constraint the w32 seminorm takes its
         # barycenter term.
         gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
-        jac_len = ko.d_phi(p).dense()[:p.num_vertices]
+        jac_len = dense(ko.d_phi(p))[:p.num_vertices]
         w = problem.targets.lengths / problem.targets.total
         applied = gram.apply(g) + config.alpha * jac_len.T @ (w * (jac_len @ g))
         assert np.allclose(applied, rhs, rtol=1e-9, atol=1e-9 * np.abs(rhs).max())

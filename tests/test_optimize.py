@@ -10,12 +10,13 @@ from knotopt.optimize import (METHODS, OptimizerConfig, PenaltyProblem,
                               implicit_step, pr_plus_direction,
                               solve_trust_region_subproblem,
                               update_trust_radius, _prepare_state)
-from conftest import fail_on_call, random_embedded_polygon
+import pairlist_oracle as oracle
+from conftest import dense, fail_on_call, random_embedded_polygon
 
 
 def audit_no_self_intersection(snapshots):
     for _, polygon in snapshots:
-        assert ko.min_nonadjacent_distance(polygon.vertices) > 0.0
+        assert ko.proximity_report(polygon.vertices).min_distance > 0.0
 
 
 class TestArmijoStep:
@@ -183,7 +184,7 @@ class TestImplicitEuler:
              "trefoil60": ko.torus_knot(2, 3, 60)}[curve]
         state = _prepare_state(p, ko.L2, quad)
         gram, jac = state.fact.gram, state.fact.jacobian
-        rows, m = jac.dense(), p.dim
+        rows, m = dense(jac), p.dim
 
         def residual(v, lam):
             trial = ko.Polygon(p.vertices + v.reshape(p.vertices.shape), validate=False)
@@ -195,7 +196,7 @@ class TestImplicitEuler:
         res_norm0 = np.linalg.norm(res)
         stall = 0
         for it in range(1, optimize.IMPLICIT_MAX_NEWTON + 1):
-            hess = ko.d2_energy(trial, quad)
+            hess = oracle.d2_energy(trial, quad)
             for c in range(m):
                 hess[c::m, c::m] += gram.scalar / dt
             kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
@@ -318,7 +319,7 @@ class TestPenaltyDrivers:
         gram = ko.assemble_gram(poly, metric, barycenter=metric in ("w32pure", "w32"))
         matrix = np.kron(gram.scalar, np.eye(dim))
         if metric != "l2":
-            jac_len = ko.d_phi(poly).dense()[:poly.num_vertices]
+            jac_len = dense(ko.d_phi(poly))[:poly.num_vertices]
             w = problem.targets.lengths / problem.targets.total
             matrix += config.alpha * (jac_len.T * w) @ jac_len
         for rhs in (dual, rng.standard_normal(x.size)):
@@ -468,11 +469,11 @@ class TestTrustRegion:
         result = ko.run(ko.torus_knot(2, 3, 60), OptimizerConfig(method="trust_region"))
         assert result.converged and calls
         for state, (direction, _) in calls:
-            hess, rows = ko.d2_energy(state.polygon), state.fact.jacobian.dense()
+            hess, rows = oracle.d2_energy(state.polygon), dense(state.fact.jacobian)
             kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
             rhs = np.concatenate((-state.eta, np.zeros(len(rows))))
-            dense = np.linalg.solve(kkt, rhs)[:len(hess)]
-            assert np.linalg.norm(direction - dense) <= 1e-6 * np.linalg.norm(dense)
+            reference = np.linalg.solve(kkt, rhs)[:len(hess)]
+            assert np.linalg.norm(direction - reference) <= 1e-6 * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("n", [60, 120, 240])
     def test_newton_cg_iterations_independent_of_n(self, n, monkeypatch):
@@ -590,6 +591,17 @@ class TestDispatch:
     def test_out_of_range_setting_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: bad})
+
+    @pytest.mark.parametrize("method", ("projgd", "lbfgs"))
+    def test_targets_of_another_length_rejected(self, method, monkeypatch):
+        # Rejected before any energy is evaluated, not by a broadcast error
+        # from inside the first restoration or penalty evaluation.
+        p = ko.coiled_unknot(48, windings=2)
+        targets = ko.ConstraintTargets(p.edge_lengths[:-1])
+        monkeypatch.setattr(optimize, "energy", fail_on_call(
+            optimize.energy, 1, AssertionError("the run started")))
+        with pytest.raises(ValueError, match="47 target lengths"):
+            ko.run(p, OptimizerConfig(method=method, max_iter=3), targets)
 
     def test_budget_stops_run(self, monkeypatch):
         p = ko.coiled_unknot(96, windings=4)

@@ -12,7 +12,7 @@ def make_system(n=16, seed=0, metric=ko.W32_GEOMETRIC, dim=2, barycenter=False):
     p = random_embedded_polygon(n, dim=dim, seed=seed)
     gram = ko.assemble_gram(p, metric, barycenter=barycenter)
     rows = ko.d_phi(p)
-    return p, gram, rows.dense(), ko.factorize(gram, rows)
+    return p, gram, dense(rows), ko.factorize(gram, rows)
 
 
 class TestFactorize:
@@ -152,7 +152,7 @@ class TestProjectedGradient:
         p = random_embedded_polygon(6, seed=4)
         gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
         fact = ko.factorize(gram, ko.d_phi(p))
-        jac = ko.d_phi(p).dense()
+        jac = dense(ko.d_phi(p))
         eta = ko.d_energy(p)
         u, _ = ko.projected_gradient(fact, eta)
         ginv = np.linalg.inv(dense(gram))
