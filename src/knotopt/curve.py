@@ -1,7 +1,10 @@
 """Closed polygonal curves, derived geometry, and parametric generators.
 
 A :class:`Polygon` is an embedded closed polygonal curve with ``N >= 4``
-vertices in ``R^m`` (``m >= 2``).  Edge ``i`` connects vertex ``i`` to
+vertices in ``R^m`` (``m >= 2``): no edge is shorter than ``1e-12`` of the
+diameter, and no two edges that share no vertex come within
+``collision.CONTACT_SCALE`` (``1e-9``) of the total length, the distance at
+which a collision query reports contact.  Edge ``i`` connects vertex ``i`` to
 vertex ``(i+1) % N``; the vertex ordering fixes the orientation.  All
 curve objects are immutable value data after construction: derived tables
 (edge lengths, tangents, arc-length prefix sums) are computed once and the
@@ -16,9 +19,7 @@ import numpy as np
 from . import collision
 from .errors import DegenerateEdge, SelfIntersection, TooFewVertices
 
-# Edges shorter than this fraction of the polygon diameter are degenerate,
-# and non-adjacent pairs closer than this fraction of the total length
-# count as self-contact.
+# Edges shorter than this fraction of the polygon diameter are degenerate.
 _DEGENERACY_SCALE = 1e-12
 
 
@@ -54,7 +55,7 @@ class Polygon:
 
         if validate:
             report = collision.proximity_report(v)
-            if report.min_distance <= _DEGENERACY_SCALE * self.total_length:
+            if report.min_distance <= collision.CONTACT_SCALE * self.total_length:
                 raise SelfIntersection(
                     f"edges {report.pair} at distance {report.min_distance:.3e}"
                 )

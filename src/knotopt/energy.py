@@ -23,6 +23,8 @@ batch of fields without assembling it, as the directional derivative of
 the gradient's tables, on one whole-table block: the builder keeps the
 tables that every field shares, and each product costs O(N^2) per field
 and node pair, like the gradient.  The same input gives the same bits.
+Each edge carries the nodes of a ``QuadratureRule``; the default,
+``MIDPOINT``, is ``QuadratureRule.gauss(1)``.
 """
 
 from dataclasses import dataclass
@@ -65,20 +67,12 @@ class QuadratureRule:
         return len(self.nodes)
 
     @classmethod
-    def midpoint(cls) -> "QuadratureRule":
-        return cls(np.array([0.5]), np.array([1.0]))
-
-    @classmethod
-    def vertex(cls) -> "QuadratureRule":
-        return cls(np.array([0.0]), np.array([1.0]))
-
-    @classmethod
     def gauss(cls, k: int) -> "QuadratureRule":
         x, w = np.polynomial.legendre.leggauss(k)
         return cls(0.5 * (x + 1.0), 0.5 * w)
 
 
-MIDPOINT = QuadratureRule.midpoint()
+MIDPOINT = QuadratureRule.gauss(1)  # node 1/2, weight 1
 
 
 def _quad_positions(polygon: Polygon, quad: QuadratureRule) -> np.ndarray:

@@ -76,9 +76,6 @@ class GramOperator:
         u = self._check(u).reshape(-1, self.dim)
         return (self.scalar @ u).ravel()
 
-    def inner(self, u, v) -> float:
-        return float(self._check(u) @ self.apply(v))
-
 
 def _w32_scalar(polygon: Polygon, low_order: bool, quad: QuadratureRule):
     """Scalar matrix of the w32 family from ordered edge-pair tables.

@@ -14,7 +14,8 @@ Gauss-Newton term ``alpha J_len^T diag(w) J_len`` (not for the lumped-mass
 metric).  That term enters the saddle solver as the rows
 ``sqrt(alpha w) J_len`` with compliance 1, so the augmented metric is never
 formed.  Steps use a weak Wolfe line search truncated by collision
-detection.
+detection; Nesterov's momentum restarts whenever its look-ahead step would
+raise the objective.
 
 ``run`` is the one entry point, and ``config.method`` picks the method.
 Each method is a step builder in ``_STEPS``: it adds its own keys to the
@@ -40,9 +41,10 @@ iterate sequence and trace (wall-clock columns aside).
 fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
 ``TAU_MAX`` for the Armijo search and implicit Euler, ``WOLFE_C1``,
 ``WOLFE_C2`` and ``LBFGS_HISTORY`` for the penalty methods, the ``TR_*``
-radius rule, Newton gate and Newton CG stop of the trust region, the cap
-``KRYLOV_MAX_ITER`` of both Krylov loops, and ``GRAD_ABS_TOL``, the
-absolute floor of the gradient stop test.
+radius rule, Newton gate and Newton CG stop of the trust region,
+``IMPLICIT_MAX_NEWTON`` and ``IMPLICIT_NEWTON_TOL`` for implicit Euler's
+Newton loop, the cap ``KRYLOV_MAX_ITER`` of both Krylov loops, and
+``GRAD_ABS_TOL``, the absolute floor of the gradient stop test.
 Restoration runs with the defaults of :func:`restore_feasibility`.
 """
 
@@ -84,6 +86,7 @@ TR_CG_TOL = 1e-4         # Newton CG residual, relative to the gradient norm
 KRYLOV_MAX_ITER = 50     # Newton CG iterations, and GMRES's per Newton system
 TR_BASIS_DROP_TOL = 1e-10  # relative metric norm below which a basis vector drops
 IMPLICIT_MAX_NEWTON = 20
+IMPLICIT_NEWTON_TOL = 1e-9  # Newton residual, relative to the warm start's
 
 STEP_LIMITS = ("collision", "restoration", "invalid", "armijo")
 IMPLICIT_STEP_LIMITS = ("newton",) + STEP_LIMITS
@@ -158,21 +161,20 @@ class StepOutcome:
     newton_iters: int
 
 
-def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
-           polygon_of=lambda point: point) -> OptimizeResult:
+def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate) -> OptimizeResult:
     """The loop shared by every method.
 
-    ``points`` yields ``(point, row)`` for each accepted iterate, ``row``
+    ``points`` yields ``(polygon, row)`` for each accepted iterate, ``row``
     holding the trace columns after ``time_s``; pulling the next pair takes
     one step, and the generator ends when the method finds no direction
-    left.  ``polygon_of`` maps a point to its polygon.
+    left.
     """
     t0 = time.perf_counter()
     trace: list[TraceRecord] = []
-    point = None
+    polygon = None
     status = "converged"
     try:
-        for iteration, (point, row) in enumerate(points):
+        for iteration, (polygon, row) in enumerate(points):
             energy_value, grad_norm, step, phi_inf, backtracks, newton_iters = row
             trace.append(TraceRecord(
                 iteration, time.perf_counter() - t0, float(energy_value),
@@ -180,7 +182,7 @@ def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
                 int(backtracks), int(newton_iters),
             ))
             if on_iterate is not None:
-                on_iterate(iteration, polygon_of(point))
+                on_iterate(iteration, polygon)
             if grad_norm <= max(config.grad_tol * trace[0].grad_norm,
                                 GRAD_ABS_TOL):
                 break
@@ -199,7 +201,7 @@ def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate,
         else:
             status = "numerical_failure"
             diagnostics["error"] = type(exc).__name__
-    return OptimizeResult(polygon_of(point), trace, status, diagnostics)
+    return OptimizeResult(polygon, trace, status, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +294,15 @@ def _note_solves(diagnostics: dict, fact) -> None:
 
 
 def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets, *,
-                quad: QuadratureRule,
-                energy_value: float | None = None,
-                slope: float | None = None,
-                limits: dict | None = None) -> StepOutcome:
+                quad: QuadratureRule, energy_value: float, slope: float,
+                limits: dict) -> StepOutcome:
     """Collision-bounded backtracking with feasibility restoration.
 
     Starts from two thirds of the first possible contact step, shrinks on
     restoration failure, self-intersection, or insufficient decrease, and
     returns the first trial satisfying
-    ``E(Q) <= E(P) + ARMIJO_C * tau * slope``, cutting ``tau`` by
+    ``E(Q) <= E(P) + ARMIJO_C * tau * slope`` (``energy_value`` is ``E(P)``,
+    ``slope`` that of ``E`` along ``direction``), cutting ``tau`` by
     ``BACKTRACK_FACTOR`` per trial.  ``limits`` counts the
     ``STEP_LIMITS``: ``collision`` if the contact bound cut the first trial
     below ``TAU_MAX``, then per cut trial ``restoration`` (it failed),
@@ -309,13 +310,8 @@ def armijo_step(polygon: Polygon, direction: np.ndarray, fact, targets, *,
     ``armijo`` (insufficient decrease).
     """
     u = np.asarray(direction, dtype=float).ravel()
-    if energy_value is None:
-        energy_value = float(energy(polygon, quad))
-    if slope is None:
-        slope = float(d_energy(polygon, quad) @ u)
     if not slope < 0.0:
         raise ValueError(f"direction is not a descent direction (slope {slope:.3e})")
-    limits = dict.fromkeys(STEP_LIMITS, 0) if limits is None else limits
 
     shape = polygon.vertices.shape
     tau0 = collision.step_bounds(polygon.vertices, u.reshape(shape), TAU_MAX)[1]
@@ -360,8 +356,8 @@ def _projected_gd(config: OptimizerConfig, diagnostics: dict):
 # Implicit Euler for the lumped-mass flow
 
 
-def implicit_step(state: _FeasibleState, dt: float, quad: QuadratureRule, *,
-                  newton_tol: float = 1e-9, diagnostics: dict | None = None):
+def implicit_step(state: _FeasibleState, dt: float, quad: QuadratureRule,
+                  diagnostics: dict):
     """Solve the backward step equation on the base tangent space.
 
     Finds ``v`` with ``G v / dt + DE(P + v) + J^T lam = 0`` and ``J v = 0``
@@ -371,8 +367,9 @@ def implicit_step(state: _FeasibleState, dt: float, quad: QuadratureRule, *,
     ``KRYLOV_MAX_ITER`` iterations on the trial's
     :func:`~knotopt.energy.hessian` products, preconditioned by the saddle
     factorization of ``G / dt`` plus the W^{3/2} metric at ``P`` (Gould,
-    Hribar & Nocedal 2001).  The largest GMRES count goes to
-    ``diagnostics["gmres_iters_max"]`` when given.  Returns ``(v,
+    Hribar & Nocedal 2001).  Newton stops once the residual falls to
+    ``IMPLICIT_NEWTON_TOL`` times the warm start's.  The largest GMRES
+    count goes to ``diagnostics["gmres_iters_max"]``.  Returns ``(v,
     inner_iterations)``.
     """
     from scipy.sparse.linalg import LinearOperator, gmres
@@ -412,14 +409,13 @@ def implicit_step(state: _FeasibleState, dt: float, quad: QuadratureRule, *,
                          rtol=SOLVE_TOL, restart=KRYLOV_MAX_ITER, maxiter=1,
                          M=precondition, callback=residuals.append,
                          callback_type="pr_norm")
-        if diagnostics is not None:
-            diagnostics["gmres_iters_max"] = max(diagnostics["gmres_iters_max"],
-                                                 len(residuals))
+        diagnostics["gmres_iters_max"] = max(diagnostics["gmres_iters_max"],
+                                             len(residuals))
         del hess
         v, lam = v + delta[:v.size], lam + delta[v.size:]
         res, trial = residual(v, lam, "iterate")
         rel = np.linalg.norm(res) / res_norm0
-        if rel <= newton_tol:
+        if rel <= IMPLICIT_NEWTON_TOL:
             return v, it
         stall = stall + 1 if rel > 0.5 else 0
         if stall >= 3:
@@ -448,8 +444,7 @@ def _implicit_euler_l2(config: OptimizerConfig, diagnostics: dict):
         backtracks = 0
         while dt > _TAU_UNDERFLOW * TAU_MAX:
             try:
-                v, newton_iters = implicit_step(state, dt, quad,
-                                                diagnostics=diagnostics)
+                v, newton_iters = implicit_step(state, dt, quad, diagnostics)
                 slope = float(state.eta @ v)
             except KnotOptError:
                 slope = np.nan
@@ -609,7 +604,8 @@ def _penalty_points(problem, x0, step):
 
     At each iterate the dual is preconditioned by the metric; then
     ``step(x, f, dual, g)`` returns the next ``(x, f, dual, step_size,
-    trials)``.
+    trials)``.  Each iterate is yielded as its polygon, which the metric
+    solve has just put in the problem's point cache.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, dual = problem.value_and_dual(x)
@@ -619,8 +615,8 @@ def _penalty_points(problem, x0, step):
     while True:
         g = problem.metric_solve(x, dual)
         grad_norm = float(np.sqrt(max(dual @ g, 0.0)))
-        yield x, (problem.trace_energy(x), grad_norm, t,
-                  problem.trace_phi_inf(x), trials, 0)
+        yield problem.final_polygon(x), (problem.trace_energy(x), grad_norm, t,
+                                         problem.trace_phi_inf(x), trials, 0)
         x, f, dual, t, trials = step(x, f, dual, g)
 
 
@@ -699,10 +695,15 @@ def _ncg_pr_plus(problem, diagnostics: dict):
 def _nesterov(problem, diagnostics: dict):
     """Accelerated gradient with a damped, collision-bounded extrapolation.
 
-    The look-ahead takes ``INITIAL_STEP_FACTOR * cap`` of the momentum move
-    ``mu (x - x_prev)``, ``cap`` its contact cap from ``problem.step_bound``:
-    two thirds of the move even with no contact near.  Momentum resets to
-    zero whenever the objective increases.
+    The look-ahead ``y`` takes ``INITIAL_STEP_FACTOR * cap`` of the momentum
+    move ``mu (x - x_prev)``, ``cap`` its contact cap from
+    ``problem.step_bound``: two thirds of the move even with no contact
+    near.  When the Wolfe step from ``y`` ends above ``f(x)``, or ``y`` is
+    not admissible, the momentum restarts (a function-value restart,
+    O'Donoghue & Candes 2015): it is dropped, ``momentum_resets`` counts
+    one, and the step is the plain one from ``x`` along ``-g``.  Its trials
+    then include the look-ahead's, the dropped end counted as ``armijo``
+    and an inadmissible ``y`` as ``invalid``.
     """
     x_prev = None
     t_seq = 1.0
@@ -711,32 +712,27 @@ def _nesterov(problem, diagnostics: dict):
     def step(x, f, dual, g):
         nonlocal x_prev, t_seq
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_seq**2))
-        mu = (t_seq - 1.0) / t_next
-
-        # The first step has no previous point: no momentum.
-        delta = 0.0 * x if x_prev is None else mu * (x - x_prev)
-        y = x
+        # The first step, and the one after a restart, has no momentum.
+        delta = 0.0 * x if x_prev is None else (t_seq - 1.0) / t_next * (x - x_prev)
+        x_prev, t_seq = x, t_next
+        ahead = 0
         if np.linalg.norm(delta) > 0.0:
             cap = problem.step_bound(x, delta)[0]
             y = x + collision.INITIAL_STEP_FACTOR * cap * delta
-        f_y, dual_y = problem.value_and_dual(y)
-        for _ in range(60):
-            if dual_y is not None:
-                break
-            y = 0.5 * (x + y)
             f_y, dual_y = problem.value_and_dual(y)
-        if dual_y is None:
-            raise LineSearchFailure("no admissible look-ahead point")
-
-        d = -problem.metric_solve(y, dual_y)
-        t, f_new, dual_new, trials = weak_wolfe(problem, y, f_y, dual_y, d, limits)
-        x_prev = x
-        if f_new > f:
-            t_seq = 1.0
+            if dual_y is None:
+                limits["invalid"] += 1
+                ahead = 1
+            else:
+                d = -problem.metric_solve(y, dual_y)
+                t, f_new, dual_new, ahead = weak_wolfe(problem, y, f_y, dual_y, d, limits)
+                if f_new <= f:
+                    return y + t * d, f_new, dual_new, t, ahead
+                limits["armijo"] += 1
             diagnostics["momentum_resets"] += 1
-        else:
-            t_seq = t_next
-        return y + t * d, f_new, dual_new, t, trials
+            x_prev, t_seq = None, 1.0
+        t, f_new, dual_new, trials = weak_wolfe(problem, x, f, dual, -g, limits)
+        return x - t * g, f_new, dual_new, t, ahead + trials
 
     return step
 
@@ -990,6 +986,6 @@ def run(polygon: Polygon, config: OptimizerConfig,
     problem = PenaltyProblem(polygon, targets, config)
     points = _penalty_points(problem, polygon.vertices.ravel(),
                              build(problem, diagnostics))
-    result = _drive(points, config, diagnostics, on_iterate, problem.final_polygon)
+    result = _drive(points, config, diagnostics, on_iterate)
     result.diagnostics.update(problem.solve_stats)
     return result

@@ -45,6 +45,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .energy import _row_slices
 from .errors import SingularSystem
 from .metric import GramOperator
 
@@ -53,8 +54,6 @@ _REFINE_MAX = 12
 # c u of the backward-error stop: 16 unit roundoffs.
 _BACKWARD_TOL = 8.0 * np.finfo(float).eps
 _PIVOT_TOL = 1e-14
-# Columns per block of the in-place updates of an N x N array.
-_BLOCK = 64
 
 
 def _cholesky(a, what):
@@ -72,12 +71,10 @@ def _cholesky(a, what):
 
 def _mirror_lower(a):
     """Copy the strict lower triangle of a square array onto its upper one."""
-    n = len(a)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        a[lo:hi, hi:] = a[hi:, lo:hi].T
-        diag = a[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
+    for block in _row_slices(len(a)):
+        a[block, block.stop:] = a[block.stop:, block].T
+        diag = a[block, block]
+        upper = np.triu_indices(len(diag), 1)
         diag[upper] = diag.T[upper]
 
 
@@ -109,8 +106,8 @@ class SaddleFactorization:
         work, what = np.array(gram.scalar, order="F"), "metric"
         if rows.moments is not None:
             what = "metric plus barycenter term"
-            for lo in range(0, len(work), _BLOCK):
-                work[:, lo:lo + _BLOCK] += np.multiply.outer(rows.mass, rows.mass[lo:lo + _BLOCK])
+            for cols in _row_slices(len(work)):
+                work[:, cols] += np.multiply.outer(rows.mass, rows.mass[cols])
         inv, info = scipy.linalg.lapack.dpotri(_cholesky(work, what),
                                                lower=1, overwrite_c=1)
         if info != 0:
@@ -168,8 +165,8 @@ class SaddleFactorization:
         """Infinity norm of the saddle matrix, which bounds its 2-norm."""
         rows, n = self.jacobian, len(self.jacobian.coef)
         scalar = self.gram.scalar
-        metric = np.concatenate([np.abs(scalar[lo:lo + _BLOCK]).sum(axis=1)
-                                 for lo in range(0, n, _BLOCK)])
+        metric = np.concatenate([np.abs(scalar[block]).sum(axis=1)
+                                 for block in _row_slices(n)])
         # |J| summed down each column (a vertex-major field) and along each
         # row: length row I is coef_I at vertex I + 1 and -coef_I at I.
         coef = np.abs(rows.coef)

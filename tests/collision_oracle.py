@@ -1,5 +1,8 @@
 """Frozen copy of the collision step bound that the wake-time loop replaced.
 
+``nonadjacent_pairs`` lists every edge pair with disjoint closures, the
+pair list that the oracles here and in ``pairlist_oracle`` walk.
+
 ``first_collision_step`` is the conservative-advancement loop as it was
 before rounds read only the pairs that can still set the minimum: every
 round rebuilds the lazy bounds of all N(N-3)/2 pairs, and the exact pair
@@ -7,14 +10,27 @@ routines ``_segment_distance_batch`` and ``_pair_speeds`` are the originals.
 Tests compare the library against it with ``==``.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from knotopt.collision import (_ADVANCE_FACTOR, _MAX_ROUNDS, CONTACT_SCALE,
-                               _polyline_length, nonadjacent_pairs)
+                               _polyline_length)
 from knotopt.errors import AlreadyColliding
 
 _PRUNE_BATCH = 64
 _BOUND_PAD = 1e-12
+
+
+@lru_cache(maxsize=64)
+def nonadjacent_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of edge pairs with disjoint closures."""
+    i, j = np.triu_indices(n, k=2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep].copy(), j[keep].copy()
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def _segment_distance_batch(a0, a1, b0, b1):

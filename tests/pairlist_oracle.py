@@ -10,7 +10,7 @@ the vertices with ``np.add.at``).
 
 import numpy as np
 
-from knotopt.collision import nonadjacent_pairs
+from collision_oracle import nonadjacent_pairs
 from knotopt.curve import arc_distance
 from knotopt.energy import (MIDPOINT, _COINCIDENCE_SCALE,
                             _check_separation, _quad_positions)

@@ -185,6 +185,25 @@ class TestRun:
         rows = (out_dir / "trace.csv").read_text().strip().splitlines()
         assert len(rows) - 1 <= 3  # override wins: at most iterations 0..2
 
+    def test_linesearch_failure_keeps_trace_exit_one(self, tmp_path, monkeypatch,
+                                                     capsys):
+        curve_file = tmp_path / "coil.txt"
+        cli.write_curve(curve_file, ko.coiled_unknot(48, windings=2))
+        monkeypatch.setattr(optimize, "armijo_step", fail_on_call(
+            optimize.armijo_step, 1, ko.LineSearchFailure("injected")))
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--input", str(curve_file),
+                         "--out-dir", str(out_dir), "--max-iter", "10"])
+        assert code == 1
+        rows = (out_dir / "trace.csv").read_text().strip().splitlines()
+        assert len(rows) == 2  # header + iteration 0
+        final = out_dir / "final.txt"
+        assert final.read_text().splitlines()[0] == "# status linesearch_failure"
+        assert cli.read_curve(final).num_vertices == 48
+        captured = capsys.readouterr()
+        assert "status linesearch_failure" in captured.out
+        assert "ERROR" not in captured.err
+
     def test_numerical_failure_keeps_trace_exit_one(self, tmp_path, monkeypatch,
                                                     capsys):
         curve_file = tmp_path / "coil.txt"
@@ -474,6 +493,21 @@ class TestCheck:
         bad.write_text("polyline 4 2\n0 0\n2 2\n0 2\n2 0\n")
         assert cli.main(["check", "--input", str(bad)]) == 1
         assert "SelfIntersection" in capsys.readouterr().err
+
+    def test_pair_within_contact_scale_exit_one(self, tmp_path, capsys):
+        # A gap of 1e-10 of the length is contact: both commands stop at the
+        # input, before a run would report AlreadyColliding.
+        near = tmp_path / "near.txt"
+        near.write_text("polyline 8 2\n0 0\n3 0\n3 2\n2 2\n2 1.4e-9\n"
+                        "1 1.4e-9\n1 2\n0 2\n")
+        assert cli.main(["check", "--input", str(near)]) == 1
+        assert capsys.readouterr().err.startswith("ERROR SelfIntersection:")
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--input", str(near), "--metric", "l2",
+                         "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ERROR SelfIntersection:")
+        assert not out_dir.exists()
 
     def test_binary_file_exit_two(self, tmp_path, capsys):
         binary = tmp_path / "bin.txt"

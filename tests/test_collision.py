@@ -15,7 +15,7 @@ UNIT_SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 def proximity_all_pairs(v):
     """Minimum distance and first closest pair over every pair (oracle)."""
-    pi, pj = collision.nonadjacent_pairs(len(v))
+    pi, pj = frozen.nonadjacent_pairs(len(v))
     d = collision._pair_distances(v, pi, pj)
     k = int(np.argmin(d))
     return float(d[k]), (int(pi[k]), int(pj[k]))
@@ -24,7 +24,7 @@ def proximity_all_pairs(v):
 def first_collision_step_all_pairs(v, u, tau_max):
     """Conservative advancement computing every pair's separating-direction
     bound each round (oracle)."""
-    pi, pj = collision.nonadjacent_pairs(len(v))
+    pi, pj = frozen.nonadjacent_pairs(len(v))
     eps_contact = collision.CONTACT_SCALE * collision._polyline_length(v)
     reserve = eps_contact + 1e-3 * eps_contact
     if np.all(u == u[0]):
@@ -215,7 +215,7 @@ class TestProximityReport:
         v = ko.coiled_unknot(384, windings=4).vertices
         ko.proximity_report(v)
         computed = sum(pair_distance_counts)
-        assert 0 < computed < len(collision.nonadjacent_pairs(len(v))[0]) // 100
+        assert 0 < computed < len(frozen.nonadjacent_pairs(len(v))[0]) // 100
 
 
 class TestBallBound:
@@ -230,7 +230,7 @@ class TestBallBound:
         n = int(rng.integers(4, 40))
         v = scale * random_embedded_polygon(n, dim=dim, seed=seed).vertices + shift
         u = scale * rng.standard_normal(v.shape) + shift
-        pi, pj = collision.nonadjacent_pairs(n)
+        pi, pj = frozen.nonadjacent_pairs(n)
         balls = collision._edge_balls(v)
         lower, closing = collision._ball_rows(balls, 0, n - 2, collision._motion_balls(balls, u))
         lower, closing = lower[pi, pj - 2], closing[pi, pj - 2]

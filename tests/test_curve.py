@@ -9,6 +9,10 @@ from knotopt.energy import _quad_positions
 from conftest import random_embedded_polygon, rotation_matrix
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+# Edges 0 and 4 are 1.4e-9 apart, 1e-10 of the length: closer than the
+# contact scale, farther than the degeneracy scale.
+NEAR_CONTACT = [(0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (2.0, 2.0), (2.0, 1.4e-9),
+                (1.0, 1.4e-9), (1.0, 2.0), (0.0, 2.0)]
 
 
 def orientation(p, q, r):
@@ -42,6 +46,17 @@ class TestPolygonConstruction:
         assert segments_cross(vertices[0], vertices[1], vertices[2], vertices[3])
         with pytest.raises(ko.SelfIntersection):
             ko.Polygon(vertices)
+
+    def test_pair_within_contact_scale_rejected(self):
+        # Embedded means what a collision query accepts as a start: no
+        # non-adjacent pair within CONTACT_SCALE of the length.
+        with pytest.raises(ko.SelfIntersection):
+            ko.Polygon(NEAR_CONTACT)
+        with pytest.raises(ko.AlreadyColliding):
+            ko.first_collision_step(np.array(NEAR_CONTACT), np.ones((8, 2)), 1.0)
+        wider = np.array(NEAR_CONTACT)
+        wider[4:6, 1] = 1e-3
+        ko.Polygon(wider)
 
     def test_degenerate_edge(self):
         with pytest.raises(ko.DegenerateEdge):

@@ -28,6 +28,7 @@ class TestArmijoStep:
         outcome = ko.armijo_step(
             p, -state.grad, state.fact, targets, quad=ko.MIDPOINT,
             energy_value=e0, slope=-state.grad_norm**2,
+            limits=dict.fromkeys(optimize.STEP_LIMITS, 0),
         )
         assert outcome.tau > 0.0
         assert abs(outcome.energy - e0) <= 1e-10
@@ -40,6 +41,7 @@ class TestArmijoStep:
         outcome = ko.armijo_step(
             p, -state.grad, state.fact, targets, quad=ko.MIDPOINT,
             energy_value=e0, slope=-state.grad_norm**2,
+            limits=dict.fromkeys(optimize.STEP_LIMITS, 0),
         )
         assert outcome.tau > 0.0
         assert outcome.energy < e0
@@ -51,7 +53,8 @@ class TestArmijoStep:
         with pytest.raises(ValueError):
             ko.armijo_step(
                 p, +state.grad, state.fact, targets, quad=ko.MIDPOINT,
-                slope=+state.grad_norm**2,
+                energy_value=float(ko.energy(p)), slope=+state.grad_norm**2,
+                limits=dict.fromkeys(optimize.STEP_LIMITS, 0),
             )
 
 
@@ -118,12 +121,13 @@ class TestProjectedGradientDescent:
 
 
 class TestImplicitEuler:
-    def test_small_step_agrees_with_explicit_to_second_order(self):
+    def test_small_step_agrees_with_explicit_to_second_order(self, monkeypatch):
         p = ko.perturbed_circle(16)
         state = _prepare_state(p, ko.L2, ko.MIDPOINT)
+        monkeypatch.setattr(optimize, "IMPLICIT_NEWTON_TOL", 1e-12)
         errors = []
         for dt in (2e-3, 1e-3, 5e-4):
-            v, _ = implicit_step(state, dt, ko.MIDPOINT, newton_tol=1e-12)
+            v, _ = implicit_step(state, dt, ko.MIDPOINT, {"gmres_iters_max": 0})
             errors.append(np.linalg.norm(v - (-dt) * state.grad))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         assert all(2.5 <= r <= 6.0 for r in ratios)
@@ -212,7 +216,7 @@ class TestImplicitEuler:
             pytest.fail("the dense reference did not converge")
 
         diagnostics = {"gmres_iters_max": 0}
-        got, iters = implicit_step(state, dt, quad, diagnostics=diagnostics)
+        got, iters = implicit_step(state, dt, quad, diagnostics)
         assert iters == it
         assert np.linalg.norm(got - v) <= 1e-10 * np.linalg.norm(v)
         assert 1 <= diagnostics["gmres_iters_max"] <= optimize.KRYLOV_MAX_ITER
@@ -225,7 +229,7 @@ class TestImplicitEuler:
         p = ko.coiled_unknot(96)
         state = _prepare_state(p, ko.L2, ko.MIDPOINT)
         with pytest.raises(ko.NewtonInnerFailure):
-            implicit_step(state, 1 / 4, ko.MIDPOINT)
+            implicit_step(state, 1 / 4, ko.MIDPOINT, {"gmres_iters_max": 0})
         result = ko.run(p, OptimizerConfig(method="implicit_euler_l2", max_iter=3))
         limits = result.diagnostics["step_limits"]
         assert limits["newton"] > 0
@@ -299,7 +303,7 @@ class TestPenaltyDrivers:
         cfg = OptimizerConfig(method="lbfgs", max_iter=200, grad_tol=1e-10)
         step = optimize._lbfgs(problem, {})
         result = optimize._drive(optimize._penalty_points(problem, x0, step), cfg,
-                                 {}, None, problem.final_polygon)
+                                 {}, None)
         assert result.converged
         assert result.trace[-1].grad_norm <= 1e-10 * result.trace[0].grad_norm
         assert result.trace[-1].iteration <= dim * 12
@@ -380,6 +384,36 @@ class TestPenaltyDrivers:
         delta = mu * (x1 - x0)
         assert caps[0][0] == 1.0
         assert np.array_equal(points[0], x1 + (2.0 / 3.0) * delta)
+
+    @pytest.mark.parametrize("curve", ["coil96", "circle64"])
+    def test_nesterov_converges(self, curve):
+        # A restart steps from x, not from the look-ahead that raised the
+        # objective, so the method does not alternate between a plain step
+        # and an increase until max_iter.
+        p = {"coil96": ko.coiled_unknot(96), "circle64": ko.perturbed_circle(64)}[curve]
+        result = ko.run(p, OptimizerConfig(method="nesterov", max_iter=500))
+        assert result.converged
+        assert result.final_energy <= 4.001
+        assert result.diagnostics["momentum_resets"] > 0
+
+    def test_nesterov_restart_steps_from_x(self):
+        # A look-ahead whose Wolfe step ends above f(x) is dropped: the step
+        # is the plain one from x, and the momentum restarts.
+        problem = QuadraticProblem(np.diag([1.0, 100.0]), np.eye(2))
+        diagnostics = {"momentum_resets": 0}
+        step = optimize._nesterov(problem, diagnostics)
+        x = np.array([1.0, 1.0])
+        f, dual = problem.value_and_dual(x)
+        for k in range(20):
+            g = problem.metric_solve(x, dual)
+            x_new, f_new, dual, t, _ = step(x, f, dual, g)
+            assert f_new < f
+            if diagnostics["momentum_resets"]:
+                assert np.array_equal(x_new, x - t * g)
+                break
+            x, f = x_new, f_new
+        else:
+            pytest.fail("no restart in 20 steps")
 
     def test_nesterov_descends_and_can_reset(self):
         p = ko.perturbed_circle(48)
@@ -659,11 +693,38 @@ class TestNumericalFailure:
         assert [r.iteration for r in result.trace] == [0, 1]
         assert np.array_equal(result.polygon.vertices, snapshots[-1].vertices)
 
+    def test_linesearch_failure_keeps_first_row(self, monkeypatch):
+        monkeypatch.setattr(optimize, "armijo_step", fail_on_call(
+            optimize.armijo_step, 1, ko.LineSearchFailure("injected")))
+        snapshots = []
+        result = ko.run(ko.coiled_unknot(48, windings=2),
+                        OptimizerConfig(max_iter=10),
+                        on_iterate=lambda k, poly: snapshots.append(poly))
+        assert result.status == "linesearch_failure"
+        assert [r.iteration for r in result.trace] == [0]
+        assert result.polygon is snapshots[-1]
+        assert "error" not in result.diagnostics
+
     def test_error_before_first_row_raises(self, monkeypatch):
         monkeypatch.setattr(optimize, "factorize", fail_on_call(
             optimize.factorize, 1, ko.SingularSystem("injected")))
         with pytest.raises(ko.SingularSystem):
             ko.run(ko.coiled_unknot(48, windings=2), OptimizerConfig(max_iter=10))
+
+
+class TestRestoredTrial:
+    def test_pair_within_contact_scale_is_invalid(self):
+        # A feasible trial, so no restoration step, whose edges 0 and 4 are
+        # 1e-10 of the length apart: it fails validation as contact.
+        near = np.array([(0.0, 0.0), (3.0, 0.0), (3.0, 2.0), (2.0, 2.0), (2.0, 1.4e-9),
+                         (1.0, 1.4e-9), (1.0, 2.0), (0.0, 2.0)])
+        trial = ko.Polygon(near, validate=False)
+        targets = ko.ConstraintTargets.from_polygon(trial)
+        near -= ko.phi(trial, targets).barycenter / trial.total_length
+        assert ko.phi(near, targets).is_feasible(targets.total)
+        base = ko.regular_ngon(8)
+        fact = ko.factorize(ko.assemble_gram(base, ko.L2), ko.d_phi(base))
+        assert optimize._restored_trial(near, targets, fact, ko.MIDPOINT) == ("invalid", None)
 
 
 class TestStepLimits:

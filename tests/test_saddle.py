@@ -141,7 +141,7 @@ class TestProjectedGradient:
         assert np.linalg.norm(jac @ u) <= 1e-10 * np.linalg.norm(u)
         pairing = float(eta @ u)
         assert pairing >= 0.0
-        assert pairing == pytest.approx(gram.inner(u, u), rel=1e-9)
+        assert pairing == pytest.approx(u @ gram.apply(u), rel=1e-9)
         # Stationarity of the full KKT system.
         assert np.allclose(gram.apply(u) + jac.T @ lam, eta,
                            atol=1e-10 * np.linalg.norm(eta))
@@ -179,7 +179,7 @@ class TestPseudoinverse:
         for _ in range(5):
             shift = ko.project_tangent(fact, rng.standard_normal(jac.shape[1]))
             other = u + shift
-            assert gram.inner(u, u) <= gram.inner(other, other) + 1e-10
+            assert u @ gram.apply(u) <= other @ gram.apply(other) + 1e-10
 
 
 class TestProjector:
@@ -202,8 +202,8 @@ class TestProjector:
         proj = ko.project_tangent(fact, u)
         for _ in range(4):
             v = ko.project_tangent(fact, rng.standard_normal(fact.n_primal))
-            inner = gram.inner(u - proj, v)
-            norm_u, norm_v = np.sqrt(gram.inner(u, u)), np.sqrt(gram.inner(v, v))
+            inner = (u - proj) @ gram.apply(v)
+            norm_u, norm_v = np.sqrt(u @ gram.apply(u)), np.sqrt(v @ gram.apply(v))
             assert abs(inner) <= 1e-9 * norm_u * max(norm_v, 1e-30)
 
     def test_linear(self, rng):
