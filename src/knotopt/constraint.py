@@ -90,7 +90,7 @@ class ConstraintRows:
     def apply(self, u) -> np.ndarray:
         """``J u`` for a vertex-major field ``u``."""
         u = np.asarray(u, dtype=float).reshape(self.coef.shape)
-        lengths = np.einsum("ik,ik->i", self.coef, np.roll(u, -1, axis=0) - u)
+        lengths = np.einsum("ik,ik->i", self.coef, _with_next(u))
         if self.moments is None:
             return lengths
         return np.concatenate((lengths, self.moments.T @ lengths + self.mass @ u))
@@ -101,16 +101,26 @@ class ConstraintRows:
         n = len(self.coef)
         nu = lam[:n] if self.moments is None else lam[:n] + self.moments @ lam[n:]
         f = nu[:, None] * self.coef
-        out = np.roll(f, 1, axis=0) - f
+        # Row I is f[I - 1] - f[I], cyclic.
+        out = np.empty_like(f)
+        np.subtract(f[:-1], f[1:], out=out[1:])
+        np.subtract(f[-1], f[0], out=out[0])
         if self.moments is not None:
             out += np.outer(self.mass, lam[n:])
         return out.ravel()
 
 
+def _with_next(a, op=np.subtract):
+    """``op(a[I + 1], a[I])`` for every row I, cyclic."""
+    out = np.empty_like(a)
+    op(a[1:], a[:-1], out=out[:-1])
+    op(a[0], a[-1], out=out[-1])
+    return out
+
+
 def _lengths_and_barycenter(vertices: np.ndarray):
-    nxt = np.roll(vertices, -1, axis=0)
-    lengths = np.linalg.norm(nxt - vertices, axis=1)
-    barycenter = 0.5 * ((nxt + vertices) * lengths[:, None]).sum(axis=0)
+    lengths = np.linalg.norm(_with_next(vertices), axis=1)
+    barycenter = 0.5 * (_with_next(vertices, np.add) * lengths[:, None]).sum(axis=0)
     return lengths, barycenter
 
 

@@ -49,8 +49,14 @@ class GramOperator:
     """Symmetric operator ``scalar (x) I_dim`` realizing a metric at a polygon."""
 
     def __init__(self, scalar: np.ndarray, dim: int):
-        # 0.5 (S + S^T), one row block at a time into the one owned copy.
         scalar = np.asarray(scalar, dtype=float)
+        if scalar.ndim != 2 or scalar.shape[0] != scalar.shape[1]:
+            raise DimensionMismatch(f"scalar matrix of shape {scalar.shape} is not square")
+        if dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {dim}")
+        if not np.isfinite(scalar).all():
+            raise ValueError("scalar matrix has non-finite entries")
+        # 0.5 (S + S^T), one row block at a time into the one owned copy.
         self.scalar = np.empty(scalar.shape)
         for rows in _row_slices(len(scalar)):
             block = self.scalar[rows]

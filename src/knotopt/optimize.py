@@ -41,7 +41,8 @@ iterate sequence and trace (wall-clock columns aside).
 fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
 ``TAU_MAX`` for the Armijo search and implicit Euler, ``WOLFE_C1``,
 ``WOLFE_C2`` and ``LBFGS_HISTORY`` for the penalty methods, the ``TR_*``
-radius rule, Newton gate and Newton CG stop of the trust region,
+radius rule (from a first radius that the first model sets), Newton gate
+and Newton CG stop of the trust region,
 ``IMPLICIT_MAX_NEWTON`` and ``IMPLICIT_NEWTON_TOL`` for implicit Euler's
 Newton loop, the cap ``KRYLOV_MAX_ITER`` of both Krylov loops, and
 ``GRAD_ABS_TOL``, the absolute floor of the gradient stop test.
@@ -75,14 +76,13 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 WOLFE_MAX_TRIALS = 40
 LBFGS_HISTORY = 30
-TR_RADIUS0 = 0.1
 TR_EXPAND = 2.0
 TR_SHRINK = 0.25
 TR_ACCEPT = 0.01
 TR_RATIO_HIGH = 0.75
 TR_RATIO_LOW = 0.25
 TR_NEWTON_GATE = 1e-2    # relative to the initial gradient norm
-TR_CG_TOL = 1e-4         # Newton CG residual, relative to the gradient norm
+TR_CG_TOL = 1e-3         # Newton CG residual, relative to the gradient norm
 KRYLOV_MAX_ITER = 50     # Newton CG iterations, and GMRES's per Newton system
 TR_BASIS_DROP_TOL = 1e-10  # relative metric norm below which a basis vector drops
 IMPLICIT_MAX_NEWTON = 20
@@ -866,8 +866,11 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
     :func:`~knotopt.energy.hessian` operator is built per iterate; it serves
     every CG product and the model Hessian, the basis projection of one
     batched product, and is dropped before the trial loop.  No Hessian is
-    assembled.  Candidates are restored to feasibility before the
-    acceptance ratio is evaluated.
+    assembled.  The first radius is the length of the first model's
+    minimizer along the gradient (Sartenaer 1997), or the gradient's metric
+    length where the model curves down along it; later radii follow
+    :func:`update_trust_radius`.  Candidates are restored to feasibility
+    before the acceptance ratio is evaluated.
 
     ``diagnostics["newton_cg_iters_max"]`` is the largest CG count, and
     ``diagnostics["step_limits"]`` counts the ``TR_STEP_LIMITS``: trials
@@ -878,13 +881,12 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
     ``backtracks``.
     """
     quad = config.quad()
-    radius = TR_RADIUS0
-    prev_grad = newton_gate = None
+    radius = first_radius = prev_grad = newton_gate = None
     limits = diagnostics["step_limits"] = dict.fromkeys(TR_STEP_LIMITS, 0)
     diagnostics["newton_cg_iters_max"] = 0
 
     def step(state, energy_value, targets):
-        nonlocal radius, prev_grad, newton_gate
+        nonlocal radius, first_radius, prev_grad, newton_gate
         if newton_gate is None:
             newton_gate = TR_NEWTON_GATE * state.grad_norm
         candidates = [state.grad]
@@ -909,9 +911,16 @@ def _trust_region(config: OptimizerConfig, diagnostics: dict):
         del hess
         hess_sub = bmat.T @ hess_basis.reshape(len(basis), -1).T
         hess_sub = 0.5 * (hess_sub + hess_sub.T)
+        if radius is None:
+            # The first basis vector is the normalized gradient: start from
+            # the minimizer of the model along it, or from the gradient's
+            # metric length (a unit gradient step) where it curves down.
+            curvature = hess_sub[0, 0]
+            radius = first_radius = (abs(grad_sub[0]) / curvature if curvature > 0.0
+                                     else state.grad_norm)
 
         backtracks = 0
-        while radius > 1e-12 * TR_RADIUS0:
+        while radius > 1e-12 * first_radius:
             z = solve_trust_region_subproblem(hess_sub, grad_sub, radius)
             v = bmat @ z
             if np.linalg.norm(v) == 0.0:

@@ -155,8 +155,10 @@ class SaddleFactorization:
         if rows.moments is not None:  # J u = xi fixes W^T u: the shift's exact term
             eta = eta + np.outer(rows.mass, xi[n:] - rows.moments.T @ xi[:n])
         y = self._inv @ eta
-        lam = scipy.linalg.cho_solve((self._schur, True), rows.apply(y) - xi,
-                                     check_finite=False)
+        lam, info = scipy.linalg.lapack.dpotrs(self._schur, rows.apply(y) - xi,
+                                               lower=1)
+        if info != 0:
+            raise SingularSystem(f"Schur complement solve failed (info {info})")
         u = y - self._inv @ rows.apply_T(lam).reshape(n, -1)
         return np.concatenate((u.ravel(), lam))
 

@@ -142,6 +142,23 @@ class TestOperatorInterface:
         with pytest.raises(ko.DimensionMismatch):
             g.apply(np.ones(7))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_rejects_a_scalar_that_is_not_square(self, shape):
+        with pytest.raises(ko.DimensionMismatch):
+            ko.GramOperator(np.ones(shape), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_scalar(self, bad):
+        scalar = np.eye(4)
+        scalar[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ko.GramOperator(scalar, 2)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_dimension_below_one(self, dim):
+        with pytest.raises(ValueError, match="dimension"):
+            ko.GramOperator(np.eye(4), dim)
+
     def test_solve_round_trip(self, rng):
         # Metric solves go through the penalty preconditioner
         # M = S (x) I_m + alpha J_len^T diag(w) J_len.

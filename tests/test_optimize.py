@@ -542,8 +542,10 @@ class TestTrustRegion:
         monkeypatch.setattr(optimize, "hessian", build)
         monkeypatch.setattr(optimize, "newton_cg", cg)
         monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
+        # grad_tol=0: with the gate open from the start the run would
+        # converge before its fourth iterate.
         result = ko.run(ko.torus_knot(2, 3, 60), OptimizerConfig(
-            method="trust_region", max_iter=4))
+            method="trust_region", max_iter=4, grad_tol=0.0))
         assert result.status == "max_iter"
         assert len(built) == len(cg_calls) == len(result.trace) - 1
         for (spy, batches), (hess, iters) in zip(built, cg_calls):
@@ -560,6 +562,37 @@ class TestTrustRegion:
         assert result.status == "max_iter"
         assert result.diagnostics["newton_directions"] == 0
         assert result.diagnostics["newton_cg_iters_max"] == 1
+
+    @pytest.mark.parametrize("n", [60, 240])
+    def test_first_radius_is_the_first_models_minimizer(self, n):
+        # No iteration is spent growing the radius: the first step is the
+        # minimizer of the model along the gradient, |g|^3 / <grad, H grad>.
+        iterates = []
+        result = ko.run(ko.torus_knot(2, 3, n), OptimizerConfig(method="trust_region"),
+                        on_iterate=lambda i, polygon: iterates.append(polygon))
+        assert result.converged
+        assert result.trace[-1].iteration <= 6
+        p = iterates[0]
+        state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
+        h_grad = ko.hessian(p, ko.MIDPOINT)(state.grad.reshape(1, *p.vertices.shape))
+        minimizer = state.grad_norm**3 / float(state.grad @ h_grad.ravel())
+        assert result.trace[1].step_size == pytest.approx(minimizer, rel=1e-8)
+
+    def test_first_radius_without_curvature_is_the_gradient_length(self, monkeypatch):
+        # Where the model curves down along the gradient it has no
+        # minimizer there; the first radius is a unit gradient step.
+        radii = []
+        subproblem = optimize.solve_trust_region_subproblem
+
+        def spy(hess, grad, radius):
+            radii.append(radius)
+            return subproblem(hess, grad, radius)
+
+        monkeypatch.setattr(optimize, "hessian", lambda polygon, quad: lambda v: -v)
+        monkeypatch.setattr(optimize, "solve_trust_region_subproblem", spy)
+        result = ko.run(ko.coiled_unknot(48, windings=2),
+                        OptimizerConfig(method="trust_region", max_iter=1))
+        assert radii[0] == result.trace[0].grad_norm
 
     def test_closed_gate_uses_gradient_and_momentum_only(self, monkeypatch):
         p = ko.coiled_unknot(48, windings=2)
