@@ -324,12 +324,15 @@ def first_collision_step(vertices, displacement, tau_max: float) -> float:
     the wake table, later the last ``best`` past the new ``tau``), then
     those up to ``tau + best`` of what it computed; a ``best`` that ends
     the query at ``tau_max`` caps both.  Each computed pair gets a new
-    ``K`` as soon as its batch is done.
+    ``K`` as soon as its batch is done.  A ``tau_max`` that is not positive
+    and finite, or a non-finite vertex or displacement, is a ``ValueError``.
     """
     v = np.asarray(vertices, dtype=float)
     u = np.asarray(displacement, dtype=float).reshape(v.shape)
-    if tau_max <= 0.0:
-        raise ValueError("tau_max must be positive")
+    if not (np.isfinite(tau_max) and tau_max > 0.0):
+        raise ValueError("tau_max must be positive and finite")
+    if not (np.isfinite(v).all() and np.isfinite(u).all()):
+        raise ValueError("vertices and displacement must be finite")
 
     n = len(v)
     eps_contact = CONTACT_SCALE * max(_polyline_length(v), np.finfo(float).tiny)

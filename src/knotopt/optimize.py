@@ -24,8 +24,7 @@ picks the family and builds the shared diagnostics and the family's
 generator of accepted iterates, which calls the step.  One loop,
 ``_drive``, records the trace, calls ``on_iterate`` and decides the status:
 
-  * ``converged``: the gradient norm reached the tolerance, or the method
-    found no direction left to move in;
+  * ``converged``: the gradient norm reached the tolerance;
   * ``max_iter``: ``max_iter`` steps were taken;
   * ``budget``: the wall-clock budget ran out;
   * ``linesearch_failure``: no acceptable step was found;
@@ -41,11 +40,12 @@ iterate sequence and trace (wall-clock columns aside).
 fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
 ``TAU_MAX`` for the Armijo search and implicit Euler, ``WOLFE_C1``,
 ``WOLFE_C2`` and ``LBFGS_HISTORY`` for the penalty methods, the ``TR_*``
-radius rule (from a first radius that the first model sets), Newton gate
-and Newton CG stop of the trust region,
+radius rule (from a first radius that the first model sets) and the floor
+``TR_CG_TOL`` of the trust region's CG forcing term,
 ``IMPLICIT_MAX_NEWTON`` and ``IMPLICIT_NEWTON_TOL`` for implicit Euler's
-Newton loop, the cap ``KRYLOV_MAX_ITER`` of both Krylov loops, and
-``GRAD_ABS_TOL``, the absolute floor of the gradient stop test.
+Newton loop, the cap ``KRYLOV_MAX_ITER`` of the trust region's CG and of
+implicit Euler's GMRES, and ``GRAD_ABS_TOL``, the absolute floor of the
+gradient stop test.
 Restoration runs with the defaults of :func:`restore_feasibility`.
 """
 
@@ -61,7 +61,7 @@ from .curve import Polygon
 from .energy import QuadratureRule, d_energy, energy, hessian
 from .errors import KnotOptError, LineSearchFailure, NewtonInnerFailure
 from .metric import METRICS, GramOperator, assemble_gram
-from .saddle import SOLVE_TOL, factorize, project_tangent, projected_gradient
+from .saddle import SOLVE_TOL, factorize, projected_gradient
 
 FEASIBLE_METHODS = ("projgd", "implicit_euler_l2", "trust_region")
 PENALTY_METHODS = ("ncg", "lbfgs", "nesterov")
@@ -81,10 +81,8 @@ TR_SHRINK = 0.25
 TR_ACCEPT = 0.01
 TR_RATIO_HIGH = 0.75
 TR_RATIO_LOW = 0.25
-TR_NEWTON_GATE = 1e-2    # relative to the initial gradient norm
-TR_CG_TOL = 1e-3         # Newton CG residual, relative to the gradient norm
-KRYLOV_MAX_ITER = 50     # Newton CG iterations, and GMRES's per Newton system
-TR_BASIS_DROP_TOL = 1e-10  # relative metric norm below which a basis vector drops
+TR_CG_TOL = 1e-3         # floor of the trust region's CG forcing term
+KRYLOV_MAX_ITER = 50     # CG iterations per path, GMRES's per Newton system
 IMPLICIT_MAX_NEWTON = 20
 IMPLICIT_NEWTON_TOL = 1e-9  # Newton residual, relative to the warm start's
 
@@ -166,8 +164,7 @@ def _drive(points, config: OptimizerConfig, diagnostics: dict, on_iterate) -> Op
 
     ``points`` yields ``(polygon, row)`` for each accepted iterate, ``row``
     holding the trace columns after ``time_s``; pulling the next pair takes
-    one step, and the generator ends when the method finds no direction
-    left.
+    one step.
     """
     t0 = time.perf_counter()
     trace: list[TraceRecord] = []
@@ -254,10 +251,9 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
     An infeasible input is first restored onto the constraint set.  At
     each iterate the metric, the saddle factorization and the projected
     gradient are rebuilt, then ``step(state, energy, targets)`` returns the
-    next :class:`StepOutcome`, or ``None`` when no direction is left.  The
-    largest refinement count and final relative residual of the solves on
-    these factorizations are kept in ``diagnostics`` as
-    ``saddle_refinements_max`` and ``saddle_residual_max``.
+    next :class:`StepOutcome`.  The largest refinement count and final
+    relative residual of the solves on these factorizations are kept in
+    ``diagnostics`` as ``saddle_refinements_max`` and ``saddle_residual_max``.
     """
     quad = config.quad()
     if not phi(polygon, targets).is_feasible(targets.total):
@@ -267,7 +263,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
         _note_solves(diagnostics, fact)
         polygon = Polygon(restored)
     outcome = StepOutcome(polygon, 0.0, float(energy(polygon, quad)), 0, 0)
-    while outcome is not None:
+    while True:
         polygon = outcome.polygon
         state = _prepare_state(polygon, metric, quad)
         _note_solves(diagnostics, state.fact)
@@ -738,60 +734,72 @@ def _nesterov(problem, diagnostics: dict):
 
 
 # ---------------------------------------------------------------------------
-# Trust region over a low-dimensional subspace
+# Trust region along the Steihaug-Toint path
 
 
-def solve_trust_region_subproblem(hess: np.ndarray, grad: np.ndarray,
-                                  radius: float) -> np.ndarray:
-    """Exact minimizer of ``g.z + z.H z / 2`` on a small Euclidean ball."""
-    w, q = np.linalg.eigh(hess)
-    gq = q.T @ grad
+def _crossing(norm, radius: float) -> float:
+    """The ``t >= 0`` where a segment's metric norm reaches ``radius``."""
+    if radius == np.inf:
+        return np.inf
+    gap = max(radius**2 - norm[2], 0.0)
+    half = 0.5 * norm[1]
+    return gap / (half + np.sqrt(half**2 + norm[0] * gap))
 
-    if w.min() > 0.0:
-        z = -gq / w
-        if np.linalg.norm(z) <= radius:
-            return q @ z
 
-    lam0 = max(0.0, -float(w.min()))
+def steihaug_path(state, hess, radius: float, tol: float):
+    """The Steihaug-Toint path of projected preconditioned CG.
 
-    def norm_at(lam):
-        denom = w + lam
-        safe = np.abs(denom) > 1e-300
-        return np.linalg.norm(np.where(safe, gq / np.where(safe, denom, 1.0), 0.0))
-
-    # Hard case: no gradient component on the lowest eigenspace and the
-    # limiting solution lies inside the ball; pad along that eigenvector.
-    degenerate = np.abs(w + lam0) <= 1e-12 * max(1.0, float(np.abs(w).max()))
-    if lam0 > 0.0 and np.all(
-        np.abs(gq[degenerate]) <= 1e-12 * max(1.0, float(np.linalg.norm(gq)))
-    ):
-        denom = np.where(degenerate, 1.0, w + lam0)
-        z = np.where(degenerate, 0.0, -gq / denom)
-        miss = radius**2 - float(z @ z)
-        if miss >= 0.0:
-            direction = np.zeros_like(gq)
-            direction[int(np.argmax(degenerate))] = 1.0
-            return q @ (z + np.sqrt(miss) * direction)
-
-    lo = lam0
-    hi = lam0 + max(1.0, float(np.linalg.norm(gq)) / radius)
-    while norm_at(hi) > radius:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) > radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
+    Runs CG on ``H x + J^T lam = -eta``, ``J x = 0`` from ``x = 0`` with the
+    products of ``hess``, the iterate's :func:`~knotopt.energy.hessian`
+    operator, and the constraint preconditioner ``[[G, J^T], [J, 0]]``
+    (Gould, Hribar & Nocedal 2001): each preconditioned residual is the
+    projected gradient of the residual on the iterate's own saddle
+    factorization, so the path stays in the constraint kernel, and its
+    metric norm grows along it (Steihaug 1983).  The path stops where that
+    norm reaches ``radius``, at the first direction of non-positive
+    curvature (it then runs on along that direction to ``radius``), once
+    the residual's dual norm falls to ``tol`` times the gradient norm, or
+    after ``KRYLOV_MAX_ITER`` iterations.  Returns ``(segments,
+    iterations)``, the iterations being Hessian products.  A segment
+    ``(x, p, end, model, norm)`` holds the points ``x + t p``,
+    ``0 <= t <= end``, and the coefficients ``(c2, c1, c0)`` of
+    ``c2 t^2 + c1 t + c0`` for the model ``m(v) = eta.v + v.H v / 2``,
+    which falls along the path, and for the squared metric norm there.
+    """
+    shape = (1,) + state.polygon.vertices.shape
+    x = np.zeros_like(state.eta)
+    r, g, rg = state.eta, state.grad, state.grad_norm**2
+    p, value, size = -g, 0.0, 0.0
+    segments = []
+    for it in range(1, KRYLOV_MAX_ITER + 1):
+        hp = hess(p.reshape(shape)).ravel()
+        gp = state.fact.gram.apply(p)
+        curvature = float(p @ hp)
+        model = (0.5 * curvature, float(r @ p), value)
+        norm = (float(p @ gp), 2.0 * float(x @ gp), size)
+        step = rg / curvature if curvature > 0.0 else np.inf
+        end = min(step, _crossing(norm, radius))
+        segments.append((x, p, end, model, norm))
+        if end < step or step == np.inf:
             break
-    lam = hi
-    denom = w + lam
-    z = -gq / np.where(np.abs(denom) > 1e-300, denom, 1e-300)
-    norm = float(np.linalg.norm(z))
-    if norm > radius > 0.0:
-        z *= radius / norm
-    return q @ z
+        x, r = x + step * p, r + step * hp
+        value, size = np.polyval(model, step), np.polyval(norm, step)
+        g, _ = projected_gradient(state.fact, r)
+        rg, rg_prev = float(r @ g), rg
+        if rg <= (tol * state.grad_norm) ** 2:
+            break
+        p = -g + (rg / rg_prev) * p
+    return segments, it
+
+
+def path_point(segments, radius: float):
+    """The point ``v`` of a Steihaug path at metric norm ``radius``, or its
+    end; returns ``(v, m(v), metric norm of v)``."""
+    for x, p, end, model, norm in segments:
+        t = min(end, _crossing(norm, radius))
+        if t < end:
+            break
+    return x + t * p, np.polyval(model, t), float(np.sqrt(np.polyval(norm, t)))
 
 
 def update_trust_radius(radius: float, ratio: float, hit_boundary: bool) -> float:
@@ -803,150 +811,77 @@ def update_trust_radius(radius: float, ratio: float, hit_boundary: bool) -> floa
     return radius
 
 
-def _gram_orthonormalize(vectors, gram):
-    """Modified Gram-Schmidt in the metric inner product."""
-    basis = []
-    ref = None
-    for v in vectors:
-        u = np.asarray(v, dtype=float).copy()
-        for _ in range(2):
-            for b in basis:
-                u = u - float(b @ gram.apply(u)) * b
-        norm = float(np.sqrt(max(u @ gram.apply(u), 0.0)))
-        if ref is None:
-            ref = norm
-        if norm > TR_BASIS_DROP_TOL * max(ref, 1.0):
-            basis.append(u / norm)
-    return basis
-
-
-def newton_cg(state, hess):
-    """Newton direction by projected preconditioned CG.
-
-    Approximately solves ``H x + J^T lam = -eta``, ``J x = 0`` with the
-    products of ``hess``, the iterate's :func:`~knotopt.energy.hessian`
-    operator, whose shared tables are built before CG starts, and the
-    constraint preconditioner ``[[G, J^T], [J, 0]]`` (Gould, Hribar &
-    Nocedal 2001): each preconditioned residual is the projected gradient
-    of the residual on the iteration's own saddle factorization, so every
-    iterate stays in the constraint kernel.  CG stops once the residual's dual norm falls to
-    ``TR_CG_TOL`` times the gradient norm, after ``KRYLOV_MAX_ITER``
-    iterations, or at the first direction of non-positive curvature
-    (Steihaug 1983), returning the iterate reached; there is none when the
-    first direction has non-positive curvature.  Returns ``(x or None,
-    iterations)``.
-    """
-    shape = (1,) + state.polygon.vertices.shape
-    x = np.zeros_like(state.eta)
-    r, g, rg = state.eta, state.grad, state.grad_norm**2
-    p = -g
-    for it in range(1, KRYLOV_MAX_ITER + 1):
-        hp = hess(p.reshape(shape)).ravel()
-        curvature = float(p @ hp)
-        if not curvature > 0.0:
-            return (x if it > 1 else None), it
-        alpha = rg / curvature
-        x = x + alpha * p
-        r = r + alpha * hp
-        g, _ = projected_gradient(state.fact, r)
-        rg, rg_prev = float(r @ g), rg
-        if rg <= (TR_CG_TOL * state.grad_norm) ** 2:
-            break
-        p = -g + (rg / rg_prev) * p
-    return x, it
-
-
 def _trust_region(config: OptimizerConfig, diagnostics: dict):
-    """Subspace trust region: gradient, momentum, and a gated Newton direction.
+    """Trust region along the Steihaug-Toint path of projected CG.
 
-    The model is minimized exactly inside a metric ball over the span of
-    the current projected gradient, the previous gradient projected onto
-    the current tangent space, and (once the gradient is short enough) the
-    Newton direction of :func:`newton_cg`.  One
-    :func:`~knotopt.energy.hessian` operator is built per iterate; it serves
-    every CG product and the model Hessian, the basis projection of one
-    batched product, and is dropped before the trial loop.  No Hessian is
-    assembled.  The first radius is the length of the first model's
-    minimizer along the gradient (Sartenaer 1997), or the gradient's metric
-    length where the model curves down along it; later radii follow
-    :func:`update_trust_radius`.  Candidates are restored to feasibility
-    before the acceptance ratio is evaluated.
+    Each step is the point of :func:`steihaug_path` at the trust radius, on
+    one :func:`~knotopt.energy.hessian` operator per iterate.  CG stops at
+    the forcing term ``max(TR_CG_TOL, |g| / |g0|)`` (Eisenstat & Walker
+    1996), ``g0`` the first iterate's gradient: the path is short while the
+    gradient is long and a Newton step near a minimizer.  The first radius
+    is the length of the first CG step, the first model's minimizer along
+    the gradient (Sartenaer 1997), or the gradient's metric length where
+    the model curves down; later radii follow :func:`update_trust_radius`.
+    A rejected trial shrinks the radius to ``TR_SHRINK`` times the shorter
+    of the radius and the step tried, and reads the same path again.
+    Candidates are restored to feasibility before the acceptance ratio is
+    evaluated.
 
-    ``diagnostics["newton_cg_iters_max"]`` is the largest CG count, and
-    ``diagnostics["step_limits"]`` counts the ``TR_STEP_LIMITS``: trials
-    whose model step the contact bound scaled (``collision``), then per cut
-    trial ``restoration`` (it failed), ``invalid`` (self-intersection,
-    degenerate edge, coincident points) or ``ratio`` (poor acceptance
-    ratio or no predicted decrease).  The cuts sum to the trace's
-    ``backtracks``.
+    ``diagnostics["newton_cg_iters_max"]`` is the largest CG count of one
+    path, and ``diagnostics["step_limits"]`` counts the
+    ``TR_STEP_LIMITS``: trials whose model step the contact bound scaled
+    (``collision``), then per cut trial ``restoration`` (it failed),
+    ``invalid`` (self-intersection, degenerate edge, coincident points) or
+    ``ratio`` (poor acceptance ratio or no predicted decrease).  The cuts
+    sum to the trace's ``backtracks``.
     """
     quad = config.quad()
-    radius = first_radius = prev_grad = newton_gate = None
+    radius = first_radius = first_grad_norm = None
     limits = diagnostics["step_limits"] = dict.fromkeys(TR_STEP_LIMITS, 0)
     diagnostics["newton_cg_iters_max"] = 0
 
     def step(state, energy_value, targets):
-        nonlocal radius, first_radius, prev_grad, newton_gate
-        if newton_gate is None:
-            newton_gate = TR_NEWTON_GATE * state.grad_norm
-        candidates = [state.grad]
-        if prev_grad is not None:
-            candidates.append(project_tangent(state.fact, prev_grad))
-        hess = hessian(state.polygon, quad)
-        if state.grad_norm < newton_gate:
-            newton_dir, cg_iters = newton_cg(state, hess)
-            diagnostics["newton_cg_iters_max"] = max(
-                diagnostics["newton_cg_iters_max"], cg_iters)
-            if newton_dir is not None:
-                candidates.append(newton_dir)
-                diagnostics["newton_directions"] += 1
-        basis = _gram_orthonormalize(candidates, state.fact.gram)
-        prev_grad = state.grad
-        if not basis:
-            return None
-        vertices = state.polygon.vertices
-        bmat = np.column_stack(basis)
-        grad_sub = bmat.T @ state.eta
-        hess_basis = hess(bmat.T.reshape((-1,) + vertices.shape))
-        del hess
-        hess_sub = bmat.T @ hess_basis.reshape(len(basis), -1).T
-        hess_sub = 0.5 * (hess_sub + hess_sub.T)
+        nonlocal radius, first_radius, first_grad_norm
+        if first_grad_norm is None:
+            first_grad_norm = state.grad_norm
+        tol = max(TR_CG_TOL, state.grad_norm / first_grad_norm)
+        segments, cg_iters = steihaug_path(state, hessian(state.polygon, quad),
+                                           np.inf if radius is None else radius, tol)
+        diagnostics["newton_cg_iters_max"] = max(
+            diagnostics["newton_cg_iters_max"], cg_iters)
         if radius is None:
-            # The first basis vector is the normalized gradient: start from
-            # the minimizer of the model along it, or from the gradient's
-            # metric length (a unit gradient step) where it curves down.
-            curvature = hess_sub[0, 0]
-            radius = first_radius = (abs(grad_sub[0]) / curvature if curvature > 0.0
-                                     else state.grad_norm)
+            # The first segment runs along the gradient: start from the
+            # model's minimizer there, or from the gradient's metric length
+            # (a unit gradient step) where the model curves down.
+            end = segments[0][2]
+            radius = first_radius = state.grad_norm * (end if end < np.inf else 1.0)
 
+        vertices = state.polygon.vertices
         backtracks = 0
         while radius > 1e-12 * first_radius:
-            z = solve_trust_region_subproblem(hess_sub, grad_sub, radius)
-            v = bmat @ z
-            if np.linalg.norm(v) == 0.0:
-                break
+            v, model, length = path_point(segments, radius)
             cap, scale = collision.step_bounds(vertices, v.reshape(vertices.shape), 1.0)
             if cap < 1.0:
-                z = z * scale
-                v = bmat @ z
+                # The model is quadratic along v.
+                slope = float(state.eta @ v)
+                v, length = scale * v, scale * length
+                model = scale * slope + scale**2 * (model - slope)
                 limits["collision"] += 1
-            predicted = -(float(grad_sub @ z) + 0.5 * float(z @ hess_sub @ z))
             cause = "ratio"
-            if predicted > 0.0:
+            if model < 0.0:
                 cause, trial = _restored_trial(vertices + v.reshape(vertices.shape),
                                                targets, state.fact, quad)
             if cause is None:
                 candidate, trial_energy, newton_iters = trial
-                ratio = (energy_value - trial_energy) / predicted
+                ratio = (energy_value - trial_energy) / -model
                 if ratio >= TR_ACCEPT:
-                    radius = update_trust_radius(
-                        radius, ratio, np.linalg.norm(z) >= 0.99 * radius
-                    )
-                    return StepOutcome(candidate, float(np.linalg.norm(z)),
-                                       trial_energy, backtracks, newton_iters)
+                    radius = update_trust_radius(radius, ratio,
+                                                 length >= 0.99 * radius)
+                    return StepOutcome(candidate, length, trial_energy,
+                                       backtracks, newton_iters)
                 cause = "ratio"
             # Every cut shrinks: a rejected ratio lies below TR_RATIO_LOW.
-            radius *= TR_SHRINK
+            radius = TR_SHRINK * min(radius, length)
             limits[cause] += 1
             backtracks += 1
         raise LineSearchFailure(f"no acceptable step after {backtracks} trials")
@@ -983,8 +918,7 @@ def run(polygon: Polygon, config: OptimizerConfig,
     elif len(targets.lengths) != polygon.num_vertices:
         raise ValueError(f"{len(targets.lengths)} target lengths for a polygon "
                          f"of {polygon.num_vertices} edges")
-    diagnostics = {"max_tangent_defect": 0.0, "newton_directions": 0,
-                   "momentum_resets": 0}
+    diagnostics = {"max_tangent_defect": 0.0, "momentum_resets": 0}
     build = _STEPS[config.method]
     if config.method in FEASIBLE_METHODS:
         diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0)

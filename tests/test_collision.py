@@ -287,6 +287,25 @@ class TestFirstCollisionStep:
         with pytest.raises((ko.AlreadyColliding, ko.KnotOptError)):
             ko.first_collision_step(vertices, np.zeros((4, 2)), 1.0)
 
+    @pytest.mark.parametrize("tau_max", [np.nan, np.inf])
+    def test_non_finite_tau_max_rejected(self, tau_max, rng):
+        p = ko.coiled_unknot(48, windings=2)
+        u = 1e-2 * rng.standard_normal(p.vertices.shape)
+        with pytest.raises(ValueError, match="tau_max"):
+            ko.first_collision_step(p.vertices, u, tau_max)
+        with pytest.raises(ValueError, match="tau_max"):
+            ko.step_bounds(p.vertices, u, tau_max)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["vertices", "displacement"])
+    def test_non_finite_motion_rejected(self, where, bad, rng):
+        p = ko.coiled_unknot(48, windings=2)
+        arrays = {"vertices": p.vertices.copy(),
+                  "displacement": 1e-2 * rng.standard_normal(p.vertices.shape)}
+        arrays[where][5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ko.first_collision_step(arrays["vertices"], arrays["displacement"], 1.0)
+
     def test_soundness_property(self):
         # For any tau below the reported bound, the brute-force pair
         # distances at the displaced polygon stay strictly positive.

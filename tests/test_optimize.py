@@ -7,9 +7,8 @@ import scipy.linalg
 import knotopt as ko
 from knotopt import optimize
 from knotopt.optimize import (METHODS, OptimizerConfig, PenaltyProblem,
-                              implicit_step, pr_plus_direction,
-                              solve_trust_region_subproblem,
-                              update_trust_radius, _prepare_state)
+                              implicit_step, path_point, pr_plus_direction,
+                              steihaug_path, update_trust_radius, _prepare_state)
 import pairlist_oracle as oracle
 from conftest import dense, fail_on_call, random_embedded_polygon
 
@@ -423,40 +422,6 @@ class TestPenaltyDrivers:
         assert result.diagnostics["momentum_resets"] >= 0
 
 
-class TestTrustRegionSubproblem:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_sampling_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = 3
-        h = rng.standard_normal((dim, dim))
-        h = 0.5 * (h + h.T)
-        if seed % 2:
-            h += dim * np.eye(dim)  # mix definite and indefinite cases
-        g = rng.standard_normal(dim)
-        radius = 0.8
-        z = solve_trust_region_subproblem(h, g, radius)
-        assert np.linalg.norm(z) <= radius + 1e-9
-
-        def model(pts):
-            return pts @ g + 0.5 * np.einsum("ij,jk,ik->i", pts, h, pts)
-
-        samples = rng.standard_normal((60000, dim))
-        samples /= np.linalg.norm(samples, axis=1)[:, None]
-        radii = radius * rng.uniform(0, 1, 60000) ** (1 / dim)
-        interior = samples * radii[:, None]
-        boundary = radius * samples
-        best = min(model(interior).min(), model(boundary).min())
-        value = float(g @ z + 0.5 * z @ h @ z)
-        assert value <= best + 1e-4 * max(1.0, abs(best))
-
-    def test_hard_case_pads_to_radius(self):
-        h = np.diag([-2.0, 1.0, 3.0])
-        g = np.array([0.0, 0.5, -0.3])  # no component on the lowest mode
-        radius = 1.0
-        z = solve_trust_region_subproblem(h, g, radius)
-        assert np.linalg.norm(z) == pytest.approx(radius, rel=1e-8)
-
-
 class TestTrustRegion:
     def test_radius_update_rule(self):
         # Rejected or poor step shrinks.
@@ -469,13 +434,11 @@ class TestTrustRegion:
         # Middling ratio keeps the radius.
         assert update_trust_radius(0.1, 0.5, True) == 0.1
 
-    def test_newton_phase_near_minimizer(self, monkeypatch):
+    def test_newton_phase_near_minimizer(self):
         p = ko.perturbed_circle(32)
         warm = ko.run(p, OptimizerConfig(max_iter=10))
-        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 0.5)
         result = ko.run(warm.polygon, OptimizerConfig(
             method="trust_region", max_iter=20, grad_tol=1e-4))
-        assert result.diagnostics["newton_directions"] >= 1
         assert result.converged
         assert result.trace[-1].iteration <= 15
         assert all(r.phi_inf <= 1e-8 for r in result.trace)
@@ -485,45 +448,67 @@ class TestTrustRegion:
         assert gnorms[-1] <= 1e-4 * gnorms[0]
         assert min(b / a for a, b in zip(gnorms, gnorms[1:])) <= 0.1
 
-    def test_newton_cg_matches_dense_direction(self, monkeypatch):
-        # At the gated iterate of the symmetric trefoil the right-hand side
-        # has no component on the near-null modes of the projected Hessian,
-        # so the dense Newton direction is well defined.  (Near the round
+    @staticmethod
+    def small_gradient_state(n):
+        """State of the first w32 projected-gradient iterate of the trefoil
+        whose gradient is below 1e-2 of the first one."""
+        iterates = []
+        result = ko.run(ko.torus_knot(2, 3, n), OptimizerConfig(max_iter=200),
+                        on_iterate=lambda i, polygon: iterates.append(polygon))
+        gnorms = [r.grad_norm for r in result.trace]
+        k = next(i for i, g in enumerate(gnorms) if g < 1e-2 * gnorms[0])
+        return _prepare_state(iterates[k], ko.W32_GEOMETRIC, ko.MIDPOINT)
+
+    def test_newton_cg_matches_dense_direction(self):
+        # At this iterate of the symmetric trefoil the right-hand side has
+        # no component on the near-null modes of the projected Hessian, so
+        # the dense Newton direction is well defined.  (Near the round
         # circle it is not: a planar rotation has zero curvature by scale
         # invariance, and the dense solve amplifies rounding along it.)
-        monkeypatch.setattr(optimize, "TR_CG_TOL", 1e-8)
-        calls = []
-        newton_cg = optimize.newton_cg
-
-        def spy(state, hess):
-            calls.append((state, newton_cg(state, hess)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(optimize, "newton_cg", spy)
-        result = ko.run(ko.torus_knot(2, 3, 60), OptimizerConfig(method="trust_region"))
-        assert result.converged and calls
-        for state, (direction, _) in calls:
-            hess, rows = oracle.d2_energy(state.polygon), dense(state.fact.jacobian)
-            kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
-            rhs = np.concatenate((-state.eta, np.zeros(len(rows))))
-            reference = np.linalg.solve(kkt, rhs)[:len(hess)]
-            assert np.linalg.norm(direction - reference) <= 1e-6 * np.linalg.norm(reference)
+        state = self.small_gradient_state(60)
+        segments, _ = steihaug_path(state, ko.hessian(state.polygon, ko.MIDPOINT),
+                                    np.inf, 1e-8)
+        direction = path_point(segments, np.inf)[0]
+        hess, rows = oracle.d2_energy(state.polygon), dense(state.fact.jacobian)
+        kkt = np.block([[hess, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+        rhs = np.concatenate((-state.eta, np.zeros(len(rows))))
+        reference = np.linalg.solve(kkt, rhs)[:len(hess)]
+        assert np.linalg.norm(direction - reference) <= 1e-6 * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("n", [60, 120, 240])
-    def test_newton_cg_iterations_independent_of_n(self, n, monkeypatch):
-        # Solved to 1e-8, not to the default TR_CG_TOL: the count of a
-        # tight solve stays flat in N.
-        monkeypatch.setattr(optimize, "TR_CG_TOL", 1e-8)
-        result = ko.run(ko.torus_knot(2, 3, n), OptimizerConfig(method="trust_region"))
-        assert result.converged
-        assert result.diagnostics["newton_directions"] >= 1
-        assert 1 <= result.diagnostics["newton_cg_iters_max"] <= 20
+    def test_newton_cg_iterations_independent_of_n(self, n):
+        # Solved to 1e-8, not to the trust region's forcing term: the count
+        # of a tight solve stays flat in N.
+        state = self.small_gradient_state(n)
+        segments, iters = steihaug_path(
+            state, ko.hessian(state.polygon, ko.MIDPOINT), np.inf, 1e-8)
+        assert segments[-1][2] < np.inf
+        assert 1 <= iters <= 20
+
+    def test_path_ends_on_the_boundary_in_the_kernel(self):
+        p = ko.torus_knot(2, 3, 60)
+        state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
+        hess = ko.hessian(p, ko.MIDPOINT)
+        newton, _ = steihaug_path(state, hess, np.inf, 1e-8)
+        # Between the ends of the second and third CG steps.
+        radius = 0.5 * sum(path_point(newton[:k], np.inf)[2] for k in (2, 3))
+        segments, iters = steihaug_path(state, hess, radius, 1e-8)
+        assert iters == len(segments) == 3
+        v, model, length = path_point(segments, radius)
+        assert np.sqrt(v @ state.fact.gram.apply(v)) == pytest.approx(radius, rel=1e-12)
+        assert length == pytest.approx(radius, rel=1e-12)
+        assert np.linalg.norm(state.fact.jacobian.apply(v)) <= 1e-9 * np.linalg.norm(v)
+        direct = state.eta @ v + 0.5 * v @ hess(v.reshape(1, *p.vertices.shape)).ravel()
+        assert model == pytest.approx(direct, rel=1e-9)
+        ends = [0.0] + [path_point(segments[:k], np.inf)[1]
+                        for k in range(1, len(segments) + 1)]
+        assert all(b < a for a, b in zip(ends, ends[1:]))
 
     def test_one_hessian_operator_per_iterate(self, monkeypatch):
-        # Every iterate builds one operator.  Newton CG makes all its
-        # one-field products with it, and the basis product is its last.
-        built, cg_calls = [], []
-        hessian, newton_cg = optimize.hessian, optimize.newton_cg
+        # Every iterate builds one operator, and CG makes all its products
+        # with it, one field each.
+        built, paths = [], []
+        hessian, path = optimize.hessian, optimize.steihaug_path
 
         def build(polygon, quad):
             apply, batches = hessian(polygon, quad), []
@@ -534,33 +519,31 @@ class TestTrustRegion:
             built.append((spy, batches))
             return spy
 
-        def cg(state, hess):
-            direction, iters = newton_cg(state, hess)
-            cg_calls.append((hess, iters))
-            return direction, iters
+        def cg(state, hess, radius, tol):
+            segments, iters = path(state, hess, radius, tol)
+            paths.append((hess, iters))
+            return segments, iters
 
         monkeypatch.setattr(optimize, "hessian", build)
-        monkeypatch.setattr(optimize, "newton_cg", cg)
-        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
-        # grad_tol=0: with the gate open from the start the run would
-        # converge before its fourth iterate.
+        monkeypatch.setattr(optimize, "steihaug_path", cg)
         result = ko.run(ko.torus_knot(2, 3, 60), OptimizerConfig(
-            method="trust_region", max_iter=4, grad_tol=0.0))
+            method="trust_region", max_iter=3, grad_tol=0.0))
         assert result.status == "max_iter"
-        assert len(built) == len(cg_calls) == len(result.trace) - 1
-        for (spy, batches), (hess, iters) in zip(built, cg_calls):
+        assert len(built) == len(paths) == len(result.trace) - 1
+        for (spy, batches), (hess, iters) in zip(built, paths):
             assert hess is spy
-            assert batches[:-1] == [1] * iters and batches[-1] >= 2
+            assert batches == [1] * iters
 
     def test_negative_first_curvature_gives_no_newton_direction(self, monkeypatch):
         p = ko.coiled_unknot(48, windings=2)
         monkeypatch.setattr(optimize, "hessian", lambda polygon, quad: lambda v: -v)
         state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
-        assert optimize.newton_cg(state, lambda v: -v) == (None, 1)
-        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e3)
+        segments, iters = steihaug_path(state, lambda v: -v, state.grad_norm, 1e-3)
+        assert iters == len(segments) == 1
+        assert np.array_equal(segments[0][1], -state.grad)
+        assert path_point(segments, np.inf)[2] == pytest.approx(state.grad_norm, rel=1e-12)
         result = ko.run(p, OptimizerConfig(method="trust_region", max_iter=3))
         assert result.status == "max_iter"
-        assert result.diagnostics["newton_directions"] == 0
         assert result.diagnostics["newton_cg_iters_max"] == 1
 
     @pytest.mark.parametrize("n", [60, 240])
@@ -571,7 +554,7 @@ class TestTrustRegion:
         result = ko.run(ko.torus_knot(2, 3, n), OptimizerConfig(method="trust_region"),
                         on_iterate=lambda i, polygon: iterates.append(polygon))
         assert result.converged
-        assert result.trace[-1].iteration <= 6
+        assert result.trace[-1].iteration <= 4
         p = iterates[0]
         state = _prepare_state(p, ko.W32_GEOMETRIC, ko.MIDPOINT)
         h_grad = ko.hessian(p, ko.MIDPOINT)(state.grad.reshape(1, *p.vertices.shape))
@@ -581,27 +564,41 @@ class TestTrustRegion:
     def test_first_radius_without_curvature_is_the_gradient_length(self, monkeypatch):
         # Where the model curves down along the gradient it has no
         # minimizer there; the first radius is a unit gradient step.
-        radii = []
-        subproblem = optimize.solve_trust_region_subproblem
+        paths, reads = [], []
+        path, point = optimize.steihaug_path, optimize.path_point
 
-        def spy(hess, grad, radius):
-            radii.append(radius)
-            return subproblem(hess, grad, radius)
+        def spy_path(state, hess, radius, tol):
+            paths.append((state, path(state, hess, radius, tol)))
+            return paths[-1][1]
+
+        def spy_point(segments, radius):
+            reads.append((segments, radius))
+            return point(segments, radius)
 
         monkeypatch.setattr(optimize, "hessian", lambda polygon, quad: lambda v: -v)
-        monkeypatch.setattr(optimize, "solve_trust_region_subproblem", spy)
+        monkeypatch.setattr(optimize, "steihaug_path", spy_path)
+        monkeypatch.setattr(optimize, "path_point", spy_point)
         result = ko.run(ko.coiled_unknot(48, windings=2),
                         OptimizerConfig(method="trust_region", max_iter=1))
-        assert radii[0] == result.trace[0].grad_norm
+        state, (segments, iters) = paths[0]
+        assert iters == len(segments) == 1
+        assert np.array_equal(segments[0][1], -state.grad)
+        assert reads[0][0] is segments
+        assert reads[0][1] == result.trace[0].grad_norm
+        v, _, length = point(segments, result.trace[0].grad_norm)
+        assert length == pytest.approx(state.grad_norm, rel=1e-12)
+        assert np.linalg.norm(v + state.grad) <= 1e-9 * np.linalg.norm(state.grad)
+        assert result.diagnostics["newton_cg_iters_max"] == 1
 
-    def test_closed_gate_uses_gradient_and_momentum_only(self, monkeypatch):
-        p = ko.coiled_unknot(48, windings=2)
-        monkeypatch.setattr(optimize, "TR_NEWTON_GATE", 1e-12)
-        result = ko.run(p, OptimizerConfig(
-            method="trust_region", max_iter=8))
-        assert result.diagnostics["newton_directions"] == 0
-        energies = [r.energy for r in result.trace]
-        assert energies[-1] < energies[0]
+    @pytest.mark.parametrize("make", [lambda: ko.torus_knot(2, 3, 60),
+                                      lambda: ko.perturbed_circle(64)],
+                             ids=["torus60", "circle64"])
+    def test_l2_converges(self, make):
+        # The forcing term lets the path become a Newton step even in the
+        # unpreconditioned metric.
+        result = ko.run(make(), OptimizerConfig(method="trust_region", metric="l2",
+                                                max_iter=25))
+        assert result.status == "converged"
 
 
 class TestDispatch:
