@@ -25,8 +25,20 @@ tables that every field shares, and each product costs O(N^2) per field
 and node pair, like the gradient.  The same input gives the same bits.
 Each edge carries the nodes of a ``QuadratureRule``; the default,
 ``MIDPOINT``, is ``QuadratureRule.gauss(1)``.
+
+Buffers: a call maps no fresh pages once a first call has sized its
+buffers.  The row-block tables of ``energy``, ``d_energy``, the W^{3/2}
+Gram and the saddle factorization live in a per-thread block scratch kept
+between calls (``_block_tables``: a few tables of ``_block_rows(N)`` rows,
+about 2 MB); a whole-table walk, such as the ``hessian`` builder's, keeps
+its own tables.  The N x N arrays of an optimizer iterate (its Gram, and
+the inverse and Schur factor of its factorization) are rebuilt in the last
+iterate's: the optimizer retires them (``_retire``), ``assemble_gram`` and
+``factorize`` take them back (``_reuse``), and ``run`` frees what is left
+when it returns (``_release``).
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +127,55 @@ def _row_slices(n: int, rows: int | None = None) -> list:
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
+# This thread's block scratch and retired N x N arrays.
+_kept = threading.local()
+# Retired arrays kept at most: an iterate's Gram, inverse and Schur factor.
+_SPARES = 3
+
+
+def _block_tables(n: int, count: int, after: int = 0) -> np.ndarray:
+    """``count`` tables of shape ``(_block_rows(N), N)`` in this thread's block
+    scratch, after its first ``after`` tables; a block of r rows uses the
+    first r rows of each.
+
+    The scratch is kept between calls and grows to the largest request, so a
+    call allocates no table of its own once a first call has sized it.  The
+    edge-pair walk takes the first ``m + 1`` tables (``d`` and ``q``), so a
+    caller that walks asks for its own with ``after = m + 1``, before it
+    starts the walk.
+    """
+    size = _block_rows(n) * n
+    kept = getattr(_kept, "tables", None)
+    if kept is None or len(kept) < (after + count) * size:
+        kept = _kept.tables = np.empty((after + count) * size)
+    return kept[after * size:(after + count) * size].reshape(count, -1, n)
+
+
+def _reuse(shape: tuple, order: str = "C") -> np.ndarray:
+    """A retired array of this thread with ``shape`` and memory ``order`` (see
+    ``_retire``), or a new one."""
+    spares = getattr(_kept, "spares", [])
+    for i, spare in enumerate(spares):
+        if spare.shape == shape and spare.flags[f"{order}_CONTIGUOUS"]:
+            return spares.pop(i)
+    return np.empty(shape, order=order)
+
+
+def _retire(*arrays) -> None:
+    """Hand arrays that nothing reads any more to this thread's next builds.
+
+    At most ``_SPARES`` are kept, the latest; ``_release`` frees them.
+    """
+    for array in arrays:
+        array.setflags(write=True)
+    _kept.spares = (getattr(_kept, "spares", []) + list(arrays))[-_SPARES:]
+
+
+def _release() -> None:
+    """Free this thread's retired arrays."""
+    _kept.spares = []
+
+
 def _pair_blocks(polygon: Polygon, quad: QuadratureRule, rows: int | None = None):
     """Ordered edge-pair tables in row blocks: ``rows`` edges I against all N edges J.
 
@@ -125,26 +186,36 @@ def _pair_blocks(polygon: Polygon, quad: QuadratureRule, rows: int | None = None
     adjacent band ``q`` is exactly zero; every other entry is checked for
     coincidence.  Each integrand derivative carries a factor ``q``, so the
     masked entries drop out of every table sum.  A block's pairs must be
-    used up before the next block is drawn.
+    used up before the next block is drawn.  At the default ``rows`` every
+    node pair's ``d`` and ``q`` are the same tables of the thread's block
+    scratch (see ``_block_tables``); a walk with its own ``rows``, such as
+    a whole-table walk, gets new tables for each node pair.
     """
+    n, m = polygon.num_vertices, polygon.dim
     x = np.ascontiguousarray(_quad_positions(polygon, quad).transpose(1, 2, 0))
-    for block in _row_slices(polygon.num_vertices, rows):
-        yield block, _node_pairs(polygon, quad, x, block)
+    kept = _block_tables(n, m + 1) if rows is None else None
+    for block in _row_slices(n, rows):
+        yield block, _node_pairs(polygon, quad, x, block, kept)
 
 
-def _node_pairs(polygon, quad, x, block):
-    n = polygon.num_vertices
+def _node_pairs(polygon, quad, x, block, kept):
+    n, m = polygon.num_vertices, polygon.dim
     i = np.arange(block.start, block.stop)
     local = n * (i - block.start)
     band = np.concatenate((local + i, local + (i + 1) % n, local + (i - 1) % n))
     for qi in range(quad.order):
         for qj in range(quad.order):
-            d = x[qi][:, block, None] - x[qj][:, None, :]
-            r2 = np.einsum("kij,kij->ij", d, d)
+            if kept is None:
+                d, r2 = np.empty((m, len(i), n)), np.empty((len(i), n))
+            else:
+                d, r2 = kept[:m, :len(i)], kept[m, :len(i)]
+            np.subtract(x[qi][:, block, None], x[qj][:, None, :], out=d)
+            np.einsum("kij,kij->ij", d, d, out=r2)
             r2.flat[band] = np.inf
             _check_separation(polygon, r2)
             yield (float(quad.weights[qi] * quad.weights[qj]),
-                   float(quad.nodes[qi]), float(quad.nodes[qj]), d, 1.0 / r2)
+                   float(quad.nodes[qi]), float(quad.nodes[qj]), d,
+                   np.divide(1.0, r2, out=r2))
 
 
 def _rowdot(c, d):
@@ -152,20 +223,54 @@ def _rowdot(c, d):
     return np.einsum("ij,kij->ik", c, d)
 
 
+def _dot(a, b):
+    """Row-wise dot products of two (N, m) arrays, as a column."""
+    return np.einsum("im,im->i", a, b)[:, None]
+
+
+def _node_positions(centred, s):
+    """The points at node ``s`` of every edge of the centred vertices."""
+    return (1.0 - s) * centred + s * np.roll(centred, -1, axis=0)
+
+
+def _uv(e, x, y, rows, u, v):
+    """``u = <d, a_I>`` and ``v = <d, a_J>`` of the edges I in ``rows`` into ``u``
+    and ``v``, ``d = x_I - y_J``: each one (rows x (m + 1))((m + 1) x N)
+    product of the centred node positions ``x``, ``y``."""
+    np.matmul(np.hstack((_dot(e[rows], x[rows]), -e[rows])),
+              np.hstack((np.ones((len(y), 1)), y)).T, out=u)
+    np.matmul(np.hstack((x[rows], -np.ones((len(u), 1)))),
+              np.hstack((e, _dot(e, y))).T, out=v)
+
+
+def _walk_tables(polygon: Polygon, count: int) -> np.ndarray:
+    """``count`` block scratch tables for a caller of the default walk."""
+    return _block_tables(polygon.num_vertices, count, after=polygon.dim + 1)
+
+
 def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> float:
     """Total energy ``4 + sum of all ordered disjoint-pair contributions``.
 
     One masked-table sum per row block and node pair, ``sum q (ss - 2 u v
-    q)`` with ``u = <d, a_I>`` and ``v = <d, a_J>``.
+    q)`` with ``u = <d, a_I>``, ``v = <d, a_J>`` and ``ss = l_I l_J + <a_I,
+    a_J>`` formed as low-rank products (see ``_uv``).
     """
     e, ell = polygon.edge_vectors, polygon.edge_lengths
+    centred = polygon.vertices - polygon.vertices.mean(axis=0)
+    lengths = np.hstack((ell[:, None], e))
+    tables = _walk_tables(polygon, 3)
     total = 0.0
     for rows, pairs in _pair_blocks(polygon, quad):
-        ss = np.outer(ell[rows], ell) + e[rows] @ e.T
-        for weight, _, _, d, q in pairs:
-            u = np.einsum("kij,ki->ij", d, e[rows].T)
-            v = np.einsum("kij,kj->ij", d, e.T)
-            total += weight * float(np.sum(q * (ss - 2.0 * u * v * q)))
+        ss, u, v = tables[:, :rows.stop - rows.start]
+        np.matmul(lengths[rows], lengths.T, out=ss)
+        for weight, s, t, _, q in pairs:
+            _uv(e, _node_positions(centred, s), _node_positions(centred, t), rows, u, v)
+            u *= v
+            u *= q
+            u *= -2.0
+            u += ss
+            u *= q
+            total += weight * float(np.sum(u))
     return 4.0 + total
 
 
@@ -175,22 +280,33 @@ def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
     The ordered pair sum is symmetric in (I, J), so the derivative is twice
     the sum of the derivatives through edge I alone: by ``a = a_I`` and by
     ``d``, which moves with both endpoints of I.  Those are row sums, so
-    each row block fills its own rows of the tail and head terms.
+    each row block fills its own rows of the tail and head terms.  The sums
+    ``sum_J c_IJ d_IJ`` are taken on the difference table itself: as
+    ``x_I (c 1)_I - (c y)_I`` they lose digits to cancellation.
     """
     e = polygon.edge_vectors
     ell = polygon.edge_lengths
+    centred = polygon.vertices - polygon.vertices.mean(axis=0)
+    lengths = np.hstack((ell[:, None], e))
+    tables = _walk_tables(polygon, 5)
     tail, head = np.zeros_like(e), np.zeros_like(e)
     for rows, pairs in _pair_blocks(polygon, quad):
         e_i, ell_i = e[rows], ell[rows]
-        ss = np.outer(ell_i, ell) + e_i @ e.T
+        ss2, u, v, q2, c = tables[:, :rows.stop - rows.start]
+        np.matmul(lengths[rows], lengths.T, out=ss2)
+        ss2 *= 2.0
         for weight, s, t, d, q in pairs:
-            u = np.einsum("kij,ki->ij", d, e_i.T)
-            v = np.einsum("kij,kj->ij", d, e.T)
-            q2 = q * q
-            vq2 = v * q2
-            ga = e_i * ((q @ ell) / ell_i)[:, None] + q @ e - 2.0 * _rowdot(vq2, d)
-            gd = (_rowdot(q2 * (8.0 * u * v * q - 2.0 * ss), d)
-                  - 2.0 * e_i * vq2.sum(axis=1)[:, None] - 2.0 * (q2 * u) @ e)
+            _uv(e, _node_positions(centred, s), _node_positions(centred, t), rows, u, v)
+            np.multiply(q, q, out=q2)
+            np.multiply(u, v, out=c)
+            c *= q
+            c *= 8.0
+            c -= ss2
+            c *= q2                                  # q^2 (8 u v q - 2 ss)
+            v *= q2
+            u *= q2
+            ga = e_i * ((q @ ell) / ell_i)[:, None] + q @ e - 2.0 * _rowdot(v, d)
+            gd = (_rowdot(c, d) - 2.0 * e_i * v.sum(axis=1)[:, None] - 2.0 * (u @ e))
             tail[rows] += weight * ((1.0 - s) * gd - ga)
             head[rows] += weight * (s * gd + ga)
     return 2.0 * (tail + np.roll(head, 1, axis=0)).ravel()
@@ -228,9 +344,6 @@ def hessian(polygon: Polygon, quad: QuadratureRule):
     ss = np.outer(ell, ell) + e @ e.T
     centred = polygon.vertices - polygon.vertices.mean(axis=0)
 
-    def dot(a, b):
-        return np.einsum("im,im->i", a, b)[:, None]
-
     (_, pairs), = _pair_blocks(polygon, quad, rows=n)
     walked = [(weight, s, t, q) for weight, s, t, _, q in pairs]
     work = np.empty((7 * len(walked) + 9, n, n))
@@ -238,10 +351,8 @@ def hessian(polygon: Polygon, quad: QuadratureRule):
     nodes = []
     for (weight, s, t, q), shared in zip(walked, work[:-9].reshape(-1, 7, n, n)):
         q2, vq, uq, a_h, a_tab, b_tab, c_tab = shared
-        x = (1.0 - s) * centred + s * np.roll(centred, -1, axis=0)
-        y = (1.0 - t) * centred + t * np.roll(centred, -1, axis=0)
-        np.matmul(np.hstack((dot(e, x), -e)), np.hstack((one, y)).T, out=u)
-        np.matmul(np.hstack((x, -one)), np.hstack((e, dot(e, y))).T, out=v)
+        x, y = _node_positions(centred, s), _node_positions(centred, t)
+        _uv(e, x, y, slice(None), u, v)
         np.multiply(q, q, out=q2)
         np.multiply(v, q2, out=b_tab)
         np.multiply(u, q2, out=c_tab)
@@ -287,12 +398,12 @@ def hessian(polygon: Polygon, quad: QuadratureRule):
             for j in range(k):
                 # d . dd, du, dv and dss, one product each.
                 f, g, df, dl = xx[j], yy[j], de[j], dell[j][:, None]
-                np.matmul(np.hstack((x, f, dot(x, f), one)),
-                          np.hstack((-g, -y, one, dot(y, g))).T, out=h)
-                np.matmul(np.hstack((e, df, dot(e, f) + dot(df, x))),
+                np.matmul(np.hstack((x, f, _dot(x, f), one)),
+                          np.hstack((-g, -y, one, _dot(y, g))).T, out=h)
+                np.matmul(np.hstack((e, df, _dot(e, f) + _dot(df, x))),
                           np.hstack((-g, -y, one)).T, out=du)
                 np.matmul(np.hstack((f, x, one)),
-                          np.hstack((e, df, -dot(e, g) - dot(df, y))).T, out=dv)
+                          np.hstack((e, df, -_dot(e, g) - _dot(df, y))).T, out=dv)
                 np.matmul(np.hstack((dl, col, df, e)), np.hstack((col, dl, e, df)).T,
                           out=dss)
                 np.multiply(q2, h, out=dq)

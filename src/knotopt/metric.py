@@ -18,12 +18,16 @@ metric couples all edge pairs with disjoint closures:
     the feasible methods constrain the barycenter instead.
 
 The two pair terms are kernel-weighted graph Laplacians built from the
-ordered edge-pair tables one row block at a time (see ``_w32_scalar``):
-the N x N output is the only N x N array of the assembly, and
-``GramOperator`` keeps one symmetrized copy of it.  The low-order term's
-weight is the density table ``1/|d|^2 - 1/rho^2`` of each node pair
-(``_density_table``), rho the arc distance of the two nodes along the
-polygon.
+ordered edge-pair tables one row block at a time (see ``_w32_scalar``).
+The low-order term's weight is the density table ``1/|d|^2 - 1/rho^2`` of
+each node pair (``_density_table``), rho the arc distance of the two nodes
+along the polygon.
+
+Buffers: the N x N output is the only N x N array of an assembly.  It is a
+retired array of the last iterate when the optimizer has handed one over
+(``saddle._retire``), and ``GramOperator`` takes it over and symmetrizes it
+in place; a caller's array given to the constructor is still copied.  Every
+row-block table is the thread's kept block scratch (``energy._block_tables``).
 
 The low-order baselines (lumped mass, first and second difference
 stiffness) use standard one-dimensional finite-element forms.
@@ -37,8 +41,9 @@ term, the geometric metric).  ``L2``, ``W12``, ``W22``, ``W32_PURE`` and
 
 import numpy as np
 
-from .curve import Polygon, arc_distance
-from .energy import MIDPOINT, QuadratureRule, _pair_blocks, _row_slices
+from .curve import Polygon
+from .energy import (MIDPOINT, QuadratureRule, _block_tables, _pair_blocks, _reuse,
+                     _row_slices, _walk_tables)
 from .errors import DimensionMismatch
 
 METRICS = ("l2", "w12", "w22", "w32pure", "w32")
@@ -49,21 +54,38 @@ class GramOperator:
     """Symmetric operator ``scalar (x) I_dim`` realizing a metric at a polygon."""
 
     def __init__(self, scalar: np.ndarray, dim: int):
-        scalar = np.asarray(scalar, dtype=float)
+        self._take(np.array(scalar, dtype=float), dim)
+
+    @classmethod
+    def _adopt(cls, scalar: np.ndarray, dim: int) -> "GramOperator":
+        """The operator of ``scalar``, which it takes over instead of copying."""
+        operator = cls.__new__(cls)
+        operator._take(scalar, dim)
+        return operator
+
+    def _take(self, scalar, dim):
+        """Own ``scalar`` as 0.5 (S + S^T), symmetrized in place."""
         if scalar.ndim != 2 or scalar.shape[0] != scalar.shape[1]:
             raise DimensionMismatch(f"scalar matrix of shape {scalar.shape} is not square")
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
-        if not np.isfinite(scalar).all():
+        n = len(scalar)
+        if not all(np.isfinite(scalar[rows]).all() for rows in _row_slices(n)):
             raise ValueError("scalar matrix has non-finite entries")
-        # 0.5 (S + S^T), one row block at a time into the one owned copy.
-        self.scalar = np.empty(scalar.shape)
-        for rows in _row_slices(len(scalar)):
-            block = self.scalar[rows]
-            np.add(scalar[rows], scalar[:, rows].T, out=block)
-            block *= 0.5
-        self.dim = dim
-        self.scalar.setflags(write=False)
+        mean = _block_tables(n, 1)[0]
+        for rows in _row_slices(n):
+            # Each mirrored pair of entries once: the block's diagonal square,
+            # then the columns right of it against the rows below it.
+            rest = slice(rows.stop, None)
+            for upper, lower in ((scalar[rows, rows], scalar[rows, rows]),
+                                 (scalar[rows, rest], scalar[rest, rows])):
+                block = mean[:upper.shape[0], :upper.shape[1]]
+                np.add(upper, lower.T, out=block)
+                block *= 0.5
+                upper[...] = block
+                lower[...] = block.T
+        self.scalar, self.dim = scalar, dim
+        scalar.setflags(write=False)
 
     @property
     def shape(self):
@@ -83,75 +105,104 @@ class GramOperator:
         return (self.scalar @ u).ravel()
 
 
-def _w32_scalar(polygon: Polygon, low_order: bool, quad: QuadratureRule):
-    """Scalar matrix of the w32 family from ordered edge-pair tables.
+def _w32_scalar(polygon: Polygon, low_order: bool, quad: QuadratureRule, out):
+    """Scalar matrix of the w32 family from ordered edge-pair tables, into ``out``.
 
     Principal part ``2 D^T (diag(K 1) - K) D`` with ``K = l_I l_J sum w/|d|^2``
     and ``(D u)_I = (u_{I+1} - u_I) / l_I``; low-order part
     ``sum_st 2 (A_s^T diag(K_st 1) A_s - A_s^T K_st A_t)`` with the
     density-weighted table K_st and ``(A_s u)_I = (1-s) u_I + s u_{I+1}``.
     D and A weigh edge tails (0) and heads (1), so both parts are tables
-    ``T[p, r]`` rolled p rows and r columns on.  Each row block of the
-    tables is added straight into the output, every entry as ``((T00 +
-    T01) + T10) + T11``: the rows that the block's T10 and T11 roll past
-    its end are carried to the next block (the last block's to row 0).
+    ``T[p, r]`` rolled p rows and r columns on: ``S[a, b] = A0[a, b] +
+    A1[a - 1, b]`` with ``Ap[I, b] = T[p, 0][I, b] + T[p, 1][I, b - 1]``.
+    Each row block sums A0 straight into its rows of ``out`` and A1 in one
+    scratch table, then adds A1 one row on; the row that A1 rolls past the
+    block's end is carried to the next block (the last block's to row 0).
+    The diagonal parts, ``diag(K 1)`` and ``diag(K_st 1)``, land on the
+    cyclic tridiagonal of ``S`` and are added last, as O(N) terms.
     """
     n = polygon.num_vertices
     ell = polygon.edge_lengths
-    out = np.empty((n, n))
+    # On (I, I), (I, I + 1) and (I + 1, I + 1); (I + 1, I) is (I, I + 1).
+    tridiagonal = np.zeros((3, n))
+    kernel, low, scaled, a1 = _walk_tables(polygon, 4)
     carry = None
     for rows, pairs in _pair_blocks(polygon, quad):
-        diag = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
-        tables = np.zeros((2, 2, rows.stop - rows.start, n))
-        kernel = np.zeros_like(tables[0, 0])
+        size = rows.stop - rows.start
+        kernel_i, low_i, scaled_i, a1_i, a0_i = (
+            kernel[:size], low[:size], scaled[:size], a1[:size], out[rows])
+        first = True
         for w, s, t, _, q in pairs:
-            kernel += w * q
+            if first:
+                np.multiply(q, w, out=kernel_i)
+            else:
+                kernel_i += np.multiply(q, w, out=scaled_i)
             if low_order:
-                low = w * np.outer(ell[rows], ell) * _density_table(polygon, rows, s, t, q) * q
-                row_sums = low.sum(axis=1)
-                avg_s, avg_t = (1.0 - s, s), (1.0 - t, t)
-                for p, r in np.ndindex(2, 2):
-                    tables[p, r] -= 2.0 * avg_s[p] * avg_t[r] * low
-                    tables[p, r][diag] += 2.0 * avg_s[p] * avg_s[r] * row_sums
-        # D = (head - tail) / l: the 1/l factors fold into the table.
-        principal = -2.0 * kernel
-        principal[diag] += 2.0 * (kernel @ ell) / ell[rows]
-        tables[0, 0] += principal
-        tables[1, 1] += principal
-        principal *= -1.0
-        tables[0, 1] += principal
-        tables[1, 0] += principal
-        (t00, t01), (t10, t11) = tables
-        block = out[rows]
-        _add_rolled(t00, t01, block)
+                _density_table(polygon, rows, s, t, q, out=low_i)
+                low_i *= q
+                low_i *= (w * ell[rows])[:, None]
+                low_i *= ell
+                row_sums = low_i.sum(axis=1)
+                tridiagonal[:, rows] += np.multiply.outer(
+                    (2.0 * (1.0 - s) ** 2, 2.0 * s * (1.0 - s), 2.0 * s * s), row_sums)
+                # Y = (1 - t) low + t low rolled one column on; then
+                # A0 -= 2 (1 - s) Y and A1 -= 2 s Y.
+                np.multiply(low_i, t, out=scaled_i)
+                low_i *= 1.0 - t
+                low_i[:, 1:] += scaled_i[:, :-1]
+                low_i[:, :1] += scaled_i[:, -1:]
+                for acc, factor in ((a0_i, -2.0 * (1.0 - s)), (a1_i, -2.0 * s)):
+                    if first:
+                        np.multiply(low_i, factor, out=acc)
+                    else:
+                        acc += np.multiply(low_i, factor, out=scaled_i)
+            first = False
+        # D = (head - tail) / l: the 1/l factors fold into the table, and the
+        # principal part adds P to A0 and -P to A1, P = 2K rolled one column
+        # on minus 2K.
+        diagonal = 2.0 * (kernel_i @ ell) / ell[rows]
+        tridiagonal[:, rows] += (diagonal, -diagonal, diagonal)
+        kernel_i *= 2.0
+        np.subtract(kernel_i[:, :-1], kernel_i[:, 1:], out=scaled_i[:, 1:])
+        np.subtract(kernel_i[:, -1:], kernel_i[:, :1], out=scaled_i[:, :1])
+        if low_order:
+            a0_i += scaled_i
+            a1_i -= scaled_i
+        else:
+            np.copyto(a0_i, scaled_i)
+            np.negative(scaled_i, out=a1_i)
         if carry is not None:
-            _add_rolled(block[0] + carry[0], carry[1], block[0])
-        block[1:] += t10[:-1]
-        _add_rolled(block[1:], t11[:-1], block[1:])
-        carry = (t10[-1], t11[-1])
-    _add_rolled(out[0] + carry[0], carry[1], out[0])
+            a0_i[0] += carry
+        a0_i[1:] += a1_i[:-1]
+        carry = a1_i[-1].copy()
+    out[0] += carry
+    i, j = np.arange(n), np.roll(np.arange(n), -1)
+    out[i, i] += tridiagonal[0] + np.roll(tridiagonal[2], 1)
+    out[i, j] += tridiagonal[1]
+    out[j, i] += tridiagonal[1]
     return out
 
 
 def _density_table(polygon: Polygon, rows: slice, s: float, t: float,
-                   q: np.ndarray) -> np.ndarray:
+                   q: np.ndarray, out=None) -> np.ndarray:
     """Masked table ``q - 1/rho^2`` between node s of the edges I in ``rows``
-    and node t of every edge J.
+    and node t of every edge J, into ``out`` if given.
 
     ``rho`` is the arc distance of the two nodes; the masked entries
     (``q = 0``, rho = 0 on the diagonal among them) stay zero.
     """
     ell, start = polygon.edge_lengths, polygon.arc_prefix
-    rho2 = arc_distance(polygon, (start[rows] + s * ell[rows])[:, None],
-                        (start + t * ell)[None, :]) ** 2
-    inv_rho2 = np.divide(1.0, rho2, out=np.zeros_like(q), where=q > 0.0)
-    return q - inv_rho2
-
-
-def _add_rolled(x, y, out):
-    """``out = x + y`` with ``y`` rolled one column on; ``out`` may be ``x``."""
-    np.add(x[..., 1:], y[..., :-1], out=out[..., 1:])
-    np.add(x[..., :1], y[..., -1:], out=out[..., :1])
+    total = polygon.total_length
+    rho = np.empty_like(q) if out is None else out
+    # arc_distance in place: min(gap, L - gap) is L - gap exactly where gap > L/2.
+    np.subtract.outer(start[rows] + s * ell[rows], start + t * ell, out=rho)
+    np.abs(rho, out=rho)
+    np.subtract(total, rho, out=rho, where=rho > 0.5 * total)
+    np.square(rho, out=rho)
+    masked = q == 0.0
+    np.divide(1.0, rho, out=rho, where=~masked)
+    rho[masked] = 0.0
+    return np.subtract(q, rho, out=rho)
 
 
 def _lumped_mass_weights(polygon: Polygon) -> np.ndarray:
@@ -159,13 +210,15 @@ def _lumped_mass_weights(polygon: Polygon) -> np.ndarray:
     return 0.5 * (ell + np.roll(ell, 1))
 
 
-def _l2_scalar(polygon: Polygon) -> np.ndarray:
-    return np.diag(_lumped_mass_weights(polygon))
+def _l2_scalar(polygon: Polygon, out: np.ndarray) -> np.ndarray:
+    out.fill(0.0)
+    out.flat[::len(out) + 1] = _lumped_mass_weights(polygon)
+    return out
 
 
-def _w12_scalar(polygon: Polygon) -> np.ndarray:
+def _w12_scalar(polygon: Polygon, out: np.ndarray) -> np.ndarray:
     n = polygon.num_vertices
-    scalar = _l2_scalar(polygon)
+    scalar = _l2_scalar(polygon, out)
     inv = 1.0 / polygon.edge_lengths
     ids = np.arange(n)
     nxt = np.roll(ids, -1)
@@ -176,9 +229,9 @@ def _w12_scalar(polygon: Polygon) -> np.ndarray:
     return scalar
 
 
-def _w22_scalar(polygon: Polygon) -> np.ndarray:
+def _w22_scalar(polygon: Polygon, out: np.ndarray) -> np.ndarray:
     n = polygon.num_vertices
-    scalar = _l2_scalar(polygon)
+    scalar = _l2_scalar(polygon, out)
     ell = polygon.edge_lengths
     dual = 0.5 * (ell + np.roll(ell, 1))
     ids = np.arange(n)
@@ -198,23 +251,30 @@ def assemble_gram(polygon: Polygon, metric: str, quad: QuadratureRule = MIDPOINT
                   barycenter: bool = False) -> GramOperator:
     """Assemble the Gram operator of the named metric at this polygon.
 
-    ``barycenter`` adds the rank-m mean-value term.
+    ``barycenter`` adds the rank-m mean-value term.  The N x N matrix is
+    built in a retired array of this thread when there is one (see
+    ``saddle._retire``) and handed to the operator without a copy.
     """
-    if metric == "l2":
-        scalar = _l2_scalar(polygon)
-    elif metric == "w12":
-        scalar = _w12_scalar(polygon)
-    elif metric == "w22":
-        scalar = _w22_scalar(polygon)
-    elif metric in ("w32pure", "w32"):
-        scalar = _w32_scalar(polygon, metric == "w32", quad)
-    else:
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+    n = polygon.num_vertices
+    scalar = _reuse((n, n))
+    if metric == "l2":
+        _l2_scalar(polygon, scalar)
+    elif metric == "w12":
+        _w12_scalar(polygon, scalar)
+    elif metric == "w22":
+        _w22_scalar(polygon, scalar)
+    else:
+        _w32_scalar(polygon, metric == "w32", quad, scalar)
     if barycenter:
         weights = _lumped_mass_weights(polygon)
-        for rows in _row_slices(len(weights)):
-            scalar[rows] += np.outer(weights[rows], weights)
-    return GramOperator(scalar, polygon.dim)
+        outer = _block_tables(n, 1)[0]
+        for rows in _row_slices(n):
+            block = outer[:rows.stop - rows.start]
+            np.multiply.outer(weights[rows], weights, out=block)
+            scalar[rows] += block
+    return GramOperator._adopt(scalar, polygon.dim)
 
 
 def parse_metric(name: str) -> str:

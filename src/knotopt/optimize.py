@@ -36,6 +36,12 @@ An error before the first trace row raises.  All methods are
 deterministic: identical configuration and input produce an identical
 iterate sequence and trace (wall-clock columns aside).
 
+Buffers: ``_feasible_points`` and ``PenaltyProblem``, the two places that
+replace an iterate, retire the dead iterate's factorization
+(``saddle._retire``), so the next Gram and factorization are built in its
+N x N arrays; ``run`` frees the retired arrays when it returns, so no
+N x N array outlives it.
+
 ``OptimizerConfig`` holds only what a caller chooses.  The step control is
 fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
 ``TAU_MAX`` for the Armijo search and implicit Euler, ``WOLFE_C1``,
@@ -58,10 +64,10 @@ from . import collision
 from .constraint import (ConstraintRows, ConstraintTargets, d_phi, phi,
                          restore_feasibility)
 from .curve import Polygon
-from .energy import QuadratureRule, d_energy, energy, hessian
+from .energy import QuadratureRule, _release, d_energy, energy, hessian
 from .errors import KnotOptError, LineSearchFailure, NewtonInnerFailure
 from .metric import METRICS, GramOperator, assemble_gram
-from .saddle import SOLVE_TOL, factorize, projected_gradient
+from .saddle import SOLVE_TOL, _retire, factorize, projected_gradient
 
 FEASIBLE_METHODS = ("projgd", "implicit_euler_l2", "trust_region")
 PENALTY_METHODS = ("ncg", "lbfgs", "nesterov")
@@ -261,6 +267,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
         restored, _ = restore_feasibility(polygon.vertices, targets, fact,
                                           max_iter=20)
         _note_solves(diagnostics, fact)
+        _retire(fact)
         polygon = Polygon(restored)
     outcome = StepOutcome(polygon, 0.0, float(energy(polygon, quad)), 0, 0)
     while True:
@@ -279,6 +286,7 @@ def _feasible_points(polygon: Polygon, targets: ConstraintTargets,
             outcome = step(state, outcome.energy, targets)
         finally:
             _note_solves(diagnostics, state.fact)
+        _retire(state.fact)
 
 
 def _note_solves(diagnostics: dict, fact) -> None:
@@ -504,7 +512,10 @@ class PenaltyProblem:
         key = np.asarray(x).tobytes()
         if self._point is None or self._point[0] != key:
             poly = Polygon(np.asarray(x, dtype=float).reshape(self.shape))
-            self._point = (key, poly, float(energy(poly, self.quad)), d_phi(poly), None)
+            point = (key, poly, float(energy(poly, self.quad)), d_phi(poly), None)
+            if self._point is not None and self._point[4] is not None:
+                _retire(self._point[4])
+            self._point = point
         return self._point
 
     def value_and_dual(self, x):
@@ -759,8 +770,11 @@ def steihaug_path(state, hess, radius: float, tol: float):
     norm reaches ``radius``, at the first direction of non-positive
     curvature (it then runs on along that direction to ``radius``), once
     the residual's dual norm falls to ``tol`` times the gradient norm, or
-    after ``KRYLOV_MAX_ITER`` iterations.  Returns ``(segments,
-    iterations)``, the iterations being Hessian products.  A segment
+    after ``KRYLOV_MAX_ITER`` iterations.  That norm is taken as the metric
+    norm of the projected residual, not as its product with the residual:
+    the product also carries the multipliers times the rounding of ``J g``,
+    which near a stationary point can exceed the tolerance.  Returns
+    ``(segments, iterations)``, the iterations being Hessian products.  A segment
     ``(x, p, end, model, norm)`` holds the points ``x + t p``,
     ``0 <= t <= end``, and the coefficients ``(c2, c1, c0)`` of
     ``c2 t^2 + c1 t + c0`` for the model ``m(v) = eta.v + v.H v / 2``,
@@ -785,7 +799,7 @@ def steihaug_path(state, hess, radius: float, tol: float):
         x, r = x + step * p, r + step * hp
         value, size = np.polyval(model, step), np.polyval(norm, step)
         g, _ = projected_gradient(state.fact, r)
-        rg, rg_prev = float(r @ g), rg
+        rg, rg_prev = float(g @ state.fact.gram.apply(g)), rg
         if rg <= (tol * state.grad_norm) ** 2:
             break
         p = -g + (rg / rg_prev) * p
@@ -920,15 +934,18 @@ def run(polygon: Polygon, config: OptimizerConfig,
                          f"of {polygon.num_vertices} edges")
     diagnostics = {"max_tangent_defect": 0.0, "momentum_resets": 0}
     build = _STEPS[config.method]
-    if config.method in FEASIBLE_METHODS:
-        diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0)
-        metric, step = build(config, diagnostics)
-        points = _feasible_points(polygon, targets, config, metric, step,
-                                  diagnostics)
-        return _drive(points, config, diagnostics, on_iterate)
-    problem = PenaltyProblem(polygon, targets, config)
-    points = _penalty_points(problem, polygon.vertices.ravel(),
-                             build(problem, diagnostics))
-    result = _drive(points, config, diagnostics, on_iterate)
-    result.diagnostics.update(problem.solve_stats)
-    return result
+    try:
+        if config.method in FEASIBLE_METHODS:
+            diagnostics.update(saddle_refinements_max=0, saddle_residual_max=0.0)
+            metric, step = build(config, diagnostics)
+            points = _feasible_points(polygon, targets, config, metric, step,
+                                      diagnostics)
+            return _drive(points, config, diagnostics, on_iterate)
+        problem = PenaltyProblem(polygon, targets, config)
+        points = _penalty_points(problem, polygon.vertices.ravel(),
+                                 build(problem, diagnostics))
+        result = _drive(points, config, diagnostics, on_iterate)
+        result.diagnostics.update(problem.solve_stats)
+        return result
+    finally:
+        _release()

@@ -21,9 +21,14 @@ side, as ``eta + W (xi_b - moments^T xi_len)``.  Without barycenter rows
 inverse ``H`` comes from a Cholesky factor; the Schur complement
 ``J (H (x) I_m) J^T + c I`` is built from the rows, its length block being
 ``(coef coef^T) o`` the second difference of ``H``, and Cholesky-factorized.
-Both factorizations run in place on F-ordered arrays, so a factorization
-holds at most three N x N arrays at a time.  A solve costs two products
-with ``H`` and one Schur solve.
+A solve costs two products with ``H`` and one Schur solve.
+
+Buffers: a factorization allocates only its inverse and its Schur factor,
+and none when the optimizer has retired the last iterate's (``_retire``).
+The shifted metric is copied into the inverse's F-ordered array, which is
+factorized and inverted in place; the Schur complement is written a row
+block at a time into its factor's array, through the thread's block
+scratch, and factorized in place.
 
 Every solve is refined against the original system until the residual
 drops below ``1e-10`` relative to the right-hand side, or, once a
@@ -35,7 +40,8 @@ large N the W^{3/2} systems reach that floor above ``1e-10``.  A
 refinement that stalls above it, an indefinite metric block, a singular
 factor or a singular system (rank-deficient rows, or a metric
 ``G + J^T J`` vanishing on some field) raises :class:`SingularSystem`;
-this module is where scipy's ``LinAlgError`` becomes one.  Each
+this module is where scipy's ``LinAlgError`` becomes one.  A right-hand
+side with a NaN or an infinity raises ``ValueError`` before any work.  Each
 factorization records the largest refinement count and final relative
 residual of its solves.
 """
@@ -45,7 +51,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .energy import _row_slices
+from .energy import _block_tables, _retire as _retire_arrays, _reuse, _row_slices
 from .errors import SingularSystem
 from .metric import GramOperator
 
@@ -63,16 +69,22 @@ def _cholesky(a, what):
                                             check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystem(f"{what} is not positive definite") from exc
+    # A factorization that LAPACK accepts has finite entries below a finite
+    # diagonal: a non-finite one reaches a later pivot, which it rejects.
     pivots = np.diag(factor) ** 2
-    if not np.all(np.isfinite(factor)) or pivots.min() <= _PIVOT_TOL * pivots.max():
+    if not np.all(np.isfinite(pivots)) or pivots.min() <= _PIVOT_TOL * pivots.max():
         raise SingularSystem(f"{what} is numerically singular")
     return factor
 
 
 def _mirror_lower(a):
     """Copy the strict lower triangle of a square array onto its upper one."""
+    work = _block_tables(len(a), 1)[0]
     for block in _row_slices(len(a)):
-        a[block, block.stop:] = a[block.stop:, block].T
+        size = block.stop - block.start
+        lower = work[:size, :len(a) - block.stop]
+        np.copyto(lower, a[block.stop:, block].T)
+        a[block, block.stop:] = lower
         diag = a[block, block]
         upper = np.triu_indices(len(diag), 1)
         diag[upper] = diag.T[upper]
@@ -101,13 +113,18 @@ class SaddleFactorization:
         self._factor(gram)
 
     def _factor(self, gram):
-        rows = self.jacobian
-        # LAPACK factorizes and inverts an F-ordered array in place.
-        work, what = np.array(gram.scalar, order="F"), "metric"
-        if rows.moments is not None:
+        rows, scalar = self.jacobian, gram.scalar
+        n = len(scalar)
+        # LAPACK factorizes and inverts an F-ordered array in place; S is
+        # symmetric, so its rows are the columns of the F-ordered copy.
+        work, what = _reuse((n, n), "F"), "metric"
+        if rows.moments is None:
+            np.copyto(work.T, scalar)
+        else:
             what = "metric plus barycenter term"
-            for cols in _row_slices(len(work)):
-                work[:, cols] += np.multiply.outer(rows.mass, rows.mass[cols])
+            for cols in _row_slices(n):
+                np.multiply.outer(rows.mass[cols], rows.mass, out=work.T[cols])
+                work.T[cols] += scalar[cols]
         inv, info = scipy.linalg.lapack.dpotri(_cholesky(work, what),
                                                lower=1, overwrite_c=1)
         if info != 0:
@@ -116,26 +133,35 @@ class SaddleFactorization:
         # transpose is C-ordered, which the solve products expect.
         _mirror_lower(inv)
         self._inv = inv.T
-        self._schur = _cholesky(self._schur_complement(), "constraint Schur complement")
+        schur = _reuse((self.n_dual, self.n_dual), "F")
+        self._schur = _cholesky(self._schur_complement(schur),
+                                "constraint Schur complement")
+        self._arrays = (inv, schur)
 
-    def _schur_complement(self):
-        """``J (H (x) I_m) J^T + c I`` from the row structure, F-ordered."""
+    def _schur_complement(self, out):
+        """``J (H (x) I_m) J^T + c I`` from the row structure, into F-ordered ``out``."""
         rows, h = self.jacobian, self._inv
         n = len(h)
-        # dh = H[I + 1, J] - H[I, J], then c = dh[I, J + 1] - dh[I, J],
-        # both cyclic.
-        dh = np.empty_like(h)
-        np.subtract(h[1:], h[:-1], out=dh[:-1])
-        np.subtract(h[0], h[-1], out=dh[-1])
-        c = np.empty_like(h)
-        np.subtract(dh[:, 1:], dh[:, :-1], out=c[:, :-1])
-        np.subtract(dh[:, 0], dh[:, -1], out=c[:, -1])
-        del dh
-        c *= rows.coef @ rows.coef.T
-        out = np.empty((self.n_dual, self.n_dual), order="F")
+        # c[I, J] = dh[I, J + 1] - dh[I, J] with dh[I, J] = H[I + 1, J] - H[I, J],
+        # both cyclic.  H is symmetric, so dh[I, J] = D[J, I] for the row
+        # differences D[J, I] = H[J, I + 1] - H[J, I], and column J of c is
+        # D[J + 1] - D[J]: a row block of D and the row after it give a block
+        # of columns of ``out``.
+        columns = out.T
+        tables = _block_tables(n, 3)
+        diff, products = tables[:2].reshape(-1, n), tables[2]
+        for block in _row_slices(n):
+            size, after = block.stop - block.start, block.stop % n
+            d = diff[:size + 1]
+            for dst, src in ((d[:size], h[block]), (d[size:], h[after:after + 1])):
+                np.subtract(src[:, 1:], src[:, :-1], out=dst[:, :-1])
+                np.subtract(src[:, :1], src[:, -1:], out=dst[:, -1:])
+            c = columns[block, :n]
+            np.subtract(d[1:], d[:-1], out=c)
+            c *= np.matmul(rows.coef[block], rows.coef.T, out=products[:size])
+        c = out[:n, :n]
         if rows.moments is None:
             c.flat[::n + 1] += self.compliance
-            out[...] = c
             return out
         # Barycenter rows moments^T L + W^T; q = L (H w (x) I_m).
         hw = h @ rows.mass
@@ -143,7 +169,6 @@ class SaddleFactorization:
         cross = c @ rows.moments + q
         corner = rows.moments.T @ cross + q.T @ rows.moments
         corner.flat[::len(corner) + 1] += rows.mass @ hw
-        out[:n, :n] = c
         out[:n, n:] = cross
         out[n:, :n] = cross.T
         out[n:, n:] = corner
@@ -166,9 +191,10 @@ class SaddleFactorization:
     def _norm(self):
         """Infinity norm of the saddle matrix, which bounds its 2-norm."""
         rows, n = self.jacobian, len(self.jacobian.coef)
-        scalar = self.gram.scalar
-        metric = np.concatenate([np.abs(scalar[block]).sum(axis=1)
-                                 for block in _row_slices(n)])
+        scalar, work = self.gram.scalar, _block_tables(n, 1)[0]
+        metric = np.concatenate([
+            np.abs(scalar[block], out=work[:block.stop - block.start]).sum(axis=1)
+            for block in _row_slices(n)])
         # |J| summed down each column (a vertex-major field) and along each
         # row: length row I is coef_I at vertex I + 1 and -coef_I at I.
         coef = np.abs(rows.coef)
@@ -189,6 +215,8 @@ class SaddleFactorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("right-hand side has non-finite entries")
         norm = float(np.linalg.norm(rhs))
         if norm == 0.0:
             return np.zeros_like(rhs)
@@ -218,8 +246,19 @@ class SaddleFactorization:
 
 
 def factorize(gram, jacobian, compliance: float = 0.0) -> SaddleFactorization:
-    """Factorize ``[[G, J^T], [J, -compliance I]]`` for repeated solves."""
+    """Factorize ``[[G, J^T], [J, -compliance I]]`` for repeated solves.
+
+    The inverse and the Schur factor are built in retired arrays of this
+    thread when there are some (see ``_retire``).
+    """
     return SaddleFactorization(gram, jacobian, compliance)
+
+
+def _retire(fact: SaddleFactorization) -> None:
+    """Hand the N x N arrays of a factorization that is no longer used, its
+    metric's, its inverse and its Schur factor, to this thread's next
+    ``assemble_gram`` and ``factorize``; ``fact`` must not be used again."""
+    _retire_arrays(fact.gram.scalar, *fact._arrays)
 
 
 def projected_gradient(fact: SaddleFactorization, eta) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import importlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -375,12 +377,12 @@ class TestRowBlocks:
 
     def test_peak_memory_stays_below_a_full_table(self):
         # The whole-table assembly peaked at 10 (energy), 12 (d_energy) and
-        # 14 (Gram) N x N tables; the Gram's output and the operator's
-        # symmetric copy are the only N x N arrays left.
+        # 14 (Gram) N x N tables; the Gram's output, which the operator
+        # takes over, is the only N x N array left.
         p = ko.coiled_unknot(768)
         table = 768 * 768 * 8
         for assemble, bound in ((ko.energy, 1), (ko.d_energy, 1),
-                                (lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC), 3)):
+                                (lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC), 2)):
             tracemalloc.start()
             try:
                 assemble(p)
@@ -388,6 +390,60 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * table, (assemble, peak / table)
+
+
+    def test_second_call_allocates_no_table(self):
+        # The block tables are the thread's kept scratch, sized by a first
+        # call; a second call allocates no table but the Gram's output.
+        p = ko.coiled_unknot(768)
+        table = 768 * 768 * 8
+        for assemble, bound in ((ko.energy, 0.1), (ko.d_energy, 0.1),
+                                (lambda q: ko.assemble_gram(q, ko.W32_GEOMETRIC), 1.1)):
+            assemble(p)
+            tracemalloc.start()
+            try:
+                assemble(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * table, (assemble, peak / table)
+
+
+    def test_threads_keep_their_own_scratch(self):
+        # Each thread walks its own block tables: threads that interleave
+        # their blocks give the bits of a lone call.
+        curves = [ko.coiled_unknot(200, 3), ko.torus_knot(2, 3, 240),
+                  ko.coiled_unknot(160, 5), ko.torus_knot(3, 2, 180)]
+
+        def assemble(p):
+            return (ko.energy(p), ko.d_energy(p),
+                    ko.assemble_gram(p, ko.W32_GEOMETRIC).scalar)
+
+        expected = [assemble(p) for p in curves]
+        results = [[] for _ in curves]
+
+        def work(i):
+            for _ in range(4):
+                results[i].append(assemble(curves[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(curves))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == 4
+            for values in got:
+                assert values[0] == want[0]
+                assert np.array_equal(values[1], want[1])
+                assert np.array_equal(values[2], want[2])
 
 
 def _dense_products(hess, fields):

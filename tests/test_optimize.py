@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -839,3 +843,50 @@ class TestStepLimits:
         limits = result.diagnostics["step_limits"]
         trials = len(result.trace) - 1 + sum(r.backtracks for r in result.trace)
         assert limits["collision"] == trials > 0
+
+
+_FAULTS_SCRIPT = """
+import resource
+import knotopt as ko
+faults = []
+def note(iteration, polygon):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+result = ko.run(ko.coiled_unknot(384), ko.OptimizerConfig(method="lbfgs"),
+                on_iterate=note)
+print(result.status, *faults)
+"""
+
+
+class TestIterateArrays:
+    """Each iterate builds its Gram and factorization in the last one's arrays."""
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="counts minor page faults as Linux reports them")
+    def test_iterates_fault_in_no_fresh_pages(self):
+        # A fresh process, so that no earlier test has shaped its heap.  The
+        # Gram, factorization and block tables of a coil384 L-BFGS iterate
+        # used to fault in about 3 200 pages each time.
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        status, *faults = proc.stdout.split()
+        per_iterate = np.diff([int(f) for f in faults])
+        assert status == "converged" and len(per_iterate) >= 8
+        assert per_iterate[3:].max() < 300, per_iterate
+
+    def test_run_holds_no_table_afterwards(self):
+        # The retired arrays are freed when run returns; what stays is the
+        # thread's block scratch, sized by the first run.
+        p = ko.coiled_unknot(384)
+        config = OptimizerConfig(method="lbfgs", max_iter=3)
+        ko.run(p, config)
+        tracemalloc.start()
+        try:
+            ko.run(p, config)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.25 * 384 ** 2 * 8, held

@@ -5,6 +5,7 @@ import pytest
 
 import knotopt as ko
 from knotopt import saddle
+from knotopt.energy import _release
 from conftest import dense, random_embedded_polygon
 
 
@@ -76,7 +77,9 @@ class TestFactorize:
     def test_peak_memory(self):
         # The factorization used to peak at 6 N x N arrays: the shifted
         # metric, LAPACK's F-ordered copies, two triangles of the inverse
-        # and the rolled tables of the Schur complement.
+        # and the rolled tables of the Schur complement; then at about 3,
+        # with the difference tables of the Schur complement.  It holds the
+        # inverse and the Schur factor, built in place.
         p = ko.coiled_unknot(768)
         gram, rows = ko.assemble_gram(p, ko.W32_GEOMETRIC), ko.d_phi(p)
         tracemalloc.start()
@@ -85,7 +88,48 @@ class TestFactorize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 768 ** 2 * 8
+        assert peak <= 2.5 * 768 ** 2 * 8
+
+    def test_second_factorization_allocates_only_its_arrays(self):
+        # Once the block scratch is sized, a fresh factorization allocates
+        # its inverse and its Schur factor (N + m)^2 and nothing else that
+        # counts.
+        p = ko.coiled_unknot(768)
+        gram, rows = ko.assemble_gram(p, ko.W32_GEOMETRIC), ko.d_phi(p)
+        ko.factorize(gram, rows)
+        tracemalloc.start()
+        try:
+            ko.factorize(gram, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 768 ** 2 * 8, peak / (768 ** 2 * 8)
+
+    @pytest.mark.parametrize("barycenter_rows", (True, False))
+    def test_retired_arrays_rebuild_the_same_bits(self, barycenter_rows):
+        # The Gram and factorization of a dead point are rebuilt in place,
+        # and give the bits of a fresh build.
+        p, dead_point = ko.coiled_unknot(64), ko.coiled_unknot(64, 3)
+        rows, compliance = ko.d_phi(p), 0.0
+        if not barycenter_rows:
+            rows, compliance = ko.ConstraintRows(3.0 * rows.coef), 1.0
+        fresh = ko.factorize(ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True),
+                             rows, compliance)
+        dead = ko.factorize(ko.assemble_gram(dead_point, ko.W32_GEOMETRIC,
+                                             barycenter=True), rows, compliance)
+        arrays = (dead.gram.scalar, *dead._arrays)
+        saddle._retire(dead)
+        try:
+            gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+            fact = ko.factorize(gram, rows, compliance)
+        finally:
+            _release()
+        assert gram.scalar is arrays[0] and not gram.scalar.flags.writeable
+        assert np.shares_memory(fact._inv, arrays[1])
+        assert np.shares_memory(fact._schur, arrays[2])
+        for new, ref in ((gram.scalar, fresh.gram.scalar), (fact._inv, fresh._inv),
+                         (fact._schur, fresh._schur)):
+            assert np.array_equal(new, ref)
 
     def test_dimension_check(self):
         rows = ko.d_phi(ko.regular_ngon(8))
@@ -125,6 +169,28 @@ class TestRefinementStop:
         fact._solve_once = np.zeros_like
         with pytest.raises(ko.SingularSystem, match="stalled"):
             fact.solve(rng.standard_normal(fact.n_primal + fact.n_dual))
+
+
+class TestNonFiniteInput:
+    """A non-finite right-hand side is a bad input, not a singular system."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_eta(self, bad):
+        _, _, _, fact = make_system(12, seed=4)
+        eta = np.ones(fact.n_primal)
+        eta[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ko.projected_gradient(fact, eta)
+        assert fact.max_refinements == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "inf"])
+    def test_xi(self, bad):
+        _, _, _, fact = make_system(12, seed=4)
+        xi = np.ones(fact.n_dual)
+        xi[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ko.pseudoinverse_apply(fact, xi)
+        assert fact.max_refinements == 0
 
 
 class TestProjectedGradient:
