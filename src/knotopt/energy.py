@@ -32,10 +32,11 @@ Gram and the saddle factorization live in a per-thread block scratch kept
 between calls (``_block_tables``: a few tables of ``_block_rows(N)`` rows,
 about 2 MB); a whole-table walk, such as the ``hessian`` builder's, keeps
 its own tables.  The N x N arrays of an optimizer iterate (its Gram, and
-the inverse and Schur factor of its factorization) are rebuilt in the last
-iterate's: the optimizer retires them (``_retire``), ``assemble_gram`` and
-``factorize`` take them back (``_reuse``), and ``run`` frees what is left
-when it returns (``_release``).
+the inverse and Schur factor of its factorization; only the Schur factor
+for penalized L-BFGS, which keeps its first Gram and inverse) are rebuilt
+in the last iterate's: the optimizer retires them (``_retire``),
+``assemble_gram`` and ``factorize`` take them back (``_reuse``), and
+``run`` frees what is left when it returns (``_release``).
 """
 
 import threading

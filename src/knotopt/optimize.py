@@ -13,9 +13,13 @@ with gradients computed in the metric augmented by the penalty's
 Gauss-Newton term ``alpha J_len^T diag(w) J_len`` (not for the lumped-mass
 metric).  That term enters the saddle solver as the rows
 ``sqrt(alpha w) J_len`` with compliance 1, so the augmented metric is never
-formed.  Steps use a weak Wolfe line search truncated by collision
-detection; Nesterov's momentum restarts whenever its look-ahead step would
-raise the objective.
+formed.  The rows are always the current point's.  Nonlinear CG and
+Nesterov take the current point's metric too; L-BFGS keeps the first
+point's metric and its inverse for the whole run, so each later point
+factorizes only the Schur complement of its rows (a fixed seed for the
+two-loop recursion, whose curvature pairs supply what it lacks).  Steps use
+a weak Wolfe line search truncated by collision detection; Nesterov's
+momentum restarts whenever its look-ahead step would raise the objective.
 
 ``run`` is the one entry point, and ``config.method`` picks the method.
 Each method is a step builder in ``_STEPS``: it adds its own keys to the
@@ -38,9 +42,11 @@ iterate sequence and trace (wall-clock columns aside).
 
 Buffers: ``_feasible_points`` and ``PenaltyProblem``, the two places that
 replace an iterate, retire the dead iterate's factorization
-(``saddle._retire``), so the next Gram and factorization are built in its
-N x N arrays; ``run`` frees the retired arrays when it returns, so no
-N x N array outlives it.
+(``saddle._retire``), so the next Gram and factorization are built in the
+N x N arrays that it owned.  L-BFGS's kept Gram and inverse are never
+retired: each point's factorization owns only its Schur factor, and only
+that is handed on.  ``run`` frees the retired arrays, and with its problem
+the kept metric, when it returns, so no N x N array outlives it.
 
 ``OptimizerConfig`` holds only what a caller chooses.  The step control is
 fixed by module constants: ``ARMIJO_C``, ``BACKTRACK_FACTOR`` and
@@ -484,7 +490,13 @@ class PenaltyProblem:
     The preconditioner ``M = S (x) I_m + R^T R`` adds the penalty's
     Gauss-Newton term, with ``R = sqrt(alpha w) J_len``, and is solved as
     the primal block of ``[[S (x) I_m, R^T], [R, -I]]`` without being
-    formed.  The lumped-mass metric takes no term, so ``M`` is the diagonal
+    formed.  ``R`` is always the current point's.  ``S`` is the current
+    point's Gram for ``ncg`` and ``nesterov``; ``lbfgs`` keeps the first
+    point's ``S`` and its inverse for the whole run, since any fixed
+    definite seed serves its two-loop recursion, and at every later point
+    factorizes only the Schur complement of ``R``
+    (:meth:`~knotopt.saddle.SaddleFactorization.with_rows`).  The
+    lumped-mass metric takes no term, so ``M`` is the diagonal
     ``diag(mass) (x) I_m`` and is solved by division.  The last point
     evaluated is cached as ``(key, polygon, energy, d_phi rows,
     factorization)``; the dual and the rows of ``R`` share the rows.
@@ -504,6 +516,7 @@ class PenaltyProblem:
         # The augmentation couples gradients to the penalty's Gauss-Newton
         # curvature; it hurt the plain lumped-mass metric, so skip it there.
         self.augment = config.metric != "l2"
+        self._kept = None  # L-BFGS's first factorization
         self._point = None
         self.solve_stats = {"saddle_refinements_max": 0, "saddle_residual_max": 0.0}
 
@@ -513,7 +526,7 @@ class PenaltyProblem:
         if self._point is None or self._point[0] != key:
             poly = Polygon(np.asarray(x, dtype=float).reshape(self.shape))
             point = (key, poly, float(energy(poly, self.quad)), d_phi(poly), None)
-            if self._point is not None and self._point[4] is not None:
+            if self._point is not None and self._point[4] not in (None, self._kept):
                 _retire(self._point[4])
             self._point = point
         return self._point
@@ -537,10 +550,16 @@ class PenaltyProblem:
             return (dual.reshape(self.shape) / rows.mass[:, None]).ravel()
         if fact is None:
             scale = np.sqrt(self.config.alpha * self.weights)
-            gram = assemble_gram(poly, self.config.metric, self.quad,
-                                 barycenter=self.barycenter)
-            fact = factorize(gram, ConstraintRows(scale[:, None] * rows.coef),
-                             compliance=1.0)
+            penalty_rows = ConstraintRows(scale[:, None] * rows.coef)
+            if self._kept is not None:
+                fact = self._kept.with_rows(penalty_rows)
+            else:
+                gram = assemble_gram(poly, self.config.metric, self.quad,
+                                     barycenter=self.barycenter)
+                fact = factorize(gram, penalty_rows, compliance=1.0)
+                # A kept metric doubled NCG's iterations on the coils.
+                if self.config.method == "lbfgs":
+                    self._kept = fact
             self._point = (key, poly, energy_value, rows, fact)
         g = projected_gradient(fact, dual)[0]
         _note_solves(self.solve_stats, fact)
@@ -630,9 +649,10 @@ def _penalty_points(problem, x0, step):
 def _lbfgs(problem, diagnostics: dict):
     """Limited-memory quasi-Newton on the penalized objective.
 
-    The two-loop recursion is seeded with the inverse of the metric at the
-    current iterate instead of a scalar initial Hessian guess.  It works on
-    any problem object.
+    The two-loop recursion is seeded with ``problem.metric_solve`` at the
+    current iterate instead of a scalar initial Hessian guess; for a
+    :class:`PenaltyProblem` that is the first point's metric plus the
+    current point's Gauss-Newton term.  It works on any problem object.
     """
     memory: list[tuple[np.ndarray, np.ndarray, float]] = []
     limits = diagnostics["step_limits"] = dict.fromkeys(WOLFE_STEP_LIMITS, 0)

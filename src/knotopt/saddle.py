@@ -22,9 +22,16 @@ inverse ``H`` comes from a Cholesky factor; the Schur complement
 ``J (H (x) I_m) J^T + c I`` is built from the rows, its length block being
 ``(coef coef^T) o`` the second difference of ``H``, and Cholesky-factorized.
 A solve costs two products with ``H`` and one Schur solve.
+:meth:`SaddleFactorization.with_rows` factorizes the same unshifted metric
+with other length rows: it shares ``G`` and ``H`` and builds only the new
+Schur complement, which is how penalized L-BFGS keeps its first metric.
 
-Buffers: a factorization allocates only its inverse and its Schur factor,
-and none when the optimizer has retired the last iterate's (``_retire``).
+Buffers: ``factorize`` allocates only its inverse and its Schur factor,
+``with_rows`` only its Schur factor, and neither allocates when the
+optimizer has retired the last iterate's.  ``_retire`` hands back only the
+arrays a factorization owns: the metric's, the inverse and the Schur factor
+of one made by ``factorize``, the Schur factor alone of one made by
+``with_rows``, so a shared metric and inverse never go to the next build.
 The shifted metric is copied into the inverse's F-ordered array, which is
 factorized and inverted in place; the Schur complement is written a row
 block at a time into its factor's array, through the thread's block
@@ -96,21 +103,39 @@ class SaddleFactorization:
     def __init__(self, gram, jacobian, compliance: float = 0.0):
         if not isinstance(gram, GramOperator):
             raise ValueError(f"metric block must be a GramOperator, got {type(gram).__name__}")
-        if jacobian.shape[1] != gram.shape[0]:
-            raise ValueError(
-                f"constraint rows {jacobian.shape} incompatible with metric {gram.shape}"
-            )
-        if compliance and jacobian.moments is not None:
-            raise ValueError("a compliance needs rows without the barycenter block")
-
         self.gram = gram
-        self.jacobian = jacobian
         self.compliance = float(compliance)
         self.n_primal = gram.shape[0]
+        self._set_rows(jacobian)
+        self._factor(gram)
+
+    def _set_rows(self, jacobian):
+        if jacobian.shape[1] != self.n_primal:
+            raise ValueError(
+                f"constraint rows {jacobian.shape} incompatible with metric {self.gram.shape}"
+            )
+        if self.compliance and jacobian.moments is not None:
+            raise ValueError("a compliance needs rows without the barycenter block")
+        self.jacobian = jacobian
         self.n_dual = jacobian.shape[0]
         self.max_refinements = 0
         self.max_residual = 0.0
-        self._factor(gram)
+
+    def with_rows(self, jacobian) -> "SaddleFactorization":
+        """The factorization of the same metric with the rows ``jacobian``.
+
+        It shares ``gram`` and the inverse, and builds and owns only its
+        Schur factor.  Neither system may have the barycenter block, whose
+        shift is part of the inverse.
+        """
+        if self.jacobian.moments is not None or jacobian.moments is not None:
+            raise ValueError("a shared metric needs rows without the barycenter block")
+        fact = object.__new__(type(self))
+        fact.gram, fact.compliance, fact.n_primal = self.gram, self.compliance, self.n_primal
+        fact._set_rows(jacobian)
+        fact._inv = self._inv
+        fact._arrays = (fact._factor_schur(),)
+        return fact
 
     def _factor(self, gram):
         rows, scalar = self.jacobian, gram.scalar
@@ -133,10 +158,14 @@ class SaddleFactorization:
         # transpose is C-ordered, which the solve products expect.
         _mirror_lower(inv)
         self._inv = inv.T
+        self._arrays = (scalar, inv, self._factor_schur())
+
+    def _factor_schur(self):
+        """Build and factorize the Schur complement; returns its F-ordered array."""
         schur = _reuse((self.n_dual, self.n_dual), "F")
         self._schur = _cholesky(self._schur_complement(schur),
                                 "constraint Schur complement")
-        self._arrays = (inv, schur)
+        return schur
 
     def _schur_complement(self, out):
         """``J (H (x) I_m) J^T + c I`` from the row structure, into F-ordered ``out``."""
@@ -255,10 +284,10 @@ def factorize(gram, jacobian, compliance: float = 0.0) -> SaddleFactorization:
 
 
 def _retire(fact: SaddleFactorization) -> None:
-    """Hand the N x N arrays of a factorization that is no longer used, its
-    metric's, its inverse and its Schur factor, to this thread's next
-    ``assemble_gram`` and ``factorize``; ``fact`` must not be used again."""
-    _retire_arrays(fact.gram.scalar, *fact._arrays)
+    """Hand the N x N arrays that a factorization owns (see the module
+    docstring) to this thread's next ``assemble_gram``, ``factorize`` and
+    ``with_rows``; ``fact`` must not be used again."""
+    _retire_arrays(*fact._arrays)
 
 
 def projected_gradient(fact: SaddleFactorization, eta) -> tuple[np.ndarray, np.ndarray]:

@@ -334,6 +334,30 @@ class TestPenaltyDrivers:
             g = problem.metric_solve(x, rhs)
             assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("method", ("lbfgs", "ncg"))
+    def test_only_lbfgs_keeps_its_first_metric(self, method, monkeypatch):
+        # L-BFGS seeds its recursion with the first point's Gram throughout;
+        # NCG assembles the Gram of every point it preconditions at.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return ko.assemble_gram(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "assemble_gram", spy)
+        result = ko.run(ko.coiled_unknot(96), OptimizerConfig(method=method, max_iter=200))
+        assert result.converged
+        assert len(calls) == (1 if method == "lbfgs" else len(result.trace))
+
+    def test_lbfgs_with_kept_metric_is_deterministic(self):
+        # The second run builds in arrays the first one freed; the metric it
+        # keeps must be its own first point's.
+        p = ko.coiled_unknot(96)
+        traces = [[dataclasses.replace(r, time_s=0.0) for r in ko.run(
+            p, OptimizerConfig(method="lbfgs", max_iter=200)).trace] for _ in range(2)]
+        assert len(traces[0]) > 2
+        assert traces[0] == traces[1]
+
     def test_penalty_run_reports_saddle_residual(self):
         result = ko.run(ko.coiled_unknot(96), OptimizerConfig(
             method="lbfgs", max_iter=20))
@@ -713,11 +737,12 @@ class TestNumericalFailure:
         assert result.polygon is snapshots[-1]
 
     def test_penalty_run_wraps_singular_metric(self, monkeypatch):
-        # One structured metric factorization per iterate, with two Cholesky
-        # factorizations each: the fifth call is iterate 2's.  scipy's error
-        # must surface as SingularSystem.
+        # L-BFGS keeps its first metric: iterate 0 takes two Cholesky
+        # factorizations (the metric and its Schur complement), each later
+        # iterate one (the Schur complement of its rows), so the fourth call
+        # is iterate 2's.  scipy's error must surface as SingularSystem.
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail_on_call(
-            scipy.linalg.cho_factor, 5, scipy.linalg.LinAlgError("injected")))
+            scipy.linalg.cho_factor, 4, scipy.linalg.LinAlgError("injected")))
         snapshots = []
         result = ko.run(ko.coiled_unknot(48, windings=2),
                         OptimizerConfig(method="lbfgs", max_iter=10),

@@ -117,7 +117,7 @@ class TestFactorize:
                              rows, compliance)
         dead = ko.factorize(ko.assemble_gram(dead_point, ko.W32_GEOMETRIC,
                                              barycenter=True), rows, compliance)
-        arrays = (dead.gram.scalar, *dead._arrays)
+        arrays = dead._arrays
         saddle._retire(dead)
         try:
             gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
@@ -138,6 +138,80 @@ class TestFactorize:
         # A dense metric block is not a metric operator.
         with pytest.raises(ValueError, match="GramOperator"):
             ko.factorize(np.eye(16), rows)
+
+
+class TestWithRows:
+    """The metric kept for other length rows: one Schur factor per rows."""
+
+    @staticmethod
+    def kept_system(dim, seed=0):
+        # A definite metric (the w32 Gram with its barycenter term) and two
+        # sets of weighted length rows, each at a different point.
+        p = random_embedded_polygon(16, dim=dim, seed=seed)
+        q = random_embedded_polygon(16, dim=dim, seed=seed + 1)
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        base = ko.factorize(gram, ko.ConstraintRows(3.0 * ko.d_phi(p).coef), compliance=1.0)
+        scale = np.linspace(0.5, 2.0, 16)[:, None]
+        return base, ko.ConstraintRows(scale * ko.d_phi(q).coef)
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_solves_match_a_fresh_factorization(self, dim, rng):
+        base, rows = self.kept_system(dim)
+        fact = base.with_rows(rows)
+        fresh = ko.factorize(base.gram, rows, compliance=1.0)
+        assert fact.gram is base.gram and fact._inv is base._inv
+        assert np.array_equal(fact._schur, fresh._schur)
+        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+        assert np.array_equal(fact.solve(rhs), fresh.solve(rhs))
+        eta = rng.standard_normal(fact.n_primal)
+        for new, ref in zip(ko.projected_gradient(fact, eta),
+                            ko.projected_gradient(fresh, eta)):
+            assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_rows_of_the_wrong_width_rejected(self, dim):
+        base, _ = self.kept_system(dim)
+        other = random_embedded_polygon(12, dim=dim, seed=3)
+        with pytest.raises(ValueError, match="incompatible"):
+            base.with_rows(ko.ConstraintRows(ko.d_phi(other).coef))
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_barycenter_rows_rejected(self, dim):
+        base, rows = self.kept_system(dim)
+        p = random_embedded_polygon(16, dim=dim, seed=4)
+        with pytest.raises(ValueError, match="barycenter"):
+            base.with_rows(ko.d_phi(p))
+        # The projection's inverse carries the barycenter shift of its rows.
+        projection = ko.factorize(base.gram, ko.d_phi(p))
+        with pytest.raises(ValueError, match="barycenter"):
+            projection.with_rows(rows)
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_retired_rows_factorization_hands_back_only_its_schur(self, dim):
+        base, rows = self.kept_system(dim)
+        dead = base.with_rows(rows)
+        saddle._retire(dead)
+        try:
+            fact = base.with_rows(ko.ConstraintRows(0.5 * rows.coef))
+        finally:
+            _release()
+        assert np.shares_memory(fact._schur, dead._schur)
+        for kept in (base._inv, base.gram.scalar, base._schur):
+            assert not np.shares_memory(fact._schur, kept)
+
+    def test_allocates_only_its_schur_factor(self):
+        p = ko.coiled_unknot(384)
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        rows = ko.ConstraintRows(ko.d_phi(p).coef)
+        base = ko.factorize(gram, rows, compliance=1.0)
+        base.with_rows(rows)
+        tracemalloc.start()
+        try:
+            base.with_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 384 ** 2 * 8, peak / (384 ** 2 * 8)
 
 
 class TestRefinementStop:
