@@ -11,11 +11,10 @@ metric couples all edge pairs with disjoint closures:
   * a lower-order term weighting squared point differences of the field by
     the pointwise energy density of the pair (this is what discourages
     movement in regions of near self-contact);
-  * an optional rank-m barycenter term that restores definiteness on
-    constant fields when no barycenter constraint is active.  Only the
-    penalty methods ask for it (``assemble_gram(barycenter=True)``), and
-    only for ``w32`` and ``w32pure``, whose seminorms vanish on constants;
-    the feasible methods constrain the barycenter instead.
+  * the rank-m mean-value term ``w w^T`` (``w`` the lumped mass), which
+    makes the Gram definite on constant fields, where the two pair terms
+    vanish.  Every Gram here is therefore an inner product, with or without
+    a barycenter constraint.
 
 The two pair terms are kernel-weighted graph Laplacians built from the
 ordered edge-pair tables one row block at a time (see ``_w32_scalar``).
@@ -34,8 +33,8 @@ stiffness) use standard one-dimensional finite-element forms.
 
 A metric is one of the five names in ``METRICS``: ``l2`` (lumped mass),
 ``w12`` and ``w22`` (mass plus first or second difference stiffness),
-``w32pure`` (the principal term) and ``w32`` (principal plus low-order
-term, the geometric metric).  ``L2``, ``W12``, ``W22``, ``W32_PURE`` and
+``w32pure`` (the principal and mean-value terms) and ``w32`` (all three,
+the geometric metric).  ``L2``, ``W12``, ``W22``, ``W32_PURE`` and
 ``W32_GEOMETRIC`` are those strings.
 """
 
@@ -247,13 +246,13 @@ def _w22_scalar(polygon: Polygon, out: np.ndarray) -> np.ndarray:
     return scalar
 
 
-def assemble_gram(polygon: Polygon, metric: str, quad: QuadratureRule = MIDPOINT,
-                  barycenter: bool = False) -> GramOperator:
+def assemble_gram(polygon: Polygon, metric: str,
+                  quad: QuadratureRule = MIDPOINT) -> GramOperator:
     """Assemble the Gram operator of the named metric at this polygon.
 
-    ``barycenter`` adds the rank-m mean-value term.  The N x N matrix is
-    built in a retired array of this thread when there is one (see
-    ``saddle._retire``) and handed to the operator without a copy.
+    ``w32`` and ``w32pure`` include their mean-value term.  The N x N
+    matrix is built in a retired array of this thread when there is one
+    (see ``saddle._retire``) and handed to the operator without a copy.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
@@ -267,7 +266,6 @@ def assemble_gram(polygon: Polygon, metric: str, quad: QuadratureRule = MIDPOINT
         _w22_scalar(polygon, scalar)
     else:
         _w32_scalar(polygon, metric == "w32", quad, scalar)
-    if barycenter:
         weights = _lumped_mass_weights(polygon)
         outer = _block_tables(n, 1)[0]
         for rows in _row_slices(n):

@@ -13,7 +13,9 @@ with gradients computed in the metric augmented by the penalty's
 Gauss-Newton term ``alpha J_len^T diag(w) J_len`` (not for the lumped-mass
 metric).  That term enters the saddle solver as the rows
 ``sqrt(alpha w) J_len`` with compliance 1, so the augmented metric is never
-formed.  The rows are always the current point's.  Nonlinear CG and
+formed.  The metric itself is the feasible methods' Gram: every Gram of
+``assemble_gram`` is definite on the constant fields, which no constraint
+fixes here.  The rows are always the current point's.  Nonlinear CG and
 Nesterov take the current point's metric too; L-BFGS keeps the first
 point's metric and its inverse for the whole run, so each later point
 factorizes only the Schur complement of its rows (a fixed seed for the
@@ -44,8 +46,8 @@ Buffers: ``_feasible_points`` and ``PenaltyProblem``, the two places that
 replace an iterate, retire the dead iterate's factorization
 (``saddle._retire``), so the next Gram and factorization are built in the
 N x N arrays that it owned.  L-BFGS's kept Gram and inverse are never
-retired: each point's factorization owns only its Schur factor, and only
-that is handed on.  ``run`` frees the retired arrays, and with its problem
+retired: from each of its points, the first included, only the Schur factor
+is handed on.  ``run`` frees the retired arrays, and with its problem
 the kept metric, when it returns, so no N x N array outlives it.
 
 ``OptimizerConfig`` holds only what a caller chooses.  The step control is
@@ -509,10 +511,6 @@ class PenaltyProblem:
         self.weights = targets.lengths / targets.total
         self.config = config
         self.quad = config.quad()
-        # The one place that asks for the barycenter term: without the
-        # barycenter constraint the w32 seminorms vanish on constants, and
-        # the term restores definiteness.
-        self.barycenter = config.metric in ("w32pure", "w32")
         # The augmentation couples gradients to the penalty's Gauss-Newton
         # curvature; it hurt the plain lumped-mass metric, so skip it there.
         self.augment = config.metric != "l2"
@@ -526,8 +524,11 @@ class PenaltyProblem:
         if self._point is None or self._point[0] != key:
             poly = Polygon(np.asarray(x, dtype=float).reshape(self.shape))
             point = (key, poly, float(energy(poly, self.quad)), d_phi(poly), None)
-            if self._point is not None and self._point[4] not in (None, self._kept):
-                _retire(self._point[4])
+            old = None if self._point is None else self._point[4]
+            if old is not None:
+                # L-BFGS's kept metric and inverse outlive their point;
+                # only the Schur factor goes on.
+                _retire(old, keep_metric=old is self._kept)
             self._point = point
         return self._point
 
@@ -554,8 +555,7 @@ class PenaltyProblem:
             if self._kept is not None:
                 fact = self._kept.with_rows(penalty_rows)
             else:
-                gram = assemble_gram(poly, self.config.metric, self.quad,
-                                     barycenter=self.barycenter)
+                gram = assemble_gram(poly, self.config.metric, self.quad)
                 fact = factorize(gram, penalty_rows, compliance=1.0)
                 # A kept metric doubled NCG's iterations on the coils.
                 if self.config.method == "lbfgs":

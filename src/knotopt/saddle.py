@@ -5,34 +5,30 @@ The system is factorized once per point and reused for every solve there.
 m barycenter rows for the constraint Jacobian.  With ``c = 0`` (the
 default) the system is the constrained projection, solved for projected
 gradients ``(eta, 0)``, pseudoinverse applications ``(0, xi)`` and tangent
-projections ``(G u, 0)``.  With ``c = 1`` and length rows only, its primal
-block is the metric ``G + J^T J``, since ``lam = J u`` for a right-hand side
-``(eta, 0)``; the penalty methods solve their Gauss-Newton-augmented metric
-this way, with ``J`` the weighted edge-length rows.  A compliance with
-barycenter rows is rejected.
+projections ``(G u, 0)``.  With ``c = 1`` the primal block is the metric
+``G + J^T J``, since ``lam = J u`` for a right-hand side ``(eta, 0)``; the
+penalty methods solve their Gauss-Newton-augmented metric this way, with
+``J`` the weighted edge-length rows.
 
 ``G`` is a :class:`GramOperator`, i.e. ``S (x) I_m``, and no
-``(N*m) x (N*m)`` matrix is formed.  With barycenter rows and ``c = 0``,
-``J u = xi`` fixes ``W^T u = xi_b - moments^T xi_len`` (``W = w (x) I_m``,
-``w`` the rows' lumped mass), so the shift ``W W^T`` that makes
-``S + w w^T`` definite on constant fields moves exactly to the right-hand
-side, as ``eta + W (xi_b - moments^T xi_len)``.  Without barycenter rows
-(the penalty metrics, all definite) ``S`` is not shifted.  The N x N
-inverse ``H`` comes from a Cholesky factor; the Schur complement
-``J (H (x) I_m) J^T + c I`` is built from the rows, its length block being
-``(coef coef^T) o`` the second difference of ``H``, and Cholesky-factorized.
-A solve costs two products with ``H`` and one Schur solve.
-:meth:`SaddleFactorization.with_rows` factorizes the same unshifted metric
-with other length rows: it shares ``G`` and ``H`` and builds only the new
-Schur complement, which is how penalized L-BFGS keeps its first metric.
+``(N*m) x (N*m)`` matrix is formed.  ``S`` must be definite, as every Gram
+of ``assemble_gram`` is, and is factorized as given, whatever the rows and
+the compliance.  The N x N inverse ``H`` comes from a Cholesky factor; the
+Schur complement ``J (H (x) I_m) J^T + c I`` is built from the rows, its
+length block being ``(coef coef^T) o`` the second difference of ``H``, and
+Cholesky-factorized.  A solve costs two products with ``H`` and one Schur
+solve.  :meth:`SaddleFactorization.with_rows` factorizes the same metric
+with other rows: it shares ``G`` and ``H`` and builds only the new Schur
+complement, which is how penalized L-BFGS keeps its first metric.
 
 Buffers: ``factorize`` allocates only its inverse and its Schur factor,
 ``with_rows`` only its Schur factor, and neither allocates when the
 optimizer has retired the last iterate's.  ``_retire`` hands back only the
 arrays a factorization owns: the metric's, the inverse and the Schur factor
 of one made by ``factorize``, the Schur factor alone of one made by
-``with_rows``, so a shared metric and inverse never go to the next build.
-The shifted metric is copied into the inverse's F-ordered array, which is
+``with_rows`` or of one whose metric and inverse are kept for later
+``with_rows`` calls, so a shared metric and inverse never go to the next
+build.  The metric is copied into the inverse's F-ordered array, which is
 factorized and inverted in place; the Schur complement is written a row
 block at a time into its factor's array, through the thread's block
 scratch, and factorized in place.
@@ -114,8 +110,6 @@ class SaddleFactorization:
             raise ValueError(
                 f"constraint rows {jacobian.shape} incompatible with metric {self.gram.shape}"
             )
-        if self.compliance and jacobian.moments is not None:
-            raise ValueError("a compliance needs rows without the barycenter block")
         self.jacobian = jacobian
         self.n_dual = jacobian.shape[0]
         self.max_refinements = 0
@@ -125,11 +119,8 @@ class SaddleFactorization:
         """The factorization of the same metric with the rows ``jacobian``.
 
         It shares ``gram`` and the inverse, and builds and owns only its
-        Schur factor.  Neither system may have the barycenter block, whose
-        shift is part of the inverse.
+        Schur factor.
         """
-        if self.jacobian.moments is not None or jacobian.moments is not None:
-            raise ValueError("a shared metric needs rows without the barycenter block")
         fact = object.__new__(type(self))
         fact.gram, fact.compliance, fact.n_primal = self.gram, self.compliance, self.n_primal
         fact._set_rows(jacobian)
@@ -138,22 +129,16 @@ class SaddleFactorization:
         return fact
 
     def _factor(self, gram):
-        rows, scalar = self.jacobian, gram.scalar
+        scalar = gram.scalar
         n = len(scalar)
         # LAPACK factorizes and inverts an F-ordered array in place; S is
         # symmetric, so its rows are the columns of the F-ordered copy.
-        work, what = _reuse((n, n), "F"), "metric"
-        if rows.moments is None:
-            np.copyto(work.T, scalar)
-        else:
-            what = "metric plus barycenter term"
-            for cols in _row_slices(n):
-                np.multiply.outer(rows.mass[cols], rows.mass, out=work.T[cols])
-                work.T[cols] += scalar[cols]
-        inv, info = scipy.linalg.lapack.dpotri(_cholesky(work, what),
+        work = _reuse((n, n), "F")
+        np.copyto(work.T, scalar)
+        inv, info = scipy.linalg.lapack.dpotri(_cholesky(work, "metric"),
                                                lower=1, overwrite_c=1)
         if info != 0:
-            raise SingularSystem(f"{what} could not be inverted")
+            raise SingularSystem("metric could not be inverted")
         # dpotri fills the lower triangle only.  The symmetric result's
         # transpose is C-ordered, which the solve products expect.
         _mirror_lower(inv)
@@ -188,26 +173,22 @@ class SaddleFactorization:
             c = columns[block, :n]
             np.subtract(d[1:], d[:-1], out=c)
             c *= np.matmul(rows.coef[block], rows.coef.T, out=products[:size])
-        c = out[:n, :n]
-        if rows.moments is None:
-            c.flat[::n + 1] += self.compliance
-            return out
-        # Barycenter rows moments^T L + W^T; q = L (H w (x) I_m).
-        hw = h @ rows.mass
-        q = rows.coef * (np.roll(hw, -1) - hw)[:, None]
-        cross = c @ rows.moments + q
-        corner = rows.moments.T @ cross + q.T @ rows.moments
-        corner.flat[::len(corner) + 1] += rows.mass @ hw
-        out[:n, n:] = cross
-        out[n:, :n] = cross.T
-        out[n:, n:] = corner
+        if rows.moments is not None:
+            # Barycenter rows moments^T L + W^T; q = L (H w (x) I_m).
+            hw = h @ rows.mass
+            q = rows.coef * (np.roll(hw, -1) - hw)[:, None]
+            cross = out[:n, :n] @ rows.moments + q
+            corner = rows.moments.T @ cross + q.T @ rows.moments
+            corner.flat[::len(corner) + 1] += rows.mass @ hw
+            out[:n, n:] = cross
+            out[n:, :n] = cross.T
+            out[n:, n:] = corner
+        out.flat[::self.n_dual + 1] += self.compliance
         return out
 
     def _solve_once(self, rhs):
         rows, n = self.jacobian, len(self.jacobian.coef)
         eta, xi = rhs[:self.n_primal].reshape(n, -1), rhs[self.n_primal:]
-        if rows.moments is not None:  # J u = xi fixes W^T u: the shift's exact term
-            eta = eta + np.outer(rows.mass, xi[n:] - rows.moments.T @ xi[:n])
         y = self._inv @ eta
         lam, info = scipy.linalg.lapack.dpotrs(self._schur, rows.apply(y) - xi,
                                                lower=1)
@@ -283,11 +264,13 @@ def factorize(gram, jacobian, compliance: float = 0.0) -> SaddleFactorization:
     return SaddleFactorization(gram, jacobian, compliance)
 
 
-def _retire(fact: SaddleFactorization) -> None:
+def _retire(fact: SaddleFactorization, keep_metric: bool = False) -> None:
     """Hand the N x N arrays that a factorization owns (see the module
     docstring) to this thread's next ``assemble_gram``, ``factorize`` and
-    ``with_rows``; ``fact`` must not be used again."""
-    _retire_arrays(*fact._arrays)
+    ``with_rows``; ``fact`` must not solve again.  With ``keep_metric`` only
+    its Schur factor goes, and its metric and inverse stay for
+    ``with_rows``."""
+    _retire_arrays(*(fact._arrays[-1:] if keep_metric else fact._arrays))
 
 
 def projected_gradient(fact: SaddleFactorization, eta) -> tuple[np.ndarray, np.ndarray]:

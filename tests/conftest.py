@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import knotopt as ko
+from knotopt.metric import _w32_scalar
 
 
 @pytest.fixture
@@ -37,6 +38,14 @@ def dense(operator):
     if isinstance(operator, ko.ConstraintRows):
         return np.array([operator.apply_T(e) for e in np.eye(operator.shape[0])])
     return np.kron(operator.scalar, np.eye(operator.dim))
+
+
+def seminorm(polygon, metric, quad=ko.MIDPOINT):
+    """Gram operator of ``w32`` or ``w32pure`` without its mean-value term:
+    the seminorm of the pair terms, which vanishes on constant fields."""
+    n = polygon.num_vertices
+    scalar = _w32_scalar(polygon, metric == ko.W32_GEOMETRIC, quad, np.empty((n, n)))
+    return ko.GramOperator(scalar, polygon.dim)
 
 
 def dense_hessian(polygon, quad=ko.MIDPOINT):

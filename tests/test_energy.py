@@ -10,7 +10,7 @@ import knotopt as ko
 from knotopt.energy import MIDPOINT, _pair_blocks
 from knotopt.metric import _density_table
 import pairlist_oracle as oracle
-from conftest import dense_hessian, random_embedded_polygon, rotation_matrix
+from conftest import dense_hessian, random_embedded_polygon, rotation_matrix, seminorm
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 # The module itself: ``knotopt.energy`` is also the name of the function.
@@ -274,8 +274,9 @@ def _check_derivatives(rule):
 
 
 def _check_gram(rule, metric):
+    # The oracle has the pair terms only, not the mean-value term.
     for name, p in _table_curves():
-        g = ko.assemble_gram(p, metric, rule)
+        g = seminorm(p, metric, rule)
         assert _relative_defect(g.scalar, oracle.w32_scalar(p, metric, rule)) <= 1e-13, name
 
 
@@ -301,7 +302,7 @@ class TestTableAssembly:
             assert _relative_defect(ko.energy(p, rule), oracle.energy(p, rule)) <= 1e-13
             assert _relative_defect(ko.d_energy(p, rule), oracle.d_energy(p, rule)) <= 1e-11
             assert _relative_defect(dense_hessian(p, rule), oracle.d2_energy(p, rule)) <= 1e-11
-            g = ko.assemble_gram(p, ko.W32_GEOMETRIC, rule)
+            g = seminorm(p, ko.W32_GEOMETRIC, rule)
             assert _relative_defect(g.scalar, oracle.w32_scalar(p, ko.W32_GEOMETRIC, rule)) <= 1e-13
 
     def test_disjoint_coincidence_raises(self):
@@ -315,11 +316,10 @@ class TestTableAssembly:
 
 
 def _blocked(p, rule, rows, monkeypatch):
-    """d_energy and the two w32 Grams (w32pure with its barycenter term) with
-    ``rows`` edges per table block."""
+    """d_energy and the two w32 Grams with ``rows`` edges per table block."""
     monkeypatch.setattr(ENERGY_MODULE, "_block_rows", lambda n: rows)
     return [ko.d_energy(p, rule), ko.assemble_gram(p, ko.W32_GEOMETRIC, rule).scalar,
-            ko.assemble_gram(p, ko.W32_PURE, rule, barycenter=True).scalar]
+            ko.assemble_gram(p, ko.W32_PURE, rule).scalar]
 
 
 def _last_block_bow_tie():

@@ -3,7 +3,7 @@ import pytest
 
 import knotopt as ko
 from knotopt.optimize import OptimizerConfig, PenaltyProblem
-from conftest import dense, random_embedded_polygon, rotation_matrix
+from conftest import dense, random_embedded_polygon, rotation_matrix, seminorm
 
 
 def kernel_basis(jacobian):
@@ -14,13 +14,14 @@ def kernel_basis(jacobian):
 class TestW32Geometric:
     def test_constant_field_in_seminorm_kernel(self):
         p = random_embedded_polygon(12, seed=0)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
+        g = seminorm(p, ko.W32_GEOMETRIC)
         c = np.tile([0.8, -1.1], p.num_vertices)
         assert np.abs(g.apply(c)).max() <= 1e-13 * np.abs(dense(g)).max()
 
     def test_constant_field_with_barycenter_term(self):
+        # On a constant field only the mean-value term w w^T is left.
         p = random_embedded_polygon(12, seed=0)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         c = np.tile([0.8, -1.1], p.num_vertices)
         expected = p.total_length**2 * (0.8**2 + 1.1**2)
         assert c @ g.apply(c) == pytest.approx(expected, rel=1e-12)
@@ -37,19 +38,20 @@ class TestW32Geometric:
 
     def test_seminorm_kernel_is_exactly_constants(self):
         # Dense nullspace oracle at small size: the only zero modes of the
-        # barycenter-free operator are the m constant fields.
+        # pair terms, without the mean-value term, are the m constant fields.
         p = random_embedded_polygon(14, seed=2)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
+        g = seminorm(p, ko.W32_GEOMETRIC)
         w = np.linalg.eigvalsh(dense(g))
         scale = np.abs(w).max()
         assert np.sum(np.abs(w) <= 1e-10 * scale) == p.dim
 
     def test_principal_scaling_is_exact(self):
         # Doubling the polygon scales the principal form by exactly 1/4;
-        # powers of two make the identity bit-exact.
+        # powers of two make the identity bit-exact.  The mean-value term
+        # scales by 4 instead, so the pair terms are compared alone.
         p = random_embedded_polygon(12, seed=3)
-        g1 = ko.assemble_gram(p, ko.W32_PURE)
-        g2 = ko.assemble_gram(ko.Polygon(2.0 * p.vertices), ko.W32_PURE)
+        g1 = seminorm(p, ko.W32_PURE)
+        g2 = seminorm(ko.Polygon(2.0 * p.vertices), ko.W32_PURE)
         assert np.array_equal(4.0 * dense(g2), dense(g1))
 
     def test_rotation_equivariance(self, rng):
@@ -63,7 +65,7 @@ class TestW32Geometric:
 
     def test_scalar_block_structure(self):
         p = random_embedded_polygon(10, dim=3, seed=5)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         m = p.dim
         full = dense(g)
         for c1 in range(m):
@@ -106,8 +108,17 @@ class TestBaselines:
 
     def test_w32_pure_positive_definite(self):
         p = random_embedded_polygon(12, seed=9)
-        g = ko.assemble_gram(p, ko.W32_PURE, barycenter=True)
+        g = ko.assemble_gram(p, ko.W32_PURE)
         assert np.linalg.eigvalsh(dense(g)).min() > 0.0
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("metric", sorted(ko.METRICS))
+    def test_every_gram_is_positive_definite(self, metric, dim):
+        # An inner product on all fields, constants included, with no
+        # constraint rows to help.
+        p = random_embedded_polygon(14, dim=dim, seed=16)
+        eigs = np.linalg.eigvalsh(dense(ko.assemble_gram(p, metric)))
+        assert eigs.min() > 1e-8 * eigs.max()
 
 
 class TestOperatorInterface:
@@ -168,19 +179,17 @@ class TestOperatorInterface:
         x = p.vertices.ravel()
         rhs = rng.standard_normal(x.size)
         g = problem.metric_solve(x, rhs)
-        # Without the barycenter constraint the w32 seminorm takes its
-        # barycenter term.
-        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         jac_len = dense(ko.d_phi(p))[:p.num_vertices]
         w = problem.targets.lengths / problem.targets.total
         applied = gram.apply(g) + config.alpha * jac_len.T @ (w * (jac_len @ g))
         assert np.allclose(applied, rhs, rtol=1e-9, atol=1e-9 * np.abs(rhs).max())
 
     def test_solve_requires_definiteness(self):
-        # The w32 seminorm without its barycenter term vanishes on constant
+        # The w32 seminorm without its mean-value term vanishes on constant
         # fields, and length rows cannot restore definiteness there.
         p = random_embedded_polygon(10, seed=15)
-        g = ko.assemble_gram(p, ko.W32_GEOMETRIC)
+        g = seminorm(p, ko.W32_GEOMETRIC)
         with pytest.raises(ko.SingularSystem):
             ko.factorize(g, ko.ConstraintRows(ko.d_phi(p).coef), compliance=1.0)
 

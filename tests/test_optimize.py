@@ -10,6 +10,7 @@ import scipy.linalg
 
 import knotopt as ko
 from knotopt import optimize
+from knotopt.energy import _release
 from knotopt.optimize import (METHODS, OptimizerConfig, PenaltyProblem,
                               implicit_step, path_point, pr_plus_direction,
                               steihaug_path, update_trust_radius, _prepare_state)
@@ -315,15 +316,14 @@ class TestPenaltyDrivers:
     @pytest.mark.parametrize("metric", ("l2", "w12", "w22", "w32pure", "w32"))
     def test_metric_solve_matches_dense_cholesky(self, metric, dim, rng):
         # Oracle: the penalty metric expanded to (N*m)^2 and factorized,
-        # kron(S, I_m) + alpha J_len^T diag(w) J_len (no augmentation for l2;
-        # S carries the barycenter term for the w32 seminorms).
+        # kron(S, I_m) + alpha J_len^T diag(w) J_len (no augmentation for l2).
         p = random_embedded_polygon(16, dim=dim, seed=21)
         config = OptimizerConfig(method="lbfgs", metric=ko.parse_metric(metric))
         problem = PenaltyProblem(p, ko.ConstraintTargets.from_polygon(p), config)
         x = 1.02 * p.vertices.ravel()
         _, dual = problem.value_and_dual(x)
         poly = ko.Polygon(x.reshape(p.vertices.shape))
-        gram = ko.assemble_gram(poly, metric, barycenter=metric in ("w32pure", "w32"))
+        gram = ko.assemble_gram(poly, metric)
         matrix = np.kron(gram.scalar, np.eye(dim))
         if metric != "l2":
             jac_len = dense(ko.d_phi(poly))[:poly.num_vertices]
@@ -357,6 +357,28 @@ class TestPenaltyDrivers:
             p, OptimizerConfig(method="lbfgs", max_iter=200)).trace] for _ in range(2)]
         assert len(traces[0]) > 2
         assert traces[0] == traces[1]
+
+    def test_second_lbfgs_point_builds_in_the_first_schur_array(self, rng):
+        # When the first point leaves the cache, only its Schur factor is
+        # handed on; the kept metric and inverse stay.
+        p = ko.coiled_unknot(48, windings=2)
+        problem = PenaltyProblem(p, ko.ConstraintTargets.from_polygon(p),
+                                 OptimizerConfig(method="lbfgs"))
+        x, dual = p.vertices.ravel(), rng.standard_normal(p.vertices.size)
+        _release()
+        try:
+            problem.metric_solve(x, dual)
+            kept = problem._kept
+            g = problem.metric_solve(1.01 * x, dual)
+            fact = problem._point[4]
+        finally:
+            _release()
+        assert fact is not kept and fact._inv is kept._inv
+        assert np.shares_memory(fact._arrays[0], kept._arrays[2])
+        for array in kept._arrays[:2]:
+            assert not np.shares_memory(fact._arrays[0], array)
+        assert np.array_equal(g, ko.projected_gradient(
+            kept.with_rows(fact.jacobian), dual)[0])
 
     def test_penalty_run_reports_saddle_residual(self):
         result = ko.run(ko.coiled_unknot(96), OptimizerConfig(
@@ -649,14 +671,14 @@ class TestDispatch:
         assert len(rows[0]) == 4
         assert rows[0] == rows[1]
 
-    def test_only_penalty_w32_metrics_take_the_barycenter_term(self, monkeypatch):
-        # The feasible methods constrain the barycenter; the penalty methods
-        # do not, and only the w32 seminorms vanish on constants.
+    def test_each_method_assembles_its_metric(self, monkeypatch):
+        # Every method takes the Gram of its metric as assembled, with no
+        # term of its own; implicit Euler's is always l2.
         asked = []
 
-        def spy(polygon, metric, quad=ko.MIDPOINT, barycenter=False):
-            asked.append((metric, barycenter))
-            return ko.assemble_gram(polygon, metric, quad, barycenter)
+        def spy(polygon, metric, quad=ko.MIDPOINT):
+            asked.append(metric)
+            return ko.assemble_gram(polygon, metric, quad)
 
         monkeypatch.setattr(optimize, "assemble_gram", spy)
         p = ko.perturbed_circle(16)
@@ -668,8 +690,7 @@ class TestDispatch:
                 if penalty and metric == ko.L2:
                     assert asked == [], (method, metric)  # solved by division
                     continue
-                expected = (ko.L2 if method == "implicit_euler_l2" else metric,
-                            penalty and metric in (ko.W32_PURE, ko.W32_GEOMETRIC))
+                expected = ko.L2 if method == "implicit_euler_l2" else metric
                 assert set(asked) == {expected}, (method, metric)
 
     @pytest.mark.parametrize("field,bad", [

@@ -9,9 +9,9 @@ from knotopt.energy import _release
 from conftest import dense, random_embedded_polygon
 
 
-def make_system(n=16, seed=0, metric=ko.W32_GEOMETRIC, dim=2, barycenter=False):
+def make_system(n=16, seed=0, metric=ko.W32_GEOMETRIC, dim=2):
     p = random_embedded_polygon(n, dim=dim, seed=seed)
-    gram = ko.assemble_gram(p, metric, barycenter=barycenter)
+    gram = ko.assemble_gram(p, metric)
     rows = ko.d_phi(p)
     return p, gram, dense(rows), ko.factorize(gram, rows)
 
@@ -20,11 +20,9 @@ class TestFactorize:
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("metric", sorted(ko.METRICS))
     def test_structured_solve_matches_dense_oracle(self, metric, dim, rng):
-        # Random right-hand side with a nonzero constraint block, so the
-        # multipliers carry the correction for the barycenter shift.  The
-        # pure seminorm is taken with its barycenter term, w32 without.
-        _, _, _, fact = make_system(14, seed=12, metric=metric, dim=dim,
-                                    barycenter=metric == ko.W32_PURE)
+        # Random right-hand side with a nonzero constraint block, which
+        # fixes the mean of the field through the barycenter rows.
+        _, _, _, fact = make_system(14, seed=12, metric=metric, dim=dim)
         rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
         x = fact.solve(rhs)
         ref = np.linalg.solve(dense(fact), rhs)
@@ -37,20 +35,20 @@ class TestFactorize:
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("metric", sorted(ko.METRICS))
     def test_compliance_block_matches_dense_oracle(self, metric, dim, compliance, rng):
-        # The penalty preconditioner's system: weighted length rows, which
-        # vanish on translations, so the w32 seminorms carry their barycenter
-        # term here.
+        # The penalty preconditioner's system, with weighted length rows,
+        # which vanish on translations, where the Gram alone is definite;
+        # then with the constraint Jacobian, since any rows take a compliance.
         p = random_embedded_polygon(14, dim=dim, seed=13)
-        rows = ko.ConstraintRows(3.0 * ko.d_phi(p).coef)
-        gram = ko.assemble_gram(p, metric, barycenter=metric in ("w32pure", "w32"))
-        fact = ko.factorize(gram, rows, compliance)
-        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
-        x = fact.solve(rhs)
-        ref = np.linalg.solve(dense(fact), rhs)
-        n = fact.n_primal
-        for block in (slice(None, n), slice(n, None)):
-            assert np.linalg.norm(x[block] - ref[block]) <= 1e-9 * np.linalg.norm(ref[block])
-        assert fact.max_residual <= 1e-10
+        gram = ko.assemble_gram(p, metric)
+        for rows in (ko.ConstraintRows(3.0 * ko.d_phi(p).coef), ko.d_phi(p)):
+            fact = ko.factorize(gram, rows, compliance)
+            rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+            x = fact.solve(rhs)
+            ref = np.linalg.solve(dense(fact), rhs)
+            n = fact.n_primal
+            for block in (slice(None, n), slice(n, None)):
+                assert np.linalg.norm(x[block] - ref[block]) <= 1e-9 * np.linalg.norm(ref[block])
+            assert fact.max_residual <= 1e-10
 
     def test_solve_residual_contract(self, rng):
         _, gram, jac, fact = make_system(16)
@@ -68,11 +66,6 @@ class TestFactorize:
         coef[0] = 0.0
         with pytest.raises(ko.SingularSystem):
             ko.factorize(gram, ko.ConstraintRows(coef, rows.moments, rows.mass))
-
-    def test_compliance_with_barycenter_rows_rejected(self):
-        p, gram, _, _ = make_system(12, seed=1)
-        with pytest.raises(ValueError):
-            ko.factorize(gram, ko.d_phi(p), compliance=1.0)
 
     def test_peak_memory(self):
         # The factorization used to peak at 6 N x N arrays: the shifted
@@ -113,14 +106,13 @@ class TestFactorize:
         rows, compliance = ko.d_phi(p), 0.0
         if not barycenter_rows:
             rows, compliance = ko.ConstraintRows(3.0 * rows.coef), 1.0
-        fresh = ko.factorize(ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True),
-                             rows, compliance)
-        dead = ko.factorize(ko.assemble_gram(dead_point, ko.W32_GEOMETRIC,
-                                             barycenter=True), rows, compliance)
+        fresh = ko.factorize(ko.assemble_gram(p, ko.W32_GEOMETRIC), rows, compliance)
+        dead = ko.factorize(ko.assemble_gram(dead_point, ko.W32_GEOMETRIC), rows,
+                            compliance)
         arrays = dead._arrays
         saddle._retire(dead)
         try:
-            gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+            gram = ko.assemble_gram(p, ko.W32_GEOMETRIC)
             fact = ko.factorize(gram, rows, compliance)
         finally:
             _release()
@@ -141,32 +133,37 @@ class TestFactorize:
 
 
 class TestWithRows:
-    """The metric kept for other length rows: one Schur factor per rows."""
+    """The metric kept for other rows: one Schur factor per rows."""
 
     @staticmethod
     def kept_system(dim, seed=0):
-        # A definite metric (the w32 Gram with its barycenter term) and two
-        # sets of weighted length rows, each at a different point.
+        # The w32 Gram and two sets of weighted length rows, each at a
+        # different point.
         p = random_embedded_polygon(16, dim=dim, seed=seed)
         q = random_embedded_polygon(16, dim=dim, seed=seed + 1)
-        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         base = ko.factorize(gram, ko.ConstraintRows(3.0 * ko.d_phi(p).coef), compliance=1.0)
         scale = np.linspace(0.5, 2.0, 16)[:, None]
         return base, ko.ConstraintRows(scale * ko.d_phi(q).coef)
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_solves_match_a_fresh_factorization(self, dim, rng):
+        # Length rows, then the constraint Jacobian of another point, for
+        # the kept penalty metric; length rows for a projection's metric.
         base, rows = self.kept_system(dim)
-        fact = base.with_rows(rows)
-        fresh = ko.factorize(base.gram, rows, compliance=1.0)
-        assert fact.gram is base.gram and fact._inv is base._inv
-        assert np.array_equal(fact._schur, fresh._schur)
-        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
-        assert np.array_equal(fact.solve(rhs), fresh.solve(rhs))
-        eta = rng.standard_normal(fact.n_primal)
-        for new, ref in zip(ko.projected_gradient(fact, eta),
-                            ko.projected_gradient(fresh, eta)):
-            assert np.array_equal(new, ref)
+        jacobian = ko.d_phi(random_embedded_polygon(16, dim=dim, seed=4))
+        projection = ko.factorize(base.gram, jacobian)
+        for kept, other in ((base, rows), (base, jacobian), (projection, rows)):
+            fact = kept.with_rows(other)
+            fresh = ko.factorize(kept.gram, other, kept.compliance)
+            assert fact.gram is kept.gram and fact._inv is kept._inv
+            assert np.array_equal(fact._schur, fresh._schur)
+            rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+            assert np.array_equal(fact.solve(rhs), fresh.solve(rhs))
+            eta = rng.standard_normal(fact.n_primal)
+            for new, ref in zip(ko.projected_gradient(fact, eta),
+                                ko.projected_gradient(fresh, eta)):
+                assert np.array_equal(new, ref)
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_rows_of_the_wrong_width_rejected(self, dim):
@@ -174,17 +171,6 @@ class TestWithRows:
         other = random_embedded_polygon(12, dim=dim, seed=3)
         with pytest.raises(ValueError, match="incompatible"):
             base.with_rows(ko.ConstraintRows(ko.d_phi(other).coef))
-
-    @pytest.mark.parametrize("dim", (2, 3))
-    def test_barycenter_rows_rejected(self, dim):
-        base, rows = self.kept_system(dim)
-        p = random_embedded_polygon(16, dim=dim, seed=4)
-        with pytest.raises(ValueError, match="barycenter"):
-            base.with_rows(ko.d_phi(p))
-        # The projection's inverse carries the barycenter shift of its rows.
-        projection = ko.factorize(base.gram, ko.d_phi(p))
-        with pytest.raises(ValueError, match="barycenter"):
-            projection.with_rows(rows)
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_retired_rows_factorization_hands_back_only_its_schur(self, dim):
@@ -201,7 +187,7 @@ class TestWithRows:
 
     def test_allocates_only_its_schur_factor(self):
         p = ko.coiled_unknot(384)
-        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         rows = ko.ConstraintRows(ko.d_phi(p).coef)
         base = ko.factorize(gram, rows, compliance=1.0)
         base.with_rows(rows)
@@ -222,7 +208,7 @@ class TestRefinementStop:
         rows = ko.d_phi(p)
         if compliance:
             rows = ko.ConstraintRows(3.0 * rows.coef)
-        gram = ko.assemble_gram(p, metric, barycenter=metric in ("w32pure", "w32"))
+        gram = ko.assemble_gram(p, metric)
         fact = ko.factorize(gram, rows, compliance)
         expected = np.abs(dense(fact)).sum(axis=1).max()
         assert fact._norm == pytest.approx(expected, rel=1e-12)
@@ -287,10 +273,9 @@ class TestProjectedGradient:
                            atol=1e-10 * np.linalg.norm(eta))
 
     def test_matches_schur_complement_oracle(self):
-        # Brute-force dense projection formula at N=6 with an invertible
-        # metric.
+        # Brute-force dense projection formula at N=6.
         p = random_embedded_polygon(6, seed=4)
-        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC, barycenter=True)
+        gram = ko.assemble_gram(p, ko.W32_GEOMETRIC)
         fact = ko.factorize(gram, ko.d_phi(p))
         jac = dense(ko.d_phi(p))
         eta = ko.d_energy(p)
