@@ -35,20 +35,33 @@ class TestFactorize:
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("metric", sorted(ko.METRICS))
     def test_compliance_block_matches_dense_oracle(self, metric, dim, compliance, rng):
-        # The penalty preconditioner's system, with weighted length rows,
-        # which vanish on translations, where the Gram alone is definite;
-        # then with the constraint Jacobian, since any rows take a compliance.
+        # The penalty preconditioner's system: weighted length rows, which
+        # vanish on translations, where the Gram alone is definite.
         p = random_embedded_polygon(14, dim=dim, seed=13)
         gram = ko.assemble_gram(p, metric)
-        for rows in (ko.ConstraintRows(3.0 * ko.d_phi(p).coef), ko.d_phi(p)):
-            fact = ko.factorize(gram, rows, compliance)
-            rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
-            x = fact.solve(rhs)
-            ref = np.linalg.solve(dense(fact), rhs)
-            n = fact.n_primal
-            for block in (slice(None, n), slice(n, None)):
-                assert np.linalg.norm(x[block] - ref[block]) <= 1e-9 * np.linalg.norm(ref[block])
-            assert fact.max_residual <= 1e-10
+        self.assert_matches_dense_oracle(
+            ko.factorize(gram, ko.ConstraintRows(3.0 * ko.d_phi(p).coef), compliance), rng)
+
+    def test_compliance_with_barycenter_rows_matches_dense_oracle(self, rng):
+        # Any rows take a compliance, the constraint Jacobian with its
+        # barycenter rows too, since every Gram is definite by itself.
+        for dim in (2, 3):
+            p = random_embedded_polygon(12, dim=dim, seed=1)
+            for metric in sorted(ko.METRICS):
+                gram = ko.assemble_gram(p, metric)
+                for compliance in (0.25, 1.0):
+                    self.assert_matches_dense_oracle(
+                        ko.factorize(gram, ko.d_phi(p), compliance), rng)
+
+    @staticmethod
+    def assert_matches_dense_oracle(fact, rng):
+        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+        x = fact.solve(rhs)
+        ref = np.linalg.solve(dense(fact), rhs)
+        n = fact.n_primal
+        for block in (slice(None, n), slice(n, None)):
+            assert np.linalg.norm(x[block] - ref[block]) <= 1e-9 * np.linalg.norm(ref[block])
+        assert fact.max_residual <= 1e-10
 
     def test_solve_residual_contract(self, rng):
         _, gram, jac, fact = make_system(16)
@@ -148,22 +161,32 @@ class TestWithRows:
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_solves_match_a_fresh_factorization(self, dim, rng):
-        # Length rows, then the constraint Jacobian of another point, for
-        # the kept penalty metric; length rows for a projection's metric.
+        base, rows = self.kept_system(dim)
+        self.assert_matches_a_fresh_factorization(base, rows, rng)
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_barycenter_rows_match_a_fresh_factorization(self, dim, rng):
+        # The constraint Jacobian of another point for the kept penalty
+        # metric; length rows for a projection's metric, which was
+        # factorized with barycenter rows.
         base, rows = self.kept_system(dim)
         jacobian = ko.d_phi(random_embedded_polygon(16, dim=dim, seed=4))
+        self.assert_matches_a_fresh_factorization(base, jacobian, rng)
         projection = ko.factorize(base.gram, jacobian)
-        for kept, other in ((base, rows), (base, jacobian), (projection, rows)):
-            fact = kept.with_rows(other)
-            fresh = ko.factorize(kept.gram, other, kept.compliance)
-            assert fact.gram is kept.gram and fact._inv is kept._inv
-            assert np.array_equal(fact._schur, fresh._schur)
-            rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
-            assert np.array_equal(fact.solve(rhs), fresh.solve(rhs))
-            eta = rng.standard_normal(fact.n_primal)
-            for new, ref in zip(ko.projected_gradient(fact, eta),
-                                ko.projected_gradient(fresh, eta)):
-                assert np.array_equal(new, ref)
+        self.assert_matches_a_fresh_factorization(projection, rows, rng)
+
+    @staticmethod
+    def assert_matches_a_fresh_factorization(kept, other, rng):
+        fact = kept.with_rows(other)
+        fresh = ko.factorize(kept.gram, other, kept.compliance)
+        assert fact.gram is kept.gram and fact._inv is kept._inv
+        assert np.array_equal(fact._schur, fresh._schur)
+        rhs = rng.standard_normal(fact.n_primal + fact.n_dual)
+        assert np.array_equal(fact.solve(rhs), fresh.solve(rhs))
+        eta = rng.standard_normal(fact.n_primal)
+        for new, ref in zip(ko.projected_gradient(fact, eta),
+                            ko.projected_gradient(fresh, eta)):
+            assert np.array_equal(new, ref)
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_rows_of_the_wrong_width_rejected(self, dim):
