@@ -12,6 +12,8 @@ apart.  The bounds form a table over the pairs (I, J), I < J, built in
 blocks of rows, each from one matrix product of the centred midpoints.
 Only the pairs that the bounds cannot rule out are computed exactly, so a
 proximity query returns what computing all N(N-3)/2 pairs would.
+Validation (``_touching``) asks only whether some pair lies within the
+contact distance, so it computes only the pairs bounded at or below it.
 
 The collision step bound is conservative advancement (Mirtich, 1996) along
 separating directions (C2A; Tang, Kim & Manocha, 2009), so sliding is not
@@ -25,7 +27,21 @@ velocities, from one more product per block.  A pair's time to contact is
 when its bound reaches 0, its wake time when it reaches the contact
 distance.  The wake times fill one (N - 2) x N table; a round computes only
 the due pairs, in batches of ``_PAIR_BATCH`` written back before the next,
-so the query holds little beyond that table.
+so the query holds little beyond that table, which the thread keeps from
+one query to the next.
+
+A query clears its motion when every entry of its first wake table lies
+past its first round's cap, ``(tau_max / 0.9 + pad tau_max)(1 + pad)``:
+no pair is then computed, the query returns ``tau_max``, and every pair's
+padded separation bound stays above the reserve, ``1.001 CONTACT_SCALE
+L(v)``, for every step up to ``tau_max``.  The thread keeps that
+clearance with a copy of its motion (``_Clearance``; ``_cleared`` returns
+it for exactly that motion), and a point on the motion needs no contact
+check (``_Clearance.covers``): its pairs are more than the reserve apart,
+while ``Polygon`` checks them against ``CONTACT_SCALE`` times the point's
+own length.  The reserve's 1e-3 margin must therefore cover how much the
+point's length grew, besides the rounding of its coordinates; a point
+grown past it is checked as any other.
 
 Rounding, u the unit roundoff: n is scaled by 1 - 2^-48, as |d| and d/|d|
 round off by (m/2 + 3) u for d in R^m, m < 50.  The radii carry the pad
@@ -42,6 +58,7 @@ and n.(u_{b_j} - u_{a_i}) at most the largest endpoint speed, each bound
 is, up to the pads, at least the distance over largest endpoint speed.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +96,9 @@ _DIRECTION_SHRINK = 1.0 - 2.0**-48
 # Collision-limited line searches start at this fraction of the first
 # possible contact step.
 INITIAL_STEP_FACTOR = 2.0 / 3.0
+
+# This thread's wake table and the clearance of its last collision query.
+_kept = threading.local()
 
 
 def _closest_parameters(a0, a1, b0, b1):
@@ -253,6 +273,21 @@ def proximity_report(vertices) -> ProximityReport:
     return ProximityReport(min_distance=float(d[k]), pair=(int(pi[k]), int(pj[k])))
 
 
+def _touching(vertices, eps: float) -> bool:
+    """Whether two non-adjacent edges of the closed polyline come within ``eps``.
+
+    Only the pairs whose ball bound is at or below ``eps`` are computed
+    exactly; the bound is below every other pair's distance.
+    """
+    v = np.asarray(vertices, dtype=float)
+    balls = _edge_balls(v)
+    for lo, hi in _row_blocks(len(v)):
+        i, j = np.nonzero(_ball_rows(balls, lo, hi)[0] <= eps)
+        if i.size and (_pair_distances(v, lo + i, lo + 2 + j) <= eps).any():
+            return True
+    return False
+
+
 def _time_to(level, gap, closing, out):
     """Time for gaps closing at most at ``closing`` to reach ``level``, with
     the gap shrunk and the rate grown by the pads: 0 if there already, inf
@@ -287,6 +322,68 @@ def _waking(wake, row_min, after, until):
             yield held[:, :_PAIR_BATCH]
             held = held[:, _PAIR_BATCH:]
     yield held
+
+
+def _wake_cap(tau, tau_max):
+    """The latest wake time a round from ``tau`` needs: a ``best`` of at least
+    ``(tau_max - tau) / _ADVANCE_FACTOR`` ends the query at ``tau_max``, so
+    no pair waking after ``tau`` plus that is due (the pads keep that true
+    after rounding)."""
+    last = (tau_max - tau) / _ADVANCE_FACTOR + _WAKE_PAD * tau_max
+    return (tau + last) * (1.0 + _WAKE_PAD)
+
+
+def _wake_table(n):
+    """The (N - 2) x N wake table, all inf, in an array this thread keeps
+    between queries; it grows to the largest N queried."""
+    size = (n - 2) * n
+    kept = getattr(_kept, "wake", None)
+    if kept is None or kept.size < size:
+        kept = _kept.wake = np.empty(size)
+    wake = kept[:size].reshape(n - 2, n)
+    wake.fill(np.inf)
+    return wake
+
+
+@dataclass(frozen=True)
+class _Clearance:
+    """A motion ``vertices + tau * displacement``, ``0 <= tau <= tau_max``,
+    along which every pair's padded separation bound stays above
+    ``reserve`` (see ``first_collision_step``); the arrays are copies."""
+
+    vertices: np.ndarray
+    displacement: np.ndarray
+    tau_max: float
+    reserve: float
+
+    def covers(self, w) -> bool:
+        """Whether the polyline ``w`` has no pair within ``CONTACT_SCALE``
+        times its length, from the motion alone.
+
+        ``w`` lies within ``dev`` of the motion's point at the ``t`` nearest
+        to it in least squares (clamped to the motion), ``dev`` the largest
+        vertex deviation padded by ``_BOUND_PAD`` times the coordinates for
+        the rounding of it and of a distance at ``w``.  A segment pair moves
+        by at most twice ``dev``, so each pair of ``w`` is over ``reserve -
+        2 dev`` apart, which must exceed the contact distance of ``w``.
+        """
+        u = self.displacement
+        offset = w - self.vertices
+        t = min(max(float(np.vdot(offset, u) / np.vdot(u, u)), 0.0), self.tau_max)
+        off = offset - t * u
+        dev = float(np.sqrt(np.einsum("ij,ij->i", off, off).max()))
+        dev += _BOUND_PAD * (np.abs(w).max() + np.abs(offset).max())
+        return CONTACT_SCALE * _polyline_length(w) + 2.0 * dev < self.reserve
+
+
+def _cleared(vertices, displacement):
+    """The ``_Clearance`` of this thread's last collision query if that query
+    was along exactly this motion and cleared it, else None."""
+    clearance = getattr(_kept, "clearance", None)
+    if (clearance is None or not np.array_equal(clearance.vertices, vertices)
+            or not np.array_equal(clearance.displacement, displacement)):
+        return None
+    return clearance
 
 
 def _measure(tau, w, u, pi, pj, reserve):
@@ -327,6 +424,7 @@ def first_collision_step(vertices, displacement, tau_max: float) -> float:
     ``K`` as soon as its batch is done.  A ``tau_max`` that is not positive
     and finite, or a non-finite vertex or displacement, is a ``ValueError``.
     """
+    _kept.clearance = None
     v = np.asarray(vertices, dtype=float)
     u = np.asarray(displacement, dtype=float).reshape(v.shape)
     if not (np.isfinite(tau_max) and tau_max > 0.0):
@@ -343,7 +441,7 @@ def first_collision_step(vertices, displacement, tau_max: float) -> float:
 
     balls = _edge_balls(v)
     motion = None if rigid else _motion_balls(balls, u)
-    wake = np.full((n - 2, n), np.inf)
+    wake = _wake_table(n)
     near = []
     for lo, hi in _row_blocks(n):
         lower, closing = _ball_rows(balls, lo, hi, motion)
@@ -363,14 +461,12 @@ def first_collision_step(vertices, displacement, tau_max: float) -> float:
         return float(tau_max)
 
     row_min = wake.min(axis=1)
+    if row_min.min() > _wake_cap(0.0, tau_max):
+        _kept.clearance = _Clearance(v.copy(), u.copy(), float(tau_max), reserve)
     seeds = min(_PRUNE_BATCH, len(row_min)) - 1
     tau, w, guess = 0.0, v, np.partition(row_min, seeds)[seeds]
     for _ in range(_MAX_ROUNDS):
-        # A best of at least `last` ends the query at tau_max, so no pair
-        # waking after tau + last is needed (the pad keeps that true after
-        # rounding).
-        last = (tau_max - tau) / _ADVANCE_FACTOR + _WAKE_PAD * tau_max
-        cap = (tau + last) * (1.0 + _WAKE_PAD)
+        cap = _wake_cap(tau, tau_max)
         # Wake the pairs due by the guess, then, while tau + best reaches
         # past what was woken, those due by it; best only falls, so the
         # second pass wakes every pair still due.

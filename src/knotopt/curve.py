@@ -53,12 +53,11 @@ class Polygon:
         self.total_length = float(lengths.sum())
         self.arc_prefix = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
 
-        if validate:
+        if validate and collision._touching(v, collision.CONTACT_SCALE * self.total_length):
             report = collision.proximity_report(v)
-            if report.min_distance <= collision.CONTACT_SCALE * self.total_length:
-                raise SelfIntersection(
-                    f"edges {report.pair} at distance {report.min_distance:.3e}"
-                )
+            raise SelfIntersection(
+                f"edges {report.pair} at distance {report.min_distance:.3e}"
+            )
 
         for arr in (self.vertices, self.edge_vectors, self.edge_lengths,
                     self.tangents, self.arc_prefix):

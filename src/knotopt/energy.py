@@ -18,7 +18,11 @@ adjacent band are masked, taken in row blocks: a block holds
 temporary.  The energy is one table sum per block and quadrature node pair;
 the gradient's sums over J are row sums and table-vector products, local
 to a block's rows; the terms of the edge heads I+1 are the results rolled
-by one row.  ``hessian`` builds an operator that applies the Hessian to a
+by one row.  Both come from one walk, ``_walk``: ``energy`` and
+``d_energy`` each ask it for one, and the penalty methods for both at
+once, which share the walk's tables and ``u v q`` and cost little more
+than the gradient alone; each value is bitwise the one walked alone.
+``hessian`` builds an operator that applies the Hessian to a
 batch of fields without assembling it, as the directional derivative of
 the gradient's tables, on one whole-table block: the builder keeps the
 tables that every field shares, and each product costs O(N^2) per field
@@ -234,14 +238,21 @@ def _node_positions(centred, s):
     return (1.0 - s) * centred + s * np.roll(centred, -1, axis=0)
 
 
-def _uv(e, x, y, rows, u, v):
+def _uv_factors(e, x):
+    """The factors of ``_uv`` at the centred node positions ``x``: the left and
+    right factors of ``u``, then of ``v``, each N x (m + 1)."""
+    one = np.ones((len(x), 1))
+    ex = _dot(e, x)
+    return np.hstack((ex, -e)), np.hstack((one, x)), np.hstack((x, -one)), np.hstack((e, ex))
+
+
+def _uv(left, right, rows, u, v):
     """``u = <d, a_I>`` and ``v = <d, a_J>`` of the edges I in ``rows`` into ``u``
     and ``v``, ``d = x_I - y_J``: each one (rows x (m + 1))((m + 1) x N)
-    product of the centred node positions ``x``, ``y``."""
-    np.matmul(np.hstack((_dot(e[rows], x[rows]), -e[rows])),
-              np.hstack((np.ones((len(y), 1)), y)).T, out=u)
-    np.matmul(np.hstack((x[rows], -np.ones((len(u), 1)))),
-              np.hstack((e, _dot(e, y))).T, out=v)
+    product of the ``_uv_factors`` of the nodes of ``x`` (``left``) and of
+    ``y`` (``right``)."""
+    np.matmul(left[0][rows], right[1].T, out=u)
+    np.matmul(left[2][rows], right[3].T, out=v)
 
 
 def _walk_tables(polygon: Polygon, count: int) -> np.ndarray:
@@ -249,58 +260,53 @@ def _walk_tables(polygon: Polygon, count: int) -> np.ndarray:
     return _block_tables(polygon.num_vertices, count, after=polygon.dim + 1)
 
 
-def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> float:
-    """Total energy ``4 + sum of all ordered disjoint-pair contributions``.
+def _walk(polygon: Polygon, quad: QuadratureRule, value: bool = True,
+          gradient: bool = True):
+    """``(energy, derivative)`` from one walk of the pair tables; ``None`` for
+    the one not asked for.
 
-    One masked-table sum per row block and node pair, ``sum q (ss - 2 u v
-    q)`` with ``u = <d, a_I>``, ``v = <d, a_J>`` and ``ss = l_I l_J + <a_I,
-    a_J>`` formed as low-rank products (see ``_uv``).
+    The energy is one masked-table sum per row block and node pair, ``sum q
+    (ss - 2 u v q)`` with ``u = <d, a_I>``, ``v = <d, a_J>`` and ``ss = l_I
+    l_J + <a_I, a_J>`` formed as low-rank products (see ``_uv``); the
+    factors that no block changes are built once per call.  The derivative
+    is twice the sum of the derivatives through edge I alone, as the ordered
+    pair sum is symmetric in (I, J): by ``a = a_I`` and by ``d``, which moves
+    with both endpoints of I.  Those are row sums, so each row block fills
+    its own rows of the tail and head terms.  The sums ``sum_J c_IJ d_IJ``
+    are taken on the difference table itself: as ``x_I (c 1)_I - (c y)_I``
+    they lose digits to cancellation.  Both share ``u v q``, and each is
+    bitwise what it is when walked alone.
     """
     e, ell = polygon.edge_vectors, polygon.edge_lengths
     centred = polygon.vertices - polygon.vertices.mean(axis=0)
     lengths = np.hstack((ell[:, None], e))
-    tables = _walk_tables(polygon, 3)
+    factors = {float(s): _uv_factors(e, _node_positions(centred, s)) for s in quad.nodes}
+    tables = _walk_tables(polygon, 6)
     total = 0.0
-    for rows, pairs in _pair_blocks(polygon, quad):
-        ss, u, v = tables[:, :rows.stop - rows.start]
-        np.matmul(lengths[rows], lengths.T, out=ss)
-        for weight, s, t, _, q in pairs:
-            _uv(e, _node_positions(centred, s), _node_positions(centred, t), rows, u, v)
-            u *= v
-            u *= q
-            u *= -2.0
-            u += ss
-            u *= q
-            total += weight * float(np.sum(u))
-    return 4.0 + total
-
-
-def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
-    """Exact derivative of the energy, flat (N*m,) in vertex-major layout.
-
-    The ordered pair sum is symmetric in (I, J), so the derivative is twice
-    the sum of the derivatives through edge I alone: by ``a = a_I`` and by
-    ``d``, which moves with both endpoints of I.  Those are row sums, so
-    each row block fills its own rows of the tail and head terms.  The sums
-    ``sum_J c_IJ d_IJ`` are taken on the difference table itself: as
-    ``x_I (c 1)_I - (c y)_I`` they lose digits to cancellation.
-    """
-    e = polygon.edge_vectors
-    ell = polygon.edge_lengths
-    centred = polygon.vertices - polygon.vertices.mean(axis=0)
-    lengths = np.hstack((ell[:, None], e))
-    tables = _walk_tables(polygon, 5)
     tail, head = np.zeros_like(e), np.zeros_like(e)
     for rows, pairs in _pair_blocks(polygon, quad):
         e_i, ell_i = e[rows], ell[rows]
-        ss2, u, v, q2, c = tables[:, :rows.stop - rows.start]
-        np.matmul(lengths[rows], lengths.T, out=ss2)
-        ss2 *= 2.0
+        ss, ss2, u, v, q2, c = tables[:, :rows.stop - rows.start]
+        # Either value alone touches only the tables it needs: the energy
+        # works in u, and the gradient needs no ss.
+        uvq, table = (c, q2) if gradient else (u, u)
+        if value:
+            np.matmul(lengths[rows], lengths.T, out=ss)
+        if gradient:
+            np.matmul(lengths[rows], lengths.T, out=ss2)
+            ss2 *= 2.0
         for weight, s, t, d, q in pairs:
-            _uv(e, _node_positions(centred, s), _node_positions(centred, t), rows, u, v)
+            _uv(factors[s], factors[t], rows, u, v)
+            np.multiply(u, v, out=uvq)
+            uvq *= q
+            if value:
+                np.multiply(uvq, -2.0, out=table)
+                table += ss
+                table *= q                               # q (ss - 2 u v q)
+                total += weight * float(np.sum(table))
+            if not gradient:
+                continue
             np.multiply(q, q, out=q2)
-            np.multiply(u, v, out=c)
-            c *= q
             c *= 8.0
             c -= ss2
             c *= q2                                  # q^2 (8 u v q - 2 ss)
@@ -310,7 +316,20 @@ def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
             gd = (_rowdot(c, d) - 2.0 * e_i * v.sum(axis=1)[:, None] - 2.0 * (u @ e))
             tail[rows] += weight * ((1.0 - s) * gd - ga)
             head[rows] += weight * (s * gd + ga)
-    return 2.0 * (tail + np.roll(head, 1, axis=0)).ravel()
+    return (4.0 + total if value else None,
+            2.0 * (tail + np.roll(head, 1, axis=0)).ravel() if gradient else None)
+
+
+def energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> float:
+    """Total energy ``4 + sum of all ordered disjoint-pair contributions``
+    (see ``_walk``)."""
+    return _walk(polygon, quad, gradient=False)[0]
+
+
+def d_energy(polygon: Polygon, quad: QuadratureRule = MIDPOINT) -> np.ndarray:
+    """Exact derivative of the energy, flat (N*m,) in vertex-major layout
+    (see ``_walk``)."""
+    return _walk(polygon, quad, value=False)[1]
 
 
 def hessian(polygon: Polygon, quad: QuadratureRule):
@@ -353,7 +372,7 @@ def hessian(polygon: Polygon, quad: QuadratureRule):
     for (weight, s, t, q), shared in zip(walked, work[:-9].reshape(-1, 7, n, n)):
         q2, vq, uq, a_h, a_tab, b_tab, c_tab = shared
         x, y = _node_positions(centred, s), _node_positions(centred, t)
-        _uv(e, x, y, slice(None), u, v)
+        _uv(_uv_factors(e, x), _uv_factors(e, y), slice(None), u, v)
         np.multiply(q, q, out=q2)
         np.multiply(v, q2, out=b_tab)
         np.multiply(u, q2, out=c_tab)

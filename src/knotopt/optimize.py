@@ -22,6 +22,10 @@ factorizes only the Schur complement of its rows (a fixed seed for the
 two-loop recursion, whose curvature pairs supply what it lacks).  Steps use
 a weak Wolfe line search truncated by collision detection; Nesterov's
 momentum restarts whenever its look-ahead step would raise the objective.
+``PenaltyProblem`` evaluates each point once: one walk of the pair tables
+gives its energy and gradient, and a point on a motion whose contact query
+cleared it skips the proximity check it would pass.  Feasible methods call
+``energy`` at a trial and ``d_energy`` at an accepted point.
 
 ``run`` is the one entry point, and ``config.method`` picks the method.
 Each method is a step builder in ``_STEPS``: it adds its own keys to the
@@ -72,7 +76,7 @@ from . import collision
 from .constraint import (ConstraintRows, ConstraintTargets, d_phi, phi,
                          restore_feasibility)
 from .curve import Polygon
-from .energy import QuadratureRule, _release, d_energy, energy, hessian
+from .energy import QuadratureRule, _release, _walk, d_energy, energy, hessian
 from .errors import KnotOptError, LineSearchFailure, NewtonInnerFailure
 from .metric import METRICS, GramOperator, assemble_gram
 from .saddle import SOLVE_TOL, _retire, factorize, projected_gradient
@@ -499,9 +503,16 @@ class PenaltyProblem:
     factorizes only the Schur complement of ``R``
     (:meth:`~knotopt.saddle.SaddleFactorization.with_rows`).  The
     lumped-mass metric takes no term, so ``M`` is the diagonal
-    ``diag(mass) (x) I_m`` and is solved by division.  The last point
-    evaluated is cached as ``(key, polygon, energy, d_phi rows,
-    factorization)``; the dual and the rows of ``R`` share the rows.
+    ``diag(mass) (x) I_m`` and is solved by division.
+
+    A point is evaluated once: one walk of the pair tables gives its energy
+    and energy derivative (``energy._walk``), and the last point evaluated
+    is cached as ``(key, polygon, energy, d_phi rows, factorization,
+    energy derivative)``; the dual and the rows of ``R`` share the rows.
+    ``step_bound`` keeps the clearance of its motion when the contact query
+    cleared it (``collision._Clearance``), and a point that the clearance
+    covers skips ``Polygon``'s contact check, which it would pass; it still
+    gets ``Polygon``'s other checks and the walk's coincidence check.
     """
 
     def __init__(self, reference: Polygon, targets: ConstraintTargets,
@@ -516,14 +527,18 @@ class PenaltyProblem:
         self.augment = config.metric != "l2"
         self._kept = None  # L-BFGS's first factorization
         self._point = None
+        self._clearance = None  # of the last step_bound's motion, if cleared
         self.solve_stats = {"saddle_refinements_max": 0, "saddle_residual_max": 0.0}
 
     def _evaluate(self, x):
         """The cache entry of ``x``, replacing the cache for a new point."""
         key = np.asarray(x).tobytes()
         if self._point is None or self._point[0] != key:
-            poly = Polygon(np.asarray(x, dtype=float).reshape(self.shape))
-            point = (key, poly, float(energy(poly, self.quad)), d_phi(poly), None)
+            w = np.asarray(x, dtype=float).reshape(self.shape)
+            covered = self._clearance is not None and self._clearance.covers(w)
+            poly = Polygon(w, validate=not covered)
+            value, grad = _walk(poly, self.quad)
+            point = (key, poly, value, d_phi(poly), None, grad)
             old = None if self._point is None else self._point[4]
             if old is not None:
                 # L-BFGS's kept metric and inverse outlive their point;
@@ -534,19 +549,19 @@ class PenaltyProblem:
 
     def value_and_dual(self, x):
         try:
-            _, poly, energy_value, rows, _ = self._evaluate(x)
+            _, poly, energy_value, rows, _, grad = self._evaluate(x)
         except KnotOptError:
             return np.inf, None
         r, w = phi(poly, self.targets).residual, self.weights
         f = energy_value + self.config.alpha * float(w @ r**2)
-        dual = d_energy(poly, self.quad) + 2.0 * self.config.alpha * (
+        dual = grad + 2.0 * self.config.alpha * (
             ConstraintRows(rows.coef).apply_T(w * r)
         )
         return f, dual
 
     def metric_solve(self, x, dual) -> np.ndarray:
         """Solve ``M g = dual`` with the preconditioning metric at ``x``."""
-        key, poly, energy_value, rows, fact = self._evaluate(x)
+        key, poly, energy_value, rows, fact, grad = self._evaluate(x)
         if not self.augment:
             return (dual.reshape(self.shape) / rows.mass[:, None]).ravel()
         if fact is None:
@@ -560,15 +575,20 @@ class PenaltyProblem:
                 # A kept metric doubled NCG's iterations on the coils.
                 if self.config.method == "lbfgs":
                     self._kept = fact
-            self._point = (key, poly, energy_value, rows, fact)
+            self._point = (key, poly, energy_value, rows, fact, grad)
         g = projected_gradient(fact, dual)[0]
         _note_solves(self.solve_stats, fact)
         return g
 
     def step_bound(self, x, d):
-        """(step cap, first trial step) along d; see :func:`collision.step_bounds`."""
-        return collision.step_bounds(np.asarray(x).reshape(self.shape),
-                                     np.asarray(d).reshape(self.shape), TAU_MAX)
+        """(step cap, first trial step) along d; see :func:`collision.step_bounds`.
+
+        Keeps the motion's clearance for the points along it, or None.
+        """
+        v, u = np.asarray(x).reshape(self.shape), np.asarray(d).reshape(self.shape)
+        bounds = collision.step_bounds(v, u, TAU_MAX)
+        self._clearance = collision._cleared(v, u)
+        return bounds
 
     # Trace hooks; driver loops stay agnostic of the geometry.
     def trace_energy(self, x) -> float:

@@ -1,3 +1,5 @@
+import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -216,6 +218,21 @@ class TestProximityReport:
         ko.proximity_report(v)
         computed = sum(pair_distance_counts)
         assert 0 < computed < len(frozen.nonadjacent_pairs(len(v))[0]) // 100
+
+
+    def test_validation_computes_no_distance_of_a_separated_curve(self, pair_distance_counts):
+        # Validation asks only whether a pair is within the contact distance:
+        # no pair of the coil has a ball bound that low, so no exact
+        # distance is computed (the closest-pair query computes some).
+        ko.Polygon(ko.coiled_unknot(384, windings=4).vertices)
+        assert pair_distance_counts == []
+
+    def test_self_intersection_names_the_closest_pair(self):
+        v = near_contact_polygon()
+        v[4, 1] = 1e-12
+        report = ko.proximity_report(v)
+        with pytest.raises(ko.SelfIntersection, match=re.escape(f"edges {report.pair} ")):
+            ko.Polygon(v)
 
 
 class TestBallBound:
@@ -500,3 +517,87 @@ class TestInitialStep:
             assert tau_star == 1.5 and (cap, start) == (1.0, 1.0)
         else:
             assert tau_star == pytest.approx(0.5 / speed, abs=1e-6)
+
+
+def smooth_field(rng, n, dim, harmonics=4):
+    """A field of a few low harmonics along the curve, peak 1 per coordinate."""
+    angle = 2.0 * np.pi * np.arange(n) / n
+    field = sum(np.cos(k * angle[:, None] + rng.uniform(0.0, 2.0 * np.pi, dim))
+                * rng.standard_normal(dim) for k in range(harmonics))
+    return field / np.abs(field).max()
+
+
+class TestClearance:
+    """A query whose initial wake table clears its motion certifies every
+    point along it: no pair comes within the contact reserve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), dim=st.sampled_from((2, 3)),
+           scale=st.sampled_from((0.05, 0.3, 1.0, 3.0)))
+    def test_cleared_motion_validates_along_its_length(self, seed, dim, scale):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 60))
+        p = random_embedded_polygon(n, dim=dim, seed=seed)
+        u = scale * p.edge_lengths.mean() * smooth_field(rng, n, dim)
+        tau_max = 1.5
+        assert collision.first_collision_step(p.vertices, u, tau_max) > 0.0
+        clearance = collision._cleared(p.vertices, u)
+        if clearance is None:
+            return
+        assert clearance.tau_max == tau_max
+        assert clearance.covers(p.vertices)
+        for t in np.append(rng.uniform(0.0, tau_max, 4), tau_max):
+            w = p.vertices + t * u
+            ko.Polygon(w)
+            assert proximity_all_pairs(w)[0] > clearance.reserve
+            # What the clearance covers passes validation.
+            if clearance.covers(w):
+                assert proximity_all_pairs(w)[0] > collision.CONTACT_SCALE * \
+                    collision._polyline_length(w)
+
+    def test_clearance_is_tied_to_its_motion(self):
+        p = ko.coiled_unknot(96)
+        centred = p.vertices - p.vertices.mean(axis=0)
+        grow, shrink = 0.01 * centred, -0.9 * centred
+        assert collision.first_collision_step(p.vertices, grow, 1.5) == 1.5
+        clearance = collision._cleared(p.vertices, grow)
+        assert clearance is not None and clearance.reserve == pytest.approx(
+            1.001 * collision.CONTACT_SCALE * p.total_length, rel=1e-12)
+        assert collision._cleared(p.vertices, 2.0 * grow) is None
+        assert collision._cleared(p.vertices + 1e-3, grow) is None
+        # The motion's end is 1.5 % longer: past the reserve's margin.
+        assert not clearance.covers(p.vertices + 1.5 * grow)
+        assert clearance.covers(p.vertices + 1e-5 * grow)
+        # Off the motion by more than the margin.
+        assert not clearance.covers(p.vertices + 1e-5 * grow + 1e-8)
+        # Shrinking the coil to a tenth wakes every pair: not cleared, and
+        # the query replaces the last clearance.
+        collision.first_collision_step(p.vertices, shrink, 1.5)
+        assert collision._cleared(p.vertices, shrink) is None
+        assert collision._cleared(p.vertices, grow) is None
+
+    def test_threads_keep_their_own_clearance(self):
+        p = ko.coiled_unknot(96)
+        grow = 0.01 * (p.vertices - p.vertices.mean(axis=0))
+        collision.first_collision_step(p.vertices, grow, 1.5)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(
+            collision._cleared(p.vertices, grow)))
+        thread.start()
+        thread.join(timeout=60)
+        assert seen == [None]
+        assert collision._cleared(p.vertices, grow) is not None
+
+    def test_second_query_allocates_no_wake_table(self):
+        # The (N - 2) x N wake table is kept by the thread and refilled.
+        p = ko.coiled_unknot(768)
+        u = 0.01 * (p.vertices - p.vertices.mean(axis=0))
+        table = (p.num_vertices - 2) * p.num_vertices * 8
+        collision.first_collision_step(p.vertices, u, 1.5)
+        tracemalloc.start()
+        try:
+            assert collision.first_collision_step(p.vertices, u, 1.5) == 1.5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * table

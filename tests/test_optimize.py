@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import knotopt as ko
-from knotopt import optimize
+from knotopt import collision, optimize
 from knotopt.energy import _release
 from knotopt.optimize import (METHODS, OptimizerConfig, PenaltyProblem,
                               implicit_step, path_point, pr_plus_direction,
@@ -470,6 +470,95 @@ class TestPenaltyDrivers:
             method="nesterov", max_iter=60))
         assert result.final_energy <= 4.01
         assert result.diagnostics["momentum_resets"] >= 0
+
+
+PENALTY_CURVES = {"coil96": lambda: ko.coiled_unknot(96),
+                  "torus60": lambda: ko.torus_knot(2, 3, 60),
+                  "circle64": lambda: ko.perturbed_circle(64)}
+
+
+class TestPenaltyPoint:
+    """A penalized point is evaluated once, and a trial on a motion that the
+    contact query cleared skips the contact check it would pass."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("curve", sorted(PENALTY_CURVES))
+    def test_value_and_dual_are_energy_and_d_energy_plus_penalty(self, curve, k, rng):
+        p = PENALTY_CURVES[curve]()
+        targets = ko.ConstraintTargets.from_polygon(p)
+        config = OptimizerConfig(method="lbfgs", quad_k=k)
+        problem = PenaltyProblem(p, targets, config)
+        # Off the target lengths, so that the penalty terms do not vanish.
+        noise = 1e-2 * p.edge_lengths.mean() * rng.standard_normal(p.vertices.shape)
+        x = (p.vertices + noise).ravel()
+        f, dual = problem.value_and_dual(x)
+        poly, quad = ko.Polygon(x.reshape(p.vertices.shape)), config.quad()
+        r, w = ko.phi(poly, targets).residual, targets.lengths / targets.total
+        assert f == ko.energy(poly, quad) + config.alpha * float(w @ r**2)
+        assert np.array_equal(dual, ko.d_energy(poly, quad) + 2.0 * config.alpha * (
+            ko.ConstraintRows(ko.d_phi(poly).coef).apply_T(w * r)))
+        assert problem.trace_energy(x) == ko.energy(poly, quad)
+
+    def test_lbfgs_checks_contact_only_off_cleared_motions(self, monkeypatch):
+        # Each point is checked unless it lies on the last queried motion,
+        # that query cleared it, and its length grew by at most the
+        # reserve's 1e-3 margin; a skipped check would have passed.
+        motions, points = [], []
+        query, init = collision.first_collision_step, ko.Polygon.__init__
+
+        def spy_query(v, u, tau_max):
+            tau = query(v, u, tau_max)
+            v, u = np.array(v, dtype=float), np.array(u, dtype=float).reshape(np.shape(v))
+            motions.append((v, u, tau_max, collision._cleared(v, u) is not None))
+            return tau
+
+        def spy_polygon(self, vertices, *, validate=True):
+            points.append((np.array(vertices, dtype=float), validate, len(motions)))
+            init(self, vertices, validate=validate)
+
+        p = ko.coiled_unknot(96)
+        monkeypatch.setattr(collision, "first_collision_step", spy_query)
+        monkeypatch.setattr(ko.Polygon, "__init__", spy_polygon)
+        result = ko.run(p, OptimizerConfig(method="lbfgs", max_iter=200))
+        monkeypatch.undo()
+        assert result.converged
+        skipped = 0
+        for w, validate, k in points:
+            if k == 0:
+                assert validate  # the first point, before any motion
+                continue
+            v, u, tau_max, cleared = motions[k - 1]
+            offset = w - v
+            t = np.vdot(offset, u) / np.vdot(u, u)
+            on = (cleared and 0.0 <= t <= tau_max
+                  and np.abs(offset - t * u).max() <= 1e-12 * np.abs(w).max())
+            grew = collision._polyline_length(w) > 1.001 * collision._polyline_length(v)
+            assert validate == (not on or grew)
+            if not validate:
+                ko.Polygon(w)
+                skipped += 1
+        assert skipped >= len(result.trace) // 2
+
+    def test_trial_grown_past_the_margin_is_checked(self, monkeypatch):
+        # Dilating the coil clears the motion, and a step of t grows its
+        # length by t %: a trial at 0.2 is past the 1e-3 margin.
+        p = ko.coiled_unknot(96)
+        problem = PenaltyProblem(p, ko.ConstraintTargets.from_polygon(p),
+                                 OptimizerConfig(method="lbfgs"))
+        x = p.vertices.ravel()
+        d = 0.01 * (p.vertices - p.vertices.mean(axis=0)).ravel()
+        assert problem.step_bound(x, d) == (1.0, 1.0)
+        validated = []
+        init = ko.Polygon.__init__
+
+        def spy_polygon(self, vertices, *, validate=True):
+            validated.append(validate)
+            init(self, vertices, validate=validate)
+
+        monkeypatch.setattr(ko.Polygon, "__init__", spy_polygon)
+        for t in (0.01, 0.2):
+            assert np.isfinite(problem.value_and_dual(x + t * d)[0])
+        assert validated == [False, True]
 
 
 class TestTrustRegion:
